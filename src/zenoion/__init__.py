@@ -27,13 +27,10 @@ from .fock import (
     LaserDrive,
     ModeVector,
     SidebandPattern,
-    TrapParams,
     chi_ratio,
     coupling_alpha,
     coupling_beta,
-    effective_gamma,
     factorial_ratio_root,
-    lamb_dicke_eta,
     sideband_series_term,
 )
 from .indicators import (
@@ -82,13 +79,10 @@ __all__ = [
     "LaserDrive",
     "ModeVector",
     "SidebandPattern",
-    "TrapParams",
     "chi_ratio",
     "coupling_alpha",
     "coupling_beta",
-    "effective_gamma",
     "factorial_ratio_root",
-    "lamb_dicke_eta",
     "sideband_series_term",
     "GqzeInterval",
     "IndicatorReport",

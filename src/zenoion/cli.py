@@ -9,47 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import runner
-from .config import ConfigError, load_config
-from .fock import DegenerateCouplingError, InvalidSubspaceError
-
-_MODE_HELP = {
-    "evolve": "evolve |n, 1> and emit level populations over time",
-    "survival": "emit the survival probability over time",
-    "indicators": "print every hindering indicator for one configuration",
-    "sweep": "emit indicator reports over a chi grid",
-    "figures": "emit fig1.csv ... fig4.csv (survival curves and indicator scans)",
-    "validate": "cross-check closed forms against their numeric twins",
-}
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="INI config file")
-    parser.add_argument("--chi", type=float, help="coupling-ratio override (replaces n/r/l)")
-    parser.add_argument("--gamma1", type=float, help="1-2 transition coupling")
-    parser.add_argument("--gamma2", type=float, help="2-3 transition coupling")
-    parser.add_argument("--omega-a", type=float, dest="omega_a", help="beam a Rabi frequency")
-    parser.add_argument("--eta-a", type=float, dest="eta_a", help="beam a Lamb-Dicke parameter")
-    parser.add_argument("--omega-b", type=float, dest="omega_b", help="beam b Rabi frequency")
-    parser.add_argument("--eta-b", type=float, dest="eta_b", help="beam b Lamb-Dicke parameter")
-    parser.add_argument("--n", metavar="X,Y,Z", help="initial phonon occupations")
-    parser.add_argument("--r", metavar="X,Y,Z", help="1-2 sideband quanta")
-    parser.add_argument("--l", metavar="X,Y,Z", help="2-3 sideband quanta")
-    parser.add_argument("--t-max", type=float, dest="t_max", help="time-grid end, omega(0)-scaled")
-    parser.add_argument("--samples", type=int, help="time-grid sample count")
-    parser.add_argument("--epsilon", type=float, help="sub-threshold margin")
-    parser.add_argument(
-        "--order-threshold",
-        type=float,
-        dest="order_threshold",
-        help="minimum t_chi / T_p ratio counted as hindering",
-    )
-    parser.add_argument("--chi-max", type=float, dest="chi_max", help="sweep grid end")
-    parser.add_argument("--chi-step", type=float, dest="chi_step", help="sweep/figure grid step")
-    parser.add_argument("--out", help="output file (.csv) or directory")
-    parser.add_argument("--seed", type=int, help="random seed (validate only)")
+from .config import MODES, RunConfig, load_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,73 +25,50 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    for mode, help_text in _MODE_HELP.items():
-        sub = subparsers.add_parser(mode, help=help_text)
-        _add_common_flags(sub)
+    for mode, spec in MODES.items():
+        sub = subparsers.add_parser(mode, help=spec.help)
+        sub.add_argument("--config", metavar="PATH", help="INI config file")
+        for f in fields(RunConfig):
+            if f.name == "mode":  # set by the subcommand
+                continue
+            sub.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=f.metadata["type"],
+                metavar=f.metadata["metavar"],
+                help=f.metadata["help"],
+            )
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "mode",
-    "chi",
-    "gamma1",
-    "gamma2",
-    "omega_a",
-    "eta_a",
-    "omega_b",
-    "eta_b",
-    "n",
-    "r",
-    "l",
-    "t_max",
-    "samples",
-    "epsilon",
-    "order_threshold",
-    "chi_max",
-    "chi_step",
-    "out",
-    "seed",
-)
+def _print_result(result) -> int:
+    """Print what a runner returned: a validation report, the indicator text
+    and CSV path, or the written paths. Returns the exit code."""
+    if isinstance(result, runner.ValidationReport):
+        print(result.format_text())
+        return 0 if result.ok else 2
+    if isinstance(result, tuple):
+        text, result = result
+        print(text)
+    for path in result if isinstance(result, list) else [result]:
+        print(f"wrote {path}")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     namespace = build_parser().parse_args(argv)
-    overrides = {name: getattr(namespace, name, None) for name in _OVERRIDE_FIELDS}
+    overrides = {f.name: getattr(namespace, f.name) for f in fields(RunConfig)}
     try:
         config = load_config(namespace.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if config.mode == "evolve":
-            path = runner.run_evolve(config)
-            print(f"wrote {path}")
-        elif config.mode == "survival":
-            path = runner.run_survival(config)
-            print(f"wrote {path}")
-        elif config.mode == "indicators":
-            text, path = runner.run_indicators(config)
-            print(text)
-            print(f"wrote {path}")
-        elif config.mode == "sweep":
-            path = runner.run_sweep(config)
-            print(f"wrote {path}")
-        elif config.mode == "figures":
-            for path in runner.run_figures(config):
-                print(f"wrote {path}")
-        else:
-            report = runner.run_validate(config)
-            print(report.format_text())
-            if not report.ok:
-                return 2
-    except (ConfigError, InvalidSubspaceError, DegenerateCouplingError) as exc:
+        # Looked up at call time, so a rebound runner.run_<mode> is the one run.
+        run = getattr(runner, f"run_{config.mode}")
+        return _print_result(run(config))
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

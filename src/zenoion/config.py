@@ -1,23 +1,38 @@
 """Run configuration: file parsing, flag merging and validation.
 
 Config files use INI-style sections (see README for the grammar); command
-line flags override file values, which override built-in defaults.
+line flags override file values, which override built-in defaults. The
+fields of ``RunConfig`` are the one table of run parameters: each carries
+its INI section, its coercer and its flag help text, and both the file
+reader here and the command-line flags are built from them.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Mapping, NamedTuple, Optional
 
 from .fock import CouplingConstants, LaserDrive, ModeVector, SidebandPattern, Triple
 
 __all__ = ["MODES", "ConfigError", "RunConfig", "load_config"]
 
-MODES = ("evolve", "survival", "indicators", "sweep", "figures", "validate")
 
-_COUPLED_MODES = ("evolve", "survival", "indicators")
+class _Mode(NamedTuple):
+    help: str
+    coupled: bool  # needs a coupling source
+
+
+# Each mode is run by the runner function named ``run_<mode>``.
+MODES = {
+    "evolve": _Mode("evolve |n, 1> and emit level populations over time", True),
+    "survival": _Mode("emit the survival probability over time", True),
+    "indicators": _Mode("print every hindering indicator for one configuration", True),
+    "sweep": _Mode("emit indicator reports over a chi grid", False),
+    "figures": _Mode("emit fig1.csv ... fig4.csv (survival curves and indicator scans)", False),
+    "validate": _Mode("cross-check closed forms against their numeric twins", False),
+}
 
 _DEFAULT_T_MAX = 4.0 * math.pi  # two chi = 0 periods, omega(0)-scaled
 
@@ -66,6 +81,33 @@ def _parse_int(value, what: str) -> int:
     return number
 
 
+def _parse_text(value, what: str) -> str:
+    return str(value)
+
+
+# Coercer, argparse type and metavar of each kind of field. The argparse
+# type makes a malformed numeric flag a usage error (exit 2).
+_FLOAT = (_parse_float, float, None)
+_INT = (_parse_int, int, None)
+_TRIPLE = (_parse_triple, None, "X,Y,Z")
+_TEXT = (_parse_text, None, None)
+
+
+def _field(section: str, kind: tuple, help: Optional[str] = None, default=None, key=None):
+    """A RunConfig field read from ``[section] key`` (``key`` defaults to
+    the field name) and set by the flag ``--field-name``."""
+    parse, flag_type, metavar = kind
+    metadata = {
+        "section": section,
+        "key": key,
+        "parse": parse,
+        "type": flag_type,
+        "metavar": metavar,
+        "help": help,
+    }
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters of one CLI run.
@@ -77,25 +119,27 @@ class RunConfig:
     rejected as ambiguous.
     """
 
-    mode: str
-    n: Optional[Triple] = None
-    r: Optional[Triple] = None
-    l: Optional[Triple] = None
-    gamma1: Optional[float] = None
-    gamma2: Optional[float] = None
-    omega_a: Optional[float] = None
-    eta_a: Optional[float] = None
-    omega_b: Optional[float] = None
-    eta_b: Optional[float] = None
-    chi: Optional[float] = None
-    t_max: float = _DEFAULT_T_MAX
-    samples: int = 1000
-    epsilon: float = 0.01
-    order_threshold: float = 0.5
-    chi_max: float = 5.0
-    chi_step: float = 0.01
-    out: str = "out"
-    seed: int = 0
+    mode: str = _field("run", _TEXT, default=MISSING)
+    chi: Optional[float] = _field("couplings", _FLOAT, "coupling-ratio override (replaces n/r/l)")
+    gamma1: Optional[float] = _field("couplings", _FLOAT, "1-2 transition coupling")
+    gamma2: Optional[float] = _field("couplings", _FLOAT, "2-3 transition coupling")
+    omega_a: Optional[float] = _field("couplings", _FLOAT, "beam a Rabi frequency")
+    eta_a: Optional[float] = _field("couplings", _FLOAT, "beam a Lamb-Dicke parameter")
+    omega_b: Optional[float] = _field("couplings", _FLOAT, "beam b Rabi frequency")
+    eta_b: Optional[float] = _field("couplings", _FLOAT, "beam b Lamb-Dicke parameter")
+    n: Optional[Triple] = _field("state", _TRIPLE, "initial phonon occupations")
+    r: Optional[Triple] = _field("state", _TRIPLE, "1-2 sideband quanta")
+    l: Optional[Triple] = _field("state", _TRIPLE, "2-3 sideband quanta")
+    t_max: float = _field("grid", _FLOAT, "time-grid end, omega(0)-scaled", _DEFAULT_T_MAX)
+    samples: int = _field("grid", _INT, "time-grid sample count", 1000)
+    epsilon: float = _field("grid", _FLOAT, "sub-threshold margin", 0.01)
+    order_threshold: float = _field(
+        "grid", _FLOAT, "minimum t_chi / T_p ratio counted as hindering", 0.5
+    )
+    chi_max: float = _field("grid", _FLOAT, "sweep grid end", 5.0)
+    chi_step: float = _field("grid", _FLOAT, "sweep/figure grid step", 0.01)
+    out: str = _field("output", _TEXT, "output file (.csv) or directory", "out", key="path")
+    seed: int = _field("validate", _INT, "random seed (validate only)", 0)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -114,6 +158,8 @@ class RunConfig:
             raise ConfigError("chi_max must be >= 0")
         if self.chi is not None and self.chi < 0:
             raise ConfigError("chi must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("eta_a", "eta_b"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -136,7 +182,7 @@ class RunConfig:
             )
         if chi_given and any(value is not None for value in (self.n, self.r, self.l)):
             raise ConfigError("a chi override replaces n, r and l; do not combine them")
-        if sources == 0 and self.mode in _COUPLED_MODES:
+        if sources == 0 and MODES[self.mode].coupled:
             raise ConfigError(
                 f"mode {self.mode!r} needs a coupling source: a gamma pair, "
                 "per-beam (omega, eta) pairs, or a chi override"
@@ -172,45 +218,9 @@ class RunConfig:
         raise ConfigError(f"mode {self.mode!r} has no coupling source configured")
 
 
-_SECTION_FIELDS = {
-    "run": ("mode",),
-    "state": ("n", "r", "l"),
-    "couplings": ("gamma1", "gamma2", "omega_a", "eta_a", "omega_b", "eta_b", "chi"),
-    "grid": ("t_max", "samples", "epsilon", "order_threshold", "chi_max", "chi_step"),
-    "output": ("path",),
-    "validate": ("seed",),
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
-_KEY_TO_FIELD = {"path": "out"}
-
-_TRIPLE_FIELDS = ("n", "r", "l")
-_INT_FIELDS = ("samples", "seed")
-_FLOAT_FIELDS = (
-    "gamma1",
-    "gamma2",
-    "omega_a",
-    "eta_a",
-    "omega_b",
-    "eta_b",
-    "chi",
-    "t_max",
-    "epsilon",
-    "order_threshold",
-    "chi_max",
-    "chi_step",
-)
-
-
-def _coerce(field_name: str, value):
-    if value is None:
-        return None
-    if field_name in _TRIPLE_FIELDS:
-        return _parse_triple(value, field_name)
-    if field_name in _INT_FIELDS:
-        return _parse_int(value, field_name)
-    if field_name in _FLOAT_FIELDS:
-        return _parse_float(value, field_name)
-    return str(value)
+_INI_KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in _FIELDS.values()}
 
 
 def _read_file(path: str) -> dict:
@@ -223,18 +233,18 @@ def _read_file(path: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    sections = dict.fromkeys(section for section, _ in _INI_KEYS)
     values: dict = {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in sections:
             raise ConfigError(
-                f"{path}: unknown section [{section}]; "
-                f"expected one of {', '.join(_SECTION_FIELDS)}"
+                f"{path}: unknown section [{section}]; expected one of {', '.join(sections)}"
             )
         for key, raw in parser.items(section):
-            field_name = _KEY_TO_FIELD.get(key, key)
-            if field_name not in _SECTION_FIELDS[section] and key not in _SECTION_FIELDS[section]:
+            f = _INI_KEYS.get((section, key))
+            if f is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-            values[field_name] = _coerce(field_name, raw)
+            values[f.name] = f.metadata["parse"](raw, f.name)
     return values
 
 
@@ -248,14 +258,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[Mapping] = None)
     values: dict = {}
     if path is not None:
         values.update(_read_file(path))
-    known = {field.name for field in fields(RunConfig)}
     if overrides:
         for key, value in overrides.items():
-            if key not in known:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown configuration field {key!r}")
             if value is None:
                 continue
-            values[key] = _coerce(key, value)
+            values[key] = _FIELDS[key].metadata["parse"](value, key)
     if "mode" not in values:
         raise ConfigError("mode is required (pick a subcommand or set [run] mode)")
     try:

@@ -79,15 +79,14 @@ class BlockSystem:
 
     ``coupling_12`` and ``coupling_23`` are the tridiagonal matrix elements
     (None when the corresponding transition leaves the block).
-    ``coupling_norm`` is sqrt(|c12|^2 + |c23|^2) and doubles as the block's
-    angular frequency because hbar = 1.
+    ``angular_frequency`` is the coupling norm sqrt(|c12|^2 + |c23|^2)
+    because hbar = 1.
     """
 
     dimension: int
     basis_labels: tuple[BasisLabel, ...]
     coupling_12: Optional[complex]
     coupling_23: Optional[complex]
-    coupling_norm: float
     angular_frequency: float
 
     @property
@@ -144,7 +143,6 @@ def build_block(
         basis_labels=shape.basis_labels,
         coupling_12=alpha,
         coupling_23=beta,
-        coupling_norm=norm,
         angular_frequency=norm,  # hbar = 1
     )
 
@@ -193,12 +191,12 @@ def _check_state(block: BlockSystem, state: VibronicState) -> None:
 def _closed_form_propagator(block: BlockSystem, t: float) -> np.ndarray:
     """Closed-form evolution matrix exp(-i H t) of the tridiagonal block.
 
-    Because H^3 = w^2 H with w = coupling_norm, the exponential collapses to
+    Because H^3 = w^2 H with w = angular_frequency, the exponential collapses to
     I + (cos(wt) - 1) H^2 / w^2 - i sin(wt) H / w; the entries below are
     that expression written out per matrix element.
     """
     dim = block.dimension
-    if dim == 1 or block.coupling_norm == 0.0:
+    if dim == 1 or block.angular_frequency == 0.0:
         return np.eye(dim, dtype=complex)
     w = block.angular_frequency
     c = math.cos(w * t)
@@ -254,15 +252,15 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
 def _spectral_propagator(block: BlockSystem, t: float) -> np.ndarray:
     """Evolution matrix from the explicit eigensystem of the block.
 
-    The tridiagonal block has eigenvalues {0, +w, -w} with w = coupling_norm
+    The tridiagonal block has eigenvalues {0, +w, -w} with w = angular_frequency
     and eigenvectors writable directly from the couplings; the propagator is
     assembled as sum_k exp(-i lambda_k t) |v_k><v_k|. Deliberately shares no
     code with the closed-form path.
     """
     dim = block.dimension
-    if dim == 1 or block.coupling_norm == 0.0:
+    if dim == 1 or block.angular_frequency == 0.0:
         return np.eye(dim, dtype=complex)
-    w = block.coupling_norm
+    w = block.angular_frequency
     a = complex(block.coupling_12)
     phase_minus = np.exp(-1j * w * t)
     phase_plus = np.exp(+1j * w * t)

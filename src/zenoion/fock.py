@@ -20,14 +20,11 @@ __all__ = [
     "ModeVector",
     "SidebandPattern",
     "LaserDrive",
-    "TrapParams",
     "CouplingConstants",
     "factorial_ratio_root",
     "coupling_alpha",
     "coupling_beta",
     "chi_ratio",
-    "lamb_dicke_eta",
-    "effective_gamma",
     "sideband_series_term",
 ]
 
@@ -140,32 +137,6 @@ class LaserDrive:
 
 
 @dataclass(frozen=True)
-class TrapParams:
-    """Isotropic trap frequency, ion mass and laser wave number.
-
-    Frequency and mass must be strictly positive; the wave number may be
-    zero (a beam with no spatial variation along the trap axes).
-    """
-
-    trap_frequency: float
-    ion_mass: float
-    wave_number: float
-
-    def __post_init__(self) -> None:
-        for name in ("trap_frequency", "ion_mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.wave_number) and self.wave_number >= 0):
-            raise ValueError("wave_number must be finite and >= 0")
-
-    @property
-    def spatial_spread(self) -> float:
-        """Ground-state position spread sqrt(1 / (2 M omega0)), hbar = 1."""
-        return math.sqrt(1.0 / (2.0 * self.ion_mass * self.trap_frequency))
-
-
-@dataclass(frozen=True)
 class CouplingConstants:
     """Effective transition couplings gamma1 (1-2) and gamma2 (2-3).
 
@@ -192,7 +163,7 @@ class CouplingConstants:
 
 def _beam_gamma(drive: LaserDrive) -> complex:
     # -i Omega eta exp(-eta^2/2) exp(-i phi); reduces to the real
-    # effective_gamma value at phi = pi/2.
+    # -Omega eta exp(-eta^2/2) at phi = pi/2.
     eta = drive.lamb_dicke
     magnitude = drive.rabi_frequency * eta * math.exp(-0.5 * eta * eta)
     return -1j * magnitude * cmath.exp(-1j * drive.phase)
@@ -242,21 +213,6 @@ def chi_ratio(alpha: complex, beta: complex) -> complex:
     if a == 0:
         raise DegenerateCouplingError("1-2 coupling is zero; coupling ratio undefined")
     return complex(beta) / a
-
-
-def lamb_dicke_eta(trap: TrapParams) -> float:
-    """Lamb-Dicke parameter k * sqrt(1 / (2 M omega0)), hbar = 1."""
-    return trap.wave_number * trap.spatial_spread
-
-
-def effective_gamma(rabi_frequency: float, lamb_dicke: float) -> float:
-    """First-sideband coupling -Omega * eta * exp(-eta^2 / 2), hbar = 1.
-
-    This is the real-valued form fixed by the pi/2 beam-phase convention.
-    """
-    if not (math.isfinite(lamb_dicke) and lamb_dicke >= 0):
-        raise ValueError("lamb_dicke must be finite and >= 0")
-    return -rabi_frequency * lamb_dicke * math.exp(-0.5 * lamb_dicke * lamb_dicke)
 
 
 def sideband_series_term(lamb_dicke: float, order: int, occupation: int) -> float:

@@ -82,9 +82,12 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
 
 
 def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
+    # The last point stays at or below chi_max; the relative tolerance keeps
+    # it when chi_max is a whole number of steps that the division misses by
+    # an ulp (18.15 / 0.05 = 362.99999999999994).
+    count = math.floor(chi_max / chi_step * (1.0 + 1e-9))
     # Rounding to 12 decimals pins grid points like 1.00 exactly, so
     # piecewise indicator branches switch at the printed value.
-    count = int(round(chi_max / chi_step))
     return np.round(np.arange(count + 1) * chi_step, 12)
 
 
@@ -153,73 +156,56 @@ def run_survival(config: RunConfig) -> Path:
     return path
 
 
-_SWEEP_HEADER = (
-    "chi",
-    "omega_scaled",
-    "T_p_scaled",
-    "m",
-    "t_m_scaled",
-    "P_mean",
-    "P2_mean",
-    "P3_mean",
-    "S_scaled",
-    "S_over_Tp",
-    "gqze_present",
-    "t_chi_scaled",
-    "t_chi_over_Tp",
+# CSV column name and value of each indicator; times are omega(0)-scaled by
+# the report's 1-2 coupling (omega(0), hbar = 1).
+_REPORT_COLUMNS = (
+    ("chi", lambda r: r.chi),
+    ("omega_scaled", lambda r: r.angular_frequency / r.coupling),
+    ("T_p_scaled", lambda r: r.poincare_period * r.coupling),
+    ("m", lambda r: r.survival_min),
+    ("t_m_scaled", lambda r: r.time_of_min * r.coupling),
+    ("P_mean", lambda r: r.survival_mean),
+    ("P2_mean", lambda r: r.level2_mean),
+    ("P3_mean", lambda r: r.level3_mean),
+    ("S_scaled", lambda r: r.sub_threshold_time * r.coupling),
+    ("S_over_Tp", lambda r: r.sub_threshold_time / r.poincare_period),
+    ("gqze_present", lambda r: r.gqze is not None and r.gqze.present),
+    ("t_chi_scaled", lambda r: math.nan if r.gqze is None else r.gqze.end * r.coupling),
+    ("t_chi_over_Tp", lambda r: math.nan if r.gqze is None else r.gqze.period_ratio),
 )
 
 
-def _report_row(report: IndicatorReport) -> tuple:
-    scale = report.coupling  # omega(0), hbar = 1
-    if report.gqze is None:
-        present, end_scaled, ratio = False, math.nan, math.nan
-    else:
-        present = report.gqze.present
-        end_scaled = report.gqze.end * scale
-        ratio = report.gqze.period_ratio
-    return (
-        report.chi,
-        report.angular_frequency / scale,
-        report.poincare_period * scale,
-        report.survival_min,
-        report.time_of_min * scale,
-        report.survival_mean,
-        report.level2_mean,
-        report.level3_mean,
-        report.sub_threshold_time * scale,
-        report.sub_threshold_time / report.poincare_period,
-        present,
-        end_scaled,
-        ratio,
-    )
+def _write_reports(path: Path, reports: Iterable[IndicatorReport]) -> None:
+    header = [name for name, _ in _REPORT_COLUMNS]
+    rows = ([value(r) for _, value in _REPORT_COLUMNS] for r in reports)
+    write_csv(path, _UNITS_COMMENT, header, rows)
 
 
 def format_report(report: IndicatorReport) -> str:
     """Human-readable indicator report, raw and omega(0)-scaled times."""
-    scale = report.coupling
+    column = {name: value(report) for name, value in _REPORT_COLUMNS}
     lines = [
-        f"chi                    = {report.chi:.12g}",
-        f"omega / omega(0)       = {report.angular_frequency / scale:.12g}",
-        f"T_p * omega(0)         = {report.poincare_period * scale:.12g}",
+        f"chi                    = {column['chi']:.12g}",
+        f"omega / omega(0)       = {column['omega_scaled']:.12g}",
+        f"T_p * omega(0)         = {column['T_p_scaled']:.12g}",
         f"T_p (internal units)   = {report.poincare_period:.12g}",
-        f"m                      = {report.survival_min:.12g}",
-        f"t_m * omega(0)         = {report.time_of_min * scale:.12g}",
+        f"m                      = {column['m']:.12g}",
+        f"t_m * omega(0)         = {column['t_m_scaled']:.12g}",
         f"t_m (internal units)   = {report.time_of_min:.12g}",
-        f"P_mean                 = {report.survival_mean:.12g}",
-        f"P2_mean                = {report.level2_mean:.12g}",
-        f"P3_mean                = {report.level3_mean:.12g}",
-        f"S * omega(0)           = {report.sub_threshold_time * scale:.12g}"
+        f"P_mean                 = {column['P_mean']:.12g}",
+        f"P2_mean                = {column['P2_mean']:.12g}",
+        f"P3_mean                = {column['P3_mean']:.12g}",
+        f"S * omega(0)           = {column['S_scaled']:.12g}"
         f"  (epsilon = {report.epsilon:.12g})",
-        f"S / T_p                = {report.sub_threshold_time / report.poincare_period:.12g}",
+        f"S / T_p                = {column['S_over_Tp']:.12g}",
     ]
     if report.gqze is None:
         lines.append("hindering interval     = none (chi = 0 reproduces the reference)")
     else:
         verdict = "present" if report.gqze.present else "below order threshold"
         lines.append(
-            f"hindering interval     = [0, {report.gqze.end * scale:.12g}] scaled, "
-            f"t_chi / T_p = {report.gqze.period_ratio:.12g} ({verdict})"
+            f"hindering interval     = [0, {column['t_chi_scaled']:.12g}] scaled, "
+            f"t_chi / T_p = {column['t_chi_over_Tp']:.12g} ({verdict})"
         )
     return "\n".join(lines)
 
@@ -229,7 +215,7 @@ def run_indicators(config: RunConfig) -> tuple[str, Path]:
     run = _resolve(config)
     report = indicator_report(run.chi, run.coupling, config.epsilon, config.order_threshold)
     path = _output_file(config, "indicators.csv")
-    write_csv(path, _UNITS_COMMENT, _SWEEP_HEADER, [_report_row(report)])
+    _write_reports(path, [report])
     return format_report(report), path
 
 
@@ -245,7 +231,7 @@ def run_sweep(config: RunConfig) -> Path:
         grid = _chi_grid(config.chi_max, config.chi_step)
     reports = chi_sweep(grid, config.epsilon, 1.0, config.order_threshold)
     path = _output_file(config, "sweep.csv")
-    write_csv(path, _UNITS_COMMENT, _SWEEP_HEADER, (_report_row(r) for r in reports))
+    _write_reports(path, reports)
     return path
 
 

@@ -21,7 +21,6 @@ from zenoion.fock import (
     CouplingConstants,
     ModeVector,
     SidebandPattern,
-    factorial_ratio_root,
     sideband_series_term,
 )
 from zenoion.indicators import (
@@ -37,7 +36,7 @@ from zenoion.indicators import (
     time_of_min,
     time_of_min_grid,
 )
-from zenoion.runner import run_figures
+from zenoion.runner import random_cases, run_figures
 
 from .oracles import series_term_oracle
 
@@ -51,33 +50,9 @@ def _verdict(number: int, description: str, checks) -> None:
     print(f"criterion {number:2d} ({description}): PASS")
 
 
-_CHAIN_POOL = (
-    ((3, 1, 0), (1, 0, 0), (1, 1, 0)),
-    ((2, 2, 2), (1, 1, 0), (0, 1, 1)),
-    ((1, 0, 0), (1, 0, 0), (0, 0, 0)),
-    ((4, 3, 2), (2, 1, 0), (1, 1, 1)),
-    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
-    ((5, 0, 1), (2, 0, 0), (1, 0, 1)),
-)
-
-
-def _randomized_blocks(count: int = 120):
+def _randomized_blocks():
     """Three-chain cases whose coupling ratios sweep [0, 20] uniformly."""
-    rng = np.random.default_rng(20260810)
-    cases = []
-    for index, target in enumerate(np.linspace(0.0, 20.0, count)):
-        n, r, l = _CHAIN_POOL[index % len(_CHAIN_POOL)]
-        mode = ModeVector.of(n)
-        pattern = SidebandPattern(r, l)
-        gamma1 = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        scale = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
-        gamma2 = target * gamma1 * scale * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        block = build_block(mode, pattern, CouplingConstants(gamma1, gamma2))
-        period = 2 * math.pi / block.angular_frequency
-        time = rng.uniform(-3.0, 3.0) * period
-        amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        cases.append((block, VibronicState(amps / np.linalg.norm(amps)), time))
-    return cases
+    return random_cases(np.random.default_rng(20260810), 120)[:120]
 
 
 def test_criterion_01_oracle_equivalence():

@@ -1,13 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from zenoion.cli import main
-from zenoion.config import load_config
+from zenoion.config import RunConfig, load_config
 from zenoion.dynamics import propagate_analytic
 from zenoion.runner import (
+    _chi_grid,
     run_evolve,
     run_figures,
     run_indicators,
@@ -315,3 +316,104 @@ class TestCliEntry:
             first = handle.readline().strip().split(",")
         value = float(first[1])
         assert f"{value:.16e}" == first[1]
+
+    def test_gqze_grid_guard_exits_cleanly(self, tmp_path, capsys):
+        code = main(["indicators", "--chi", "1e5", "--out", str(tmp_path)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, capsys):
+        code = main(["validate", "--seed", "-1"])
+        assert code == 1
+        assert "config error: seed" in capsys.readouterr().err
+
+
+class TestChiGrid:
+    def test_sweep_stops_at_or_below_chi_max(self, tmp_path):
+        config = load_config(
+            None, {"mode": "sweep", "chi_max": 5.0, "chi_step": 0.3, "out": str(tmp_path)}
+        )
+        _, data = read_columns(run_sweep(config))
+        np.testing.assert_array_equal(data["chi"], np.round(np.arange(17) * 0.3, 12))
+        assert data["chi"][-1] <= 5.0
+
+    def test_whole_step_ends_keep_their_last_point(self):
+        # Many of these divisions land an ulp below the step count
+        # (18.15 / 0.05 = 362.99999999999994); the end point must stay.
+        for steps in range(360, 441):
+            chi_max = round(steps * 0.05, 2)
+            grid = _chi_grid(chi_max, 0.05)
+            assert len(grid) == steps + 1
+            assert grid[-1] == chi_max
+
+    @pytest.mark.parametrize("chi_step", [0.01, 0.05, 0.1, 0.0001])
+    def test_figure_grids(self, tmp_path, chi_step):
+        config = load_config(
+            None,
+            {"mode": "figures", "out": str(tmp_path), "samples": 20, "chi_step": chi_step},
+        )
+        paths = run_figures(config)
+        for path, chi_end in ((paths[1], 3), (paths[2], 3), (paths[3], 5)):
+            _, data = read_columns(path)
+            count = round(chi_end / chi_step) + 1
+            np.testing.assert_array_equal(
+                data["chi"], np.round(np.arange(count) * chi_step, 12)
+            )
+
+
+# Flag, INI section, INI key and a non-default value of each RunConfig field.
+_SPELLINGS = {
+    "mode": (None, "run", "mode", "sweep"),
+    "chi": ("--chi", "couplings", "chi", "2.5"),
+    "gamma1": ("--gamma1", "couplings", "gamma1", "1.5"),
+    "gamma2": ("--gamma2", "couplings", "gamma2", "0.5"),
+    "omega_a": ("--omega-a", "couplings", "omega_a", "1.25"),
+    "eta_a": ("--eta-a", "couplings", "eta_a", "0.125"),
+    "omega_b": ("--omega-b", "couplings", "omega_b", "0.75"),
+    "eta_b": ("--eta-b", "couplings", "eta_b", "0.0625"),
+    "n": ("--n", "state", "n", "2,1,0"),
+    "r": ("--r", "state", "r", "1,1,0"),
+    "l": ("--l", "state", "l", "0,0,1"),
+    "t_max": ("--t-max", "grid", "t_max", "3.5"),
+    "samples": ("--samples", "grid", "samples", "17"),
+    "epsilon": ("--epsilon", "grid", "epsilon", "0.02"),
+    "order_threshold": ("--order-threshold", "grid", "order_threshold", "0.75"),
+    "chi_max": ("--chi-max", "grid", "chi_max", "2.5"),
+    "chi_step": ("--chi-step", "grid", "chi_step", "0.05"),
+    "out": ("--out", "output", "path", "results"),
+    "seed": ("--seed", "validate", "seed", "7"),
+}
+
+# Fields that are only valid together.
+_GROUPS = (("gamma1", "gamma2"), ("omega_a", "eta_a", "omega_b", "eta_b"))
+
+
+class TestFlagsMatchIniKeys:
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_ini_key_give_equal_configs(self, name, tmp_path, monkeypatch):
+        names = next((group for group in _GROUPS if name in group), (name,))
+        argv = ["sweep"]  # the subcommand is the mode's flag
+        ini = {"run": {"mode": "sweep"}}
+        for each in names:
+            flag, section, key, value = _SPELLINGS[each]
+            if flag is not None:
+                argv += [flag, value]
+            ini.setdefault(section, {})[key] = value
+
+        seen = []
+        monkeypatch.setattr(
+            "zenoion.cli.runner.run_sweep", lambda config: seen.append(config) or "x.csv"
+        )
+        assert main(argv) == 0
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "".join(
+                f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                for section, keys in ini.items()
+            ),
+            encoding="utf-8",
+        )
+        from_file = load_config(str(path), {})
+        assert seen == [from_file]
+        for each in names:
+            assert getattr(from_file, each) != getattr(RunConfig(mode="figures"), each)

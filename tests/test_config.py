@@ -140,6 +140,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="order_threshold"):
             load_config(None, {"mode": "figures", "order_threshold": 1.5})
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(None, {"mode": "validate", "seed": -1})
+
 
 class TestConfigFile:
     def test_file_round_trip(self, tmp_path):

@@ -94,7 +94,6 @@ class TestBuildBlock:
             CouplingConstants(1.0, 1.0),
         )
         assert block.dimension == 1
-        assert block.coupling_norm == 0.0
         assert block.angular_frequency == 0.0
         assert block.chi is None
         state = VibronicState.basis_state(1, 0)
@@ -113,7 +112,7 @@ class TestBuildBlock:
 
     def test_coupling_norm_combines_both_couplings(self):
         block = three_level_block(3.0, 4.0)
-        assert block.coupling_norm == pytest.approx(5.0)
+        assert block.angular_frequency == pytest.approx(5.0)
         assert block.hamiltonian()[0, 1] == 3.0
         assert block.hamiltonian()[1, 2] == 4.0
 
@@ -172,7 +171,7 @@ class TestPropagation:
     def test_eigenvalues_are_zero_and_plus_minus_norm(self):
         block = three_level_block(0.8 + 0.3j, -1.1 + 0.2j)
         eigenvalues = np.linalg.eigvalsh(block.hamiltonian())
-        norm = block.coupling_norm
+        norm = block.angular_frequency
         assert_allclose(eigenvalues, [-norm, 0.0, norm], atol=1e-12)
 
     def test_mismatched_state_dimension(self):
