@@ -12,6 +12,7 @@ the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,9 +38,14 @@ __all__ = [
     "time_of_min_grid",
     "mean_survival_quadrature",
     "sub_threshold_measure_grid",
+    "gqze_interval_grid",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# Rounding can push the tiny small-t gap of the gqze search a few ulp
+# negative; only a gap beyond this bound counts as clearly signed.
+_CROSSING_TOL = 1e-13
 
 
 def _checked_coupling(coupling: float) -> float:
@@ -187,15 +193,37 @@ def gqze_interval(
 
     Both curves start at 1 with the same quadratic decay, and for chi > 0
     the quartic term keeps the hindered curve strictly above the reference
-    near t = 0. The first equality time is bracketed on a grid of
-    ``points_per_period`` points per shorter period and refined by
-    bisection. The hindering counts as present when the crossing lies at
-    least ``order_threshold`` hindered periods out.
+    near t = 0. The hindering counts as present when the crossing lies at
+    least ``order_threshold`` hindered periods out; chi = 0 reproduces the
+    reference exactly and yields no interval.
 
-    chi = 0 reproduces the reference exactly and yields no interval. If no
-    strict crossing occurs within ``max_reference_periods`` reference
-    periods (possible only for commensurate frequencies, where the curves
-    touch without crossing) the closest-approach grid point is reported.
+    Windows: the reference is cos^2(omega0 t) with omega0 = ``coupling``,
+    and the hindered curve never drops below its floor m(chi), so a
+    crossing needs cos^2(omega0 t) > m. That confines it to windows of
+    half-width arccos(sqrt(m)) / omega0 around k pi / omega0. The search
+    samples the grid of ``gqze_interval_grid`` (``points_per_period``
+    points per hindered period, out to ``max_reference_periods`` reference
+    periods) only inside these windows, padded by two points a side, in
+    order of k and without revisiting a point. For chi <= 1, m = 0 and the
+    windows cover the whole grid; for large chi each window holds about
+    0.6 hindered periods, so the cost no longer grows with chi.
+
+    Bracket: the search stops in the first window holding a clearly
+    negative gap (below -1e-13; rounding alone makes the tiny small-t gap a
+    few ulp negative). The crossing is bracketed by that point and the last
+    clearly positive point before it, carried across windows, and refined
+    by bisection.
+
+    Fallback: if no strict crossing occurs within the grid (possible only
+    for commensurate frequencies, where the curves touch without crossing)
+    the closest approach is reported: the sampled point of least gap,
+    counted only once the gap has first cleared +1e-13, so rounding noise
+    near t = 0 is never taken for a touch.
+
+    Range: any chi >= 0 whose floor stays clear of 1, i.e. 1 - m(chi) >
+    1e-13 (chi below about 6.3e6). Beyond that the gap can never be clearly
+    negative in float64, and ``ValueError`` is raised before chi^2 is
+    formed, so no overflow occurs for any finite chi.
     """
     values, _ = _chi_array(chi)
     chi_value = float(values)
@@ -204,32 +232,82 @@ def gqze_interval(
         raise ValueError("order_threshold must lie in (0, 1]")
     if chi_value == 0.0:
         return None
+    half_angle = _window_half_angle(chi_value)
     w = base * math.sqrt(1.0 + chi_value * chi_value)
     reference_period = _TWO_PI / base
     hindered_period = _TWO_PI / w
     step = min(reference_period, hindered_period) / float(points_per_period)
     count = int(math.ceil(max_reference_periods * reference_period / step))
-    if count > 200_000_000:
-        raise ValueError("chi too large for the requested grid resolution")
 
-    times = np.arange(1, count + 1) * step
-    gap = survival_probability(chi_value, w, times) - survival_probability(
-        0.0, base, times
-    )
-    # Rounding can push the tiny small-t gap a few ulp negative; only a
-    # clearly negative value counts as a crossing.
-    crossing_tol = 1e-13
-    below = np.nonzero(gap < -crossing_tol)[0]
-    if below.size:
-        first = int(below[0])
-        positive_before = np.nonzero(gap[:first] > crossing_tol)[0]
-        left = float(times[positive_before[-1]]) if positive_before.size else 0.0
-        right = float(times[first])
-        end = _bisect_gap(chi_value, w, base, left, right)
-    else:
-        end = float(times[int(np.argmin(gap))])
+    # Window k covers grid indices around k * spacing +- reach.
+    spacing = math.pi / base / step
+    reach = half_angle / base / step
+    left = 0.0
+    end = None
+    armed = False  # the gap has cleared +_CROSSING_TOL
+    closest_gap, closest_time = math.inf, 0.0
+    next_index = 1
+    for k in itertools.count():
+        first = max(next_index, math.floor(k * spacing - reach) - 2)
+        last = min(count, math.ceil(k * spacing + reach) + 2)
+        if first > count:
+            break
+        if first > last:
+            continue
+        if first > next_index and not armed:
+            # Skipped points lie outside every window, where the gap is at
+            # least m - cos^2 > 0. Padded windows part only once m exceeds
+            # ~8e-7 (default grid), and the skipped point nearest
+            # (k - 1/2) pi / omega0 has cos^2 ~ 0, so its gap ~ m clears the
+            # tolerance: arm here, as the dense scan would.
+            armed = True
+            closest_gap = math.inf
+        next_index = last + 1
+        times = np.arange(first, last + 1) * step
+        gap = survival_probability(chi_value, w, times) - survival_probability(
+            0.0, base, times
+        )
+        below = np.nonzero(gap < -_CROSSING_TOL)[0]
+        stop = int(below[0]) if below.size else gap.size
+        positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
+        if positive.size:
+            left = float(times[positive[-1]])
+        if below.size:
+            end = _bisect_gap(chi_value, w, base, left, float(times[stop]))
+            break
+        offset = 0
+        if not armed and positive.size:
+            armed = True
+            closest_gap = math.inf
+            offset = int(positive[0])
+        index = offset + int(np.argmin(gap[offset:]))
+        if gap[index] < closest_gap:
+            closest_gap, closest_time = float(gap[index]), float(times[index])
+    if end is None:
+        end = closest_time
     ratio = end / hindered_period
     return GqzeInterval(0.0, end, ratio, ratio >= order_threshold)
+
+
+def _window_half_angle(chi: float) -> float:
+    """arccos(sqrt(m(chi))), the reference phase half-width of the windows
+    where a crossing can occur; raises ``ValueError`` once 1 - m(chi) is
+    within _CROSSING_TOL of 0.
+
+    For chi > 1, sqrt(m) = (chi^2 - 1) / (chi^2 + 1) is the cosine of
+    2 atan(1 / chi), whose sine gives 1 - m = (2 / (chi + 1/chi))^2; both
+    forms avoid chi^2, so they neither lose precision nor overflow.
+    """
+    if chi <= 1.0:
+        return 0.5 * math.pi
+    if (2.0 / (chi + 1.0 / chi)) ** 2 <= _CROSSING_TOL:
+        raise ValueError(
+            f"chi = {chi:g} is too large: the survival floor lies within "
+            f"{_CROSSING_TOL:g} of 1, so the hindering-interval crossing cannot "
+            f"be resolved in float64 (chi must stay below about "
+            f"{2.0 / math.sqrt(_CROSSING_TOL):.2g})"
+        )
+    return 2.0 * math.atan(1.0 / chi)
 
 
 def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) -> float:
@@ -283,10 +361,15 @@ def indicator_report(
     epsilon: float,
     order_threshold: float = 0.5,
 ) -> IndicatorReport:
-    """Assemble the full indicator set for one coupling ratio."""
+    """Assemble the full indicator set for one coupling ratio.
+
+    The hindering interval is found first: it rejects a chi beyond its
+    resolvable range before any other indicator forms chi^2.
+    """
     values, _ = _chi_array(chi)
     chi_value = float(values)
     base = _checked_coupling(coupling)
+    gqze = gqze_interval(chi_value, base, order_threshold)
     mean, level2, level3 = mean_level_probabilities(chi_value)
     return IndicatorReport(
         chi=chi_value,
@@ -300,7 +383,7 @@ def indicator_report(
         level3_mean=level3,
         epsilon=float(epsilon),
         sub_threshold_time=sub_threshold_measure(chi_value, epsilon, base),
-        gqze=gqze_interval(chi_value, base, order_threshold),
+        gqze=gqze,
     )
 
 
@@ -383,3 +466,50 @@ def sub_threshold_measure_grid(
     times = (np.arange(samples) + 0.5) * step
     count = int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
     return count * step
+
+
+def gqze_interval_grid(
+    chi: float,
+    coupling: float,
+    order_threshold: float = 0.5,
+    points_per_period: int = 10_000,
+    max_reference_periods: float = 4.0,
+) -> Optional[GqzeInterval]:
+    """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
+    the grid (``points_per_period`` points per shorter period, out to
+    ``max_reference_periods`` reference periods), brackets the first clearly
+    negative point and bisects, or falls back to the closest approach after
+    the gap first clears +1e-13. Its cost grows linearly in chi.
+    """
+    values, _ = _chi_array(chi)
+    chi_value = float(values)
+    base = _checked_coupling(coupling)
+    if not 0.0 < order_threshold <= 1.0:
+        raise ValueError("order_threshold must lie in (0, 1]")
+    if chi_value == 0.0:
+        return None
+    w = base * math.sqrt(1.0 + chi_value * chi_value)
+    reference_period = _TWO_PI / base
+    hindered_period = _TWO_PI / w
+    step = min(reference_period, hindered_period) / float(points_per_period)
+    count = int(math.ceil(max_reference_periods * reference_period / step))
+    if count > 200_000_000:
+        raise ValueError("chi too large for the requested grid resolution")
+
+    times = np.arange(1, count + 1) * step
+    gap = survival_probability(chi_value, w, times) - survival_probability(
+        0.0, base, times
+    )
+    below = np.nonzero(gap < -_CROSSING_TOL)[0]
+    if below.size:
+        first = int(below[0])
+        positive_before = np.nonzero(gap[:first] > _CROSSING_TOL)[0]
+        left = float(times[positive_before[-1]]) if positive_before.size else 0.0
+        right = float(times[first])
+        end = _bisect_gap(chi_value, w, base, left, right)
+    else:
+        above = np.nonzero(gap > _CROSSING_TOL)[0]
+        start = int(above[0]) if above.size else 0
+        end = float(times[start + int(np.argmin(gap[start:]))])
+    ratio = end / hindered_period
+    return GqzeInterval(0.0, end, ratio, ratio >= order_threshold)

@@ -35,6 +35,8 @@ from .fock import (
 from .indicators import (
     IndicatorReport,
     chi_sweep,
+    gqze_interval,
+    gqze_interval_grid,
     indicator_report,
     mean_survival,
     mean_survival_quadrature,
@@ -463,6 +465,14 @@ def run_validate(
             - sub_threshold_measure_grid(chi, config.epsilon)
         )
         dev_measure = max(dev_measure, gap / (period / 1e4))
+    # The windowed search samples a subset of the dense grid and must agree
+    # with it bit for bit; sqrt(3) is commensurate (w = 2), where the curves
+    # touch at t = pi.
+    dev_gqze = 0.0
+    for chi in (0.3, 0.7, 1.0, 2.0, math.sqrt(3.0), 5.0):
+        windowed = gqze_interval(chi, 1.0, config.order_threshold)
+        dense = gqze_interval_grid(chi, 1.0, config.order_threshold)
+        dev_gqze = max(dev_gqze, abs(windowed.end - dense.end), float(windowed != dense))
 
     checks = (
         ValidationCheck("analytic vs eigendecomposition amplitudes", dev_oracle, 1e-10),
@@ -475,5 +485,6 @@ def run_validate(
         ValidationCheck("survival mean: closed vs quadrature", dev_mean, 1e-8),
         ValidationCheck("first-minimum time vs grid argmin (steps)", dev_argmin_steps, 1.0),
         ValidationCheck("sub-threshold measure vs grid (T_p/1e4)", dev_measure, 1.0),
+        ValidationCheck("gqze crossing: windowed vs dense grid", dev_gqze, 0.0),
     )
     return ValidationReport(checks)

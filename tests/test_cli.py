@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -317,10 +318,37 @@ class TestCliEntry:
         value = float(first[1])
         assert f"{value:.16e}" == first[1]
 
-    def test_gqze_grid_guard_exits_cleanly(self, tmp_path, capsys):
+    def test_large_chi_indicators_resolve_the_crossing(self, tmp_path):
         code = main(["indicators", "--chi", "1e5", "--out", str(tmp_path)])
+        assert code == 0
+        _, data = read_columns(tmp_path / "indicators.csv")
+        chi_sq = 1e10
+        w = math.sqrt(1.0 + chi_sq)
+        t_chi = data["t_chi_scaled"][0]  # unit 1-2 coupling: scaled = internal
+
+        def gap(t):
+            return ((chi_sq + np.cos(w * t)) / (chi_sq + 1.0)) ** 2 - np.cos(t) ** 2
+
+        assert abs(gap(t_chi)) <= 1e-9
+        times = np.linspace(0.0, t_chi, 20_002)[1:-1]
+        assert np.all(gap(times) > 0.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["indicators", "--chi", "1e7"],
+            ["indicators", "--chi", "1e200"],
+            ["sweep", "--chi", "1e160"],
+        ],
+    )
+    def test_chi_beyond_resolvable_range_exits_cleanly(self, argv, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path)])
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: chi = ")
+        assert err.count("\n") == 1
 
     def test_negative_seed_exit_code(self, capsys):
         code = main(["validate", "--seed", "-1"])

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zenoion.dynamics import (
     VibronicState,
@@ -14,6 +15,7 @@ from zenoion.fock import CouplingConstants, DegenerateCouplingError, ModeVector,
 from zenoion.indicators import (
     chi_sweep,
     gqze_interval,
+    gqze_interval_grid,
     indicator_report,
     mean_level_probabilities,
     mean_survival,
@@ -266,6 +268,54 @@ class TestGqzeInterval:
         fast = gqze_interval(5.0, 2.0)
         assert fast.end == pytest.approx(slow.end / 2, rel=1e-6)
         assert fast.period_ratio == pytest.approx(slow.period_ratio, rel=1e-6)
+
+
+# Grids the windowed gqze search is pinned to the dense scan on: the 0.05
+# sweep grid to 22, a log grid over four decades, and commensurate ratios
+# (w = 2, 3, 4, 5), where the curves touch at multiples of pi.
+_GQZE_TWIN_CHIS = sorted(
+    {float(c) for c in np.round(np.arange(1, 441) * 0.05, 12)}
+    | {float(c) for c in np.logspace(-2, 2, 60)}
+    | {math.sqrt(k * k - 1.0) for k in (2, 3, 4, 5)}
+)
+
+
+class TestGqzeWindowedSearch:
+    @pytest.mark.parametrize("chi", _GQZE_TWIN_CHIS)
+    def test_matches_dense_grid_bit_for_bit(self, chi):
+        assert gqze_interval(chi, 1.0) == gqze_interval_grid(chi, 1.0)
+
+    @settings(max_examples=30)
+    @given(chi=st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
+    def test_matches_dense_grid_property(self, chi):
+        assert gqze_interval(chi, 1.0) == gqze_interval_grid(chi, 1.0)
+
+    @pytest.mark.parametrize("chi", [0.5, 2.0])
+    def test_short_grid_fallback_matches_dense_grid(self, chi):
+        # A tenth of a reference period holds no crossing, so both searches
+        # take the closest approach after the gap first clears 1e-13.
+        windowed = gqze_interval(chi, 1.0, max_reference_periods=0.1)
+        assert windowed == gqze_interval_grid(chi, 1.0, max_reference_periods=0.1)
+        assert not windowed.present
+
+    @pytest.mark.parametrize("chi", [3e5, 6.3e6])
+    def test_closest_approach_is_not_small_t_noise(self, chi):
+        # w = sqrt(1 + chi^2) lies within 2e-6 of an even integer, so the
+        # curves only touch near multiples of pi and no gap is clearly
+        # negative. The closest approach must sit near one of those, not on
+        # a rounding-noise point next to t = 0.
+        turns = gqze_interval(chi, 1.0).end / math.pi
+        assert round(turns) >= 1
+        assert abs(turns - round(turns)) <= 1e-5
+
+    @pytest.mark.parametrize("chi", [6.4e6, 1e7, 1e160, 1e300])
+    def test_rejects_chi_beyond_resolvable_range(self, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                gqze_interval(chi, 1.0)
+            with pytest.raises(ValueError, match="too large"):
+                indicator_report(chi, 1.0, 0.01)
 
 
 class TestReportsAndSweep:
