@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +74,24 @@ def classify_block(n: ModeVector, pattern: SidebandPattern) -> BlockShape:
     return BlockShape(len(labels), tuple(labels))
 
 
+class _ClosedFormConstants(NamedTuple):
+    """Coupling-derived constants of one block's closed-form propagator,
+    with a = coupling_12 and b = coupling_23 (b = 0 in two-level blocks)."""
+
+    norm: float  # sqrt(|a|^2 + |b|^2); abs(a) in two-level blocks
+    inv_norm: float  # 1 / norm
+    norm_sq: float  # |a|^2 + |b|^2
+    inv_norm_sq: float  # 1 / norm_sq
+    a_sq: float  # |a|^2
+    b_sq: float  # |b|^2
+    ia: complex  # -i a
+    ib: complex  # -i b
+    ia_conj: complex  # -i conj(a)
+    ib_conj: complex  # -i conj(b)
+    ab: complex  # a b
+    ab_conj: complex  # conj(a) conj(b)
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """One invariant block: basis chain, couplings and derived frequencies.
@@ -105,6 +124,50 @@ class BlockSystem:
         """True when level 1 is decoupled and the ratio-based indicators
         do not apply."""
         return self.dimension >= 2 and self.coupling_12 == 0
+
+    @cached_property
+    def _closed_form(self) -> _ClosedFormConstants:
+        """Constants of ``propagate_analytic`` for blocks of dimension 2 or 3
+        with a nonzero frequency, computed on first use and kept in the
+        instance ``__dict__`` (they are not fields, so equality and hashing
+        only see the couplings).
+
+        Each is formed exactly as the per-element expressions of
+        exp(-i H t) round it: the elements of rows 2 and 3 that carry
+        conj(a) or conj(b) are numpy complex128 products, and numpy divides
+        a complex by a real by multiplying with the real's reciprocal, so
+        those elements are scaled by ``inv_norm`` and ``inv_norm_sq``; the
+        other elements divide. ``norm_sq`` is built directly from the
+        couplings so the t = 0 propagator is the exact identity (squaring a
+        rounded square root would miss by one ulp).
+        """
+        a = complex(self.coupling_12)
+        if self.dimension == 2:
+            b = 0j
+            a_sq = b_sq = 0.0
+            norm_sq = inv_norm_sq = 0.0
+            norm = abs(a)
+        else:
+            b = complex(self.coupling_23)
+            a_sq = abs(a) ** 2
+            b_sq = abs(b) ** 2
+            norm_sq = a_sq + b_sq
+            inv_norm_sq = 1.0 / norm_sq
+            norm = math.sqrt(norm_sq)
+        return _ClosedFormConstants(
+            norm=norm,
+            inv_norm=1.0 / norm,
+            norm_sq=norm_sq,
+            inv_norm_sq=inv_norm_sq,
+            a_sq=a_sq,
+            b_sq=b_sq,
+            ia=-1j * a,
+            ib=-1j * b,
+            ia_conj=complex(-1j * np.conj(a)),
+            ib_conj=complex(-1j * np.conj(b)),
+            ab=a * b,
+            ab_conj=complex(np.conj(a) * np.conj(b)),
+        )
 
     def hamiltonian(self) -> np.ndarray:
         """Dense tridiagonal block matrix (interaction picture, hbar = 1)."""
@@ -157,10 +220,11 @@ class VibronicState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        # Written as "not <=" so that a NaN norm fails too.
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state must be normalized, got norm {norm!r}")
-        amps.flags.writeable = False
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -188,65 +252,43 @@ def _check_state(block: BlockSystem, state: VibronicState) -> None:
         )
 
 
-def _closed_form_propagator(block: BlockSystem, t: float) -> np.ndarray:
-    """Closed-form evolution matrix exp(-i H t) of the tridiagonal block.
-
-    Because H^3 = w^2 H with w = angular_frequency, the exponential collapses to
-    I + (cos(wt) - 1) H^2 / w^2 - i sin(wt) H / w; the entries below are
-    that expression written out per matrix element.
-    """
-    dim = block.dimension
-    if dim == 1 or block.angular_frequency == 0.0:
-        return np.eye(dim, dtype=complex)
-    w = block.angular_frequency
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    a = complex(block.coupling_12)
-    if dim == 2:
-        norm = abs(a)
-        return np.array(
-            [
-                [c, -1j * a * s / norm],
-                [-1j * np.conj(a) * s / norm, c],
-            ]
-        )
-    b = complex(block.coupling_23)
-    # norm_sq built directly from the couplings so the t = 0 matrix is the
-    # exact identity (squaring a rounded square root would miss by one ulp).
-    a_sq = abs(a) ** 2
-    b_sq = abs(b) ** 2
-    norm_sq = a_sq + b_sq
-    norm = math.sqrt(norm_sq)
-    return np.array(
-        [
-            [
-                (b_sq + a_sq * c) / norm_sq,
-                -1j * a * s / norm,
-                a * b * (c - 1.0) / norm_sq,
-            ],
-            [
-                -1j * np.conj(a) * s / norm,
-                c,
-                -1j * b * s / norm,
-            ],
-            [
-                np.conj(a) * np.conj(b) * (c - 1.0) / norm_sq,
-                -1j * np.conj(b) * s / norm,
-                (a_sq + b_sq * c) / norm_sq,
-            ],
-        ]
-    )
-
-
 def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> VibronicState:
     """Evolve a block state by the closed-form propagator.
+
+    Because H^3 = w^2 H with w = angular_frequency, exp(-i H t) collapses to
+    I + (cos(wt) - 1) H^2 / w^2 - i sin(wt) H / w. Each call computes
+    c = cos(wt) and s = sin(wt) and applies that expression, written out per
+    matrix element, straight to the state's amplitudes as Python scalars; no
+    3 x 3 array is built. The coupling products the elements need come from
+    ``BlockSystem._closed_form``, computed once per block.
 
     Two-level blocks use the same formula family with the 2-3 coupling set
     to zero (plain Rabi oscillation); one-level blocks are stationary.
     Negative times are allowed (the evolution is a unitary group).
     """
     _check_state(block, initial)
-    return VibronicState(_closed_form_propagator(block, float(t)) @ initial.amplitudes)
+    w = block.angular_frequency
+    if block.dimension == 1 or w == 0.0:
+        return initial
+    (norm, inv_norm, norm_sq, inv_norm_sq, a_sq, b_sq,
+     ia, ib, ia_conj, ib_conj, ab, ab_conj) = block._closed_form
+    phase = w * float(t)
+    c = math.cos(phase)
+    s = math.sin(phase)
+    if block.dimension == 2:
+        x0, x1 = initial.amplitudes.tolist()
+        return VibronicState([c * x0 + ia * s / norm * x1, ia_conj * s * inv_norm * x0 + c * x1])
+    x0, x1, x2 = initial.amplitudes.tolist()
+    c1 = c - 1.0
+    return VibronicState(
+        [
+            (b_sq + a_sq * c) / norm_sq * x0 + ia * s / norm * x1 + ab * c1 / norm_sq * x2,
+            ia_conj * s * inv_norm * x0 + c * x1 + ib * s / norm * x2,
+            ab_conj * c1 * inv_norm_sq * x0
+            + ib_conj * s * inv_norm * x1
+            + (a_sq + b_sq * c) / norm_sq * x2,
+        ]
+    )
 
 
 def _spectral_propagator(block: BlockSystem, t: float) -> np.ndarray:
@@ -314,7 +356,5 @@ def survival_probability(chi, angular_frequency, t):
 
 def level_probabilities(state: VibronicState) -> tuple[float, float, float]:
     """Populations of the three electronic levels, absent levels as zero."""
-    probs = np.abs(state.amplitudes) ** 2
-    padded = np.zeros(3)
-    padded[: probs.size] = probs
-    return (float(padded[0]), float(padded[1]), float(padded[2]))
+    probs = (np.abs(state.amplitudes) ** 2).tolist()
+    return tuple(probs + [0.0] * (3 - len(probs)))

@@ -220,9 +220,10 @@ def gqze_interval(
     counted only once the gap has first cleared +1e-13, so rounding noise
     near t = 0 is never taken for a touch.
 
-    Range: any chi >= 0 whose floor stays clear of 1, i.e. 1 - m(chi) >
-    1e-13 (chi below about 6.3e6). Beyond that the gap can never be clearly
-    negative in float64, and ``ValueError`` is raised before chi^2 is
+    Range: chi = 0, or chi^2 > 1e-13 (chi above about 3.2e-7) with a floor
+    clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
+    that range the gap cannot be told from rounding at the 1e-13 tolerance
+    and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi.
     """
     values, _ = _chi_array(chi)
@@ -232,6 +233,7 @@ def gqze_interval(
         raise ValueError("order_threshold must lie in (0, 1]")
     if chi_value == 0.0:
         return None
+    _check_chi_floor(chi_value)
     half_angle = _window_half_angle(chi_value)
     w = base * math.sqrt(1.0 + chi_value * chi_value)
     reference_period = _TWO_PI / base
@@ -308,6 +310,27 @@ def _window_half_angle(chi: float) -> float:
             f"{2.0 / math.sqrt(_CROSSING_TOL):.2g})"
         )
     return 2.0 * math.atan(1.0 / chi)
+
+
+def _check_chi_floor(chi: float) -> None:
+    """Raise ``ValueError`` for a chi > 0 too small for the crossing to be
+    resolved.
+
+    To first order in chi^2 the gap is 2 chi^2 cos(t)(1 - cos(t) -
+    (t/2) sin(t)) in reference phase t, so it scales as chi^2: its first
+    positive lobe peaks near 0.06 chi^2 and its first negative lobe near
+    -4 chi^2. Once chi^2 <= _CROSSING_TOL the first crossing is no longer
+    clearly signed, and later lobes, which grow with t, would report a
+    crossing far beyond it. The counterpart of the 1 - m(chi) bound in
+    ``_window_half_angle``.
+    """
+    if chi * chi <= _CROSSING_TOL:
+        raise ValueError(
+            f"chi = {chi:g} is too small: chi^2 <= {_CROSSING_TOL:g}, so the "
+            f"hindered and reference survival curves stay within rounding of "
+            f"each other and the hindering-interval crossing cannot be resolved "
+            f"in float64 (chi must be 0 or above about {math.sqrt(_CROSSING_TOL):.2g})"
+        )
 
 
 def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) -> float:
@@ -488,6 +511,7 @@ def gqze_interval_grid(
         raise ValueError("order_threshold must lie in (0, 1]")
     if chi_value == 0.0:
         return None
+    _check_chi_floor(chi_value)
     w = base * math.sqrt(1.0 + chi_value * chi_value)
     reference_period = _TWO_PI / base
     hindered_period = _TWO_PI / w

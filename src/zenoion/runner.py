@@ -65,22 +65,27 @@ _UNITS_COMMENT = "time columns in units of 1/omega(0), hbar = 1; probabilities d
 _FIGURE_CHIS = (0.0, 1.0, 5.0, 10.0)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16e}"
-
-
 def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one CSV: a '#' unit comment, a header row, then data rows."""
+    """Write one CSV: a '#' unit comment, a header row, then data rows.
+
+    Bool and integer cells are written as integers, all others as
+    f"{float(v):.16e}". One '%' format string, built from the first row
+    ('%d' or '%.16e' per cell, which give those bytes, nan, inf and -0.0
+    included), formats every row, so all rows must hold the cell types of
+    the first.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# {comment}\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_value(value) for value in row) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            integral = (bool, int, np.bool_, np.integer)
+            cells = ("%d" if isinstance(value, integral) else "%.16e" for value in first)
+            fmt = ",".join(cells) + "\n"
+            handle.write(fmt % tuple(first))
+            handle.writelines(fmt % tuple(row) for row in rows)
 
 
 def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
@@ -123,7 +128,14 @@ def _resolve(config: RunConfig) -> ResolvedRun:
             "the configured 1-2 coupling vanishes; survival indicators are undefined"
         )
     chi = abs(block.chi)
-    return ResolvedRun(block=block, chi=chi, coupling=abs(block.coupling_12))
+    a = abs(block.coupling_12)
+    b = abs(block.coupling_23) if block.dimension == 3 else 0.0
+    if not (math.isfinite(chi * chi) and math.isfinite(a * a + b * b)):
+        raise ConfigError(
+            f"chi = {chi:g} with |c12| = {a:g}, |c23| = {b:g} is too large: chi^2 "
+            "or |c12|^2 + |c23|^2 overflows float64"
+        )
+    return ResolvedRun(block=block, chi=chi, coupling=a)
 
 
 def run_evolve(config: RunConfig) -> Path:

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import zenoion.runner
 from zenoion.cli import main
 from zenoion.config import RunConfig, load_config
 from zenoion.dynamics import propagate_analytic
@@ -16,6 +17,7 @@ from zenoion.runner import (
     run_survival,
     run_sweep,
     run_validate,
+    write_csv,
 )
 
 
@@ -135,6 +137,76 @@ class TestCurveModes:
 
         with pytest.raises(ConfigError, match="one dimensional"):
             run_evolve(config)
+
+
+class TestEvolveLoop:
+    def test_each_sample_propagates_and_reads_populations_once(self, tmp_path, monkeypatch):
+        calls = {"propagate_analytic": 0, "level_probabilities": 0}
+
+        def counted(name):
+            original = getattr(zenoion.runner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(zenoion.runner, name, counted(name))
+        config = load_config(
+            None,
+            {"mode": "evolve", "gamma1": 1.0, "gamma2": 3.0, "samples": 257,
+             "out": str(tmp_path)},
+        )
+        run_evolve(config)
+        assert calls == {"propagate_analytic": 257, "level_probabilities": 257}
+
+
+def _reference_cell(value) -> str:
+    """CSV cell spec: integers and booleans as integers, everything else
+    as f"{float(value):.16e}"."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.16e}"
+
+
+class TestWriteCsv:
+    ROW = (
+        True,
+        np.bool_(False),
+        np.int64(-7),
+        3,
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        1e-300,
+        5e-324,
+        np.float64(0.1),
+        -1.0 / 3.0,
+        1e300,
+        0,
+    )
+
+    def test_cells_match_the_reference_spec_byte_for_byte(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        header = [f"c{i}" for i in range(len(self.ROW))]
+        write_csv(path, "cells", header, [self.ROW, list(self.ROW)])
+        expected = ",".join(_reference_cell(value) for value in self.ROW) + "\n"
+        text = path.read_bytes().decode("utf-8")
+        assert text == "# cells\n" + ",".join(header) + "\n" + expected * 2
+
+    def test_generator_rows_and_no_rows(self, tmp_path):
+        path = tmp_path / "gen.csv"
+        write_csv(path, "g", ("t", "p"), ((t, t * t) for t in (0.5, -2.0)))
+        assert path.read_text(encoding="utf-8").splitlines()[2:] == [
+            "5.0000000000000000e-01,2.5000000000000000e-01",
+            "-2.0000000000000000e+00,4.0000000000000000e+00",
+        ]
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, "e", ("t",), iter(()))
+        assert empty.read_text(encoding="utf-8") == "# e\nt\n"
 
 
 class TestSweepAndIndicators:
@@ -339,6 +411,11 @@ class TestCliEntry:
             ["indicators", "--chi", "1e7"],
             ["indicators", "--chi", "1e200"],
             ["sweep", "--chi", "1e160"],
+            ["evolve", "--chi", "1e200"],
+            ["survival", "--chi", "1e160"],
+            ["evolve", "--gamma1", "1e155", "--gamma2", "1e155"],
+            ["indicators", "--chi", "1e-7"],
+            ["sweep", "--chi", "1e-9"],
         ],
     )
     def test_chi_beyond_resolvable_range_exits_cleanly(self, argv, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from zenoion.dynamics import (
@@ -22,7 +23,7 @@ from zenoion.fock import (
     SidebandPattern,
 )
 
-from .oracles import expm_oracle
+from .oracles import closed_form_matrix, expm_oracle
 
 coupling_values = st.complex_numbers(
     min_magnitude=1e-2, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -131,6 +132,68 @@ class TestVibronicState:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [math.nan, 0.0, 0.0],
+            [complex(0.0, math.nan)],
+            [0.6, math.nan],
+            [math.inf, 0.0, 0.0],
+            [-math.inf, 1.0],
+            [complex(math.inf, math.inf)],
+            [1.0 + 2e-9, 0.0, 0.0],
+            [1.0 - 2e-9],
+            [0.6 * (1.0 + 2e-9), 0.8j * (1.0 + 2e-9)],
+        ],
+    )
+    def test_rejects_non_finite_and_off_norm_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="normalized"):
+            VibronicState(np.array(amplitudes, dtype=complex))
+
+    def test_accepts_norm_within_tolerance(self):
+        state = VibronicState(np.array([0.6 * (1.0 + 5e-10), 0.8j * (1.0 + 5e-10)]))
+        assert abs(state.norm - 1.0) <= 1e-9
+
+
+def block_of_dimension(dimension: int, alpha: complex, beta: complex) -> BlockSystem:
+    """One-, two- or three-level block with the given couplings."""
+    n, r, l = {
+        1: ((0, 0, 0), (1, 0, 0), (0, 0, 0)),
+        2: ((1, 0, 0), (1, 0, 0), (1, 0, 0)),
+        3: ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    }[dimension]
+    block = build_block(ModeVector.of(n), SidebandPattern(r, l), CouplingConstants(alpha, beta))
+    assert block.dimension == dimension
+    return block
+
+
+class TestClosedFormConstants:
+    def test_equal_blocks_stay_equal_after_propagation(self):
+        one = three_level_block(0.8 + 0.3j, -1.1 + 0.2j)
+        two = three_level_block(0.8 + 0.3j, -1.1 + 0.2j)
+        propagate_analytic(one, VibronicState.basis_state(3, 0), 0.7)
+        assert "_closed_form" in vars(one)
+        assert "_closed_form" not in vars(two)
+        assert one == two
+        assert hash(one) == hash(two)
+        assert len({one, two}) == 1
+        assert repr(one) == repr(two)
+        assert [f.name for f in fields(one)] == [
+            "dimension",
+            "basis_labels",
+            "coupling_12",
+            "coupling_23",
+            "angular_frequency",
+        ]
+
+    def test_constants_are_computed_once(self):
+        block = three_level_block(1.0, 2.0)
+        state = VibronicState.basis_state(3, 0)
+        propagate_analytic(block, state, 0.3)
+        first = vars(block)["_closed_form"]
+        propagate_analytic(block, state, 1.3)
+        assert vars(block)["_closed_form"] is first
+
 
 class TestPropagation:
     def test_identity_at_time_zero(self):
@@ -179,13 +242,49 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate_analytic(block, VibronicState.basis_state(2, 0), 1.0)
 
-    @given(alpha=coupling_values, beta=coupling_values, t=times)
-    def test_oracle_equivalence(self, alpha, beta, t):
-        block = three_level_block(alpha, beta)
-        state = VibronicState.basis_state(3, 0)
+    @given(
+        dimension=st.sampled_from([1, 2, 3]),
+        alpha=coupling_values | st.just(0j),
+        beta=coupling_values | st.just(0j),
+        t=times,
+        vector=st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_oracle_equivalence(self, dimension, alpha, beta, t, vector):
+        # Zero couplings give degenerate and zero-frequency blocks.
+        amplitudes = np.array(vector[:dimension])
+        norm = np.linalg.norm(amplitudes)
+        assume(norm > 0.1)
+        block = block_of_dimension(dimension, alpha, beta)
+        state = VibronicState(amplitudes / norm)
         left = propagate_analytic(block, state, t)
         right = propagate_oracle(block, state, t)
         assert np.max(np.abs(left.amplitudes - right.amplitudes)) <= 1e-10
+
+    def test_zero_frequency_block_is_stationary(self):
+        for dimension in (2, 3):
+            block = block_of_dimension(dimension, 0.0, 0.0)
+            assert block.angular_frequency == 0.0
+            state = VibronicState(np.array([0.6, 0.8j, 0.0][:dimension]))
+            for propagate in (propagate_analytic, propagate_oracle):
+                evolved = propagate(block, state, 4.2)
+                np.testing.assert_array_equal(evolved.amplitudes, state.amplitudes)
+
+    @given(
+        dimension=st.sampled_from([2, 3]),
+        alpha=coupling_values,
+        beta=coupling_values,
+        t=times | st.floats(min_value=-1e4, max_value=1e4),
+    )
+    def test_basis_columns_match_matrix_form_bit_for_bit(self, dimension, alpha, beta, t):
+        block = block_of_dimension(dimension, alpha, beta)
+        matrix = closed_form_matrix(block, t)
+        for index in range(dimension):
+            evolved = propagate_analytic(block, VibronicState.basis_state(dimension, index), t)
+            assert evolved.amplitudes.tolist() == matrix[:, index].tolist()
 
     @given(alpha=coupling_values, beta=coupling_values, t=times)
     def test_unitarity(self, alpha, beta, t):

@@ -222,6 +222,7 @@ class TestSubThresholdMeasure:
 class TestGqzeInterval:
     def test_no_interval_at_zero_ratio(self):
         assert gqze_interval(0.0, 1.0) is None
+        assert gqze_interval_grid(0.0, 1.0) is None
 
     @pytest.mark.parametrize("chi", [2.0, 5.0, 10.0])
     def test_present_above_unit_ratio(self, chi):
@@ -316,6 +317,28 @@ class TestGqzeWindowedSearch:
                 gqze_interval(chi, 1.0)
             with pytest.raises(ValueError, match="too large"):
                 indicator_report(chi, 1.0, 0.01)
+
+
+    @pytest.mark.parametrize("chi", [1e-9, 1e-7, 3e-7])
+    def test_rejects_chi_below_resolvable_range(self, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for search in (gqze_interval, gqze_interval_grid):
+                with pytest.raises(ValueError, match="too small"):
+                    search(chi, 1.0)
+            with pytest.raises(ValueError, match="too small"):
+                indicator_report(chi, 1.0, 0.01)
+
+    def test_smallest_accepted_chi_crosses_at_quarter_period(self):
+        chi = math.sqrt(1e-13)
+        while chi * chi <= 1e-13:
+            chi = math.nextafter(chi, math.inf)
+        with pytest.raises(ValueError, match="too small"):
+            gqze_interval(math.nextafter(chi, 0.0), 1.0)
+        windowed = gqze_interval(chi, 1.0)
+        assert windowed == gqze_interval_grid(chi, 1.0)
+        assert windowed.end == pytest.approx(math.pi / 2, abs=1e-12)
+        assert not windowed.present
 
 
 class TestReportsAndSweep:
