@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .fock import CouplingConstants, LaserDrive, ModeVector, SidebandPattern, Triple
 
-__all__ = ["MODES", "ConfigError", "RunConfig", "load_config"]
+__all__ = ["MAX_GRID_POINTS", "MODES", "ConfigError", "RunConfig", "load_config"]
 
 
 class _Mode(NamedTuple):
@@ -35,6 +35,11 @@ MODES = {
 }
 
 _DEFAULT_T_MAX = 4.0 * math.pi  # two chi = 0 periods, omega(0)-scaled
+
+# Most points a time grid (``samples``) or a chi grid may hold. At the cap
+# an evolve run keeps ~250 MiB of rows and a sweep ~600 MiB of reports; a
+# larger request is a config error, not a multi-GiB allocation.
+MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -146,6 +151,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
+        if self.samples > MAX_GRID_POINTS:
+            raise ConfigError(f"samples must be <= {MAX_GRID_POINTS}")
         if self.t_max <= 0:
             raise ConfigError("t_max must be > 0")
         if self.epsilon <= 0:

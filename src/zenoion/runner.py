@@ -10,13 +10,14 @@ significant digits so the files round-trip 64-bit values exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
     BlockSystem,
     VibronicState,
@@ -92,10 +93,31 @@ def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
     # The last point stays at or below chi_max; the relative tolerance keeps
     # it when chi_max is a whole number of steps that the division misses by
     # an ulp (18.15 / 0.05 = 362.99999999999994).
-    count = math.floor(chi_max / chi_step * (1.0 + 1e-9))
+    steps = chi_max / chi_step * (1.0 + 1e-9)
+    if not steps < MAX_GRID_POINTS:  # also catches an infinite ratio
+        raise ConfigError(
+            f"the chi grid [0, {chi_max:g}] in steps of {chi_step:g} would hold "
+            f"more than {MAX_GRID_POINTS} points"
+        )
+    count = math.floor(steps)
     # Rounding to 12 decimals pins grid points like 1.00 exactly, so
     # piecewise indicator branches switch at the printed value.
     return np.round(np.arange(count + 1) * chi_step, 12)
+
+
+def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np.ndarray:
+    """The omega(0)-scaled time grid: ``config.samples`` points on [0, t_max].
+
+    Raises ``ConfigError`` when the largest phase, ``frequency * (t_max /
+    coupling)``, overflows. That phase is sqrt(1 + chi^2) t_max in omega(0)
+    units; past it every cos(wt) is nan.
+    """
+    if not math.isfinite(frequency * (config.t_max / coupling)):
+        raise ConfigError(
+            f"t_max = {config.t_max:g} is too large: the phase omega t_max "
+            "overflows float64"
+        )
+    return np.linspace(0.0, config.t_max, config.samples)
 
 
 def _output_file(config: RunConfig, default_name: str) -> Path:
@@ -130,10 +152,17 @@ def _resolve(config: RunConfig) -> ResolvedRun:
     chi = abs(block.chi)
     a = abs(block.coupling_12)
     b = abs(block.coupling_23) if block.dimension == 3 else 0.0
-    if not (math.isfinite(chi * chi) and math.isfinite(a * a + b * b)):
+    norm_sq = a * a + b * b
+    if not (math.isfinite(chi * chi) and math.isfinite(norm_sq)):
         raise ConfigError(
             f"chi = {chi:g} with |c12| = {a:g}, |c23| = {b:g} is too large: chi^2 "
             "or |c12|^2 + |c23|^2 overflows float64"
+        )
+    # Only the three-level closed form divides by |c12|^2 + |c23|^2.
+    if block.dimension == 3 and norm_sq < sys.float_info.min:
+        raise ConfigError(
+            f"|c12| = {a:g}, |c23| = {b:g} are too small: |c12|^2 + |c23|^2 "
+            "underflows to a subnormal or zero float64"
         )
     return ResolvedRun(block=block, chi=chi, coupling=a)
 
@@ -142,7 +171,7 @@ def run_evolve(config: RunConfig) -> Path:
     """Evolve |n, 1> over the scaled time grid; emit level populations."""
     run = _resolve(config)
     initial = VibronicState.basis_state(run.block.dimension, 0)
-    t_scaled = np.linspace(0.0, config.t_max, config.samples)
+    t_scaled = _time_grid(config, run.block.angular_frequency, run.coupling)
     rows = []
     for value in t_scaled:
         state = propagate_analytic(run.block, initial, value / run.coupling)
@@ -157,8 +186,8 @@ def run_evolve(config: RunConfig) -> Path:
 def run_survival(config: RunConfig) -> Path:
     """Survival probability of |n, 1> over the scaled time grid."""
     run = _resolve(config)
-    t_scaled = np.linspace(0.0, config.t_max, config.samples)
     scaled_frequency = run.block.angular_frequency / run.coupling
+    t_scaled = _time_grid(config, scaled_frequency)
     values = survival_probability(run.chi, scaled_frequency, t_scaled)
     path = _output_file(config, "survival.csv")
     write_csv(
@@ -259,7 +288,9 @@ def run_figures(config: RunConfig) -> list[Path]:
     All use the unit 1-2 coupling, so omega(0) = 1.
     """
     out_dir = Path(config.out)
-    t_scaled = np.linspace(0.0, config.t_max, config.samples)
+    chi_short = _chi_grid(3.0, config.chi_step)
+    chi_long = _chi_grid(5.0, config.chi_step)
+    t_scaled = _time_grid(config, math.sqrt(1.0 + max(_FIGURE_CHIS) ** 2))
     columns = [
         survival_probability(chi, math.sqrt(1.0 + chi * chi), t_scaled)
         for chi in _FIGURE_CHIS
@@ -272,7 +303,6 @@ def run_figures(config: RunConfig) -> list[Path]:
         zip(t_scaled, *columns),
     )
 
-    chi_short = _chi_grid(3.0, config.chi_step)
     fig2 = out_dir / "fig2.csv"
     write_csv(
         fig2,
@@ -289,7 +319,6 @@ def run_figures(config: RunConfig) -> list[Path]:
         zip(chi_short, time_of_min(1.0, chi_short)),
     )
 
-    chi_long = _chi_grid(5.0, config.chi_step)
     fig4 = out_dir / "fig4.csv"
     write_csv(
         fig4,

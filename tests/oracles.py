@@ -2,7 +2,9 @@
 
 States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
-so these share no code (and no algebra shortcuts) with the package.
+so these share no code (and no algebra shortcuts) with the package. The
+exception is ``bisect_gap_oracle``, a reference route through the package's
+own ``survival_probability``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from zenoion.dynamics import survival_probability
 
 Ket = dict[tuple[int, ...], complex]
 
@@ -106,3 +110,21 @@ def closed_form_matrix(block, t: float) -> np.ndarray:
             ],
         ]
     )
+
+
+def bisect_gap_oracle(chi: float, w: float, base: float, left: float, right: float) -> float:
+    """The hindering-interval bisection in its first form: always 80
+    halvings, each taking the gap from two 0-d ``survival_probability``
+    calls. The package's early-exiting scalar bisection must return the
+    same float bit for bit."""
+
+    def gap(t: float) -> float:
+        return survival_probability(chi, w, t) - survival_probability(0.0, base, t)
+
+    for _ in range(80):
+        mid = 0.5 * (left + right)
+        if gap(mid) > 0.0:
+            left = mid
+        else:
+            right = mid
+    return 0.5 * (left + right)

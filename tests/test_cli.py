@@ -427,6 +427,45 @@ class TestCliEntry:
         assert err.startswith("config error: chi = ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--gamma1", "1e-200", "--gamma2", "1e-200"], "too small"),
+            (["survival", "--gamma1", "1e-160", "--gamma2", "1e-160"], "too small"),
+            (["sweep", "--chi-step", "1e-9"], "chi grid"),
+            (["sweep", "--chi-max", "1e308", "--chi-step", "1e-10"], "chi grid"),
+            (["figures", "--chi-step", "1e-12"], "chi grid"),
+            (["survival", "--chi", "2", "--samples", "1000000000000"], "samples"),
+            (["survival", "--chi", "2", "--t-max", "1e308", "--samples", "10"], "t_max"),
+            (["evolve", "--chi", "2", "--t-max", "1e308", "--samples", "10"], "t_max"),
+            (["figures", "--t-max", "1e308", "--samples", "10"], "t_max"),
+        ],
+    )
+    def test_oversized_or_underflowing_input_exits_cleanly(
+        self, argv, message, tmp_path, capsys
+    ):
+        # Each of these once ended in a traceback, a multi-GiB allocation or
+        # a CSV of nan rows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_two_level_block_with_tiny_coupling_runs(self, tmp_path):
+        # |c12|^2 underflows, but the two-level closed form never forms it.
+        argv = ["--gamma1", "1e-160", "--gamma2", "1", "--l", "1,0,0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", *argv, "--samples", "5", "--out", str(tmp_path)]) == 0
+            assert main(["indicators", *argv, "--out", str(tmp_path)]) == 0
+        _, data = read_columns(tmp_path / "evolve.csv")
+        np.testing.assert_allclose(data["p1"] + data["p2"], 1.0, atol=1e-12)
+
     def test_negative_seed_exit_code(self, capsys):
         code = main(["validate", "--seed", "-1"])
         assert code == 1

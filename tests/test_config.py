@@ -120,6 +120,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="samples"):
             load_config(None, {"mode": "figures", "samples": 1})
 
+    def test_samples_maximum(self):
+        load_config(None, {"mode": "figures", "samples": 10**6})
+        with pytest.raises(ConfigError, match="samples must be <= 1000000"):
+            load_config(None, {"mode": "figures", "samples": 10**6 + 1})
+
     def test_t_max_positive(self):
         with pytest.raises(ConfigError, match="t_max"):
             load_config(None, {"mode": "figures", "t_max": 0.0})

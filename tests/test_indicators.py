@@ -1,15 +1,18 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zenoion import indicators
 from zenoion.dynamics import (
     VibronicState,
     build_block,
     level_probabilities,
     propagate_analytic,
+    survival_probability,
 )
 from zenoion.fock import CouplingConstants, DegenerateCouplingError, ModeVector, SidebandPattern
 from zenoion.indicators import (
@@ -28,6 +31,8 @@ from zenoion.indicators import (
     time_of_min,
     time_of_min_grid,
 )
+
+from .oracles import bisect_gap_oracle
 
 chi_values = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
@@ -339,6 +344,78 @@ class TestGqzeWindowedSearch:
         assert windowed == gqze_interval_grid(chi, 1.0)
         assert windowed.end == pytest.approx(math.pi / 2, abs=1e-12)
         assert not windowed.present
+
+
+# The gqze search accepts chi in (3.2e-7, 6.3e6); draw it log-uniformly so
+# every decade is exercised, not only the top of the range.
+_searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
+    lambda exponent: 10.0**exponent
+)
+_couplings = st.floats(min_value=0.05, max_value=20.0)
+
+
+def _search_brackets(chi, coupling):
+    """The (chi, w, base, left, right) arguments of every bisection that
+    ``gqze_interval`` starts, recorded from a real search."""
+    calls = []
+    bisect = indicators._bisect_gap
+
+    def record(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    with mock.patch.object(indicators, "_bisect_gap", record):
+        gqze_interval(chi, coupling)
+    return calls
+
+
+class TestBisectGap:
+    """The gqze bisection is shared by ``gqze_interval`` and its dense twin,
+    so their agreement cannot catch a change in it; these pin it to the
+    80-halving oracle instead."""
+
+    @settings(max_examples=150)
+    @given(chi=_searchable_chis, coupling=_couplings)
+    def test_matches_80_halving_oracle_on_search_brackets(self, chi, coupling):
+        calls = _search_brackets(chi, coupling)
+        for args in calls:
+            assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
+
+    @pytest.mark.parametrize("chi", [3.2e-7, 0.05, 1.0, 2.3, 20.0, 3e3, 6100000.3])
+    @pytest.mark.parametrize("coupling", [1.0, 2.3])
+    def test_matches_80_halving_oracle_at_range_edges(self, chi, coupling):
+        calls = _search_brackets(chi, coupling)
+        assert calls
+        for args in calls:
+            assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
+
+    def test_scalar_gap_matches_survival_probability_in_bulk(self):
+        # The squares must round as the 0-d numpy path does; a one-ulp
+        # difference shows in about 1 of 2000 draws, too rarely for the
+        # property below to see it reliably.
+        rng = np.random.default_rng(2024)
+        for chi, coupling, phase in zip(
+            10.0 ** rng.uniform(-6.5, 6.78, 20_000),
+            rng.uniform(0.05, 20.0, 20_000),
+            rng.uniform(0.0, 30.0, 20_000),
+        ):
+            chi, coupling = float(chi), float(coupling)
+            w = coupling * math.sqrt(1.0 + chi * chi)
+            t = float(phase) / coupling
+            expected = survival_probability(chi, w, t) - survival_probability(0.0, coupling, t)
+            assert indicators._gap(chi * chi, w, coupling, t) == expected
+
+    @settings(max_examples=300)
+    @given(
+        chi=st.floats(min_value=0.0, max_value=6e6),
+        coupling=_couplings,
+        phase=st.floats(min_value=0.0, max_value=200.0),
+    )
+    def test_scalar_gap_matches_survival_probability(self, chi, coupling, phase):
+        w = coupling * math.sqrt(1.0 + chi * chi)
+        t = phase / coupling
+        expected = survival_probability(chi, w, t) - survival_probability(0.0, coupling, t)
+        assert indicators._gap(chi * chi, w, coupling, t) == expected
 
 
 class TestReportsAndSweep:
