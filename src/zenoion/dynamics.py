@@ -339,6 +339,14 @@ def survival_probability(chi, angular_frequency, t):
     ((chi^2 + cos(w t)) / (chi^2 + 1))^2 with chi the modulus of the block
     coupling ratio and w the block angular frequency. Accepts a scalar or
     array ``t`` and returns matching shape.
+
+    The two shapes square differently and can differ by one ulp. A scalar
+    ``t`` squares a numpy float64 scalar with ``** 2``, which is libm
+    ``pow``; ``indicators._gap`` copies those bits for the gqze bisection,
+    and the "survival formula vs overlap" check of ``run_validate`` uses
+    them. An array ``t`` is computed in one buffer and squared with
+    ``x * x``; the gqze window scan (whose inline chi = 0 reference squares
+    the same way), the survival CSV, the figures and the grid twins use it.
     """
     w = float(angular_frequency)
     if not (math.isfinite(w) and w > 0):
@@ -348,9 +356,13 @@ def survival_probability(chi, angular_frequency, t):
         raise ValueError("chi must be finite and >= 0")
     chi_sq = chi * chi
     times = np.asarray(t, dtype=float)
-    result = ((chi_sq + np.cos(w * times)) / (chi_sq + 1.0)) ** 2
     if times.ndim == 0:
-        return float(result)
+        return float(((chi_sq + np.cos(w * times)) / (chi_sq + 1.0)) ** 2)
+    result = w * times
+    np.cos(result, out=result)
+    result += chi_sq
+    result /= chi_sq + 1.0
+    np.square(result, out=result)
     return result
 
 

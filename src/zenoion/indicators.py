@@ -47,6 +47,10 @@ _TWO_PI = 2.0 * math.pi
 # negative; only a gap beyond this bound counts as clearly signed.
 _CROSSING_TOL = 1e-13
 
+# Grid points in the first chunk of each gqze window scan; every further
+# chunk is twice as long, so the scan stops soon after the crossing.
+_FIRST_CHUNK = 1024
+
 
 def _checked_coupling(coupling: float) -> float:
     value = float(coupling)
@@ -215,13 +219,22 @@ def gqze_interval(
     windows cover the whole grid; for large chi each window holds about
     0.6 hindered periods, so the cost no longer grows with chi.
 
-    Bracket: the search stops in the first window holding a clearly
+    Chunks: each window is scanned in chunks of 1024, 2048, 4096, ... grid
+    points, and the scan stops at the first chunk holding a clearly
     negative gap (below -1e-13; rounding alone makes the tiny small-t gap a
-    few ulp negative). The crossing is bracketed by that point and the last
-    clearly positive point before it, carried across windows, and refined
-    by bisection on Python floats (``_bisect_gap``). The bisection stops at
-    its fixed point, where a halving no longer moves the bracket, and so
-    returns the same float as a fixed 80 halvings after about 40 of them.
+    few ulp negative). The points past that chunk are never computed. The
+    reference cos^2(omega0 t) is formed inline with one cosine and one
+    product, bit for bit ``survival_probability(0.0, coupling, t)``; the
+    hindered curve is ``survival_probability``. The scan thus visits the
+    same points in the same order as one pass per window would, and finds
+    the same bracket.
+
+    Bracket: the crossing is bracketed by the first clearly negative point
+    and the last clearly positive point before it, carried across chunks
+    and windows, and refined by bisection on Python floats
+    (``_bisect_gap``). The bisection stops at its fixed point, where a
+    halving no longer moves the bracket, and so returns the same float as a
+    fixed 80 halvings after about 40 of them.
 
     Fallback: if no strict crossing occurs within the grid (possible only
     for commensurate frequencies, where the curves touch without crossing)
@@ -258,13 +271,7 @@ def gqze_interval(
     armed = False  # the gap has cleared +_CROSSING_TOL
     closest_gap, closest_time = math.inf, 0.0
     next_index = 1
-    for k in itertools.count():
-        first = max(next_index, math.floor(k * spacing - reach) - 2)
-        last = min(count, math.ceil(k * spacing + reach) + 2)
-        if first > count:
-            break
-        if first > last:
-            continue
+    for first, last in _window_chunks(count, spacing, reach):
         if first > next_index and not armed:
             # Skipped points lie outside every window, where the gap is at
             # least m - cos^2 > 0. Padded windows part only once m exceeds
@@ -275,9 +282,13 @@ def gqze_interval(
             closest_gap = math.inf
         next_index = last + 1
         times = np.arange(first, last + 1) * step
-        gap = survival_probability(chi_value, w, times) - survival_probability(
-            0.0, base, times
-        )
+        # The chi = 0 reference, bit for bit survival_probability(0.0, base,
+        # times): adding 0.0 and dividing by 1.0 are exact, and an array
+        # square is x * x.
+        reference = np.cos(base * times)
+        reference *= reference
+        gap = survival_probability(chi_value, w, times)
+        gap -= reference
         below = np.nonzero(gap < -_CROSSING_TOL)[0]
         stop = int(below[0]) if below.size else gap.size
         positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
@@ -298,6 +309,31 @@ def gqze_interval(
         end = closest_time
     ratio = end / hindered_period
     return GqzeInterval(0.0, end, ratio, ratio >= order_threshold)
+
+
+def _window_chunks(count: int, spacing: float, reach: float):
+    """Yield the (first, last) grid-index ranges the gqze scan visits, in
+    order. Window k covers k * spacing +- reach, padded by two points a side,
+    clipped to [1, count] and to points not yet visited. Each window is
+    split into chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, 4 _FIRST_CHUNK, ...
+    points. A chunk holds at most _FIRST_CHUNK points more than the earlier
+    chunks of its window, which bounds the points a scan that stops inside
+    it computes past the crossing.
+    """
+    next_index = 1
+    for k in itertools.count():
+        first = max(next_index, math.floor(k * spacing - reach) - 2)
+        last = min(count, math.ceil(k * spacing + reach) + 2)
+        if first > count:
+            return
+        if first > last:
+            continue
+        next_index = last + 1
+        size = _FIRST_CHUNK
+        while first <= last:
+            chunk_last = min(last, first + size - 1)
+            yield first, chunk_last
+            first, size = chunk_last + 1, 2 * size
 
 
 def _window_half_angle(chi: float) -> float:

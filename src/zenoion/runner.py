@@ -101,8 +101,20 @@ def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
         )
     count = math.floor(steps)
     # Rounding to 12 decimals pins grid points like 1.00 exactly, so
-    # piecewise indicator branches switch at the printed value.
-    return np.round(np.arange(count + 1) * chi_step, 12)
+    # piecewise indicator branches switch at the printed value. np.round
+    # scales by 1e12 first, which overflows past ~1.8e296.
+    if not math.isfinite(count * chi_step * 1e12):
+        raise ConfigError(
+            f"chi_max = {chi_max:g} is too large: the chi grid rounds its points "
+            "to 12 decimals, which overflows float64 above about 1.8e296"
+        )
+    grid = np.round(np.arange(count + 1) * chi_step, 12)
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ConfigError(
+            f"chi_step = {chi_step:g} is too small: the chi grid rounds its "
+            "points to 12 decimals, which would merge neighbouring points"
+        )
+    return grid
 
 
 def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np.ndarray:
@@ -149,9 +161,15 @@ def _resolve(config: RunConfig) -> ResolvedRun:
         raise ConfigError(
             "the configured 1-2 coupling vanishes; survival indicators are undefined"
         )
-    chi = abs(block.chi)
     a = abs(block.coupling_12)
     b = abs(block.coupling_23) if block.dimension == 3 else 0.0
+    for name, value in (("c12", a), ("c23", b)):
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"the coupling |{name}| = {value:g} is not finite: its gamma times "
+                "the falling-factorial factor of the occupations overflows float64"
+            )
+    chi = abs(block.chi)
     norm_sq = a * a + b * b
     if not (math.isfinite(chi * chi) and math.isfinite(norm_sq)):
         raise ConfigError(

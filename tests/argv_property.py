@@ -1,0 +1,204 @@
+"""Hypothesis property over generated ``zenoion`` command lines.
+
+Run as a script, in a child process whose address space is capped, so that
+an escaped allocation fails fast instead of exhausting the host:
+
+    python tests/argv_property.py [max_examples]
+
+Every generated argv must, with warnings raised as errors, do one of three
+things: run and exit 0 with nothing on stderr; exit 1 with exactly one
+``config error: ...`` line on stderr; or, for a value argparse cannot parse,
+exit 2 with argparse's usage message. Anything else, a traceback included,
+fails the property. Grids hold at most 2000 points or more than
+``MAX_GRID_POINTS``, so every run that is accepted stays small.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import resource
+import sys
+import tempfile
+import warnings
+
+ADDRESS_SPACE_LIMIT = 2 * 1024**3
+
+if __name__ == "__main__":
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from zenoion.cli import main  # noqa: E402
+from zenoion.config import MAX_GRID_POINTS, MODES  # noqa: E402
+
+MAX_POINTS = 2000
+
+# Values argparse cannot parse as a number; one flag in ten argvs gets one.
+_BAD_NUMBERS = ("abc", "", "1e", "0x10", "1,5")
+
+
+def _text(value) -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+def _numbers(edges, low, high):
+    """A flag value: an edge value or a plain float in [low, high]."""
+    return st.one_of(st.sampled_from(edges), st.floats(min_value=low, max_value=high)).map(
+        _text
+    )
+
+
+_CHI = _numbers(
+    (0.0, -0.0, 5e-324, 1e-300, 1e-9, 3.2e-7, 3.3e-7, 0.5, 1.0, math.sqrt(3.0), 2.0,
+     20.0, 6.3e6, 6.4e6, 1e155, 1e300, 1.7976931348623157e308, -1.0, math.inf, math.nan),
+    0.0, 50.0,
+)
+_GAMMA = _numbers(
+    (0.0, 5e-324, 1e-200, 1e-160, 1e-3, 1.0, 3.0, 1e155, 1e308, -1.0, -2.5, math.inf),
+    -10.0, 10.0,
+)
+_OMEGA = _numbers((0.0, 1e-300, 1.0, 2.0, 1e308, -1.0, math.nan), -10.0, 10.0)
+_ETA = _numbers((0.0, 1e-300, 0.1, 1.0, 5.0, 40.0, 1e200, -0.1), 0.0, 5.0)
+_T_MAX = _numbers(
+    (5e-324, 1e-300, 0.1, 4.0 * math.pi, 1e5, 1e308, 0.0, -1.0, math.inf), 0.0, 100.0
+)
+_EPSILON = _numbers((1e-300, 0.01, 0.5, 1.0, 2.0, 0.0, -0.1), 0.0, 1.0)
+_THRESHOLD = _numbers((1e-300, 0.5, 1.0, 1.0000001, 0.0, -1.0), 0.0, 1.0)
+_SEED = st.one_of(
+    st.sampled_from((0, 1, 2**31, 2**63, 10**30, -1)),
+    st.integers(min_value=0, max_value=10**6),
+).map(str)
+_SAMPLES = st.one_of(
+    st.integers(min_value=2, max_value=MAX_POINTS),
+    st.sampled_from((-5, 0, 1, 2, MAX_POINTS, MAX_GRID_POINTS + 1, 10**12)),
+    st.integers(min_value=MAX_GRID_POINTS + 1, max_value=10**15),
+).map(str)
+_TRIPLE = st.one_of(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3).map(lambda t: "%d,%d,%d" % t),
+    st.sampled_from(("0,0,0", "100000,0,0", "50000,0,0", "1,2", "-1,0,0", "a,b")),
+)
+# The figure grids run to chi = 3 and 5 in steps of chi_step: at most 2000
+# points, or more than the cap.
+_FIGURE_STEP = st.one_of(
+    st.floats(min_value=5.0 / MAX_POINTS, max_value=10.0),
+    st.floats(min_value=5e-324, max_value=4.9e-6),
+    st.sampled_from((1e-13, 5e-324, 0.0, -0.1, math.inf)),
+).map(_text)
+
+
+@st.composite
+def _sweep_grid(draw):
+    """(chi_max, chi_step) of a sweep grid of at most 2000 points or more
+    than the cap, or one of the edge pairs."""
+    edges = (
+        ("4e-13", "1e-13"), ("1e300", "1e299"), ("1e308", "1e307"), ("1e308", "1e-10"),
+        ("2e7", "1e7"), ("1", "1e-12"), ("5", "0"), ("-1", "0.1"), ("5", "inf"),
+    )
+    if draw(st.booleans()):
+        return draw(st.sampled_from(edges))
+    step = draw(st.floats(min_value=1e-13, max_value=1e6))
+    count = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=41, max_value=MAX_POINTS),
+            st.integers(min_value=MAX_GRID_POINTS + 1, max_value=10**15),
+        )
+    )
+    return repr(count * step), repr(step)
+
+
+# Coupling sources: mostly one, sometimes none or an ambiguous pair.
+_SOURCES = (("chi",), ("gamma",), ("drive",)) * 2 + ((), ("chi", "gamma"), ("gamma", "drive"))
+# Draws that come out True one time in three and one time in ten.
+_THIRD = st.sampled_from((True, False, False))
+_TENTH = st.sampled_from((True,) + (False,) * 9)
+
+
+@st.composite
+def argvs(draw):
+    """A mode and its flags, each written ``--flag=value`` so that a
+    negative number in exponent form is read as a value, not an option."""
+    mode = draw(st.sampled_from(sorted(MODES)))
+    flags = []
+
+    def maybe(flag, strategy):
+        if draw(_THIRD):
+            flags.append((flag, draw(strategy)))
+
+    sources = draw(st.sampled_from(_SOURCES))
+    if "chi" in sources:
+        flags.append(("--chi", draw(_CHI)))
+    if "gamma" in sources:
+        flags += [("--gamma1", draw(_GAMMA)), ("--gamma2", draw(_GAMMA))]
+    if "drive" in sources:
+        flags += [("--omega-a", draw(_OMEGA)), ("--eta-a", draw(_ETA))]
+        flags += [("--omega-b", draw(_OMEGA)), ("--eta-b", draw(_ETA))]
+    if "chi" not in sources or draw(_TENTH):
+        for flag in ("--n", "--r", "--l"):
+            if draw(st.booleans()):
+                flags.append((flag, draw(_TRIPLE)))
+    maybe("--t-max", _T_MAX)
+    maybe("--samples", _SAMPLES)
+    maybe("--epsilon", _EPSILON)
+    maybe("--order-threshold", _THRESHOLD)
+    if mode == "figures":
+        maybe("--chi-step", _FIGURE_STEP)
+    elif mode == "sweep":
+        chi_max, chi_step = draw(_sweep_grid())
+        flags += [("--chi-max", chi_max), ("--chi-step", chi_step)]
+    else:
+        maybe("--chi-max", _numbers((0.0, 5.0, -1.0), 0.0, 10.0))
+        maybe("--chi-step", _numbers((1e-13, 0.01, 0.0, -1.0), 0.0, 1.0))
+    maybe("--seed", _SEED)
+    numeric = [i for i, (flag, _) in enumerate(flags) if flag not in ("--n", "--r", "--l")]
+    if numeric and draw(_TENTH):
+        index = draw(st.sampled_from(numeric))
+        flags[index] = (flags[index][0], draw(st.sampled_from(_BAD_NUMBERS)))
+    return [mode] + [f"{flag}={value}" for flag, value in flags]
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process ``zenoion`` run, with
+    warnings raised as errors."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, stderr.getvalue()
+
+
+def check(argv) -> None:
+    with tempfile.TemporaryDirectory() as out:
+        code, err = run(argv + [f"--out={out}"])
+    if code == 0:
+        assert err == "", err
+    elif code == 1:
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 2, (code, err)
+        assert err.startswith("usage: zenoion") and "error: argument" in err, err
+        assert "Traceback" not in err, err
+
+
+def main_property(max_examples: int) -> None:
+    @settings(
+        max_examples=max_examples,
+        deadline=None,
+        database=None,
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(argv=argvs())
+    def prop(argv):
+        check(argv)
+
+    prop()
+
+
+if __name__ == "__main__":
+    main_property(int(sys.argv[1]) if len(sys.argv) > 1 else 40)

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenoion
 import zenoion.runner
 from zenoion.cli import main
-from zenoion.config import RunConfig, load_config
+from zenoion.config import ConfigError, RunConfig, load_config
 from zenoion.dynamics import propagate_analytic
 from zenoion.runner import (
     _chi_grid,
@@ -439,6 +444,18 @@ class TestCliEntry:
             (["survival", "--chi", "2", "--t-max", "1e308", "--samples", "10"], "t_max"),
             (["evolve", "--chi", "2", "--t-max", "1e308", "--samples", "10"], "t_max"),
             (["figures", "--t-max", "1e308", "--samples", "10"], "t_max"),
+            (["sweep", "--chi-step", "1e-13", "--chi-max", "4e-13"], "chi_step = 1e-13"),
+            (["sweep", "--chi-max", "1e300", "--chi-step", "1e299"], "chi_max = 1e+300"),
+            (
+                ["evolve", "--n", "100000,0,0", "--r", "50000,0,0", "--l", "1,0,0",
+                 "--gamma1", "1", "--gamma2", "1"],
+                "|c12| = inf",
+            ),
+            (
+                ["evolve", "--n", "100000,0,0", "--r", "1,0,0", "--l", "50000,0,0",
+                 "--gamma1", "1", "--gamma2", "1"],
+                "|c23| = inf",
+            ),
         ],
     )
     def test_oversized_or_underflowing_input_exits_cleanly(
@@ -490,6 +507,21 @@ class TestChiGrid:
             assert len(grid) == steps + 1
             assert grid[-1] == chi_max
 
+    @pytest.mark.parametrize(
+        "chi_max, chi_step",
+        [(4e-13, 1e-13), (1e-11, 7e-13), (1e-323, 5e-324), (1e300, 1e299), (1e308, 1e307)],
+    )
+    def test_collapsing_or_overflowing_grid_is_a_config_error(self, chi_max, chi_step):
+        # Rounding to 12 decimals would merge the points of the first three
+        # grids and overflow on the last two.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="chi_step|chi_max"):
+                _chi_grid(chi_max, chi_step)
+
+    def test_finest_distinct_grid_is_kept(self):
+        np.testing.assert_array_equal(_chi_grid(4e-12, 1e-12), np.arange(5) * 1e-12)
+
     @pytest.mark.parametrize("chi_step", [0.01, 0.05, 0.1, 0.0001])
     def test_figure_grids(self, tmp_path, chi_step):
         config = load_config(
@@ -503,6 +535,25 @@ class TestChiGrid:
             np.testing.assert_array_equal(
                 data["chi"], np.round(np.arange(count) * chi_step, 12)
             )
+
+
+class TestArgvProperty:
+    def test_every_argv_runs_or_fails_cleanly(self):
+        # The Hypothesis property of argv_property.py runs in one child whose
+        # address space is capped, so an allocation that escapes the grid
+        # caps fails fast rather than exhausting the host.
+        script = Path(__file__).with_name("argv_property.py")
+        src = str(Path(zenoion.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, str(script), "80"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 # Flag, INI section, INI key and a non-default value of each RunConfig field.

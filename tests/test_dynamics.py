@@ -340,6 +340,21 @@ class TestSurvivalProbability:
         assert values.shape == t.shape
         assert values[0] == pytest.approx(1.0)
 
+    def test_array_path_is_the_formula_bit_for_bit(self):
+        # The array path works in one buffer; it must round as the formula
+        # written out does, with the array square being x * x. The chi = 0
+        # reference of the gqze scan relies on this.
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, 200.0, 50_000)
+        for chi in (0.0, 0.3, 1.0, 2.5, 1e3):
+            w = math.sqrt(1.0 + chi * chi) * 1.7
+            chi_sq = chi * chi
+            base = (chi_sq + np.cos(w * t)) / (chi_sq + 1.0)
+            assert survival_probability(chi, w, t).tobytes() == (base * base).tobytes()
+        reference = np.cos(1.7 * t)
+        reference *= reference
+        assert survival_probability(0.0, 1.7, t).tobytes() == reference.tobytes()
+
     def test_requires_positive_frequency(self):
         with pytest.raises(ValueError):
             survival_probability(1.0, 0.0, 1.0)

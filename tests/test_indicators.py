@@ -346,6 +346,91 @@ class TestGqzeWindowedSearch:
         assert not windowed.present
 
 
+# Every fourth chi of the twin set, for the checks at other couplings and
+# grid densities.
+_GQZE_SPARSE_CHIS = _GQZE_TWIN_CHIS[::4]
+
+
+class TestGqzeChunkedScan:
+    """The window scan runs in chunks of 1024, 2048, ... points and stops at
+    the chunk holding the crossing; it must still agree bit for bit with the
+    dense grid, whatever the coupling and however the windows compare with
+    the first chunk."""
+
+    @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
+    @pytest.mark.parametrize("coupling", [0.37, 2.3])
+    def test_matches_dense_grid_at_other_couplings(self, chi, coupling):
+        assert gqze_interval(chi, coupling) == gqze_interval_grid(chi, coupling)
+
+    # At 300 points per period every window is shorter than the first chunk;
+    # at 1700 the large-chi windows (about 0.64 of that) hold about one
+    # chunk; at 40000 they span several chunks.
+    @pytest.mark.parametrize("chi", [0.3, 0.9, 1.0, 2.0, math.sqrt(3.0), 5.0, 20.0])
+    @pytest.mark.parametrize("points_per_period", [300, 1700, 40_000])
+    def test_matches_dense_grid_at_other_densities(self, chi, points_per_period):
+        windowed = gqze_interval(chi, 1.0, points_per_period=points_per_period)
+        dense = gqze_interval_grid(chi, 1.0, points_per_period=points_per_period)
+        assert windowed == dense
+
+    # Window 0 covers indices 1 .. ceil(reach) + 2, the whole grid here.
+    @pytest.mark.parametrize(
+        "reach, sizes",
+        [(1021, [1023]), (1022, [1024]), (1023, [1024, 1]), (9998, [1024, 2048, 4096, 2832])],
+    )
+    def test_chunks_double_and_tile_the_window(self, reach, sizes):
+        chunks = list(indicators._window_chunks(reach + 2, 1e9, float(reach)))
+        assert [last - first + 1 for first, last in chunks] == sizes
+        assert chunks[0][0] == 1 and chunks[-1][1] == reach + 2
+        assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+
+    @pytest.mark.parametrize(
+        "chi, points_per_period", [(2.0, 3765), (0.5, 10_000), (2.0, 10_000), (20.0, 10_000)]
+    )
+    def test_bracket_matches_dense_grid(self, chi, points_per_period):
+        # At 3765 points per period the first clearly negative point of
+        # chi = 2 opens a chunk, so the bracket's left end is carried over
+        # from the chunk before. The bisection would hide a wrong left end.
+        brackets = []
+        bisect = indicators._bisect_gap
+
+        def record(*args):
+            brackets.append(args)
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "_bisect_gap", record):
+            gqze_interval(chi, 1.0, points_per_period=points_per_period)
+            gqze_interval_grid(chi, 1.0, points_per_period=points_per_period)
+        windowed, dense = brackets
+        assert windowed == dense
+
+    @pytest.mark.parametrize("chi", [0.05, 0.5, 2.0, 20.0, 1e3, 1e4])
+    @pytest.mark.parametrize("coupling", [1.0, 2.3])
+    def test_no_chunk_runs_after_the_crossing(self, chi, coupling):
+        times_seen, brackets = [], []
+        survival = indicators.survival_probability
+        bisect = indicators._bisect_gap
+
+        def record_survival(chi_value, w, times):
+            times_seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        def record_bisect(*args):
+            brackets.append(args[3:])
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival), \
+                mock.patch.object(indicators, "_bisect_gap", record_bisect):
+            gqze_interval(chi, coupling)
+        [(_, right)] = brackets
+        assert right in times_seen[-1]
+        assert not any(right in times for times in times_seen[:-1])
+        # Chunks double, so the points past the bracket's right end number
+        # at most 1024 more than those up to it.
+        after = sum(np.count_nonzero(times > right) for times in times_seen)
+        up_to = sum(np.count_nonzero(times <= right) for times in times_seen)
+        assert after <= up_to + 1024
+
+
 # The gqze search accepts chi in (3.2e-7, 6.3e6); draw it log-uniformly so
 # every decade is exercised, not only the top of the range.
 _searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
