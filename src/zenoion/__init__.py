@@ -10,7 +10,6 @@ initial state.
 
 from .config import MODES, ConfigError, RunConfig, load_config
 from .dynamics import (
-    BlockShape,
     BlockSystem,
     VibronicState,
     build_block,
@@ -36,7 +35,6 @@ from .fock import (
 from .indicators import (
     GqzeInterval,
     IndicatorReport,
-    chi_sweep,
     gqze_interval,
     indicator_report,
     mean_level_probabilities,
@@ -64,7 +62,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "BlockShape",
     "BlockSystem",
     "VibronicState",
     "build_block",
@@ -86,7 +83,6 @@ __all__ = [
     "sideband_series_term",
     "GqzeInterval",
     "IndicatorReport",
-    "chi_sweep",
     "gqze_interval",
     "indicator_report",
     "mean_level_probabilities",

@@ -8,12 +8,18 @@ mirroring flag, and flags win over file values. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import runner
 from .config import MODES, RunConfig, load_config
+
+# argparse takes an argument starting with "-" for an option unless it matches
+# its negative-number pattern, which before Python 3.13 has no exponent form
+# ("--gamma2 -1e-3": "expected one argument"). This one has it.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,6 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
     for mode, spec in MODES.items():
         sub = subparsers.add_parser(mode, help=spec.help)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.add_argument("--config", metavar="PATH", help="INI config file")
         for f in fields(RunConfig):
             if f.name == "mode":  # set by the subcommand

@@ -237,8 +237,8 @@ def _read_file(path: str) -> dict:
             parser.read_file(handle, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+    except configparser.Error as exc:  # its message can span lines
+        raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from exc
 
     sections = dict.fromkeys(section for section, _ in _INI_KEYS)
     values: dict = {}

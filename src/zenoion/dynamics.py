@@ -23,7 +23,6 @@ import numpy as np
 
 from .fock import (
     CouplingConstants,
-    DegenerateCouplingError,
     ModeVector,
     SidebandPattern,
     coupling_alpha,
@@ -33,7 +32,6 @@ from .fock import (
 
 __all__ = [
     "BasisLabel",
-    "BlockShape",
     "BlockSystem",
     "VibronicState",
     "classify_block",
@@ -49,16 +47,9 @@ BasisLabel = tuple[ModeVector, int]
 _NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BlockShape:
-    """Dimension and ordered basis chain of one invariant subspace."""
-
-    dimension: int
-    basis_labels: tuple[BasisLabel, ...]
-
-
-def classify_block(n: ModeVector, pattern: SidebandPattern) -> BlockShape:
-    """Basis chain of the invariant subspace containing |n, 1>.
+def classify_block(n: ModeVector, pattern: SidebandPattern) -> tuple[BasisLabel, ...]:
+    """Ordered basis chain of the invariant subspace containing |n, 1>; its
+    length is the block dimension.
 
     The chain is one dimensional when any n_i - r_i < 0, two dimensional
     when n - r exists but some n_i - r_i - l_i < 0, and three dimensional
@@ -71,7 +62,7 @@ def classify_block(n: ModeVector, pattern: SidebandPattern) -> BlockShape:
         labels.append((middle, 2))
         if middle.can_remove(pattern.l):
             labels.append((middle.remove(pattern.l), 3))
-    return BlockShape(len(labels), tuple(labels))
+    return tuple(labels)
 
 
 class _ClosedFormConstants(NamedTuple):
@@ -169,17 +160,6 @@ class BlockSystem:
             ab_conj=complex(np.conj(a) * np.conj(b)),
         )
 
-    def hamiltonian(self) -> np.ndarray:
-        """Dense tridiagonal block matrix (interaction picture, hbar = 1)."""
-        h = np.zeros((self.dimension, self.dimension), dtype=complex)
-        if self.dimension >= 2:
-            h[0, 1] = self.coupling_12
-            h[1, 0] = np.conj(self.coupling_12)
-        if self.dimension == 3:
-            h[1, 2] = self.coupling_23
-            h[2, 1] = np.conj(self.coupling_23)
-        return h
-
 
 def build_block(
     n: ModeVector, pattern: SidebandPattern, couplings: CouplingConstants
@@ -190,20 +170,21 @@ def build_block(
     couplings of the surviving transitions scale with the square-rooted
     falling-factorial factors of the occupations involved.
     """
-    shape = classify_block(n, pattern)
+    chain = classify_block(n, pattern)
+    dimension = len(chain)
     alpha: Optional[complex] = None
     beta: Optional[complex] = None
-    if shape.dimension >= 2:
+    if dimension >= 2:
         alpha = coupling_alpha(couplings.gamma1, n, pattern.r)
-    if shape.dimension == 3:
+    if dimension == 3:
         beta = coupling_beta(couplings.gamma2, n, pattern.r, pattern.l)
     norm = math.hypot(
         abs(alpha) if alpha is not None else 0.0,
         abs(beta) if beta is not None else 0.0,
     )
     return BlockSystem(
-        dimension=shape.dimension,
-        basis_labels=shape.basis_labels,
+        dimension=dimension,
+        basis_labels=chain,
         coupling_12=alpha,
         coupling_23=beta,
         angular_frequency=norm,  # hbar = 1
@@ -220,12 +201,12 @@ class VibronicState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+        norm = self.norm
         # Written as "not <=" so that a NaN norm fails too.
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state must be normalized, got norm {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
@@ -237,11 +218,7 @@ class VibronicState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "VibronicState") -> complex:
-        """<self | other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def _check_state(block: BlockSystem, state: VibronicState) -> None:

@@ -176,8 +176,9 @@ def factorial_ratio_root(n: TripleLike, removed: TripleLike) -> float:
     of the per-mode annihilation monomial between the two occupation states.
     Computed as a running product of falling factors, never through explicit
     factorials, so it stays finite far beyond the n ~ 170 point where the
-    factorials themselves overflow; it can only overflow once the product of
-    retained factors itself exceeds the double range (~1.8e308).
+    factorials themselves overflow. Once the product, or a factor alone,
+    exceeds the double range (~1.8e308) it returns inf at once, so it never
+    multiplies more than ~170 factors per mode, however large the occupations.
 
     Raises InvalidSubspaceError when any n_i - d_i < 0.
     """
@@ -188,7 +189,12 @@ def factorial_ratio_root(n: TripleLike, removed: TripleLike) -> float:
     product = 1.0
     for occupation, count in zip(mode.components, d):
         for k in range(count):
-            product *= occupation - k
+            try:
+                product *= occupation - k
+            except OverflowError:  # the int factor does not fit in a float64
+                return math.inf
+            if product == math.inf:
+                return math.inf
     return math.sqrt(product)
 
 

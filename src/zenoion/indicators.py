@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "sub_threshold_measure",
     "gqze_interval",
     "indicator_report",
-    "chi_sweep",
     "min_survival_grid",
     "time_of_min_grid",
     "mean_survival_quadrature",
@@ -56,6 +55,9 @@ def _checked_coupling(coupling: float) -> float:
     value = float(coupling)
     if not math.isfinite(value) or value <= 0:
         raise DegenerateCouplingError("the 1-2 coupling magnitude must be > 0")
+    # Every time scale here is at most the reference period 2 pi / coupling.
+    if not math.isfinite(_TWO_PI / value):
+        raise ValueError(f"the 1-2 coupling magnitude {value:g} is too small for a finite period")
     return value
 
 
@@ -186,7 +188,6 @@ class GqzeInterval:
     the uncoupled reference, with its length in units of the hindered
     period."""
 
-    start: float
     end: float
     period_ratio: float
     present: bool
@@ -248,26 +249,20 @@ def gqze_interval(
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi.
     """
-    values, _ = _chi_array(chi)
-    chi_value = float(values)
-    base = _checked_coupling(coupling)
-    if not 0.0 < order_threshold <= 1.0:
-        raise ValueError("order_threshold must lie in (0, 1]")
-    if chi_value == 0.0:
-        return None
-    _check_chi_floor(chi_value)
-    half_angle = _window_half_angle(chi_value)
-    w = base * math.sqrt(1.0 + chi_value * chi_value)
-    reference_period = _TWO_PI / base
-    hindered_period = _TWO_PI / w
-    step = min(reference_period, hindered_period) / float(points_per_period)
-    count = int(math.ceil(max_reference_periods * reference_period / step))
+    return _gqze_search(
+        _window_scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+    )
 
+
+def _window_scan(
+    chi_value: float, base: float, w: float, half_angle: float, step: float, count: int
+) -> float:
+    """The crossing time found by the windowed, chunked scan of
+    ``gqze_interval``."""
     # Window k covers grid indices around k * spacing +- reach.
     spacing = math.pi / base / step
     reach = half_angle / base / step
     left = 0.0
-    end = None
     armed = False  # the gap has cleared +_CROSSING_TOL
     closest_gap, closest_time = math.inf, 0.0
     next_index = 1
@@ -295,8 +290,7 @@ def gqze_interval(
         if positive.size:
             left = float(times[positive[-1]])
         if below.size:
-            end = _bisect_gap(chi_value, w, base, left, float(times[stop]))
-            break
+            return _bisect_gap(chi_value, w, base, left, float(times[stop]))
         offset = 0
         if not armed and positive.size:
             armed = True
@@ -305,10 +299,7 @@ def gqze_interval(
         index = offset + int(np.argmin(gap[offset:]))
         if gap[index] < closest_gap:
             closest_gap, closest_time = float(gap[index]), float(times[index])
-    if end is None:
-        end = closest_time
-    ratio = end / hindered_period
-    return GqzeInterval(0.0, end, ratio, ratio >= order_threshold)
+    return closest_time
 
 
 def _window_chunks(count: int, spacing: float, reach: float):
@@ -479,30 +470,6 @@ def indicator_report(
     )
 
 
-def chi_sweep(
-    chi_values: Sequence[float],
-    epsilon: float,
-    coupling: float,
-    order_threshold: float = 0.5,
-) -> list[IndicatorReport]:
-    """Indicator reports over a sorted grid of coupling ratios.
-
-    Entries are independent and deterministic; the grid must be finite and
-    non-decreasing.
-    """
-    values = np.asarray(chi_values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("chi_values must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("chi_values must be finite")
-    if np.any(np.diff(values) < 0):
-        raise ValueError("chi_values must be sorted in non-decreasing order")
-    return [
-        indicator_report(float(value), coupling, epsilon, order_threshold)
-        for value in values
-    ]
-
-
 # --- numeric twins -------------------------------------------------------
 #
 # The functions below sample the survival probability directly and act as
@@ -568,24 +535,20 @@ def gqze_interval_grid(
     max_reference_periods: float = 4.0,
 ) -> Optional[GqzeInterval]:
     """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
-    the grid (``points_per_period`` points per shorter period, out to
-    ``max_reference_periods`` reference periods), brackets the first clearly
-    negative point and bisects, or falls back to the closest approach after
-    the gap first clears +1e-13. Its cost grows linearly in chi.
+    the same grid, brackets the first clearly negative point and bisects, or
+    falls back to the closest approach after the gap first clears +1e-13.
+    It accepts the same chi range. Its cost grows linearly in chi, and a
+    grid of more than 2e8 points is a ``ValueError``.
     """
-    values, _ = _chi_array(chi)
-    chi_value = float(values)
-    base = _checked_coupling(coupling)
-    if not 0.0 < order_threshold <= 1.0:
-        raise ValueError("order_threshold must lie in (0, 1]")
-    if chi_value == 0.0:
-        return None
-    _check_chi_floor(chi_value)
-    w = base * math.sqrt(1.0 + chi_value * chi_value)
-    reference_period = _TWO_PI / base
-    hindered_period = _TWO_PI / w
-    step = min(reference_period, hindered_period) / float(points_per_period)
-    count = int(math.ceil(max_reference_periods * reference_period / step))
+    return _gqze_search(
+        _dense_scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+    )
+
+
+def _dense_scan(
+    chi_value: float, base: float, w: float, half_angle: float, step: float, count: int
+) -> float:
+    """The crossing time found by the dense scan of ``gqze_interval_grid``."""
     if count > 200_000_000:
         raise ValueError("chi too large for the requested grid resolution")
 
@@ -604,5 +567,32 @@ def gqze_interval_grid(
         above = np.nonzero(gap > _CROSSING_TOL)[0]
         start = int(above[0]) if above.size else 0
         end = float(times[start + int(np.argmin(gap[start:]))])
+    return end
+
+
+def _gqze_search(
+    scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+) -> Optional[GqzeInterval]:
+    """Check the arguments of a gqze search, lay out the grid both scans
+    sample (step, 2 step, ..., count step: ``points_per_period`` points per
+    shorter period, out to ``max_reference_periods`` reference periods), and
+    report the crossing time that ``scan(chi, base, w, half_angle, step,
+    count)`` finds. None at chi = 0; ``ValueError`` outside the resolvable
+    range of ``gqze_interval``, raised before chi^2 is formed."""
+    values, _ = _chi_array(chi)
+    chi_value = float(values)
+    base = _checked_coupling(coupling)
+    if not 0.0 < order_threshold <= 1.0:
+        raise ValueError("order_threshold must lie in (0, 1]")
+    if chi_value == 0.0:
+        return None
+    _check_chi_floor(chi_value)
+    half_angle = _window_half_angle(chi_value)
+    w = base * math.sqrt(1.0 + chi_value * chi_value)
+    reference_period = _TWO_PI / base
+    hindered_period = _TWO_PI / w
+    step = min(reference_period, hindered_period) / float(points_per_period)
+    count = int(math.ceil(max_reference_periods * reference_period / step))
+    end = scan(chi_value, base, w, half_angle, step, count)
     ratio = end / hindered_period
-    return GqzeInterval(0.0, end, ratio, ratio >= order_threshold)
+    return GqzeInterval(end, ratio, ratio >= order_threshold)

@@ -5,12 +5,13 @@ an escaped allocation fails fast instead of exhausting the host:
 
     python tests/argv_property.py [max_examples]
 
-Every generated argv must, with warnings raised as errors, do one of three
-things: run and exit 0 with nothing on stderr; exit 1 with exactly one
-``config error: ...`` line on stderr; or, for a value argparse cannot parse,
-exit 2 with argparse's usage message. Anything else, a traceback included,
-fails the property. Grids hold at most 2000 points or more than
-``MAX_GRID_POINTS``, so every run that is accepted stays small.
+Every generated argv, some with an INI file passed by ``--config``, must,
+with warnings raised as errors, do one of three things: run and exit 0 with
+nothing on stderr; exit 1 with exactly one ``config error: ...`` line on
+stderr; or, for a value argparse cannot parse, exit 2 with argparse's usage
+message. Anything else, a traceback included, fails the property. Grids hold
+at most 2000 points or more than ``MAX_GRID_POINTS``, so every run that is
+accepted stays small. Occupations run up to about 10^400.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import resource
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 
 ADDRESS_SPACE_LIMIT = 2 * 1024**3
 
@@ -31,7 +34,7 @@ if __name__ == "__main__":
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from zenoion.cli import main  # noqa: E402
-from zenoion.config import MAX_GRID_POINTS, MODES  # noqa: E402
+from zenoion.config import MAX_GRID_POINTS, MODES, RunConfig  # noqa: E402
 
 MAX_POINTS = 2000
 
@@ -75,8 +78,17 @@ _SAMPLES = st.one_of(
     st.sampled_from((-5, 0, 1, 2, MAX_POINTS, MAX_GRID_POINTS + 1, 10**12)),
     st.integers(min_value=MAX_GRID_POINTS + 1, max_value=10**15),
 ).map(str)
+# Huge occupations: the falling-factorial product overflows after a few
+# factors, and past ~1.8e308 a single factor does not fit in a float64.
+_HUGE = st.one_of(
+    st.sampled_from((10**9, 2**1023, 10**308, 10**309, 10**400)),
+    st.integers(min_value=0, max_value=10**400),
+)
 _TRIPLE = st.one_of(
     st.tuples(*[st.integers(min_value=0, max_value=3)] * 3).map(lambda t: "%d,%d,%d" % t),
+    st.tuples(*[st.one_of(st.integers(min_value=0, max_value=3), _HUGE)] * 3).map(
+        lambda t: "%d,%d,%d" % t
+    ),
     st.sampled_from(("0,0,0", "100000,0,0", "50000,0,0", "1,2", "-1,0,0", "a,b")),
 )
 # The figure grids run to chi = 3 and 5 in steps of chi_step: at most 2000
@@ -109,6 +121,35 @@ def _sweep_grid(draw):
     return repr(count * step), repr(step)
 
 
+# INI section and key of each RunConfig field, and the values an INI file
+# gives it: those the flags get, so its grids stay as small.
+_INI_KEYS = {
+    f.name: (f.metadata["section"], f.metadata["key"] or f.name) for f in fields(RunConfig)
+}
+_INI_VALUES = {
+    "mode": st.sampled_from(sorted(MODES) + ["bogus"]),
+    "chi": _CHI,
+    "gamma1": _GAMMA,
+    "gamma2": _GAMMA,
+    "omega_a": _OMEGA,
+    "eta_a": _ETA,
+    "omega_b": _OMEGA,
+    "eta_b": _ETA,
+    "n": _TRIPLE,
+    "r": _TRIPLE,
+    "l": _TRIPLE,
+    "t_max": _T_MAX,
+    "samples": _SAMPLES,
+    "epsilon": _EPSILON,
+    "order_threshold": _THRESHOLD,
+    "chi_max": _numbers((0.0, 5.0, -1.0), 0.0, 10.0),
+    "chi_step": _FIGURE_STEP,
+    "out": st.sampled_from(("out", "run.csv")),
+    "seed": _SEED,
+}
+# Lines configparser cannot read, or reads as a duplicate section.
+_MALFORMED = ("junk", "[unclosed", "= 1", "[grid]", "[couplings]", "  indented = 1")
+
 # Coupling sources: mostly one, sometimes none or an ambiguous pair.
 _SOURCES = (("chi",), ("gamma",), ("drive",)) * 2 + ((), ("chi", "gamma"), ("gamma", "drive"))
 # Draws that come out True one time in three and one time in ten.
@@ -117,9 +158,30 @@ _TENTH = st.sampled_from((True,) + (False,) * 9)
 
 
 @st.composite
+def ini_texts(draw):
+    """An INI file of RunConfig keys, one time in ten with an unknown or
+    misplaced section or key, a malformed value or an unreadable line."""
+    sections: dict[str, list[str]] = {}
+    for name in draw(st.lists(st.sampled_from(sorted(_INI_VALUES)), max_size=6, unique=True)):
+        section, key = _INI_KEYS[name]
+        value = draw(_INI_VALUES[name])
+        if draw(_TENTH):
+            section = draw(st.sampled_from(("bogus", "Grid", "run", "validate")))
+        if draw(_TENTH):
+            key = draw(st.sampled_from((key + "_x", "mode", "path", "unknown")))
+        if draw(_TENTH):
+            value = draw(st.sampled_from(_BAD_NUMBERS))
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    lines = [line for section, keys in sections.items() for line in [f"[{section}]", *keys]]
+    if draw(_TENTH):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_MALFORMED)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
 def argvs(draw):
-    """A mode and its flags, each written ``--flag=value`` so that a
-    negative number in exponent form is read as a value, not an option."""
+    """A mode and its flags, each written ``--flag=value`` or ``--flag value``
+    (a negative number in exponent form must read as a value either way)."""
     mode = draw(st.sampled_from(sorted(MODES)))
     flags = []
 
@@ -156,7 +218,17 @@ def argvs(draw):
     if numeric and draw(_TENTH):
         index = draw(st.sampled_from(numeric))
         flags[index] = (flags[index][0], draw(st.sampled_from(_BAD_NUMBERS)))
-    return [mode] + [f"{flag}={value}" for flag, value in flags]
+    argv = [mode]
+    for flag, value in flags:
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@st.composite
+def runs(draw):
+    """An argv and, one time in three, the text of an INI file for it."""
+    argv = draw(argvs())
+    return argv, draw(ini_texts()) if draw(_THIRD) else None
 
 
 def run(argv) -> tuple[int, str]:
@@ -173,8 +245,13 @@ def run(argv) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
-def check(argv) -> None:
+def check(argv, ini=None) -> None:
     with tempfile.TemporaryDirectory() as out:
+        if ini is not None:
+            config = os.path.join(out, "run.ini")
+            with open(config, "w", encoding="utf-8") as handle:
+                handle.write(ini)
+            argv = argv + [f"--config={config}"]
         code, err = run(argv + [f"--out={out}"])
     if code == 0:
         assert err == "", err
@@ -193,9 +270,9 @@ def main_property(max_examples: int) -> None:
         database=None,
         suppress_health_check=list(HealthCheck),
     )
-    @given(argv=argvs())
-    def prop(argv):
-        check(argv)
+    @given(case=runs())
+    def prop(case):
+        check(*case)
 
     prop()
 

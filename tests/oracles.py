@@ -69,9 +69,21 @@ def series_term_oracle(eta: float, j: int, n: int) -> float:
     return eta ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1)) * element
 
 
-def expm_oracle(hamiltonian: np.ndarray, t: float) -> np.ndarray:
+def hamiltonian(block) -> np.ndarray:
+    """Dense tridiagonal block matrix (interaction picture, hbar = 1)."""
+    h = np.zeros((block.dimension, block.dimension), dtype=complex)
+    if block.dimension >= 2:
+        h[0, 1] = block.coupling_12
+        h[1, 0] = np.conj(block.coupling_12)
+    if block.dimension == 3:
+        h[1, 2] = block.coupling_23
+        h[2, 1] = np.conj(block.coupling_23)
+    return h
+
+
+def expm_oracle(matrix: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) through numpy's Hermitian eigensolver (third route)."""
-    eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     phases = np.exp(-1j * eigenvalues * t)
     return (eigenvectors * phases) @ eigenvectors.conj().T
 

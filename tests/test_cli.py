@@ -309,14 +309,15 @@ class TestValidateHarness:
         two = run_validate(config)
         assert [c.max_deviation for c in one.checks] == [c.max_deviation for c in two.checks]
 
-    def test_injected_sign_flip_is_caught(self):
+    def test_injected_sign_flip_is_caught(self, monkeypatch):
         def corrupted(block, state, t):
             if block.coupling_12 is not None and block.coupling_12 != 0:
                 block = replace(block, coupling_12=-block.coupling_12)
             return propagate_analytic(block, state, t)
 
+        monkeypatch.setattr("zenoion.runner.propagate_analytic", corrupted)
         config = load_config(None, {"mode": "validate", "seed": 3})
-        report = run_validate(config, propagator=corrupted)
+        report = run_validate(config)
         assert not report.ok
         assert "FAIL" in report.format_text()
 
@@ -456,6 +457,20 @@ class TestCliEntry:
                  "--gamma1", "1", "--gamma2", "1"],
                 "|c23| = inf",
             ),
+            (
+                ["indicators", "--n", "1" + "0" * 400 + ",0,0", "--r", "1,0,0",
+                 "--gamma1", "1", "--gamma2", "1"],
+                "|c12| = inf",
+            ),
+            (
+                ["indicators", "--n", "20000000,0,0", "--r", "20000000,0,0",
+                 "--gamma1", "1", "--gamma2", "1"],
+                "|c12| = inf",
+            ),
+            (
+                ["indicators", "--gamma1", "2.2e-311", "--gamma2", "0", "--l", "0,0,1"],
+                "coupling magnitude 2.2e-311 is too small",
+            ),
         ],
     )
     def test_oversized_or_underflowing_input_exits_cleanly(
@@ -482,6 +497,19 @@ class TestCliEntry:
             assert main(["indicators", *argv, "--out", str(tmp_path)]) == 0
         _, data = read_columns(tmp_path / "evolve.csv")
         np.testing.assert_allclose(data["p1"] + data["p2"], 1.0, atol=1e-12)
+
+    def test_negative_exponent_values_are_values(self, tmp_path, capsys):
+        # argparse before Python 3.13 reads "-1e-3" as an option.
+        argv = ["evolve", "--gamma1", "1", "--gamma2", "-1e-3", "--samples", "10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "evolve.csv").exists()
+        assert main(["evolve", "--chi", "-1e-3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: chi must be >= 0\n"
+
+    def test_example_config_runs(self, tmp_path):
+        example = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+        assert main(["indicators", "--config", str(example), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "indicators.csv").exists()
 
     def test_negative_seed_exit_code(self, capsys):
         code = main(["validate", "--seed", "-1"])

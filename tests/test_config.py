@@ -219,6 +219,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="parse error"):
             load_config(str(path), {})
 
+    @pytest.mark.parametrize("text", ["junk\n", "[run\nmode = figures\n", "[run]\nx\n"])
+    def test_parse_error_is_one_line(self, tmp_path, text):
+        # configparser spreads these messages over several lines.
+        path = tmp_path / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="line") as caught:
+            load_config(str(path), {})
+        assert "\n" not in str(caught.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"), {})

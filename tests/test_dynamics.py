@@ -23,7 +23,7 @@ from zenoion.fock import (
     SidebandPattern,
 )
 
-from .oracles import closed_form_matrix, expm_oracle
+from .oracles import closed_form_matrix, expm_oracle, hamiltonian
 
 coupling_values = st.complex_numbers(
     min_magnitude=1e-2, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -42,19 +42,19 @@ def three_level_block(alpha: complex, beta: complex) -> BlockSystem:
 
 class TestClassifyBlock:
     def test_one_dimensional_when_first_sideband_fails(self):
-        shape = classify_block(ModeVector(0, 0, 0), SidebandPattern((1, 0, 0), (0, 0, 0)))
-        assert shape.dimension == 1
-        assert shape.basis_labels == ((ModeVector(0, 0, 0), 1),)
+        chain = classify_block(ModeVector(0, 0, 0), SidebandPattern((1, 0, 0), (0, 0, 0)))
+        assert len(chain) == 1
+        assert chain == ((ModeVector(0, 0, 0), 1),)
 
     def test_two_dimensional_when_second_sideband_fails(self):
-        shape = classify_block(ModeVector(1, 0, 0), SidebandPattern((1, 0, 0), (1, 0, 0)))
-        assert shape.dimension == 2
-        assert shape.basis_labels[1] == (ModeVector(0, 0, 0), 2)
+        chain = classify_block(ModeVector(1, 0, 0), SidebandPattern((1, 0, 0), (1, 0, 0)))
+        assert len(chain) == 2
+        assert chain[1] == (ModeVector(0, 0, 0), 2)
 
     def test_three_dimensional_full_chain(self):
-        shape = classify_block(ModeVector(2, 1, 1), SidebandPattern((1, 0, 0), (1, 1, 1)))
-        assert shape.dimension == 3
-        assert shape.basis_labels[-1] == (ModeVector(0, 0, 0), 3)
+        chain = classify_block(ModeVector(2, 1, 1), SidebandPattern((1, 0, 0), (1, 1, 1)))
+        assert len(chain) == 3
+        assert chain[-1] == (ModeVector(0, 0, 0), 3)
 
     @given(
         n=st.tuples(*(st.integers(0, 5),) * 3),
@@ -62,11 +62,11 @@ class TestClassifyBlock:
         l=st.tuples(*(st.integers(0, 2),) * 3),
     )
     def test_dimension_rule(self, n, r, l):
-        shape = classify_block(ModeVector.of(n), SidebandPattern(r, l))
+        chain = classify_block(ModeVector.of(n), SidebandPattern(r, l))
         first = all(nv >= rv for nv, rv in zip(n, r))
         second = first and all(nv - rv >= lv for nv, rv, lv in zip(n, r, l))
         expected = 3 if second else (2 if first else 1)
-        assert shape.dimension == expected
+        assert len(chain) == expected
 
 
 class TestBuildBlock:
@@ -114,8 +114,8 @@ class TestBuildBlock:
     def test_coupling_norm_combines_both_couplings(self):
         block = three_level_block(3.0, 4.0)
         assert block.angular_frequency == pytest.approx(5.0)
-        assert block.hamiltonian()[0, 1] == 3.0
-        assert block.hamiltonian()[1, 2] == 4.0
+        assert hamiltonian(block)[0, 1] == 3.0
+        assert hamiltonian(block)[1, 2] == 4.0
 
 
 class TestVibronicState:
@@ -211,7 +211,9 @@ class TestPropagation:
         period = 2 * math.pi / block.angular_frequency
         state = VibronicState.basis_state(3, 0)
         evolved = propagate_analytic(block, state, period)
-        assert abs(state.overlap(evolved)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(state.amplitudes, evolved.amplitudes)) ** 2 == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_middle_state_equal_couplings_quarter_period(self):
         block = three_level_block(1.0, 1.0)
@@ -220,7 +222,7 @@ class TestPropagation:
         evolved = propagate_analytic(block, state, t)
         assert_allclose(level_probabilities(evolved), (0.5, 0.0, 0.5), atol=1e-12)
         # third route: numpy's Hermitian eigensolver
-        expected = expm_oracle(block.hamiltonian(), t) @ state.amplitudes
+        expected = expm_oracle(hamiltonian(block), t) @ state.amplitudes
         assert_allclose(evolved.amplitudes, expected, atol=1e-12)
 
     def test_min_population_at_half_period(self):
@@ -233,7 +235,7 @@ class TestPropagation:
 
     def test_eigenvalues_are_zero_and_plus_minus_norm(self):
         block = three_level_block(0.8 + 0.3j, -1.1 + 0.2j)
-        eigenvalues = np.linalg.eigvalsh(block.hamiltonian())
+        eigenvalues = np.linalg.eigvalsh(hamiltonian(block))
         norm = block.angular_frequency
         assert_allclose(eigenvalues, [-norm, 0.0, norm], atol=1e-12)
 
@@ -368,7 +370,7 @@ class TestSurvivalProbability:
         block = three_level_block(1.0, beta)
         state = VibronicState.basis_state(3, 0)
         evolved = propagate_analytic(block, state, t)
-        direct = abs(state.overlap(evolved)) ** 2
+        direct = abs(np.vdot(state.amplitudes, evolved.amplitudes)) ** 2
         formula = survival_probability(abs(block.chi), block.angular_frequency, t)
         assert direct == pytest.approx(formula, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,28 @@ class TestFactorialRatioRoot:
         expected = falling_root_oracle(n, d)
         value = factorial_ratio_root(n, d)
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_overflowing_product_returns_inf_at_once(self):
+        # Running to the end would take 10^9 multiplications.
+        start = time.perf_counter()
+        assert factorial_ratio_root((10**9, 0, 0), (10**9, 0, 0)) == math.inf
+        assert time.perf_counter() - start < 1.0
+
+    def test_factor_beyond_float_range_returns_inf(self):
+        assert factorial_ratio_root((10**400, 0, 0), (1, 0, 0)) == math.inf
+        assert factorial_ratio_root((0, 0, 10**400), (0, 0, 0)) == 1.0
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [((170, 0, 0), (170, 0, 0)), ((171, 0, 0), (171, 0, 0)), ((90, 90, 3), (85, 80, 2)),
+         ((2**1023, 0, 0), (1, 0, 0)), ((2**1023, 3, 0), (2, 1, 0))],
+    )
+    def test_keeps_the_bits_of_the_plain_running_product(self, n, d):
+        product = 1.0
+        for occupation, count in zip(n, d):
+            for k in range(count):
+                product *= occupation - k
+        assert factorial_ratio_root(n, d) == math.sqrt(product)
 
 
 class TestBlockCouplings:

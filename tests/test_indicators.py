@@ -16,7 +16,6 @@ from zenoion.dynamics import (
 )
 from zenoion.fock import CouplingConstants, DegenerateCouplingError, ModeVector, SidebandPattern
 from zenoion.indicators import (
-    chi_sweep,
     gqze_interval,
     gqze_interval_grid,
     indicator_report,
@@ -50,6 +49,11 @@ class TestPoincareTime:
     def test_degenerate_coupling(self):
         with pytest.raises(DegenerateCouplingError):
             poincare_time(0.0, 1.0)
+
+    @pytest.mark.parametrize("coupling", [1e-308, 5e-324])
+    def test_coupling_whose_period_overflows(self, coupling):
+        with pytest.raises(ValueError, match="too small"):
+            poincare_time(coupling, 0.0)
 
 
 class TestMinSurvival:
@@ -233,7 +237,6 @@ class TestGqzeInterval:
     def test_present_above_unit_ratio(self, chi):
         interval = gqze_interval(chi, 1.0)
         assert interval is not None
-        assert interval.start == 0.0
         assert interval.present
         assert interval.period_ratio >= 0.5
 
@@ -314,7 +317,7 @@ class TestGqzeWindowedSearch:
         assert round(turns) >= 1
         assert abs(turns - round(turns)) <= 1e-5
 
-    @pytest.mark.parametrize("chi", [6.4e6, 1e7, 1e160, 1e300])
+    @pytest.mark.parametrize("chi", [6.4e6, 1e7, 1e160, 1e200, 1e300])
     def test_rejects_chi_beyond_resolvable_range(self, chi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -322,6 +325,10 @@ class TestGqzeWindowedSearch:
                 gqze_interval(chi, 1.0)
             with pytest.raises(ValueError, match="too large"):
                 indicator_report(chi, 1.0, 0.01)
+            # The twin shares the search's range check; past chi ~ 1e154 it
+            # used to divide by a zero step.
+            with pytest.raises(ValueError, match="is too large: the survival floor"):
+                gqze_interval_grid(chi, 1.0)
 
 
     @pytest.mark.parametrize("chi", [1e-9, 1e-7, 3e-7])
@@ -505,7 +512,7 @@ class TestBisectGap:
 
 class TestReportsAndSweep:
     def test_single_point_sweep(self):
-        (report,) = chi_sweep([0.0], 0.01, 1.0)
+        report = indicator_report(0.0, 1.0, 0.01)
         assert report.survival_min == 0.0
         assert report.survival_mean == pytest.approx(0.5)
         assert report.poincare_period == pytest.approx(2 * math.pi)
@@ -513,7 +520,7 @@ class TestReportsAndSweep:
 
     def test_floor_lifts_off_at_unit_ratio(self):
         grid = np.round(np.arange(0, 301) * 0.01, 12)
-        reports = chi_sweep(grid, 0.01, 1.0)
+        reports = [indicator_report(float(chi), 1.0, 0.01) for chi in grid]
         floors = np.array([r.survival_min for r in reports])
         nonzero = grid[floors > 0]
         assert nonzero.min() == pytest.approx(1.01, abs=0.011)
@@ -521,13 +528,9 @@ class TestReportsAndSweep:
 
     def test_mean_minimum_within_grid_resolution(self):
         grid = np.round(np.arange(0, 201) * 0.01, 12)
-        reports = chi_sweep(grid, 0.01, 1.0)
+        reports = [indicator_report(float(chi), 1.0, 0.01) for chi in grid]
         means = np.array([r.survival_mean for r in reports])
         assert grid[int(np.argmin(means))] == pytest.approx(1 / math.sqrt(2), abs=0.01)
-
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            chi_sweep([1.0, 0.5], 0.01, 1.0)
 
     def test_report_invariants(self):
         for chi in (0.0, 0.5, 1.0, 2.0, 10.0):
