@@ -18,8 +18,11 @@ from .config import MODES, RunConfig, load_config
 
 # argparse takes an argument starting with "-" for an option unless it matches
 # its negative-number pattern, which before Python 3.13 has no exponent form
-# ("--gamma2 -1e-3": "expected one argument"). This one has it.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# ("--gamma2 -1e-3": "expected one argument") and never takes -inf or -nan.
+# This one has both, so the config check rejects them in either spelling.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def build_parser() -> argparse.ArgumentParser:

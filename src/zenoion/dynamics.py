@@ -66,21 +66,17 @@ def classify_block(n: ModeVector, pattern: SidebandPattern) -> tuple[BasisLabel,
 
 
 class _ClosedFormConstants(NamedTuple):
-    """Coupling-derived constants of one block's closed-form propagator,
-    with a = coupling_12 and b = coupling_23 (b = 0 in two-level blocks)."""
+    """Constants of one block's closed-form propagator, in units of the
+    block frequency w: a = coupling_12 / w and b = coupling_23 / w (b = 0 in
+    two-level blocks), both of modulus at most 1."""
 
-    norm: float  # sqrt(|a|^2 + |b|^2); abs(a) in two-level blocks
-    inv_norm: float  # 1 / norm
+    norm: float  # sqrt(norm_sq), about 1
     norm_sq: float  # |a|^2 + |b|^2
-    inv_norm_sq: float  # 1 / norm_sq
     a_sq: float  # |a|^2
     b_sq: float  # |b|^2
     ia: complex  # -i a
     ib: complex  # -i b
-    ia_conj: complex  # -i conj(a)
-    ib_conj: complex  # -i conj(b)
     ab: complex  # a b
-    ab_conj: complex  # conj(a) conj(b)
 
 
 @dataclass(frozen=True)
@@ -123,41 +119,19 @@ class BlockSystem:
         instance ``__dict__`` (they are not fields, so equality and hashing
         only see the couplings).
 
-        Each is formed exactly as the per-element expressions of
-        exp(-i H t) round it: the elements of rows 2 and 3 that carry
-        conj(a) or conj(b) are numpy complex128 products, and numpy divides
-        a complex by a real by multiplying with the real's reciprocal, so
-        those elements are scaled by ``inv_norm`` and ``inv_norm_sq``; the
-        other elements divide. ``norm_sq`` is built directly from the
-        couplings so the t = 0 propagator is the exact identity (squaring a
-        rounded square root would miss by one ulp).
+        Dividing the couplings by w first keeps every constant near 1, so no
+        finite frequency overflows, underflows or divides by zero here.
+        ``norm_sq`` is the sum of the two squares, so the t = 0 propagator
+        is the exact identity.
         """
-        a = complex(self.coupling_12)
-        if self.dimension == 2:
-            b = 0j
-            a_sq = b_sq = 0.0
-            norm_sq = inv_norm_sq = 0.0
-            norm = abs(a)
-        else:
-            b = complex(self.coupling_23)
-            a_sq = abs(a) ** 2
-            b_sq = abs(b) ** 2
-            norm_sq = a_sq + b_sq
-            inv_norm_sq = 1.0 / norm_sq
-            norm = math.sqrt(norm_sq)
+        w = self.angular_frequency
+        a = complex(self.coupling_12) / w
+        b = complex(self.coupling_23) / w if self.dimension == 3 else 0j
+        a_sq = abs(a) ** 2
+        b_sq = abs(b) ** 2
+        norm_sq = a_sq + b_sq
         return _ClosedFormConstants(
-            norm=norm,
-            inv_norm=1.0 / norm,
-            norm_sq=norm_sq,
-            inv_norm_sq=inv_norm_sq,
-            a_sq=a_sq,
-            b_sq=b_sq,
-            ia=-1j * a,
-            ib=-1j * b,
-            ia_conj=complex(-1j * np.conj(a)),
-            ib_conj=complex(-1j * np.conj(b)),
-            ab=a * b,
-            ab_conj=complex(np.conj(a) * np.conj(b)),
+            math.sqrt(norm_sq), norm_sq, a_sq, b_sq, -1j * a, -1j * b, a * b
         )
 
 
@@ -234,36 +208,39 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
 
     Because H^3 = w^2 H with w = angular_frequency, exp(-i H t) collapses to
     I + (cos(wt) - 1) H^2 / w^2 - i sin(wt) H / w. Each call computes
-    c = cos(wt) and s = sin(wt) and applies that expression, written out per
-    matrix element, straight to the state's amplitudes as Python scalars; no
-    3 x 3 array is built. The coupling products the elements need come from
-    ``BlockSystem._closed_form``, computed once per block.
+    c = cos(wt) and s = sin(wt), forms the upper triangle of that matrix
+    from ``BlockSystem._closed_form`` (computed once per block), and
+    applies it straight to the state's amplitudes as Python scalars; no
+    3 x 3 array is built. The middle element is c, and the lower triangle
+    follows exactly from the symmetry of exp(-i H t) for this H:
+    U10 = -conj(U01), U21 = -conj(U12), U20 = conj(U02).
 
-    Two-level blocks use the same formula family with the 2-3 coupling set
-    to zero (plain Rabi oscillation); one-level blocks are stationary.
-    Negative times are allowed (the evolution is a unitary group).
+    Two-level blocks use the same U01 (plain Rabi oscillation); one-level
+    blocks are stationary. Negative times are allowed (the evolution is a
+    unitary group).
     """
     _check_state(block, initial)
     w = block.angular_frequency
     if block.dimension == 1 or w == 0.0:
         return initial
-    (norm, inv_norm, norm_sq, inv_norm_sq, a_sq, b_sq,
-     ia, ib, ia_conj, ib_conj, ab, ab_conj) = block._closed_form
+    norm, norm_sq, a_sq, b_sq, ia, ib, ab = block._closed_form
     phase = w * float(t)
     c = math.cos(phase)
     s = math.sin(phase)
+    u01 = ia * s / norm
     if block.dimension == 2:
         x0, x1 = initial.amplitudes.tolist()
-        return VibronicState([c * x0 + ia * s / norm * x1, ia_conj * s * inv_norm * x0 + c * x1])
+        return VibronicState([c * x0 + u01 * x1, -u01.conjugate() * x0 + c * x1])
     x0, x1, x2 = initial.amplitudes.tolist()
-    c1 = c - 1.0
+    u00 = (b_sq + a_sq * c) / norm_sq
+    u02 = ab * (c - 1.0) / norm_sq
+    u12 = ib * s / norm
+    u22 = (a_sq + b_sq * c) / norm_sq
     return VibronicState(
         [
-            (b_sq + a_sq * c) / norm_sq * x0 + ia * s / norm * x1 + ab * c1 / norm_sq * x2,
-            ia_conj * s * inv_norm * x0 + c * x1 + ib * s / norm * x2,
-            ab_conj * c1 * inv_norm_sq * x0
-            + ib_conj * s * inv_norm * x1
-            + (a_sq + b_sq * c) / norm_sq * x2,
+            u00 * x0 + u01 * x1 + u02 * x2,
+            -u01.conjugate() * x0 + c * x1 + u12 * x2,
+            u02.conjugate() * x0 - u12.conjugate() * x1 + u22 * x2,
         ]
     )
 
@@ -315,15 +292,8 @@ def survival_probability(chi, angular_frequency, t):
 
     ((chi^2 + cos(w t)) / (chi^2 + 1))^2 with chi the modulus of the block
     coupling ratio and w the block angular frequency. Accepts a scalar or
-    array ``t`` and returns matching shape.
-
-    The two shapes square differently and can differ by one ulp. A scalar
-    ``t`` squares a numpy float64 scalar with ``** 2``, which is libm
-    ``pow``; ``indicators._gap`` copies those bits for the gqze bisection,
-    and the "survival formula vs overlap" check of ``run_validate`` uses
-    them. An array ``t`` is computed in one buffer and squared with
-    ``x * x``; the gqze window scan (whose inline chi = 0 reference squares
-    the same way), the survival CSV, the figures and the grid twins use it.
+    array ``t`` and returns a float or a matching array. Both are computed
+    in one buffer (0-d for a scalar) and squared as x * x.
     """
     w = float(angular_frequency)
     if not (math.isfinite(w) and w > 0):
@@ -332,15 +302,15 @@ def survival_probability(chi, angular_frequency, t):
     if not (math.isfinite(chi) and chi >= 0):
         raise ValueError("chi must be finite and >= 0")
     chi_sq = chi * chi
+    if not math.isfinite(chi_sq):
+        raise ValueError(f"chi = {chi:g} is too large: chi^2 overflows float64")
     times = np.asarray(t, dtype=float)
-    if times.ndim == 0:
-        return float(((chi_sq + np.cos(w * times)) / (chi_sq + 1.0)) ** 2)
-    result = w * times
+    result = np.multiply(w, times, out=np.empty_like(times))
     np.cos(result, out=result)
     result += chi_sq
     result /= chi_sq + 1.0
     np.square(result, out=result)
-    return result
+    return float(result) if result.ndim == 0 else result
 
 
 def level_probabilities(state: VibronicState) -> tuple[float, float, float]:

@@ -75,9 +75,28 @@ def _chi_array(chi) -> tuple[np.ndarray, bool]:
     return values, scalar
 
 
+def _frequency(base: float, chi_sq):
+    """Block angular frequency base * sqrt(1 + chi^2), hbar = 1, for a
+    checked coupling and a float or array chi^2; ``ValueError`` once it
+    overflows float64."""
+    if isinstance(chi_sq, float):
+        w = base * math.sqrt(1.0 + chi_sq)
+        finite = math.isfinite(w)
+    else:
+        with np.errstate(over="ignore"):
+            w = base * np.sqrt(1.0 + chi_sq)
+        finite = np.all(np.isfinite(w))
+    if not finite:
+        raise ValueError(
+            f"the block frequency coupling * sqrt(1 + chi^2) overflows float64 "
+            f"(coupling = {base:g})"
+        )
+    return w
+
+
 def angular_frequency(coupling: float, chi: float) -> float:
     """Block angular frequency coupling * sqrt(1 + chi^2), hbar = 1."""
-    return _checked_coupling(coupling) * math.sqrt(1.0 + float(chi) ** 2)
+    return _frequency(_checked_coupling(coupling), float(chi) ** 2)
 
 
 def poincare_time(coupling, chi):
@@ -88,7 +107,7 @@ def poincare_time(coupling, chi):
     """
     base = _checked_coupling(coupling)
     values, scalar = _chi_array(chi)
-    result = _TWO_PI / (base * np.sqrt(1.0 + values * values))
+    result = _TWO_PI / _frequency(base, values * values)
     return float(result) if scalar else result
 
 
@@ -115,7 +134,7 @@ def time_of_min(coupling, chi):
     base = _checked_coupling(coupling)
     values, scalar = _chi_array(chi)
     chi_sq = values * values
-    w = base * np.sqrt(1.0 + chi_sq)
+    w = _frequency(base, chi_sq)
     phase = np.where(chi_sq <= 1.0, np.arccos(np.clip(-chi_sq, -1.0, 1.0)), math.pi)
     result = phase / w
     return float(result) if scalar else result
@@ -170,11 +189,11 @@ def sub_threshold_measure(chi: float, epsilon: float, coupling: float) -> float:
     base = _checked_coupling(coupling)
     values, _ = _chi_array(chi)
     chi_value = float(values)
+    chi_sq = chi_value * chi_value
+    w = _frequency(base, chi_sq)
     threshold = mean_survival(chi_value) - epsilon
     if threshold <= 0.0:
         return 0.0
-    chi_sq = chi_value * chi_value
-    w = base * math.sqrt(1.0 + chi_sq)
     root = math.sqrt(threshold)
     cos_high = min(1.0, max(-1.0, root * (1.0 + chi_sq) - chi_sq))
     cos_low = min(1.0, max(-1.0, -root * (1.0 + chi_sq) - chi_sq))
@@ -373,13 +392,13 @@ def _gap(chi_sq: float, w: float, base: float, t: float) -> float:
     """Hindered minus reference survival at one time, on Python floats.
 
     Bit for bit ``survival_probability(chi, w, t) - survival_probability(0.0,
-    base, t)``: each term is the same float64 operations in the same order.
-    The squares are ``** 2`` because the 0-d numpy path squares a numpy
-    float64 scalar, which calls libm ``pow`` (``x * x`` differs from it by an
-    ulp in about 0.06% of draws). ``math.cos`` matching numpy's 0-d ``cos``
-    is checked by the test suite, not assumed.
+    base, t)``: each term is the same float64 operations in the same order,
+    squares included (x * x). ``math.cos`` matching numpy's 0-d ``cos`` is
+    checked by the test suite, not assumed.
     """
-    return ((chi_sq + math.cos(w * t)) / (chi_sq + 1.0)) ** 2 - math.cos(base * t) ** 2
+    hindered = (chi_sq + math.cos(w * t)) / (chi_sq + 1.0)
+    reference = math.cos(base * t)
+    return hindered * hindered - reference * reference
 
 
 def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) -> float:
@@ -588,7 +607,7 @@ def _gqze_search(
         return None
     _check_chi_floor(chi_value)
     half_angle = _window_half_angle(chi_value)
-    w = base * math.sqrt(1.0 + chi_value * chi_value)
+    w = _frequency(base, chi_value * chi_value)
     reference_period = _TWO_PI / base
     hindered_period = _TWO_PI / w
     step = min(reference_period, hindered_period) / float(points_per_period)

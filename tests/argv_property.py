@@ -55,11 +55,13 @@ def _numbers(edges, low, high):
 
 _CHI = _numbers(
     (0.0, -0.0, 5e-324, 1e-300, 1e-9, 3.2e-7, 3.3e-7, 0.5, 1.0, math.sqrt(3.0), 2.0,
-     20.0, 6.3e6, 6.4e6, 1e155, 1e300, 1.7976931348623157e308, -1.0, math.inf, math.nan),
+     20.0, 6.3e6, 6.4e6, 1e155, 1e300, 1.7976931348623157e308, -1.0, math.inf, math.nan,
+     -math.inf, "-nan"),
     0.0, 50.0,
 )
 _GAMMA = _numbers(
-    (0.0, 5e-324, 1e-200, 1e-160, 1e-3, 1.0, 3.0, 1e155, 1e308, -1.0, -2.5, math.inf),
+    (0.0, 5e-324, 1e-200, 1e-160, 1e-3, 1.0, 3.0, 1e155, 1e308, -1.0, -2.5, math.inf,
+     -math.inf, "-nan"),
     -10.0, 10.0,
 )
 _OMEGA = _numbers((0.0, 1e-300, 1.0, 2.0, 1e308, -1.0, math.nan), -10.0, 10.0)

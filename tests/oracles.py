@@ -88,42 +88,6 @@ def expm_oracle(matrix: np.ndarray, t: float) -> np.ndarray:
     return (eigenvectors * phases) @ eigenvectors.conj().T
 
 
-def closed_form_matrix(block, t: float) -> np.ndarray:
-    """exp(-i H t) of a two- or three-level block with nonzero frequency, as
-    a dense matrix of the per-element closed-form expressions.
-
-    The operand types are part of the reference: the elements that carry
-    conj(a) or conj(b) are numpy complex128 arithmetic (numpy divides a
-    complex by a real through the real's reciprocal), the others Python
-    complex arithmetic. Applied to a basis state, ``propagate_analytic``
-    must return the matching column bit for bit, which keeps the bytes of
-    ``evolve`` output fixed.
-    """
-    w = block.angular_frequency
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    a = complex(block.coupling_12)
-    if block.dimension == 2:
-        norm = abs(a)
-        return np.array([[c, -1j * a * s / norm], [-1j * np.conj(a) * s / norm, c]])
-    b = complex(block.coupling_23)
-    a_sq = abs(a) ** 2
-    b_sq = abs(b) ** 2
-    norm_sq = a_sq + b_sq
-    norm = math.sqrt(norm_sq)
-    return np.array(
-        [
-            [(b_sq + a_sq * c) / norm_sq, -1j * a * s / norm, a * b * (c - 1.0) / norm_sq],
-            [-1j * np.conj(a) * s / norm, c, -1j * b * s / norm],
-            [
-                np.conj(a) * np.conj(b) * (c - 1.0) / norm_sq,
-                -1j * np.conj(b) * s / norm,
-                (a_sq + b_sq * c) / norm_sq,
-            ],
-        ]
-    )
-
-
 def bisect_gap_oracle(chi: float, w: float, base: float, left: float, right: float) -> float:
     """The hindering-interval bisection in its first form: always 80
     halvings, each taking the gap from two 0-d ``survival_probability``

@@ -116,6 +116,17 @@ class TestCurveModes:
         np.testing.assert_allclose(data["p1"], data["survival"], atol=1e-12)
         assert data["p1"][0] == 1.0
 
+    def test_evolve_survival_column_is_p1(self, tmp_path):
+        config = load_config(
+            None,
+            {"mode": "evolve", "gamma1": 0.8, "gamma2": 2.3, "samples": 500,
+             "out": str(tmp_path)},
+        )
+        path = run_evolve(config)
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert len(rows) == 500
+        assert all(row[4] == row[1] for row in rows)
+
     def test_evolve_scaled_times_use_base_frequency(self, tmp_path):
         # gamma1 = 2 halves internal time; scaled output must not change.
         slow = load_config(
@@ -436,8 +447,8 @@ class TestCliEntry:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["evolve", "--gamma1", "1e-200", "--gamma2", "1e-200"], "too small"),
-            (["survival", "--gamma1", "1e-160", "--gamma2", "1e-160"], "too small"),
+            (["evolve", "--gamma1", "1e-310", "--gamma2", "1e-310"], "too small"),
+            (["indicators", "--gamma1", "1e-310", "--gamma2", "1e-310"], "too small"),
             (["sweep", "--chi-step", "1e-9"], "chi grid"),
             (["sweep", "--chi-max", "1e308", "--chi-step", "1e-10"], "chi grid"),
             (["figures", "--chi-step", "1e-12"], "chi grid"),
@@ -487,6 +498,41 @@ class TestCliEntry:
         assert message in err
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    def test_evolve_time_unit_overflow_names_the_coupling(self, tmp_path, capsys):
+        argv = ["evolve", "--gamma1", "1e-310", "--gamma2", "1e-310", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: |c12| = 1e-310 is too small: the time unit t_max / |c12| "
+            "overflows float64\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["evolve", "survival", "indicators"])
+    def test_tiny_couplings_match_unit_chi(self, mode, tmp_path):
+        # The three-level closed form works in units of the block frequency,
+        # so couplings whose squares underflow still run.
+        tiny = ["--gamma1", "1e-200", "--gamma2", "1e-200"]
+        columns = {}
+        for name, flags in (("tiny", tiny), ("unit", ["--chi", "1"])):
+            out = tmp_path / f"{name}.csv"
+            argv = [mode, *flags, "--samples", "200", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
+            columns[name] = read_columns(out)[1]
+        assert columns["tiny"].keys() == columns["unit"].keys()
+        for name, unit in columns["unit"].items():
+            if mode == "indicators":
+                np.testing.assert_allclose(columns["tiny"][name], unit, rtol=1e-12)
+            else:
+                np.testing.assert_allclose(columns["tiny"][name], unit, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
+    def test_negative_inf_and_nan_parse_in_both_spellings(self, value, tmp_path, capsys):
+        for flags in (["--gamma1", value], [f"--gamma1={value}"]):
+            argv = ["evolve", *flags, "--gamma2", "1", "--out", str(tmp_path)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "config error: gamma1: must be finite\n"
 
     def test_two_level_block_with_tiny_coupling_runs(self, tmp_path):
         # |c12|^2 underflows, but the two-level closed form never forms it.

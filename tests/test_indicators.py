@@ -55,6 +55,32 @@ class TestPoincareTime:
         with pytest.raises(ValueError, match="too small"):
             poincare_time(coupling, 0.0)
 
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (indicator_report, (1.0, 1.5e308, 0.01)),
+            (gqze_interval, (1.0, 1.5e308)),
+            (gqze_interval_grid, (1.0, 1.5e308)),
+            (poincare_time, (1.5e308, 1.0)),
+            (poincare_time, (1.5e308, np.array([0.0, 1.0]))),
+            (time_of_min, (1.5e308, 1.0)),
+            (time_of_min, (1.5e308, np.array([0.0, 1.0]))),
+            (sub_threshold_measure, (1.0, 0.01, 1.5e308)),
+            (sub_threshold_measure, (1.0, 2.0, 1.5e308)),
+        ],
+    )
+    def test_frequency_that_overflows(self, function, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"sqrt\(1 \+ chi\^2\) overflows") as info:
+                function(*args)
+        assert "\n" not in str(info.value)
+
+    def test_largest_finite_frequency_keeps_its_bits(self):
+        coupling = 1.7e308
+        assert poincare_time(coupling, 0.0) == math.tau / coupling
+        assert time_of_min(coupling, 0.0) == 0.5 * math.pi / coupling
+
 
 class TestMinSurvival:
     def test_below_unit_ratio_touches_zero(self):
