@@ -1,9 +1,9 @@
 """Closed-form hindering indicators of the three-level survival dynamics.
 
-Every indicator depends on two numbers only: the non-negative coupling
-ratio chi and the magnitude of the 1-2 block coupling (written ``coupling``
-below). With hbar = 1 that magnitude equals the chi = 0 angular frequency,
-the natural time scale of the reference two-level problem.
+Every indicator is a function of the non-negative coupling ratio chi alone.
+Frequencies are multiples of omega(0) and times multiples of 1/omega(0),
+where omega(0), the magnitude of the 1-2 block coupling (hbar = 1), is the
+angular frequency of the chi = 0 reference two-level problem.
 
 Each closed form has a grid or quadrature twin used for cross-checking; the
 twins sample the survival probability directly and share no algebra with
@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import survival_probability
-from .fock import DegenerateCouplingError
 
 __all__ = [
     "GqzeInterval",
@@ -51,64 +50,42 @@ _CROSSING_TOL = 1e-13
 _FIRST_CHUNK = 1024
 
 
-def _checked_coupling(coupling: float) -> float:
-    value = float(coupling)
-    if not math.isfinite(value) or value <= 0:
-        raise DegenerateCouplingError("the 1-2 coupling magnitude must be > 0")
-    # Every time scale here is at most the reference period 2 pi / coupling.
-    if not math.isfinite(_TWO_PI / value):
-        raise ValueError(f"the 1-2 coupling magnitude {value:g} is too small for a finite period")
-    return value
-
-
-def _chi_array(chi) -> tuple[np.ndarray, bool]:
+def _chi_array(chi):
+    """chi as a float64 array (0-d for a scalar), chi^2 and whether chi was a
+    scalar. ``ValueError`` unless chi is finite and >= 0 and chi^2 stays
+    finite."""
     values = np.asarray(chi, dtype=float)
     scalar = values.ndim == 0
     if scalar:
         # A 0-d reduction costs more than the closed form it guards.
-        value = float(values)
-        valid = math.isfinite(value) and value >= 0
+        largest = float(values)
+        valid = math.isfinite(largest) and largest >= 0
     else:
         valid = np.all(np.isfinite(values)) and not np.any(values < 0)
+        largest = float(values.max(initial=0.0)) if valid else 0.0
     if not valid:
         raise ValueError("chi must be finite and >= 0")
-    return values, scalar
+    # Squaring is monotone, so the largest chi decides; on Python floats it
+    # overflows to inf without a warning.
+    if not math.isfinite(largest * largest):
+        raise ValueError(f"chi = {largest:g} is too large: chi^2 overflows float64")
+    return values, values * values, scalar
 
 
-def _frequency(base: float, chi_sq):
-    """Block angular frequency base * sqrt(1 + chi^2), hbar = 1, for a
-    checked coupling and a float or array chi^2; ``ValueError`` once it
-    overflows float64."""
-    if isinstance(chi_sq, float):
-        w = base * math.sqrt(1.0 + chi_sq)
-        finite = math.isfinite(w)
-    else:
-        with np.errstate(over="ignore"):
-            w = base * np.sqrt(1.0 + chi_sq)
-        finite = np.all(np.isfinite(w))
-    if not finite:
-        raise ValueError(
-            f"the block frequency coupling * sqrt(1 + chi^2) overflows float64 "
-            f"(coupling = {base:g})"
-        )
-    return w
+def angular_frequency(chi):
+    """Block angular frequency sqrt(1 + chi^2)."""
+    _, chi_sq, scalar = _chi_array(chi)
+    result = np.sqrt(1.0 + chi_sq)
+    return float(result) if scalar else result
 
 
-def angular_frequency(coupling: float, chi: float) -> float:
-    """Block angular frequency coupling * sqrt(1 + chi^2), hbar = 1."""
-    return _frequency(_checked_coupling(coupling), float(chi) ** 2)
-
-
-def poincare_time(coupling, chi):
-    """Recurrence period 2 pi / (coupling * sqrt(1 + chi^2)).
+def poincare_time(chi):
+    """Recurrence period 2 pi / sqrt(1 + chi^2).
 
     One full Rabi cycle of the block; the survival probability returns to 1
     exactly here.
     """
-    base = _checked_coupling(coupling)
-    values, scalar = _chi_array(chi)
-    result = _TWO_PI / _frequency(base, values * values)
-    return float(result) if scalar else result
+    return _TWO_PI / angular_frequency(chi)
 
 
 def min_survival(chi):
@@ -118,37 +95,31 @@ def min_survival(chi):
     floor rises as ((chi^2 - 1) / (chi^2 + 1))^2 and tends to 1, which is
     the sharpest signature of the hindered evolution.
     """
-    values, scalar = _chi_array(chi)
-    chi_sq = values * values
+    _, chi_sq, scalar = _chi_array(chi)
     floor = np.where(chi_sq > 1.0, ((chi_sq - 1.0) / (chi_sq + 1.0)) ** 2, 0.0)
     return float(floor) if scalar else floor
 
 
-def time_of_min(coupling, chi):
+def time_of_min(chi):
     """First time the survival probability reaches its absolute minimum.
 
     arccos(-chi^2) / w for chi <= 1 (where the survival first touches zero)
-    and pi / w for chi > 1 (the bottom of the cosine). Continuous at
-    chi = 1, where it is also maximal.
+    and pi / w for chi > 1 (the bottom of the cosine), w = sqrt(1 + chi^2).
+    Continuous at chi = 1, where it is also maximal.
     """
-    base = _checked_coupling(coupling)
-    values, scalar = _chi_array(chi)
-    chi_sq = values * values
-    w = _frequency(base, chi_sq)
+    _, chi_sq, scalar = _chi_array(chi)
     phase = np.where(chi_sq <= 1.0, np.arccos(np.clip(-chi_sq, -1.0, 1.0)), math.pi)
-    result = phase / w
+    result = phase / np.sqrt(1.0 + chi_sq)
     return float(result) if scalar else result
 
 
 def mean_survival(chi):
-    """Period-averaged survival probability (chi^4 + 1/2) / (1 + chi^2)^2.
+    """Period-averaged survival probability, P1 of
+    ``mean_level_probabilities``.
 
     Minimal, with value 1/3, at chi = 1/sqrt(2); tends to 1 as chi grows.
     """
-    values, scalar = _chi_array(chi)
-    chi_sq = values * values
-    result = (chi_sq * chi_sq + 0.5) / (1.0 + chi_sq) ** 2
-    return float(result) if scalar else result
+    return mean_level_probabilities(chi)[0]
 
 
 def mean_level_probabilities(chi):
@@ -161,8 +132,7 @@ def mean_level_probabilities(chi):
     period-averaging the squared evolution amplitudes; the test suite pins
     them against direct quadrature.
     """
-    values, scalar = _chi_array(chi)
-    chi_sq = values * values
+    _, chi_sq, scalar = _chi_array(chi)
     top = (chi_sq * chi_sq + 0.5) / (1.0 + chi_sq) ** 2
     middle = 0.5 / (1.0 + chi_sq)
     bottom = 1.5 * chi_sq / (1.0 + chi_sq) ** 2
@@ -171,7 +141,7 @@ def mean_level_probabilities(chi):
     return (top, middle, bottom)
 
 
-def sub_threshold_measure(chi: float, epsilon: float, coupling: float) -> float:
+def sub_threshold_measure(chi: float, epsilon: float) -> float:
     """Total time per period spent below mean survival minus ``epsilon``.
 
     Lebesgue measure of {t in [0, T_p] : P(t) < mean - epsilon}, computed by
@@ -186,19 +156,16 @@ def sub_threshold_measure(chi: float, epsilon: float, coupling: float) -> float:
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and > 0")
-    base = _checked_coupling(coupling)
-    values, _ = _chi_array(chi)
-    chi_value = float(values)
-    chi_sq = chi_value * chi_value
-    w = _frequency(base, chi_sq)
-    threshold = mean_survival(chi_value) - epsilon
+    values, chi_sq, _ = _chi_array(chi)
+    chi_sq = float(chi_sq)
+    threshold = mean_survival(values) - epsilon
     if threshold <= 0.0:
         return 0.0
     root = math.sqrt(threshold)
     cos_high = min(1.0, max(-1.0, root * (1.0 + chi_sq) - chi_sq))
     cos_low = min(1.0, max(-1.0, -root * (1.0 + chi_sq) - chi_sq))
     angle = math.acos(cos_low) - math.acos(cos_high)
-    return 2.0 * angle / w
+    return 2.0 * angle / math.sqrt(1.0 + chi_sq)
 
 
 @dataclass(frozen=True)
@@ -214,7 +181,6 @@ class GqzeInterval:
 
 def gqze_interval(
     chi: float,
-    coupling: float,
     order_threshold: float = 0.5,
     points_per_period: int = 10_000,
     max_reference_periods: float = 4.0,
@@ -228,10 +194,9 @@ def gqze_interval(
     least ``order_threshold`` hindered periods out; chi = 0 reproduces the
     reference exactly and yields no interval.
 
-    Windows: the reference is cos^2(omega0 t) with omega0 = ``coupling``,
-    and the hindered curve never drops below its floor m(chi), so a
-    crossing needs cos^2(omega0 t) > m. That confines it to windows of
-    half-width arccos(sqrt(m)) / omega0 around k pi / omega0. The search
+    Windows: the reference is cos^2(t), and the hindered curve never drops
+    below its floor m(chi), so a crossing needs cos^2(t) > m. That confines
+    it to windows of half-width arccos(sqrt(m)) around k pi. The search
     samples the grid of ``gqze_interval_grid`` (``points_per_period``
     points per hindered period, out to ``max_reference_periods`` reference
     periods) only inside these windows, padded by two points a side, in
@@ -243,8 +208,8 @@ def gqze_interval(
     points, and the scan stops at the first chunk holding a clearly
     negative gap (below -1e-13; rounding alone makes the tiny small-t gap a
     few ulp negative). The points past that chunk are never computed. The
-    reference cos^2(omega0 t) is formed inline with one cosine and one
-    product, bit for bit ``survival_probability(0.0, coupling, t)``; the
+    reference cos^2(t) is formed inline with one cosine and one product,
+    bit for bit ``survival_probability(0.0, 1.0, t)``; the
     hindered curve is ``survival_probability``. The scan thus visits the
     same points in the same order as one pass per window would, and finds
     the same bracket.
@@ -269,18 +234,16 @@ def gqze_interval(
     formed, so no overflow occurs for any finite chi.
     """
     return _gqze_search(
-        _window_scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+        _window_scan, chi, order_threshold, points_per_period, max_reference_periods
     )
 
 
-def _window_scan(
-    chi_value: float, base: float, w: float, half_angle: float, step: float, count: int
-) -> float:
+def _window_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
     """The crossing time found by the windowed, chunked scan of
     ``gqze_interval``."""
     # Window k covers grid indices around k * spacing +- reach.
-    spacing = math.pi / base / step
-    reach = half_angle / base / step
+    spacing = math.pi / step
+    reach = half_angle / step
     left = 0.0
     armed = False  # the gap has cleared +_CROSSING_TOL
     closest_gap, closest_time = math.inf, 0.0
@@ -290,16 +253,16 @@ def _window_scan(
             # Skipped points lie outside every window, where the gap is at
             # least m - cos^2 > 0. Padded windows part only once m exceeds
             # ~8e-7 (default grid), and the skipped point nearest
-            # (k - 1/2) pi / omega0 has cos^2 ~ 0, so its gap ~ m clears the
+            # (k - 1/2) pi has cos^2 ~ 0, so its gap ~ m clears the
             # tolerance: arm here, as the dense scan would.
             armed = True
             closest_gap = math.inf
         next_index = last + 1
         times = np.arange(first, last + 1) * step
-        # The chi = 0 reference, bit for bit survival_probability(0.0, base,
-        # times): adding 0.0 and dividing by 1.0 are exact, and an array
-        # square is x * x.
-        reference = np.cos(base * times)
+        # The chi = 0 reference, bit for bit survival_probability(0.0, 1.0,
+        # times): multiplying by 1.0, adding 0.0 and dividing by 1.0 are
+        # exact, and an array square is x * x.
+        reference = np.cos(times)
         reference *= reference
         gap = survival_probability(chi_value, w, times)
         gap -= reference
@@ -309,7 +272,7 @@ def _window_scan(
         if positive.size:
             left = float(times[positive[-1]])
         if below.size:
-            return _bisect_gap(chi_value, w, base, left, float(times[stop]))
+            return _bisect_gap(chi_value, w, left, float(times[stop]))
         offset = 0
         if not armed and positive.size:
             armed = True
@@ -388,20 +351,20 @@ def _check_chi_floor(chi: float) -> None:
         )
 
 
-def _gap(chi_sq: float, w: float, base: float, t: float) -> float:
+def _gap(chi_sq: float, w: float, t: float) -> float:
     """Hindered minus reference survival at one time, on Python floats.
 
     Bit for bit ``survival_probability(chi, w, t) - survival_probability(0.0,
-    base, t)``: each term is the same float64 operations in the same order,
+    1.0, t)``: each term is the same float64 operations in the same order,
     squares included (x * x). ``math.cos`` matching numpy's 0-d ``cos`` is
     checked by the test suite, not assumed.
     """
     hindered = (chi_sq + math.cos(w * t)) / (chi_sq + 1.0)
-    reference = math.cos(base * t)
+    reference = math.cos(t)
     return hindered * hindered - reference * reference
 
 
-def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) -> float:
+def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
     """Bisect the gap's sign change in [left, right]: at most 80 halvings,
     keeping ``left`` where the gap is > 0 and ``right`` where it is not.
 
@@ -414,7 +377,7 @@ def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) ->
     chi_sq = chi * chi
     for _ in range(80):
         mid = 0.5 * (left + right)
-        if _gap(chi_sq, w, base, mid) > 0.0:
+        if _gap(chi_sq, w, mid) > 0.0:
             if mid == left:
                 break
             left = mid
@@ -427,15 +390,10 @@ def _bisect_gap(chi: float, w: float, base: float, left: float, right: float) ->
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Every hindering indicator for one coupling ratio.
-
-    Times are in internal units (hbar = 1) for the given 1-2 coupling
-    magnitude; callers that want the 1/omega(0) convention multiply by that
-    magnitude.
-    """
+    """Every hindering indicator for one coupling ratio, in the module's
+    units: the frequency in omega(0), the times in 1/omega(0)."""
 
     chi: float
-    coupling: float
     angular_frequency: float
     poincare_period: float
     survival_min: float
@@ -459,32 +417,28 @@ class IndicatorReport:
 
 def indicator_report(
     chi: float,
-    coupling: float,
     epsilon: float,
     order_threshold: float = 0.5,
 ) -> IndicatorReport:
     """Assemble the full indicator set for one coupling ratio.
 
-    The hindering interval is found first: it rejects a chi beyond its
-    resolvable range before any other indicator forms chi^2.
+    The hindering interval is found first: it checks chi and rejects one
+    beyond its resolvable range before any other indicator forms chi^2.
     """
-    values, _ = _chi_array(chi)
-    chi_value = float(values)
-    base = _checked_coupling(coupling)
-    gqze = gqze_interval(chi_value, base, order_threshold)
+    gqze = gqze_interval(chi, order_threshold)
+    chi_value = float(chi)
     mean, level2, level3 = mean_level_probabilities(chi_value)
     return IndicatorReport(
         chi=chi_value,
-        coupling=base,
-        angular_frequency=angular_frequency(base, chi_value),
-        poincare_period=poincare_time(base, chi_value),
+        angular_frequency=angular_frequency(chi_value),
+        poincare_period=poincare_time(chi_value),
         survival_min=min_survival(chi_value),
-        time_of_min=time_of_min(base, chi_value),
+        time_of_min=time_of_min(chi_value),
         survival_mean=mean,
         level2_mean=level2,
         level3_mean=level3,
         epsilon=float(epsilon),
-        sub_threshold_time=sub_threshold_measure(chi_value, epsilon, base),
+        sub_threshold_time=sub_threshold_measure(chi_value, epsilon),
         gqze=gqze,
     )
 
@@ -496,15 +450,15 @@ def indicator_report(
 # test suite compare the two routes; neither side may be dropped.
 
 
-def min_survival_grid(chi: float, coupling: float = 1.0, samples: int = 100_000) -> float:
+def min_survival_grid(chi: float, samples: int = 100_000) -> float:
     """Grid minimum of the survival probability over one period."""
-    period = poincare_time(coupling, chi)
-    w = angular_frequency(coupling, chi)
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
     times = np.linspace(0.0, period, samples, endpoint=False)
     return float(np.min(survival_probability(chi, w, times)))
 
 
-def time_of_min_grid(chi: float, coupling: float = 1.0, samples: int = 100_000) -> float:
+def time_of_min_grid(chi: float, samples: int = 100_000) -> float:
     """First-occurrence grid argmin of the survival probability.
 
     The survival depends on time only through cos(wt), so it is symmetric
@@ -512,18 +466,16 @@ def time_of_min_grid(chi: float, coupling: float = 1.0, samples: int = 100_000) 
     half; restricting the argmin there makes "first occurrence" exact at
     grid resolution.
     """
-    period = poincare_time(coupling, chi)
-    w = angular_frequency(coupling, chi)
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
     times = np.linspace(0.0, 0.5 * period, samples)
     return float(times[int(np.argmin(survival_probability(chi, w, times)))])
 
 
-def mean_survival_quadrature(
-    chi: float, coupling: float = 1.0, panels: int = 100_000
-) -> float:
+def mean_survival_quadrature(chi: float, panels: int = 100_000) -> float:
     """Trapezoidal period average of the survival probability."""
-    period = poincare_time(coupling, chi)
-    w = angular_frequency(coupling, chi)
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
     times = np.linspace(0.0, period, panels + 1)
     probabilities = survival_probability(chi, w, times)
     weights = np.full(panels + 1, 1.0)
@@ -531,14 +483,12 @@ def mean_survival_quadrature(
     return float(np.sum(weights * probabilities) / panels)
 
 
-def sub_threshold_measure_grid(
-    chi: float, epsilon: float, coupling: float = 1.0, samples: int = 400_000
-) -> float:
+def sub_threshold_measure_grid(chi: float, epsilon: float, samples: int = 400_000) -> float:
     """Midpoint-sampled measure of the sub-threshold set over one period."""
     if not (math.isfinite(float(epsilon)) and float(epsilon) > 0):
         raise ValueError("epsilon must be finite and > 0")
-    period = poincare_time(coupling, chi)
-    w = angular_frequency(coupling, chi)
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
     threshold = mean_survival(chi) - float(epsilon)
     step = period / samples
     times = (np.arange(samples) + 0.5) * step
@@ -548,7 +498,6 @@ def sub_threshold_measure_grid(
 
 def gqze_interval_grid(
     chi: float,
-    coupling: float,
     order_threshold: float = 0.5,
     points_per_period: int = 10_000,
     max_reference_periods: float = 4.0,
@@ -560,28 +509,24 @@ def gqze_interval_grid(
     grid of more than 2e8 points is a ``ValueError``.
     """
     return _gqze_search(
-        _dense_scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+        _dense_scan, chi, order_threshold, points_per_period, max_reference_periods
     )
 
 
-def _dense_scan(
-    chi_value: float, base: float, w: float, half_angle: float, step: float, count: int
-) -> float:
+def _dense_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
     """The crossing time found by the dense scan of ``gqze_interval_grid``."""
     if count > 200_000_000:
         raise ValueError("chi too large for the requested grid resolution")
 
     times = np.arange(1, count + 1) * step
-    gap = survival_probability(chi_value, w, times) - survival_probability(
-        0.0, base, times
-    )
+    gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
     below = np.nonzero(gap < -_CROSSING_TOL)[0]
     if below.size:
         first = int(below[0])
         positive_before = np.nonzero(gap[:first] > _CROSSING_TOL)[0]
         left = float(times[positive_before[-1]]) if positive_before.size else 0.0
         right = float(times[first])
-        end = _bisect_gap(chi_value, w, base, left, right)
+        end = _bisect_gap(chi_value, w, left, right)
     else:
         above = np.nonzero(gap > _CROSSING_TOL)[0]
         start = int(above[0]) if above.size else 0
@@ -590,28 +535,28 @@ def _dense_scan(
 
 
 def _gqze_search(
-    scan, chi, coupling, order_threshold, points_per_period, max_reference_periods
+    scan, chi, order_threshold, points_per_period, max_reference_periods
 ) -> Optional[GqzeInterval]:
     """Check the arguments of a gqze search, lay out the grid both scans
     sample (step, 2 step, ..., count step: ``points_per_period`` points per
-    shorter period, out to ``max_reference_periods`` reference periods), and
-    report the crossing time that ``scan(chi, base, w, half_angle, step,
-    count)`` finds. None at chi = 0; ``ValueError`` outside the resolvable
-    range of ``gqze_interval``, raised before chi^2 is formed."""
-    values, _ = _chi_array(chi)
-    chi_value = float(values)
-    base = _checked_coupling(coupling)
+    hindered period, out to ``max_reference_periods`` reference periods), and
+    report the crossing time that ``scan(chi, w, half_angle, step, count)``
+    finds. None at chi = 0; ``ValueError`` outside the resolvable range of
+    ``gqze_interval``, raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
+    # The upper range check runs first; a nan or negative chi passes it and
+    # is rejected by _chi_array.
+    half_angle = _window_half_angle(float(chi))
+    values, chi_sq, _ = _chi_array(chi)
+    chi_value = float(values)
     if chi_value == 0.0:
         return None
     _check_chi_floor(chi_value)
-    half_angle = _window_half_angle(chi_value)
-    w = _frequency(base, chi_value * chi_value)
-    reference_period = _TWO_PI / base
-    hindered_period = _TWO_PI / w
-    step = min(reference_period, hindered_period) / float(points_per_period)
-    count = int(math.ceil(max_reference_periods * reference_period / step))
-    end = scan(chi_value, base, w, half_angle, step, count)
+    w = math.sqrt(1.0 + chi_sq)
+    hindered_period = _TWO_PI / w  # never longer than the reference period 2 pi
+    step = hindered_period / points_per_period
+    count = int(math.ceil(max_reference_periods * _TWO_PI / step))
+    end = scan(chi_value, w, half_angle, step, count)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)

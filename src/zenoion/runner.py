@@ -115,6 +115,18 @@ def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
     return grid
 
 
+def _internal_time(scaled: float, name: str, coupling: float) -> float:
+    """A time in units of 1/omega(0) in internal units (hbar = 1): ``scaled
+    / coupling``, where ``coupling`` is |c12| = omega(0). ``ConfigError``
+    naming |c12| once that overflows."""
+    value = scaled / coupling
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"|c12| = {coupling:g} is too small: {name} / |c12| overflows float64"
+        )
+    return value
+
+
 def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np.ndarray:
     """The omega(0)-scaled time grid: ``config.samples`` points on [0, t_max].
 
@@ -123,12 +135,7 @@ def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np
     phase is sqrt(1 + chi^2) t_max in omega(0) units; past it every cos(wt)
     is nan.
     """
-    t_end = config.t_max / coupling
-    if not math.isfinite(t_end):
-        raise ConfigError(
-            f"|c12| = {coupling:g} is too small: the time unit t_max / |c12| "
-            "overflows float64"
-        )
+    t_end = _internal_time(config.t_max, "the time unit t_max", coupling)
     if not math.isfinite(frequency * t_end):
         raise ConfigError(
             f"t_max = {config.t_max:g} is too large: the phase omega t_max "
@@ -215,21 +222,21 @@ def run_survival(config: RunConfig) -> Path:
     return path
 
 
-# CSV column name and value of each indicator; times are omega(0)-scaled by
-# the report's 1-2 coupling (omega(0), hbar = 1).
+# CSV column name and value of each indicator; the report is already
+# omega(0)-scaled.
 _REPORT_COLUMNS = (
     ("chi", lambda r: r.chi),
-    ("omega_scaled", lambda r: r.angular_frequency / r.coupling),
-    ("T_p_scaled", lambda r: r.poincare_period * r.coupling),
+    ("omega_scaled", lambda r: r.angular_frequency),
+    ("T_p_scaled", lambda r: r.poincare_period),
     ("m", lambda r: r.survival_min),
-    ("t_m_scaled", lambda r: r.time_of_min * r.coupling),
+    ("t_m_scaled", lambda r: r.time_of_min),
     ("P_mean", lambda r: r.survival_mean),
     ("P2_mean", lambda r: r.level2_mean),
     ("P3_mean", lambda r: r.level3_mean),
-    ("S_scaled", lambda r: r.sub_threshold_time * r.coupling),
+    ("S_scaled", lambda r: r.sub_threshold_time),
     ("S_over_Tp", lambda r: r.sub_threshold_time / r.poincare_period),
     ("gqze_present", lambda r: r.gqze is not None and r.gqze.present),
-    ("t_chi_scaled", lambda r: math.nan if r.gqze is None else r.gqze.end * r.coupling),
+    ("t_chi_scaled", lambda r: math.nan if r.gqze is None else r.gqze.end),
     ("t_chi_over_Tp", lambda r: math.nan if r.gqze is None else r.gqze.period_ratio),
 )
 
@@ -240,17 +247,19 @@ def _write_reports(path: Path, reports: Iterable[IndicatorReport]) -> None:
     write_csv(path, _UNITS_COMMENT, header, rows)
 
 
-def format_report(report: IndicatorReport) -> str:
-    """Human-readable indicator report, raw and omega(0)-scaled times."""
+def format_report(report: IndicatorReport, coupling: float) -> str:
+    """Human-readable indicator report: omega(0)-scaled times, and the
+    period and first-minimum time in internal units for the 1-2 coupling
+    magnitude ``coupling`` = omega(0)."""
     column = {name: value(report) for name, value in _REPORT_COLUMNS}
     lines = [
         f"chi                    = {column['chi']:.12g}",
         f"omega / omega(0)       = {column['omega_scaled']:.12g}",
         f"T_p * omega(0)         = {column['T_p_scaled']:.12g}",
-        f"T_p (internal units)   = {report.poincare_period:.12g}",
+        f"T_p (internal units)   = {report.poincare_period / coupling:.12g}",
         f"m                      = {column['m']:.12g}",
         f"t_m * omega(0)         = {column['t_m_scaled']:.12g}",
-        f"t_m (internal units)   = {report.time_of_min:.12g}",
+        f"t_m (internal units)   = {report.time_of_min / coupling:.12g}",
         f"P_mean                 = {column['P_mean']:.12g}",
         f"P2_mean                = {column['P2_mean']:.12g}",
         f"P3_mean                = {column['P3_mean']:.12g}",
@@ -272,22 +281,19 @@ def format_report(report: IndicatorReport) -> str:
 def run_indicators(config: RunConfig) -> tuple[str, Path]:
     """Indicator report for one configuration: text plus a one-row CSV."""
     run = _resolve(config)
-    report = indicator_report(run.chi, run.coupling, config.epsilon, config.order_threshold)
+    # Every internal time printed is at most the reference period.
+    _internal_time(math.tau, "the period 2 pi", run.coupling)
+    report = indicator_report(run.chi, config.epsilon, config.order_threshold)
     path = _output_file(config, "indicators.csv")
     _write_reports(path, [report])
-    return format_report(report), path
+    return format_report(report, run.coupling), path
 
 
 def run_sweep(config: RunConfig) -> Path:
-    """Indicator reports over a chi grid (single point when chi is given).
-
-    The sweep is dimensionless: the 1-2 coupling is normalized to 1, so the
-    scaled and internal time units coincide.
-    """
+    """Indicator reports over a chi grid (single point when chi is given)."""
     grid = [config.chi] if config.has_chi_override else _chi_grid(config.chi_max, config.chi_step)
     reports = [
-        indicator_report(float(chi), 1.0, config.epsilon, config.order_threshold)
-        for chi in grid
+        indicator_report(float(chi), config.epsilon, config.order_threshold) for chi in grid
     ]
     path = _output_file(config, "sweep.csv")
     _write_reports(path, reports)
@@ -332,7 +338,7 @@ def run_figures(config: RunConfig) -> list[Path]:
         fig3,
         _UNITS_COMMENT,
         ("chi", "t_m_scaled"),
-        zip(chi_short, time_of_min(1.0, chi_short)),
+        zip(chi_short, time_of_min(chi_short)),
     )
 
     fig4 = out_dir / "fig4.csv"
@@ -499,13 +505,13 @@ def run_validate(config: RunConfig) -> ValidationReport:
     dev_argmin_steps = 0.0
     for chi in chi_grid:
         step = 0.5 * (2.0 * math.pi / math.sqrt(1.0 + chi * chi)) / (argmin_samples - 1)
-        gap = abs(time_of_min(1.0, chi) - time_of_min_grid(chi, samples=argmin_samples))
+        gap = abs(time_of_min(chi) - time_of_min_grid(chi, samples=argmin_samples))
         dev_argmin_steps = max(dev_argmin_steps, gap / step)
     dev_measure = 0.0
     for chi in (0.3, 0.7, 1.0, 2.0):
         period = 2.0 * math.pi / math.sqrt(1.0 + chi * chi)
         gap = abs(
-            sub_threshold_measure(chi, config.epsilon, 1.0)
+            sub_threshold_measure(chi, config.epsilon)
             - sub_threshold_measure_grid(chi, config.epsilon)
         )
         dev_measure = max(dev_measure, gap / (period / 1e4))
@@ -514,8 +520,8 @@ def run_validate(config: RunConfig) -> ValidationReport:
     # touch at t = pi.
     dev_gqze = 0.0
     for chi in (0.3, 0.7, 1.0, 2.0, math.sqrt(3.0), 5.0):
-        windowed = gqze_interval(chi, 1.0, config.order_threshold)
-        dense = gqze_interval_grid(chi, 1.0, config.order_threshold)
+        windowed = gqze_interval(chi, config.order_threshold)
+        dense = gqze_interval_grid(chi, config.order_threshold)
         dev_gqze = max(dev_gqze, abs(windowed.end - dense.end), float(windowed != dense))
 
     checks = (

@@ -88,14 +88,14 @@ def expm_oracle(matrix: np.ndarray, t: float) -> np.ndarray:
     return (eigenvectors * phases) @ eigenvectors.conj().T
 
 
-def bisect_gap_oracle(chi: float, w: float, base: float, left: float, right: float) -> float:
+def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
     """The hindering-interval bisection in its first form: always 80
     halvings, each taking the gap from two 0-d ``survival_probability``
     calls. The package's early-exiting scalar bisection must return the
     same float bit for bit."""
 
     def gap(t: float) -> float:
-        return survival_probability(chi, w, t) - survival_probability(0.0, base, t)
+        return survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
 
     for _ in range(80):
         mid = 0.5 * (left + right)

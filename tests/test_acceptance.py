@@ -98,11 +98,11 @@ def test_criterion_04_first_minimum_time():
     def checks():
         for chi in (0.0, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0, 10.0):
             samples = 100_000
-            step = 0.5 * poincare_time(1.0, chi) / (samples - 1)
-            gap = abs(time_of_min(1.0, chi) - time_of_min_grid(chi, samples=samples))
+            step = 0.5 * poincare_time(chi) / (samples - 1)
+            gap = abs(time_of_min(chi) - time_of_min_grid(chi, samples=samples))
             assert gap <= step, f"chi={chi}: off by {gap / step:.2f} grid steps"
         grid = np.round(np.arange(301) * 0.01, 12)
-        peak = grid[int(np.argmax(time_of_min(1.0, grid)))]
+        peak = grid[int(np.argmax(time_of_min(grid)))]
         assert abs(peak - 1.0) <= 0.01
 
     _verdict(4, "first-minimum time matches grid argmin; peak at chi = 1", checks)
@@ -128,9 +128,9 @@ def test_criterion_05_survival_mean():
 
 def test_criterion_06_hindering_interval():
     def checks():
-        assert gqze_interval(0.0, 1.0) is None
+        assert gqze_interval(0.0) is None
         for chi in (2.0, 5.0, 10.0):
-            interval = gqze_interval(chi, 1.0, order_threshold=0.5)
+            interval = gqze_interval(chi, order_threshold=0.5)
             assert interval is not None and interval.present
             assert interval.period_ratio >= 0.5
             w = math.sqrt(1.0 + chi * chi)
@@ -146,16 +146,16 @@ def test_criterion_07_sub_threshold_measure():
     def checks():
         ratios = []
         for chi in (2.0, 4.0, 8.0, 16.0):
-            value = sub_threshold_measure(chi, 0.01, 1.0)
-            ratios.append(value / poincare_time(1.0, chi))
+            value = sub_threshold_measure(chi, 0.01)
+            ratios.append(value / poincare_time(chi))
             if mean_survival(chi) - 0.01 < min_survival(chi):
                 assert value == 0.0
         assert all(a >= b for a, b in zip(ratios, ratios[1:])), ratios
-        assert sub_threshold_measure(10.0, 0.05, 1.0) == 0.0
+        assert sub_threshold_measure(10.0, 0.05) == 0.0
         for chi in (0.3, 0.7, 1.0, 2.0):
-            closed = sub_threshold_measure(chi, 0.01, 1.0)
+            closed = sub_threshold_measure(chi, 0.01)
             grid = sub_threshold_measure_grid(chi, 0.01)
-            assert abs(closed - grid) <= poincare_time(1.0, chi) / 1e4
+            assert abs(closed - grid) <= poincare_time(chi) / 1e4
 
     _verdict(7, "sub-threshold time: decay, exact zeros, grid agreement", checks)
 

@@ -480,8 +480,17 @@ class TestCliEntry:
             ),
             (
                 ["indicators", "--gamma1", "2.2e-311", "--gamma2", "0", "--l", "0,0,1"],
-                "coupling magnitude 2.2e-311 is too small",
+                "|c12| = 2.2e-311 is too small",
             ),
+            (
+                ["indicators", "--gamma1", "1e-308", "--gamma2", "0", "--l", "0,0,1"],
+                "|c12| = 1e-308 is too small: the period 2 pi / |c12| overflows float64",
+            ),
+            (
+                ["indicators", "--gamma1", "5e-324", "--gamma2", "1e-323"],
+                "|c12| = 4.94066e-324 is too small: the period 2 pi / |c12| overflows",
+            ),
+            (["indicators", "--gamma1", "0", "--gamma2", "1"], "1-2 coupling vanishes"),
         ],
     )
     def test_oversized_or_underflowing_input_exits_cleanly(
@@ -521,11 +530,52 @@ class TestCliEntry:
                 assert main(argv) == 0
             columns[name] = read_columns(out)[1]
         assert columns["tiny"].keys() == columns["unit"].keys()
+        if mode == "indicators":
+            # The indicators depend on chi alone.
+            assert (tmp_path / "tiny.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()
         for name, unit in columns["unit"].items():
-            if mode == "indicators":
-                np.testing.assert_allclose(columns["tiny"][name], unit, rtol=1e-12)
+            np.testing.assert_allclose(columns["tiny"][name], unit, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"gamma1": "0.37", "gamma2": "5.1"},
+            {"gamma1": "1e150", "gamma2": "3e150"},
+            {"gamma1": "1e-300", "gamma2": "3e-300"},
+            {"gamma1": "0.7", "gamma2": "2.3", "n": "3,2,1", "r": "1,1,0", "l": "1,0,1"},
+            {"gamma1": "1e154", "gamma2": "0", "l": "0,0,1"},
+        ],
+    )
+    def test_indicators_at_any_coupling_write_the_chi_bytes(self, flags, tmp_path, capsys):
+        # A run at any |c12| writes the indicators.csv of the --chi run with
+        # its chi. Its text differs only in the two internal-unit lines,
+        # which are the scaled times divided by |c12|.
+        coupled, unit = tmp_path / "coupled.csv", tmp_path / "unit.csv"
+        argv = ["indicators", *(f"--{key}={value}" for key, value in flags.items())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(coupled)]) == 0
+            text = capsys.readouterr().out
+            chi = coupled.read_text(encoding="utf-8").splitlines()[2].split(",")[0]
+            assert main(["indicators", "--chi", chi, "--out", str(unit)]) == 0
+            unit_text = capsys.readouterr().out
+        assert coupled.read_bytes() == unit.read_bytes()
+
+        config = load_config(None, {"mode": "indicators", **flags})
+        c12 = zenoion.runner._resolve(config).coupling
+        _, data = read_columns(unit)
+        internal = {
+            "T_p (internal units)": data["T_p_scaled"][0] / c12,
+            "t_m (internal units)": data["t_m_scaled"][0] / c12,
+        }
+        lines, unit_lines = text.splitlines()[:-1], unit_text.splitlines()[:-1]
+        assert len(lines) == len(unit_lines) == 13
+        for line, unit_line in zip(lines, unit_lines):
+            label, _, value = line.partition("=")
+            if label.strip() in internal:
+                assert value.strip() == f"{internal[label.strip()]:.12g}"
             else:
-                np.testing.assert_allclose(columns["tiny"][name], unit, rtol=0, atol=1e-12)
+                assert line == unit_line
 
     @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
     def test_negative_inf_and_nan_parse_in_both_spellings(self, value, tmp_path, capsys):

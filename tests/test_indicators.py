@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -14,8 +15,9 @@ from zenoion.dynamics import (
     propagate_analytic,
     survival_probability,
 )
-from zenoion.fock import CouplingConstants, DegenerateCouplingError, ModeVector, SidebandPattern
+from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern
 from zenoion.indicators import (
+    angular_frequency,
     gqze_interval,
     gqze_interval_grid,
     indicator_report,
@@ -38,48 +40,69 @@ chi_values = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 class TestPoincareTime:
     def test_two_level_period(self):
-        assert poincare_time(1.0, 0.0) == pytest.approx(2 * math.pi)
+        assert poincare_time(0.0) == pytest.approx(2 * math.pi)
 
     def test_unit_ratio(self):
-        assert poincare_time(2.0, 1.0) == pytest.approx(2 * math.pi / (2 * math.sqrt(2)))
-
-    def test_scaling_in_coupling(self):
-        assert poincare_time(2.0, 3.0) == pytest.approx(poincare_time(1.0, 3.0) / 2)
-
-    def test_degenerate_coupling(self):
-        with pytest.raises(DegenerateCouplingError):
-            poincare_time(0.0, 1.0)
-
-    @pytest.mark.parametrize("coupling", [1e-308, 5e-324])
-    def test_coupling_whose_period_overflows(self, coupling):
-        with pytest.raises(ValueError, match="too small"):
-            poincare_time(coupling, 0.0)
+        assert poincare_time(1.0) == pytest.approx(2 * math.pi / math.sqrt(2))
 
     @pytest.mark.parametrize(
         "function, args",
         [
-            (indicator_report, (1.0, 1.5e308, 0.01)),
-            (gqze_interval, (1.0, 1.5e308)),
-            (gqze_interval_grid, (1.0, 1.5e308)),
-            (poincare_time, (1.5e308, 1.0)),
-            (poincare_time, (1.5e308, np.array([0.0, 1.0]))),
-            (time_of_min, (1.5e308, 1.0)),
-            (time_of_min, (1.5e308, np.array([0.0, 1.0]))),
-            (sub_threshold_measure, (1.0, 0.01, 1.5e308)),
-            (sub_threshold_measure, (1.0, 2.0, 1.5e308)),
+            (indicator_report, (1e200, 0.01)),
+            (gqze_interval, (1e200,)),
+            (gqze_interval_grid, (1e200,)),
+            (poincare_time, (1e200,)),
+            (poincare_time, (np.array([0.0, 1e200]),)),
+            (time_of_min, (1e200,)),
+            (time_of_min, (np.array([0.0, 1e200]),)),
+            (sub_threshold_measure, (1e200, 0.01)),
+            (sub_threshold_measure, (1e200, 2.0)),
         ],
     )
     def test_frequency_that_overflows(self, function, args):
+        # sqrt(1 + chi^2) cannot be formed once chi^2 overflows; the searches
+        # reject such a chi by their range check first.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"sqrt\(1 \+ chi\^2\) overflows") as info:
+            with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: ") as info:
                 function(*args)
         assert "\n" not in str(info.value)
 
     def test_largest_finite_frequency_keeps_its_bits(self):
-        coupling = 1.7e308
-        assert poincare_time(coupling, 0.0) == math.tau / coupling
-        assert time_of_min(coupling, 0.0) == 0.5 * math.pi / coupling
+        chi = math.sqrt(sys.float_info.max)
+        while math.isfinite(math.nextafter(chi, math.inf) * math.nextafter(chi, math.inf)):
+            chi = math.nextafter(chi, math.inf)
+        w = math.sqrt(1.0 + chi * chi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert angular_frequency(chi) == w
+            assert poincare_time(chi) == math.tau / w
+            assert time_of_min(chi) == math.pi / w
+            assert time_of_min(np.array([chi]))[0] == math.pi / w
+
+
+# Every closed form that depends on chi alone, as a function of chi.
+_CLOSED_FORMS = {
+    "angular_frequency": angular_frequency,
+    "poincare_time": poincare_time,
+    "min_survival": min_survival,
+    "time_of_min": time_of_min,
+    "mean_survival": mean_survival,
+    "mean_level_probabilities": mean_level_probabilities,
+    "sub_threshold_measure": lambda chi: sub_threshold_measure(chi, 0.01),
+}
+
+
+class TestChiSquareOverflow:
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_is_one_line_value_error(self, name, shape):
+        chi = 1e200 if shape == "scalar" else np.array([0.0, 2.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                _CLOSED_FORMS[name](chi)
+        assert str(info.value) == "chi = 1e+200 is too large: chi^2 overflows float64"
 
 
 class TestMinSurvival:
@@ -111,26 +134,26 @@ class TestMinSurvival:
 
 class TestTimeOfMin:
     def test_two_level_quarter_period(self):
-        assert time_of_min(1.0, 0.0) == pytest.approx(math.pi / 2)
+        assert time_of_min(0.0) == pytest.approx(math.pi / 2)
 
     def test_maximum_at_unit_ratio(self):
-        assert time_of_min(1.0, 1.0) == pytest.approx(math.pi / math.sqrt(2))
+        assert time_of_min(1.0) == pytest.approx(math.pi / math.sqrt(2))
 
     def test_above_unit_ratio(self):
-        assert time_of_min(1.0, 2.0) == pytest.approx(math.pi / math.sqrt(5))
+        assert time_of_min(2.0) == pytest.approx(math.pi / math.sqrt(5))
 
     def test_continuous_at_unit_ratio(self):
         # Continuous but with a square-root cusp from the left: the gap
         # closes like sqrt(h), not h.
-        at_one = time_of_min(1.0, 1.0)
+        at_one = time_of_min(1.0)
         assert at_one == pytest.approx(math.pi / math.sqrt(2), abs=1e-15)
         for h in (1e-4, 1e-6, 1e-8):
-            assert abs(time_of_min(1.0, 1.0 - h) - at_one) <= 3 * math.sqrt(h)
-            assert abs(time_of_min(1.0, 1.0 + h) - at_one) <= 3 * math.sqrt(h)
+            assert abs(time_of_min(1.0 - h) - at_one) <= 3 * math.sqrt(h)
+            assert abs(time_of_min(1.0 + h) - at_one) <= 3 * math.sqrt(h)
 
     def test_argmax_is_unit_ratio(self):
         grid = np.round(np.arange(301) * 0.01, 12)
-        values = time_of_min(1.0, grid)
+        values = time_of_min(grid)
         assert grid[int(np.argmax(values))] == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize(
@@ -138,8 +161,8 @@ class TestTimeOfMin:
     )
     def test_matches_first_grid_argmin(self, chi):
         samples = 100_000
-        step = 0.5 * poincare_time(1.0, chi) / (samples - 1)
-        gap = abs(time_of_min(1.0, chi) - time_of_min_grid(chi, samples=samples))
+        step = 0.5 * poincare_time(chi) / (samples - 1)
+        gap = abs(time_of_min(chi) - time_of_min_grid(chi, samples=samples))
         assert gap <= step
 
 
@@ -202,7 +225,7 @@ class TestMeanLevelProbabilities:
             CouplingConstants(1.0, chi),
         )
         state = VibronicState.basis_state(3, 0)
-        period = poincare_time(1.0, chi)
+        period = poincare_time(chi)
         panels = 20_000
         times = np.linspace(0.0, period, panels + 1)
         sums = np.zeros(3)
@@ -220,29 +243,29 @@ class TestSubThresholdMeasure:
     def test_zero_when_threshold_below_floor(self):
         # mean(10) - 0.05 sits below the survival floor at chi = 10
         assert mean_survival(10.0) - 0.05 < min_survival(10.0)
-        assert sub_threshold_measure(10.0, 0.05, 1.0) == 0.0
+        assert sub_threshold_measure(10.0, 0.05) == 0.0
 
     def test_two_level_half_period_limit(self):
-        ratio = sub_threshold_measure(0.0, 1e-12, 1.0) / poincare_time(1.0, 0.0)
+        ratio = sub_threshold_measure(0.0, 1e-12) / poincare_time(0.0)
         assert ratio == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_when_epsilon_swallows_mean(self):
-        assert sub_threshold_measure(3.0, mean_survival(3.0) + 0.1, 1.0) == 0.0
+        assert sub_threshold_measure(3.0, mean_survival(3.0) + 0.1) == 0.0
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
-            sub_threshold_measure(1.0, 0.0, 1.0)
+            sub_threshold_measure(1.0, 0.0)
 
     @pytest.mark.parametrize("chi", [0.3, 0.7, 1.0, 2.0])
     def test_matches_grid_measure(self, chi):
-        period = poincare_time(1.0, chi)
-        closed = sub_threshold_measure(chi, 0.01, 1.0)
+        period = poincare_time(chi)
+        closed = sub_threshold_measure(chi, 0.01)
         grid = sub_threshold_measure_grid(chi, 0.01)
         assert abs(closed - grid) <= period / 1e4
 
     def test_ratio_eventually_vanishes(self):
         ratios = [
-            sub_threshold_measure(chi, 0.01, 1.0) / poincare_time(1.0, chi)
+            sub_threshold_measure(chi, 0.01) / poincare_time(chi)
             for chi in (2.0, 4.0, 8.0, 16.0)
         ]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
@@ -250,24 +273,24 @@ class TestSubThresholdMeasure:
 
     @given(chi=chi_values)
     def test_bounded_by_period(self, chi):
-        value = sub_threshold_measure(chi, 0.01, 1.0)
-        assert 0.0 <= value <= poincare_time(1.0, chi) * (1 + 1e-12)
+        value = sub_threshold_measure(chi, 0.01)
+        assert 0.0 <= value <= poincare_time(chi) * (1 + 1e-12)
 
 
 class TestGqzeInterval:
     def test_no_interval_at_zero_ratio(self):
-        assert gqze_interval(0.0, 1.0) is None
-        assert gqze_interval_grid(0.0, 1.0) is None
+        assert gqze_interval(0.0) is None
+        assert gqze_interval_grid(0.0) is None
 
     @pytest.mark.parametrize("chi", [2.0, 5.0, 10.0])
     def test_present_above_unit_ratio(self, chi):
-        interval = gqze_interval(chi, 1.0)
+        interval = gqze_interval(chi)
         assert interval is not None
         assert interval.present
         assert interval.period_ratio >= 0.5
 
     def test_hindered_curve_stays_above_reference(self):
-        interval = gqze_interval(5.0, 1.0)
+        interval = gqze_interval(5.0)
         w = math.sqrt(26.0)
         times = np.linspace(0.0, interval.end, 20_001)[1:-1]
         hindered = ((25.0 + np.cos(w * times)) / 26.0) ** 2
@@ -288,21 +311,15 @@ class TestGqzeInterval:
             assert quartic == pytest.approx(chi * chi / 12.0, rel=0.01)
 
     def test_order_threshold_is_applied(self):
-        generous = gqze_interval(2.0, 1.0, order_threshold=0.5)
-        strict = gqze_interval(2.0, 1.0, order_threshold=1.0)
+        generous = gqze_interval(2.0, order_threshold=0.5)
+        strict = gqze_interval(2.0, order_threshold=1.0)
         assert generous.present
         assert strict.end == pytest.approx(generous.end)
         assert strict.present == (strict.period_ratio >= 1.0)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            gqze_interval(2.0, 1.0, order_threshold=0.0)
-
-    def test_crossing_scales_with_coupling(self):
-        slow = gqze_interval(5.0, 1.0)
-        fast = gqze_interval(5.0, 2.0)
-        assert fast.end == pytest.approx(slow.end / 2, rel=1e-6)
-        assert fast.period_ratio == pytest.approx(slow.period_ratio, rel=1e-6)
+            gqze_interval(2.0, order_threshold=0.0)
 
 
 # Grids the windowed gqze search is pinned to the dense scan on: the 0.05
@@ -318,19 +335,19 @@ _GQZE_TWIN_CHIS = sorted(
 class TestGqzeWindowedSearch:
     @pytest.mark.parametrize("chi", _GQZE_TWIN_CHIS)
     def test_matches_dense_grid_bit_for_bit(self, chi):
-        assert gqze_interval(chi, 1.0) == gqze_interval_grid(chi, 1.0)
+        assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     @settings(max_examples=30)
     @given(chi=st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
     def test_matches_dense_grid_property(self, chi):
-        assert gqze_interval(chi, 1.0) == gqze_interval_grid(chi, 1.0)
+        assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     @pytest.mark.parametrize("chi", [0.5, 2.0])
     def test_short_grid_fallback_matches_dense_grid(self, chi):
         # A tenth of a reference period holds no crossing, so both searches
         # take the closest approach after the gap first clears 1e-13.
-        windowed = gqze_interval(chi, 1.0, max_reference_periods=0.1)
-        assert windowed == gqze_interval_grid(chi, 1.0, max_reference_periods=0.1)
+        windowed = gqze_interval(chi, max_reference_periods=0.1)
+        assert windowed == gqze_interval_grid(chi, max_reference_periods=0.1)
         assert not windowed.present
 
     @pytest.mark.parametrize("chi", [3e5, 6.3e6])
@@ -339,7 +356,7 @@ class TestGqzeWindowedSearch:
         # curves only touch near multiples of pi and no gap is clearly
         # negative. The closest approach must sit near one of those, not on
         # a rounding-noise point next to t = 0.
-        turns = gqze_interval(chi, 1.0).end / math.pi
+        turns = gqze_interval(chi).end / math.pi
         assert round(turns) >= 1
         assert abs(turns - round(turns)) <= 1e-5
 
@@ -348,13 +365,13 @@ class TestGqzeWindowedSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="too large"):
-                gqze_interval(chi, 1.0)
+                gqze_interval(chi)
             with pytest.raises(ValueError, match="too large"):
-                indicator_report(chi, 1.0, 0.01)
+                indicator_report(chi, 0.01)
             # The twin shares the search's range check; past chi ~ 1e154 it
             # used to divide by a zero step.
             with pytest.raises(ValueError, match="is too large: the survival floor"):
-                gqze_interval_grid(chi, 1.0)
+                gqze_interval_grid(chi)
 
 
     @pytest.mark.parametrize("chi", [1e-9, 1e-7, 3e-7])
@@ -363,37 +380,46 @@ class TestGqzeWindowedSearch:
             warnings.simplefilter("error")
             for search in (gqze_interval, gqze_interval_grid):
                 with pytest.raises(ValueError, match="too small"):
-                    search(chi, 1.0)
+                    search(chi)
             with pytest.raises(ValueError, match="too small"):
-                indicator_report(chi, 1.0, 0.01)
+                indicator_report(chi, 0.01)
 
     def test_smallest_accepted_chi_crosses_at_quarter_period(self):
         chi = math.sqrt(1e-13)
         while chi * chi <= 1e-13:
             chi = math.nextafter(chi, math.inf)
         with pytest.raises(ValueError, match="too small"):
-            gqze_interval(math.nextafter(chi, 0.0), 1.0)
-        windowed = gqze_interval(chi, 1.0)
-        assert windowed == gqze_interval_grid(chi, 1.0)
+            gqze_interval(math.nextafter(chi, 0.0))
+        windowed = gqze_interval(chi)
+        assert windowed == gqze_interval_grid(chi)
         assert windowed.end == pytest.approx(math.pi / 2, abs=1e-12)
         assert not windowed.present
 
 
-# Every fourth chi of the twin set, for the checks at other couplings and
-# grid densities.
+# Every fourth chi of the twin set, for the checks on other grids.
 _GQZE_SPARSE_CHIS = _GQZE_TWIN_CHIS[::4]
+
+
+def _scaled_grid(scale):
+    """Search-grid arguments ``scale`` times as long in reference periods and
+    ``scale`` times as sparse in points per period as the default grid. The
+    grid keeps about its number of points, but every window and chunk edge
+    moves; scale 1 is the default grid."""
+    return {"points_per_period": round(10_000 / scale), "max_reference_periods": 4.0 * scale}
 
 
 class TestGqzeChunkedScan:
     """The window scan runs in chunks of 1024, 2048, ... points and stops at
     the chunk holding the crossing; it must still agree bit for bit with the
-    dense grid, whatever the coupling and however the windows compare with
-    the first chunk."""
+    dense grid, whatever the grid and however the windows compare with the
+    first chunk. The checks named after couplings, which the search once
+    took, now vary the grid through ``_scaled_grid``."""
 
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
-    @pytest.mark.parametrize("coupling", [0.37, 2.3])
-    def test_matches_dense_grid_at_other_couplings(self, chi, coupling):
-        assert gqze_interval(chi, coupling) == gqze_interval_grid(chi, coupling)
+    @pytest.mark.parametrize("scale", [0.37, 2.3])
+    def test_matches_dense_grid_at_other_couplings(self, chi, scale):
+        grid = _scaled_grid(scale)
+        assert gqze_interval(chi, **grid) == gqze_interval_grid(chi, **grid)
 
     # At 300 points per period every window is shorter than the first chunk;
     # at 1700 the large-chi windows (about 0.64 of that) hold about one
@@ -401,8 +427,8 @@ class TestGqzeChunkedScan:
     @pytest.mark.parametrize("chi", [0.3, 0.9, 1.0, 2.0, math.sqrt(3.0), 5.0, 20.0])
     @pytest.mark.parametrize("points_per_period", [300, 1700, 40_000])
     def test_matches_dense_grid_at_other_densities(self, chi, points_per_period):
-        windowed = gqze_interval(chi, 1.0, points_per_period=points_per_period)
-        dense = gqze_interval_grid(chi, 1.0, points_per_period=points_per_period)
+        windowed = gqze_interval(chi, points_per_period=points_per_period)
+        dense = gqze_interval_grid(chi, points_per_period=points_per_period)
         assert windowed == dense
 
     # Window 0 covers indices 1 .. ceil(reach) + 2, the whole grid here.
@@ -431,14 +457,14 @@ class TestGqzeChunkedScan:
             return bisect(*args)
 
         with mock.patch.object(indicators, "_bisect_gap", record):
-            gqze_interval(chi, 1.0, points_per_period=points_per_period)
-            gqze_interval_grid(chi, 1.0, points_per_period=points_per_period)
+            gqze_interval(chi, points_per_period=points_per_period)
+            gqze_interval_grid(chi, points_per_period=points_per_period)
         windowed, dense = brackets
         assert windowed == dense
 
     @pytest.mark.parametrize("chi", [0.05, 0.5, 2.0, 20.0, 1e3, 1e4])
-    @pytest.mark.parametrize("coupling", [1.0, 2.3])
-    def test_no_chunk_runs_after_the_crossing(self, chi, coupling):
+    @pytest.mark.parametrize("scale", [1.0, 2.3])
+    def test_no_chunk_runs_after_the_crossing(self, chi, scale):
         times_seen, brackets = [], []
         survival = indicators.survival_probability
         bisect = indicators._bisect_gap
@@ -448,12 +474,12 @@ class TestGqzeChunkedScan:
             return survival(chi_value, w, times)
 
         def record_bisect(*args):
-            brackets.append(args[3:])
+            brackets.append(args[2:])
             return bisect(*args)
 
         with mock.patch.object(indicators, "survival_probability", record_survival), \
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
-            gqze_interval(chi, coupling)
+            gqze_interval(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
         assert right in times_seen[-1]
         assert not any(right in times for times in times_seen[:-1])
@@ -469,12 +495,17 @@ class TestGqzeChunkedScan:
 _searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
     lambda exponent: 10.0**exponent
 )
-_couplings = st.floats(min_value=0.05, max_value=20.0)
+_grids = st.fixed_dictionaries(
+    {
+        "points_per_period": st.integers(min_value=1000, max_value=20_000),
+        "max_reference_periods": st.floats(min_value=1.0, max_value=8.0),
+    }
+)
 
 
-def _search_brackets(chi, coupling):
-    """The (chi, w, base, left, right) arguments of every bisection that
-    ``gqze_interval`` starts, recorded from a real search."""
+def _search_brackets(chi, grid):
+    """The (chi, w, left, right) arguments of every bisection that
+    ``gqze_interval`` starts on ``grid``, recorded from a real search."""
     calls = []
     bisect = indicators._bisect_gap
 
@@ -483,7 +514,7 @@ def _search_brackets(chi, coupling):
         return bisect(*args)
 
     with mock.patch.object(indicators, "_bisect_gap", record):
-        gqze_interval(chi, coupling)
+        gqze_interval(chi, **grid)
     return calls
 
 
@@ -493,16 +524,16 @@ class TestBisectGap:
     80-halving oracle instead."""
 
     @settings(max_examples=150)
-    @given(chi=_searchable_chis, coupling=_couplings)
-    def test_matches_80_halving_oracle_on_search_brackets(self, chi, coupling):
-        calls = _search_brackets(chi, coupling)
+    @given(chi=_searchable_chis, grid=_grids)
+    def test_matches_80_halving_oracle_on_search_brackets(self, chi, grid):
+        calls = _search_brackets(chi, grid)
         for args in calls:
             assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
 
     @pytest.mark.parametrize("chi", [3.2e-7, 0.05, 1.0, 2.3, 20.0, 3e3, 6100000.3])
-    @pytest.mark.parametrize("coupling", [1.0, 2.3])
-    def test_matches_80_halving_oracle_at_range_edges(self, chi, coupling):
-        calls = _search_brackets(chi, coupling)
+    @pytest.mark.parametrize("scale", [1.0, 2.3])
+    def test_matches_80_halving_oracle_at_range_edges(self, chi, scale):
+        calls = _search_brackets(chi, _scaled_grid(scale))
         assert calls
         for args in calls:
             assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
@@ -512,33 +543,28 @@ class TestBisectGap:
         # difference shows in about 1 of 2000 draws, too rarely for the
         # property below to see it reliably.
         rng = np.random.default_rng(2024)
-        for chi, coupling, phase in zip(
-            10.0 ** rng.uniform(-6.5, 6.78, 20_000),
-            rng.uniform(0.05, 20.0, 20_000),
-            rng.uniform(0.0, 30.0, 20_000),
+        for chi, t in zip(
+            10.0 ** rng.uniform(-6.5, 6.78, 20_000), rng.uniform(0.0, 30.0, 20_000)
         ):
-            chi, coupling = float(chi), float(coupling)
-            w = coupling * math.sqrt(1.0 + chi * chi)
-            t = float(phase) / coupling
-            expected = survival_probability(chi, w, t) - survival_probability(0.0, coupling, t)
-            assert indicators._gap(chi * chi, w, coupling, t) == expected
+            chi, t = float(chi), float(t)
+            w = math.sqrt(1.0 + chi * chi)
+            expected = survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
+            assert indicators._gap(chi * chi, w, t) == expected
 
     @settings(max_examples=300)
     @given(
         chi=st.floats(min_value=0.0, max_value=6e6),
-        coupling=_couplings,
-        phase=st.floats(min_value=0.0, max_value=200.0),
+        t=st.floats(min_value=0.0, max_value=200.0),
     )
-    def test_scalar_gap_matches_survival_probability(self, chi, coupling, phase):
-        w = coupling * math.sqrt(1.0 + chi * chi)
-        t = phase / coupling
-        expected = survival_probability(chi, w, t) - survival_probability(0.0, coupling, t)
-        assert indicators._gap(chi * chi, w, coupling, t) == expected
+    def test_scalar_gap_matches_survival_probability(self, chi, t):
+        w = math.sqrt(1.0 + chi * chi)
+        expected = survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
+        assert indicators._gap(chi * chi, w, t) == expected
 
 
 class TestReportsAndSweep:
     def test_single_point_sweep(self):
-        report = indicator_report(0.0, 1.0, 0.01)
+        report = indicator_report(0.0, 0.01)
         assert report.survival_min == 0.0
         assert report.survival_mean == pytest.approx(0.5)
         assert report.poincare_period == pytest.approx(2 * math.pi)
@@ -546,7 +572,7 @@ class TestReportsAndSweep:
 
     def test_floor_lifts_off_at_unit_ratio(self):
         grid = np.round(np.arange(0, 301) * 0.01, 12)
-        reports = [indicator_report(float(chi), 1.0, 0.01) for chi in grid]
+        reports = [indicator_report(float(chi), 0.01) for chi in grid]
         floors = np.array([r.survival_min for r in reports])
         nonzero = grid[floors > 0]
         assert nonzero.min() == pytest.approx(1.01, abs=0.011)
@@ -554,13 +580,13 @@ class TestReportsAndSweep:
 
     def test_mean_minimum_within_grid_resolution(self):
         grid = np.round(np.arange(0, 201) * 0.01, 12)
-        reports = [indicator_report(float(chi), 1.0, 0.01) for chi in grid]
+        reports = [indicator_report(float(chi), 0.01) for chi in grid]
         means = np.array([r.survival_mean for r in reports])
         assert grid[int(np.argmin(means))] == pytest.approx(1 / math.sqrt(2), abs=0.01)
 
     def test_report_invariants(self):
         for chi in (0.0, 0.5, 1.0, 2.0, 10.0):
-            report = indicator_report(chi, 1.0, 0.01)
+            report = indicator_report(chi, 0.01)
             total = report.survival_mean + report.level2_mean + report.level3_mean
             assert total == pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= report.survival_min <= report.survival_mean <= 1.0
