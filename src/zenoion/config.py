@@ -235,7 +235,7 @@ def _read_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:  # its message can span lines
         raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from exc

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +45,9 @@ _TWO_PI = 2.0 * math.pi
 # Rounding can push the tiny small-t gap of the gqze search a few ulp
 # negative; only a gap beyond this bound counts as clearly signed.
 _CROSSING_TOL = 1e-13
+
+# The largest float x whose square x * x is finite.
+_LARGEST_SQUARABLE = math.sqrt(sys.float_info.max)
 
 # Grid points in the first chunk of each gqze window scan; every further
 # chunk is twice as long, so the scan stops soon after the crossing.
@@ -133,9 +137,24 @@ def mean_level_probabilities(chi):
     them against direct quadrature.
     """
     _, chi_sq, scalar = _chi_array(chi)
-    top = (chi_sq * chi_sq + 0.5) / (1.0 + chi_sq) ** 2
     middle = 0.5 / (1.0 + chi_sq)
-    bottom = 1.5 * chi_sq / (1.0 + chi_sq) ** 2
+    largest = float(chi_sq) if scalar else float(chi_sq.max(initial=0.0))
+    if largest <= _LARGEST_SQUARABLE:
+        top = (chi_sq * chi_sq + 0.5) / (1.0 + chi_sq) ** 2
+        bottom = 1.5 * chi_sq / (1.0 + chi_sq) ** 2
+    else:
+        # chi^4 overflows from chi ~ 1.2e77: there divide by 1 + chi^2
+        # before squaring; elsewhere keep the form above, bit for bit.
+        fits = chi_sq <= _LARGEST_SQUARABLE
+        small = np.where(fits, chi_sq, 0.0)
+        share = chi_sq / (1.0 + chi_sq)
+        inverse = 1.0 / (1.0 + chi_sq)
+        top = np.where(
+            fits,
+            (small * small + 0.5) / (1.0 + small) ** 2,
+            share * share + 0.5 * inverse * inverse,
+        )
+        bottom = np.where(fits, 1.5 * small / (1.0 + small) ** 2, 1.5 * share * inverse)
     if scalar:
         return (float(top), float(middle), float(bottom))
     return (top, middle, bottom)
@@ -200,32 +219,46 @@ def gqze_interval(
     samples the grid of ``gqze_interval_grid`` (``points_per_period``
     points per hindered period, out to ``max_reference_periods`` reference
     periods) only inside these windows, padded by two points a side, in
-    order of k and without revisiting a point. For chi <= 1, m = 0 and the
+    order of k. For chi <= 1, m = 0 and the
     windows cover the whole grid; for large chi each window holds about
     0.6 hindered periods, so the cost no longer grows with chi.
 
-    Chunks: each window is scanned in chunks of 1024, 2048, 4096, ... grid
-    points, and the scan stops at the first chunk holding a clearly
-    negative gap (below -1e-13; rounding alone makes the tiny small-t gap a
-    few ulp negative). The points past that chunk are never computed. The
-    reference cos^2(t) is formed inline with one cosine and one product,
-    bit for bit ``survival_probability(0.0, 1.0, t)``; the
-    hindered curve is ``survival_probability``. The scan thus visits the
-    same points in the same order as one pass per window would, and finds
-    the same bracket.
+    Lemma: the gap is never negative for t in [0, pi/2], whatever chi. With
+    w = sqrt(1 + chi^2) >= 1 and x = t/2 in [0, pi/4], |sin(wx)| <= w sin x:
+    if wx <= pi, d/dx (w sin x - sin wx) = w (cos x - cos wx) >= 0 (cosine
+    decreases on [0, pi] and x <= wx), and both sides vanish at x = 0; if
+    wx > pi/2, Jordan's inequality sin x >= 2x/pi gives w sin x >= 2wx/pi
+    >= 1. Squaring, 1 - cos(wt) = 2 sin^2(wt/2) <= 2 w^2 sin^2(t/2) =
+    w^2 (1 - cos t), i.e. chi^2 + cos(wt) >= (1 + chi^2) cos t >= 0, so the
+    hindered survival is at least cos^2(t). The first clearly negative point
+    therefore lies past pi/2.
+
+    Chunks: the scan starts at the first grid point past pi/2 and runs
+    through the rest of the windows in chunks of 1024, 2048, 4096, ... grid
+    points (a chunk that straddles pi/2 is clipped there). It stops at the
+    first chunk holding a clearly negative gap (below -1e-13; rounding alone
+    makes the tiny small-t gap a few ulp negative). The points past that
+    chunk are never computed. The reference cos^2(t) is formed inline with
+    one cosine and one product, bit for bit ``survival_probability(0.0,
+    1.0, t)``; the hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive point before it, carried across chunks
     and windows, and refined by bisection on Python floats
-    (``_bisect_gap``). The bisection stops at its fixed point, where a
-    halving no longer moves the bracket, and so returns the same float as a
-    fixed 80 halvings after about 40 of them.
+    (``_bisect_gap``). If no visited point past pi/2 precedes the crossing
+    with a clearly positive gap, the left end is the last such point of the
+    windows at or before pi/2, found by scanning back from pi/2 in chunks of
+    16, 32, 64, ... points, or 0 if there is none. The bracket is thus the
+    one a scan of every window point would find. The bisection stops at its
+    fixed point, where a halving no longer moves the bracket, and so
+    returns the same float as a fixed 80 halvings after about 40 of them.
 
     Fallback: if no strict crossing occurs within the grid (possible only
-    for commensurate frequencies, where the curves touch without crossing)
-    the closest approach is reported: the sampled point of least gap,
-    counted only once the gap has first cleared +1e-13, so rounding noise
-    near t = 0 is never taken for a touch.
+    for commensurate frequencies, where the curves touch without crossing,
+    or on a grid that ends before the first crossing) the closest approach
+    is reported: the sampled point of least gap over the windows from
+    t = 0, counted only once the gap has first cleared +1e-13, so rounding
+    noise near t = 0 is never taken for a touch.
 
     Range: chi = 0, or chi^2 > 1e-13 (chi above about 3.2e-7) with a floor
     clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
@@ -241,31 +274,17 @@ def gqze_interval(
 def _window_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
     """The crossing time found by the windowed, chunked scan of
     ``gqze_interval``."""
-    # Window k covers grid indices around k * spacing +- reach.
-    spacing = math.pi / step
-    reach = half_angle / step
-    left = 0.0
-    armed = False  # the gap has cleared +_CROSSING_TOL
-    closest_gap, closest_time = math.inf, 0.0
-    next_index = 1
-    for first, last in _window_chunks(count, spacing, reach):
-        if first > next_index and not armed:
-            # Skipped points lie outside every window, where the gap is at
-            # least m - cos^2 > 0. Padded windows part only once m exceeds
-            # ~8e-7 (default grid), and the skipped point nearest
-            # (k - 1/2) pi has cos^2 ~ 0, so its gap ~ m clears the
-            # tolerance: arm here, as the dense scan would.
-            armed = True
-            closest_gap = math.inf
-        next_index = last + 1
-        times = np.arange(first, last + 1) * step
-        # The chi = 0 reference, bit for bit survival_probability(0.0, 1.0,
-        # times): multiplying by 1.0, adding 0.0 and dividing by 1.0 are
-        # exact, and an array square is x * x.
-        reference = np.cos(times)
-        reference *= reference
-        gap = survival_probability(chi_value, w, times)
-        gap -= reference
+    # Window k covers grid indices k * spacing +- reach.
+    chunks = list(_window_chunks(count, math.pi / step, half_angle / step))
+    # By the lemma of gqze_interval no point with t <= pi/2 is clearly
+    # negative, so the forward scan starts past the last of them.
+    quarter = _last_index_at_or_below(0.5 * math.pi, step)
+    left = _last_positive_time(chi_value, w, step, chunks, quarter)
+    for first, last in chunks:
+        if last <= quarter:
+            continue
+        times = np.arange(max(first, quarter + 1), last + 1) * step
+        gap = _gaps(chi_value, w, times)
         below = np.nonzero(gap < -_CROSSING_TOL)[0]
         stop = int(below[0]) if below.size else gap.size
         positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
@@ -273,11 +292,65 @@ def _window_scan(chi_value: float, w: float, half_angle: float, step: float, cou
             left = float(times[positive[-1]])
         if below.size:
             return _bisect_gap(chi_value, w, left, float(times[stop]))
+    return _closest_approach(chi_value, w, step, chunks)
+
+
+def _last_index_at_or_below(t: float, step: float) -> int:
+    """The largest grid index i with i * step <= t, the product rounded as
+    ``np.arange(...) * step`` rounds it."""
+    index = math.floor(t / step)
+    while index * step > t:
+        index -= 1
+    while (index + 1) * step <= t:
+        index += 1
+    return index
+
+
+def _last_positive_time(chi_value: float, w: float, step: float, chunks, last_index: int) -> float:
+    """Time of the last clearly positive gap among the visited grid indices
+    up to ``last_index``, or 0.0 if there is none.
+
+    Scans backwards from ``last_index`` in chunks of 16, 32, 64, ... points,
+    so a positive point close to it costs a few dozen samples.
+    """
+    size = 16
+    for first, last in reversed(chunks):
+        last = min(last, last_index)
+        while first <= last:
+            chunk_first = max(first, last - size + 1)
+            times = np.arange(chunk_first, last + 1) * step
+            positive = np.nonzero(_gaps(chi_value, w, times) > _CROSSING_TOL)[0]
+            if positive.size:
+                return float(times[positive[-1]])
+            last, size = chunk_first - 1, 2 * size
+    return 0.0
+
+
+def _closest_approach(chi_value: float, w: float, step: float, chunks) -> float:
+    """Time of the sampled point of least gap over all visited grid points,
+    counted from the first point past which the gap is known to have cleared
+    +_CROSSING_TOL; the fallback of a scan that finds no clearly negative
+    point."""
+    armed = False
+    closest_gap, closest_time = math.inf, 0.0
+    next_index = 1
+    for first, last in chunks:
+        times = np.arange(first, last + 1) * step
+        gap = _gaps(chi_value, w, times)
         offset = 0
-        if not armed and positive.size:
-            armed = True
-            closest_gap = math.inf
-            offset = int(positive[0])
+        if not armed:
+            positive = np.nonzero(gap > _CROSSING_TOL)[0]
+            # Skipped points lie outside every window, where the gap is at
+            # least m - cos^2 > 0. Padded windows part only once m exceeds
+            # ~8e-7 (default grid), and the skipped point nearest
+            # (k - 1/2) pi has cos^2 ~ 0, so its gap ~ m clears the
+            # tolerance: a window after skipped points arms from its start,
+            # as the dense scan would.
+            if first > next_index or positive.size:
+                armed, closest_gap = True, math.inf
+                if first == next_index:
+                    offset = int(positive[0])
+        next_index = last + 1
         index = offset + int(np.argmin(gap[offset:]))
         if gap[index] < closest_gap:
             closest_gap, closest_time = float(gap[index]), float(times[index])
@@ -285,7 +358,7 @@ def _window_scan(chi_value: float, w: float, half_angle: float, step: float, cou
 
 
 def _window_chunks(count: int, spacing: float, reach: float):
-    """Yield the (first, last) grid-index ranges the gqze scan visits, in
+    """Yield the (first, last) grid-index ranges of the gqze windows, in
     order. Window k covers k * spacing +- reach, padded by two points a side,
     clipped to [1, count] and to points not yet visited. Each window is
     split into chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, 4 _FIRST_CHUNK, ...
@@ -362,6 +435,21 @@ def _gap(chi_sq: float, w: float, t: float) -> float:
     hindered = (chi_sq + math.cos(w * t)) / (chi_sq + 1.0)
     reference = math.cos(t)
     return hindered * hindered - reference * reference
+
+
+def _gaps(chi_value: float, w: float, times: np.ndarray) -> np.ndarray:
+    """Hindered minus reference survival on an array of times, as the gqze
+    scan forms it.
+
+    The chi = 0 reference is bit for bit survival_probability(0.0, 1.0,
+    times): multiplying by 1.0, adding 0.0 and dividing by 1.0 are exact,
+    and an array square is x * x.
+    """
+    reference = np.cos(times)
+    reference *= reference
+    gap = survival_probability(chi_value, w, times)
+    gap -= reference
+    return gap
 
 
 def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:

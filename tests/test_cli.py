@@ -680,6 +680,40 @@ class TestArgvProperty:
         assert result.returncode == 0, result.stdout + result.stderr
 
 
+class TestUnreadableConfigFiles:
+    # Undecodable bytes, a '%' (no interpolation) and a continuation line.
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[run]\nmode = sweep\n[grid]\nchi_max = 1\xff\n", "cannot read config file "),
+            (b"[run]\nmode = sweep\n[grid]\nchi_max = 5%\n", "chi_max: '5%'"),
+            (b"[run]\nmode = sweep\n[grid]\nchi_max = 2\n  3\n", "chi_max: '2\\n3'"),
+        ],
+    )
+    def test_ends_in_one_config_error_line(self, content, message, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(content)
+        src = str(Path(zenoion.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "zenoion.cli", "sweep", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error: " + message)
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        if message.startswith("cannot read"):
+            assert str(path) in result.stderr
+
+
 # Flag, INI section, INI key and a non-default value of each RunConfig field.
 _SPELLINGS = {
     "mode": (None, "run", "mode", "sweep"),

@@ -239,6 +239,33 @@ class TestMeanLevelProbabilities:
         assert averages == pytest.approx(expected, abs=1e-8)
 
 
+class TestAveragesPastChiFourthOverflow:
+    # chi^4 overflows float64 from chi ~ 1.2e77, well inside the chi^2 range.
+    @pytest.mark.parametrize("chi", [1e100, 1e150])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_finite_and_normalised(self, chi, shape):
+        value = chi if shape == "scalar" else np.array([chi, chi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            triple = mean_level_probabilities(value)
+            mean = mean_survival(value)
+            if shape == "scalar":
+                assert sub_threshold_measure(chi, 0.01) == 0.0
+        for level in triple:
+            assert np.all(np.isfinite(level))
+        np.testing.assert_allclose(sum(triple), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mean, 1.0, rtol=0, atol=1e-15)
+
+    def test_in_range_entries_keep_their_bits(self):
+        grid = np.array([0.0, 0.3, 2.0, 1e10, 1e77])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = mean_level_probabilities(np.append(grid, 1e150))
+        for plain, with_huge in zip(mean_level_probabilities(grid), mixed):
+            assert np.array_equal(plain, with_huge[:-1])
+        assert mixed[0][-1] == 1.0
+
+
 class TestSubThresholdMeasure:
     def test_zero_when_threshold_below_floor(self):
         # mean(10) - 0.05 sits below the survival floor at chi = 10
@@ -560,6 +587,63 @@ class TestBisectGap:
         w = math.sqrt(1.0 + chi * chi)
         expected = survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
         assert indicators._gap(chi * chi, w, t) == expected
+
+
+class TestGqzeQuarterPeriodSkip:
+    """The gqze scan computes no grid point with t <= pi/2, where the lemma
+    of ``gqze_interval`` puts the gap at or above 0; only the backward seed
+    of the bracket's left end samples there."""
+
+    @settings(max_examples=300)
+    @given(
+        chi=st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6.3e6)).map(
+            lambda exponent: 10.0**exponent
+        ),
+        t=st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    )
+    def test_gap_is_not_clearly_negative_before_quarter_period(self, chi, t):
+        w = math.sqrt(1.0 + chi * chi)
+        assert indicators._gap(chi * chi, w, t) >= -1e-13
+        times = np.append(np.linspace(0.0, 0.5 * math.pi, 1001), t)
+        assert indicators._gaps(chi, w, times).min() >= -1e-13
+
+    @pytest.mark.parametrize("chi", [2.0, 20.0, 1e3, 1e4])
+    def test_points_before_quarter_period_are_one_short_seed(self, chi):
+        times_seen = []
+        survival = indicators.survival_probability
+
+        def record_survival(chi_value, w, times):
+            times_seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival):
+            gqze_interval(chi)
+        early = [times for times in times_seen if np.any(times <= 0.5 * math.pi)]
+        assert len(early) <= 1
+        assert all(times.size <= 64 and np.all(times <= 0.5 * math.pi) for times in early)
+
+    # Below chi ~ 2e-6 no window-0 gap clears 1e-13 and the seed walks back
+    # over several chunks to 0; above it one short seed chunk suffices.
+    @pytest.mark.parametrize("chi", [4e-7, 1e-6, 2e-6, 3e-6, 1e-3, 0.5, 1.0, 5.0])
+    def test_seeded_bracket_matches_dense_grid(self, chi):
+        brackets = []
+        bisect = indicators._bisect_gap
+
+        def record(*args):
+            brackets.append(args)
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "_bisect_gap", record):
+            gqze_interval(chi)
+            gqze_interval_grid(chi)
+        windowed, dense = brackets
+        assert windowed == dense
+
+    def test_quarter_index_rounds_as_the_grid(self):
+        for step in (1e-3, math.pi / 2000, 0.5 * math.pi / 3, 2.3e-11, 0.7):
+            index = indicators._last_index_at_or_below(0.5 * math.pi, step)
+            grid = np.arange(index - 2, index + 3) * step
+            assert grid[2] <= 0.5 * math.pi < grid[3]
 
 
 class TestReportsAndSweep:
