@@ -37,6 +37,7 @@ from .indicators import (
     gqze_interval,
     gqze_interval_grid,
     indicator_report,
+    mean_level_probabilities,
     mean_survival,
     mean_survival_quadrature,
     min_survival,
@@ -453,6 +454,29 @@ def random_cases(rng: np.random.Generator, count: int = 100):
     return cases
 
 
+def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
+    """Trapezoidal period averages (P1, P2, P3) of the level populations,
+    starting from level 1, of the block with c12 = 1 and c23 = chi,
+    propagated by eigendecomposition.
+
+    Like ``mean_survival_quadrature``, exact up to rounding for any
+    ``panels`` >= 3: each population has harmonics 0, 1 and 2 in wt only.
+    """
+    block = build_block(
+        ModeVector(0, 0, 0),
+        SidebandPattern((0, 0, 0), (0, 0, 0)),
+        CouplingConstants(1.0, chi),
+    )
+    state = VibronicState.basis_state(3, 0)
+    times = np.linspace(0.0, 2.0 * math.pi / block.angular_frequency, panels + 1)
+    populations = np.array(
+        [level_probabilities(propagate_oracle(block, state, float(t))) for t in times]
+    )
+    weights = np.full(panels + 1, 1.0)
+    weights[0] = weights[-1] = 0.5
+    return weights @ populations / panels
+
+
 def run_validate(config: RunConfig) -> ValidationReport:
     """Cross-check the closed-form dynamics and indicators against their
     numeric twins."""
@@ -501,6 +525,12 @@ def run_validate(config: RunConfig) -> ValidationReport:
     dev_mean = max(
         abs(mean_survival(chi) - mean_survival_quadrature(chi)) for chi in chi_grid
     )
+    dev_level2 = dev_level3 = 0.0
+    for chi in chi_grid:
+        _, level2, level3 = mean_level_probabilities(chi)
+        _, twin2, twin3 = _oracle_level_means(chi)
+        dev_level2 = max(dev_level2, abs(level2 - twin2))
+        dev_level3 = max(dev_level3, abs(level3 - twin3))
     argmin_samples = 100_000
     dev_argmin_steps = 0.0
     for chi in chi_grid:
@@ -532,7 +562,9 @@ def run_validate(config: RunConfig) -> ValidationReport:
         ValidationCheck("two-level Rabi limit", dev_rabi, 1e-12),
         ValidationCheck("survival formula vs overlap", dev_overlap, 1e-12),
         ValidationCheck("survival minimum: closed vs grid", dev_min, 1e-6),
-        ValidationCheck("survival mean: closed vs quadrature", dev_mean, 1e-8),
+        ValidationCheck("survival mean: closed vs quadrature", dev_mean, 1e-14),
+        ValidationCheck("level-2 mean: closed vs oracle quadrature", dev_level2, 1e-14),
+        ValidationCheck("level-3 mean: closed vs oracle quadrature", dev_level3, 1e-14),
         ValidationCheck("first-minimum time vs grid argmin (steps)", dev_argmin_steps, 1.0),
         ValidationCheck("sub-threshold measure vs grid (T_p/1e4)", dev_measure, 1.0),
         ValidationCheck("gqze crossing: windowed vs dense grid", dev_gqze, 0.0),

@@ -113,7 +113,7 @@ def test_criterion_05_survival_mean():
         specials = [0.0, 1 / math.sqrt(2), 1.0]
         for chi in np.concatenate([np.logspace(-2, 2, 21), specials]):
             gap = abs(mean_survival(chi) - mean_survival_quadrature(chi))
-            assert gap <= 1e-8, f"chi={chi}: {gap:.2e}"
+            assert gap <= 1e-14, f"chi={chi}: {gap:.2e}"
         grid = np.round(np.arange(20_001) * 1e-4, 12)
         means = mean_survival(grid)
         argmin = grid[int(np.argmin(means))]

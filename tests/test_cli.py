@@ -332,6 +332,32 @@ class TestValidateHarness:
         assert not report.ok
         assert "FAIL" in report.format_text()
 
+    def test_checks_every_period_average(self):
+        config = load_config(None, {"mode": "validate", "seed": 3})
+        names = [check.name for check in run_validate(config).checks]
+        assert len(names) == 13
+        mean = names.index("survival mean: closed vs quadrature")
+        assert names[mean + 1 : mean + 3] == [
+            "level-2 mean: closed vs oracle quadrature",
+            "level-3 mean: closed vs oracle quadrature",
+        ]
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_injected_level_mean_error_is_caught(self, monkeypatch, level):
+        closed = zenoion.runner.mean_level_probabilities
+
+        def corrupted(chi):
+            triple = list(closed(chi))
+            triple[level - 1] += 1e-12
+            return tuple(triple)
+
+        monkeypatch.setattr("zenoion.runner.mean_level_probabilities", corrupted)
+        config = load_config(None, {"mode": "validate", "seed": 3})
+        report = run_validate(config)
+        failed = [check.name for check in report.checks if not check.passed]
+        assert failed == [f"level-{level} mean: closed vs oracle quadrature"]
+        assert not report.ok
+
 
 class TestCliEntry:
     def test_figures_exit_zero(self, tmp_path, capsys):

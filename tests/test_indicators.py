@@ -32,6 +32,7 @@ from zenoion.indicators import (
     time_of_min,
     time_of_min_grid,
 )
+from zenoion.runner import _oracle_level_means
 
 from .oracles import bisect_gap_oracle
 
@@ -175,12 +176,12 @@ class TestMeanSurvival:
 
     def test_unit_ratio(self):
         assert mean_survival(1.0) == pytest.approx(3 / 8)
-        assert mean_survival_quadrature(1.0) == pytest.approx(3 / 8, abs=1e-8)
+        assert mean_survival_quadrature(1.0) == pytest.approx(3 / 8, abs=1e-14)
 
     @pytest.mark.parametrize("chi", [0.0, 0.2, 1 / math.sqrt(2), 1.0, 3.0, 10.0, 80.0])
     def test_matches_quadrature(self, chi):
         assert mean_survival(chi) == pytest.approx(
-            mean_survival_quadrature(chi), abs=1e-8
+            mean_survival_quadrature(chi), abs=1e-14
         )
 
     @pytest.mark.parametrize("chi", [2.0, 5.0, 20.0, 100.0])
@@ -226,7 +227,7 @@ class TestMeanLevelProbabilities:
         )
         state = VibronicState.basis_state(3, 0)
         period = poincare_time(chi)
-        panels = 20_000
+        panels = 16  # exact: the populations hold harmonics 0, 1, 2 of wt
         times = np.linspace(0.0, period, panels + 1)
         sums = np.zeros(3)
         for index, t in enumerate(times):
@@ -236,7 +237,36 @@ class TestMeanLevelProbabilities:
             )
         averages = sums / panels
         expected = mean_level_probabilities(chi)
-        assert averages == pytest.approx(expected, abs=1e-8)
+        assert averages == pytest.approx(expected, abs=1e-14)
+
+
+class TestPeriodAverageTrapezoidExactness:
+    """Every level population holds harmonics 0, 1 and 2 of wt only, so an
+    N-panel trapezoid over one period is exact for any N >= 3; the twins of
+    ``validate`` rely on it at 16 panels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chi=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-4.0, max_value=3.0).map(lambda exponent: 10.0**exponent),
+        ),
+        panels=st.integers(min_value=3, max_value=64),
+    )
+    def test_any_panel_count_from_three_is_exact(self, chi, panels):
+        expected = mean_level_probabilities(chi)
+        assert abs(mean_survival_quadrature(chi, panels=panels) - expected[0]) <= 1e-14
+        _, level2, level3 = _oracle_level_means(chi, panels=panels)
+        assert abs(level2 - expected[1]) <= 1e-14
+        assert abs(level3 - expected[2]) <= 1e-14
+
+    def test_two_panels_miss(self):
+        # Two panels alias harmonic 2 onto the mean, so the checks can fail.
+        expected = mean_level_probabilities(0.7)
+        assert abs(mean_survival_quadrature(0.7, panels=2) - expected[0]) > 1e-2
+        _, level2, level3 = _oracle_level_means(0.7, panels=2)
+        assert abs(level2 - expected[1]) > 1e-2
+        assert abs(level3 - expected[2]) > 1e-2
 
 
 class TestAveragesPastChiFourthOverflow:
@@ -644,6 +674,40 @@ class TestGqzeQuarterPeriodSkip:
             index = indicators._last_index_at_or_below(0.5 * math.pi, step)
             grid = np.arange(index - 2, index + 3) * step
             assert grid[2] <= 0.5 * math.pi < grid[3]
+
+
+class TestFloatIndexGrids:
+    """The scans build their index grids as floats; every index is below
+    2^53, so each time keeps the bits of the integer grid times step."""
+
+    @settings(max_examples=300)
+    @given(
+        first=st.integers(min_value=0, max_value=200_000_000),
+        length=st.integers(min_value=1, max_value=4096),
+        step=st.floats(min_value=-12.0, max_value=3.0).map(lambda exponent: 10.0**exponent),
+    )
+    def test_index_grid_keeps_integer_grid_bits(self, first, length, step):
+        last = min(first + length - 1, 200_000_000)
+        old = np.arange(first, last + 1) * step
+        new = indicators._grid_times(first, last, step)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+    @pytest.mark.parametrize("chi", [0.0, 0.3, 0.7, 1.0, 2.0])
+    def test_midpoint_grid_keeps_integer_grid_bits(self, chi):
+        times_seen = []
+        survival = indicators.survival_probability
+
+        def record_survival(chi_value, w, times):
+            times_seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival):
+            sub_threshold_measure_grid(chi, 0.01)
+        (new,) = times_seen
+        old = (np.arange(400_000) + 0.5) * (poincare_time(chi) / 400_000)
+        assert new.shape == old.shape
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 class TestReportsAndSweep:
