@@ -36,9 +36,10 @@ MODES = {
 
 _DEFAULT_T_MAX = 4.0 * math.pi  # two chi = 0 periods, omega(0)-scaled
 
-# Most points a time grid (``samples``) or a chi grid may hold. At the cap
-# an evolve run keeps ~250 MiB of rows and a sweep ~600 MiB of reports; a
-# larger request is a config error, not a multi-GiB allocation.
+# Most points a time grid (``samples``) or a chi grid may hold. evolve and
+# sweep stream their rows to the CSV, so memory does not grow with the grid;
+# the cap bounds run time and file size (about 115 MB of evolve.csv and
+# 280 MB of sweep.csv at 10^6 rows). A larger request is a config error.
 MAX_GRID_POINTS = 10**6
 
 

@@ -10,6 +10,7 @@ significant digits so the files round-trip 64-bit values exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -73,19 +74,35 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
     ('%d' or '%.16e' per cell, which give those bytes, nan, inf and -0.0
     included), formats every row, so all rows must hold the cell types of
     the first.
+
+    ``rows`` may be a generator that computes each row as it is written.
+    The rows go to a hidden file beside ``path`` (beside the file a symlink
+    there points to), which ``os.replace`` then moves into place, so the CSV
+    appears only once complete. On any exception, raised by ``rows`` or by
+    the write, the hidden file is removed and a file already at ``path``
+    keeps its bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# {comment}\n")
-        handle.write(",".join(header) + "\n")
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is not None:
-            integral = (bool, int, np.bool_, np.integer)
-            cells = ("%d" if isinstance(value, integral) else "%.16e" for value in first)
-            fmt = ",".join(cells) + "\n"
-            handle.write(fmt % tuple(first))
-            handle.writelines(fmt % tuple(row) for row in rows)
+    target = Path(os.path.realpath(path))
+    # open(..., "x") creates the file with mode 0o666 & ~umask, as "w" does.
+    partial = target.with_name(f".{target.name}.{os.urandom(6).hex()}.partial")
+    handle = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(f"# {comment}\n")
+            handle.write(",".join(header) + "\n")
+            rows = iter(rows)
+            first = next(rows, None)
+            if first is not None:
+                integral = (bool, int, np.bool_, np.integer)
+                cells = ("%d" if isinstance(value, integral) else "%.16e" for value in first)
+                fmt = ",".join(cells) + "\n"
+                handle.write(fmt % tuple(first))
+                handle.writelines(fmt % tuple(row) for row in rows)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _chi_grid(chi_max: float, chi_step: float) -> np.ndarray:
@@ -197,13 +214,16 @@ def run_evolve(config: RunConfig) -> Path:
     run = _resolve(config)
     initial = VibronicState.basis_state(run.block.dimension, 0)
     t_scaled = _time_grid(config, run.block.angular_frequency, run.coupling)
-    rows = []
-    for value in t_scaled:
-        state = propagate_analytic(run.block, initial, value / run.coupling)
-        p1, p2, p3 = level_probabilities(state)
-        rows.append((value, p1, p2, p3, p1))
+
+    def rows():
+        # One row at a time, so memory does not grow with the samples.
+        for value in map(float, t_scaled):
+            state = propagate_analytic(run.block, initial, value / run.coupling)
+            p1, p2, p3 = level_probabilities(state)
+            yield value, p1, p2, p3, p1
+
     path = _output_file(config, "evolve.csv")
-    write_csv(path, _UNITS_COMMENT, ("t_scaled", "p1", "p2", "p3", "survival"), rows)
+    write_csv(path, _UNITS_COMMENT, ("t_scaled", "p1", "p2", "p3", "survival"), rows())
     return path
 
 
@@ -293,9 +313,9 @@ def run_indicators(config: RunConfig) -> tuple[str, Path]:
 def run_sweep(config: RunConfig) -> Path:
     """Indicator reports over a chi grid (single point when chi is given)."""
     grid = [config.chi] if config.has_chi_override else _chi_grid(config.chi_max, config.chi_step)
-    reports = [
+    reports = (
         indicator_report(float(chi), config.epsilon, config.order_threshold) for chi in grid
-    ]
+    )
     path = _output_file(config, "sweep.csv")
     _write_reports(path, reports)
     return path

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -223,6 +224,123 @@ class TestWriteCsv:
         empty = tmp_path / "empty.csv"
         write_csv(empty, "e", ("t",), iter(()))
         assert empty.read_text(encoding="utf-8") == "# e\nt\n"
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("rows_before", [0, 3])
+    def test_failing_rows_leave_no_file(self, tmp_path, error, rows_before):
+        def rows():
+            for index in range(rows_before):
+                yield (float(index),)
+            raise error("row failed")
+
+        with pytest.raises(error):
+            write_csv(tmp_path / "x.csv", "x", ("t",), rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "real.csv").write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "data" / "real.csv")
+        write_csv(link, "s", ("t",), [(1.0,)])
+        assert link.is_symlink()
+        assert (tmp_path / "data" / "real.csv").read_text(encoding="utf-8").startswith("# s\n")
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["real.csv"]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027, 0o077])
+    def test_mode_follows_the_umask(self, tmp_path, mask):
+        old = os.umask(mask)
+        try:
+            write_csv(tmp_path / "m.csv", "m", ("t",), [(1.0,)])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "m.csv").stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+class TestFailedRunsLeaveNoCsv:
+    """A run that fails partway through its rows exits 1 and leaves neither
+    a partial CSV nor a hidden partial file; a CSV already at the target
+    keeps its bytes."""
+
+    OLD = b"# an earlier run\nkept,as,is\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_evolve_failing_midway(self, tmp_path, monkeypatch, capsys, existing):
+        if existing:
+            (tmp_path / "evolve.csv").write_bytes(self.OLD)
+        calls = [0]
+
+        def failing_on_call_500(*args):
+            calls[0] += 1
+            if calls[0] == 500:
+                raise ValueError("propagate_analytic failed on call 500")
+            return propagate_analytic(*args)
+
+        monkeypatch.setattr(zenoion.runner, "propagate_analytic", failing_on_call_500)
+        code = main(
+            ["evolve", "--gamma1", "1", "--gamma2", "3", "--samples", "1000",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "propagate_analytic failed on call 500" in capsys.readouterr().err
+        if existing:
+            assert [p.name for p in tmp_path.iterdir()] == ["evolve.csv"]
+            assert (tmp_path / "evolve.csv").read_bytes() == self.OLD
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_failing_midway(self, tmp_path, capsys):
+        # chi = 0 is reported before chi = 1e-8 fails as too small.
+        (tmp_path / "sweep.csv").write_bytes(self.OLD)
+        code = main(["sweep", "--chi-step", "1e-8", "--chi-max", "1e-7", "--out", str(tmp_path)])
+        assert code == 1
+        assert "is too small" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        assert (tmp_path / "sweep.csv").read_bytes() == self.OLD
+
+    def test_successful_run_replaces_an_existing_csv(self, tmp_path):
+        (tmp_path / "sweep.csv").write_bytes(self.OLD)
+        assert main(["sweep", "--chi-max", "1", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        assert (tmp_path / "sweep.csv").read_bytes().startswith(b"# time columns")
+
+
+def _traced_peak(run, config) -> int:
+    """Peak bytes tracemalloc sees allocated while ``run(config)`` runs."""
+    tracemalloc.start()
+    try:
+        run(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """evolve and sweep write each row as it is computed, so their memory
+    does not grow with the grid."""
+
+    def test_evolve_peak_is_small(self, tmp_path):
+        # Holding the 80,000 rows as a list costs about 15 MiB.
+        config = load_config(
+            None,
+            {"mode": "evolve", "gamma1": 1.0, "gamma2": 3.0, "samples": 80_000,
+             "out": str(tmp_path)},
+        )
+        assert _traced_peak(run_evolve, config) < 2 * 2**20
+
+    def test_sweep_peak_does_not_grow_with_the_chi_count(self, tmp_path):
+        # The same chi range at 101 and at 4001 points. Holding 4001 reports
+        # as a list costs about 2 MiB; the chi grid itself about 100 KiB.
+        peaks = {}
+        for points in (101, 4001):
+            config = load_config(
+                None,
+                {"mode": "sweep", "chi_max": 1.0, "chi_step": 1.0 / (points - 1),
+                 "out": str(tmp_path)},
+            )
+            peaks[points] = _traced_peak(run_sweep, config)
+            assert len(read_columns(tmp_path / "sweep.csv")[1]["chi"]) == points
+        assert peaks[4001] - peaks[101] < 256 * 2**10
 
 
 class TestSweepAndIndicators:
