@@ -15,7 +15,7 @@ of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -165,42 +165,103 @@ def build_block(
     )
 
 
-@dataclass(frozen=True)
 class VibronicState:
-    """Complex amplitudes over one block's basis chain, unit norm."""
+    """Complex amplitudes over one block's basis chain, unit norm.
 
-    amplitudes: np.ndarray
+    ``values`` holds the amplitudes as a tuple of 1 to 3 Python complex
+    numbers; the closed-form propagator and ``level_probabilities`` work on
+    it directly. ``amplitudes`` is the same vector as a read-only complex
+    array, built from ``values`` on first access and then kept. States are
+    immutable: assigning any attribute raises.
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+    The constructor takes anything ``np.array(..., dtype=complex)`` reads as
+    a 1-D vector of length 1..3 and raises ``ValueError`` unless its norm is
+    1 within 1e-9.
+    """
+
+    __slots__ = ("values", "_amplitudes")
+
+    def __init__(self, amplitudes) -> None:
+        amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        norm = self.norm
-        # Written as "not <=" so that a NaN norm fails too.
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state must be normalized, got norm {norm!r}")
+        _init_state(self, tuple(amps.tolist()))
+        _set_amplitudes(self, amps)
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
         if not 0 <= index < dimension:
             raise ValueError("basis index outside block")
-        amps = np.zeros(dimension, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
+        return _state(tuple(1 + 0j if i == index else 0j for i in range(dimension)))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        try:
+            return self._amplitudes
+        except AttributeError:
+            amps = np.array(self.values, dtype=complex)
+            amps.setflags(write=False)
+            _set_amplitudes(self, amps)
+            return amps
 
     @property
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"VibronicState({self.values!r})"
+
+    def __reduce__(self):
+        return VibronicState, (self.values,)
+
+
+# Writers of the two slots, past the __setattr__ that refuses assignment.
+_set_values = VibronicState.values.__set__
+_set_amplitudes = VibronicState._amplitudes.__set__
+
+
+def _init_state(state: VibronicState, values: tuple[complex, ...]) -> None:
+    """Give a new state its ``values`` once their norm checks out."""
+    norm_sq = 0.0
+    for z in values:
+        norm_sq += z.real * z.real + z.imag * z.imag
+    norm = math.sqrt(norm_sq)
+    # Written as "not <=" so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"state must be normalized, got norm {norm!r}")
+    _set_values(state, values)
+
+
+def _state(values: tuple[complex, ...]) -> VibronicState:
+    """State of a tuple of 1 to 3 Python complex numbers, checked for its
+    norm only."""
+    state = object.__new__(VibronicState)
+    _init_state(state, values)
+    return state
+
 
 def _check_state(block: BlockSystem, state: VibronicState) -> None:
-    if state.amplitudes.size != block.dimension:
+    if len(state.values) != block.dimension:
         raise ValueError(
-            f"state dimension {state.amplitudes.size} does not match "
+            f"state dimension {len(state.values)} does not match "
             f"block dimension {block.dimension}"
         )
+
+
+def _finite_phase(w: float, t: float) -> float:
+    """The phase w t, or ``ValueError`` naming the time when it is not
+    finite (past it every cos(wt) is nan)."""
+    phase = w * t
+    if not math.isfinite(phase):
+        raise ValueError(f"time t = {t!r} gives the non-finite phase w t = {phase!r}")
+    return phase
 
 
 def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> VibronicState:
@@ -210,38 +271,38 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
     I + (cos(wt) - 1) H^2 / w^2 - i sin(wt) H / w. Each call computes
     c = cos(wt) and s = sin(wt), forms the upper triangle of that matrix
     from ``BlockSystem._closed_form`` (computed once per block), and
-    applies it straight to the state's amplitudes as Python scalars; no
-    3 x 3 array is built. The middle element is c, and the lower triangle
+    applies it straight to the state's ``values``, as Python scalars; no
+    array is built. The middle element is c, and the lower triangle
     follows exactly from the symmetry of exp(-i H t) for this H:
     U10 = -conj(U01), U21 = -conj(U12), U20 = conj(U02).
 
     Two-level blocks use the same U01 (plain Rabi oscillation); one-level
     blocks are stationary. Negative times are allowed (the evolution is a
-    unitary group).
+    unitary group); a time whose phase w t is not finite raises ValueError.
     """
     _check_state(block, initial)
     w = block.angular_frequency
     if block.dimension == 1 or w == 0.0:
         return initial
     norm, norm_sq, a_sq, b_sq, ia, ib, ab = block._closed_form
-    phase = w * float(t)
+    phase = _finite_phase(w, float(t))
     c = math.cos(phase)
     s = math.sin(phase)
     u01 = ia * s / norm
     if block.dimension == 2:
-        x0, x1 = initial.amplitudes.tolist()
-        return VibronicState([c * x0 + u01 * x1, -u01.conjugate() * x0 + c * x1])
-    x0, x1, x2 = initial.amplitudes.tolist()
+        x0, x1 = initial.values
+        return _state((c * x0 + u01 * x1, -u01.conjugate() * x0 + c * x1))
+    x0, x1, x2 = initial.values
     u00 = (b_sq + a_sq * c) / norm_sq
     u02 = ab * (c - 1.0) / norm_sq
     u12 = ib * s / norm
     u22 = (a_sq + b_sq * c) / norm_sq
-    return VibronicState(
-        [
+    return _state(
+        (
             u00 * x0 + u01 * x1 + u02 * x2,
             -u01.conjugate() * x0 + c * x1 + u12 * x2,
             u02.conjugate() * x0 - u12.conjugate() * x1 + u22 * x2,
-        ]
+        )
     )
 
 
@@ -257,6 +318,7 @@ def _spectral_propagator(block: BlockSystem, t: float) -> np.ndarray:
     if dim == 1 or block.angular_frequency == 0.0:
         return np.eye(dim, dtype=complex)
     w = block.angular_frequency
+    _finite_phase(w, t)
     a = complex(block.coupling_12)
     phase_minus = np.exp(-1j * w * t)
     phase_plus = np.exp(+1j * w * t)
@@ -281,7 +343,8 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     """Evolve a block state by explicit eigendecomposition.
 
     Independent verification path for ``propagate_analytic``; the two must
-    agree to 1e-10 per amplitude for any block and time.
+    agree to 1e-10 per amplitude for any block and time, and both raise
+    ValueError for a time whose phase w t is not finite.
     """
     _check_state(block, initial)
     return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
@@ -314,6 +377,14 @@ def survival_probability(chi, angular_frequency, t):
 
 
 def level_probabilities(state: VibronicState) -> tuple[float, float, float]:
-    """Populations of the three electronic levels, absent levels as zero."""
-    probs = (np.abs(state.amplitudes) ** 2).tolist()
-    return tuple(probs + [0.0] * (3 - len(probs)))
+    """Populations of the three electronic levels, absent levels as zero.
+
+    Each is |z| * |z|, with |z| the Python ``abs`` (libm hypot) of the
+    amplitude z. That is ``np.abs(z) ** 2`` bit for bit when z is real or
+    imaginary, as every amplitude ``evolve`` writes is. numpy's complex
+    absolute value is rounded differently, so other amplitudes may differ
+    from it by a few ulp.
+    """
+    values = state.values
+    a, b, c = map(abs, values + (0j,) * (3 - len(values)))
+    return a * a, b * b, c * c

@@ -66,14 +66,20 @@ _UNITS_COMMENT = "time columns in units of 1/omega(0), hbar = 1; probabilities d
 _FIGURE_CHIS = (0.0, 1.0, 5.0, 10.0)
 
 
+def _cell_format(value) -> str:
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return "%d"
+    return "%s" if isinstance(value, str) else "%.16e"
+
+
 def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write one CSV: a '#' unit comment, a header row, then data rows.
 
-    Bool and integer cells are written as integers, all others as
-    f"{float(v):.16e}". One '%' format string, built from the first row
-    ('%d' or '%.16e' per cell, which give those bytes, nan, inf and -0.0
-    included), formats every row, so all rows must hold the cell types of
-    the first.
+    Bool and integer cells are written as integers, ``str`` cells as they
+    are, all others as f"{float(v):.16e}". One '%' format string, built from
+    the first row ('%d', '%s' or '%.16e' per cell, which give those bytes,
+    nan, inf and -0.0 included), formats every row, so all rows must hold
+    the cell types of the first.
 
     ``rows`` may be a generator that computes each row as it is written.
     The rows go to a hidden file beside ``path`` (beside the file a symlink
@@ -94,9 +100,7 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
             rows = iter(rows)
             first = next(rows, None)
             if first is not None:
-                integral = (bool, int, np.bool_, np.integer)
-                cells = ("%d" if isinstance(value, integral) else "%.16e" for value in first)
-                fmt = ",".join(cells) + "\n"
+                fmt = ",".join(map(_cell_format, first)) + "\n"
                 handle.write(fmt % tuple(first))
                 handle.writelines(fmt % tuple(row) for row in rows)
         os.replace(partial, target)
@@ -216,10 +220,12 @@ def run_evolve(config: RunConfig) -> Path:
     t_scaled = _time_grid(config, run.block.angular_frequency, run.coupling)
 
     def rows():
-        # One row at a time, so memory does not grow with the samples.
+        # One row at a time, so memory does not grow with the samples. p1 is
+        # formatted once, for both the p1 and the survival column.
         for value in map(float, t_scaled):
             state = propagate_analytic(run.block, initial, value / run.coupling)
             p1, p2, p3 = level_probabilities(state)
+            p1 = "%.16e" % p1
             yield value, p1, p2, p3, p1
 
     path = _output_file(config, "evolve.csv")

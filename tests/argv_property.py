@@ -151,6 +151,14 @@ _INI_VALUES = {
 }
 # Lines configparser cannot read, or reads as a duplicate section.
 _MALFORMED = ("junk", "[unclosed", "= 1", "[grid]", "[couplings]", "  indented = 1")
+# Value endings that would mean interpolation to a configparser with it on.
+_PERCENT = ("%", "%%", "%(chi)s", "%s", "%x")
+# Continuation lines: a number, a value another key takes, an assignment
+# and a blank line.
+_CONTINUATIONS = ("3", "1.0", "2,1,0", "chi = 1", "")
+# Bytes that no UTF-8 text holds: a stray continuation byte, a lone lead
+# byte, an overlong encoding, an encoded surrogate, Latin-1 text.
+_NOT_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", "é".encode("latin-1"))
 
 # Coupling sources: mostly one, sometimes none or an ambiguous pair.
 _SOURCES = (("chi",), ("gamma",), ("drive",)) * 2 + ((), ("chi", "gamma"), ("gamma", "drive"))
@@ -161,8 +169,10 @@ _TENTH = st.sampled_from((True,) + (False,) * 9)
 
 @st.composite
 def ini_texts(draw):
-    """An INI file of RunConfig keys, one time in ten with an unknown or
-    misplaced section or key, a malformed value or an unreadable line."""
+    """The bytes of an INI file of RunConfig keys. One time in ten each, a
+    key sits in an unknown or misplaced section or has an unknown name, a
+    value is malformed, holds a '%' or runs on in a continuation line, the
+    file has an unreadable line, or it holds bytes that are not UTF-8."""
     sections: dict[str, list[str]] = {}
     for name in draw(st.lists(st.sampled_from(sorted(_INI_VALUES)), max_size=6, unique=True)):
         section, key = _INI_KEYS[name]
@@ -173,11 +183,19 @@ def ini_texts(draw):
             key = draw(st.sampled_from((key + "_x", "mode", "path", "unknown")))
         if draw(_TENTH):
             value = draw(st.sampled_from(_BAD_NUMBERS))
+        if draw(_TENTH):
+            value += draw(st.sampled_from(_PERCENT))
+        if draw(_TENTH):
+            value += "\n  " + draw(st.sampled_from(_CONTINUATIONS))
         sections.setdefault(section, []).append(f"{key} = {value}")
     lines = [line for section, keys in sections.items() for line in [f"[{section}]", *keys]]
     if draw(_TENTH):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_MALFORMED)))
-    return "\n".join(lines) + "\n"
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(_TENTH):
+        index = draw(st.integers(0, len(data)))
+        data = data[:index] + draw(st.sampled_from(_NOT_UTF8)) + data[index:]
+    return data
 
 
 @st.composite
@@ -228,7 +246,7 @@ def argvs(draw):
 
 @st.composite
 def runs(draw):
-    """An argv and, one time in three, the text of an INI file for it."""
+    """An argv and, one time in three, the bytes of an INI file for it."""
     argv = draw(argvs())
     return argv, draw(ini_texts()) if draw(_THIRD) else None
 
@@ -251,7 +269,7 @@ def check(argv, ini=None) -> None:
     with tempfile.TemporaryDirectory() as out:
         if ini is not None:
             config = os.path.join(out, "run.ini")
-            with open(config, "w", encoding="utf-8") as handle:
+            with open(config, "wb") as handle:
                 handle.write(ini)
             argv = argv + [f"--config={config}"]
         code, err = run(argv + [f"--out={out}"])

@@ -14,7 +14,7 @@ import zenoion
 import zenoion.runner
 from zenoion.cli import main
 from zenoion.config import ConfigError, RunConfig, load_config
-from zenoion.dynamics import propagate_analytic
+from zenoion.dynamics import VibronicState, build_block, propagate_analytic
 from zenoion.runner import (
     _chi_grid,
     run_evolve,
@@ -179,6 +179,36 @@ class TestEvolveLoop:
         run_evolve(config)
         assert calls == {"propagate_analytic": 257, "level_probabilities": 257}
 
+    @pytest.mark.parametrize(
+        "block_flags",
+        [
+            {"gamma1": 0.8, "gamma2": 2.3},
+            {"gamma1": 1.7, "gamma2": 0.4, "n": "2,1,1", "r": "1,0,1", "l": "1,1,0"},
+            {"gamma1": 1.3, "gamma2": 1.0, "n": "1,0,0", "r": "1,0,0", "l": "1,0,0"},
+        ],
+    )
+    def test_rows_are_the_per_sample_numpy_arithmetic(self, tmp_path, block_flags):
+        # Each sample propagated alone; populations by np.abs(amplitudes) ** 2
+        # on the state's array; every cell formatted on its own.
+        config = load_config(
+            None, {"mode": "evolve", "samples": 3001, "t_max": 40.0, "out": str(tmp_path),
+                   **block_flags},
+        )
+        block = build_block(
+            config.mode_vector(), config.sideband_pattern(), config.coupling_constants()
+        )
+        initial = VibronicState.basis_state(block.dimension, 0)
+        coupling = abs(block.coupling_12)
+        expected = []
+        for t in np.linspace(0.0, config.t_max, config.samples):
+            state = propagate_analytic(block, initial, float(t) / coupling)
+            probs = (np.abs(state.amplitudes) ** 2).tolist() + [0.0] * (3 - block.dimension)
+            cells = [float(t), *probs, probs[0]]
+            expected.append(",".join(f"{value:.16e}" for value in cells))
+        lines = run_evolve(config).read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "t_scaled,p1,p2,p3,survival"
+        assert lines[2:] == expected
+
 
 def _reference_cell(value) -> str:
     """CSV cell spec: integers and booleans as integers, everything else
@@ -213,6 +243,18 @@ class TestWriteCsv:
         expected = ",".join(_reference_cell(value) for value in self.ROW) + "\n"
         text = path.read_bytes().decode("utf-8")
         assert text == "# cells\n" + ",".join(header) + "\n" + expected * 2
+
+    def test_str_cells_are_written_as_they_are(self, tmp_path):
+        path = tmp_path / "str.csv"
+        rows = [
+            ("2.5000000000000000e-01", 3, 0.25, "", True),
+            ("x", -1, -0.0, "1e5", np.bool_(False)),
+        ]
+        write_csv(path, "s", ("a", "b", "c", "d", "e"), rows)
+        assert path.read_text(encoding="utf-8").splitlines()[2:] == [
+            "2.5000000000000000e-01,3,2.5000000000000000e-01,,1",
+            "x,-1,-0.0000000000000000e+00,1e5,0",
+        ]
 
     def test_generator_rows_and_no_rows(self, tmp_path):
         path = tmp_path / "gen.csv"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from dataclasses import fields
 
@@ -154,6 +155,110 @@ class TestVibronicState:
     def test_accepts_norm_within_tolerance(self):
         state = VibronicState(np.array([0.6 * (1.0 + 5e-10), 0.8j * (1.0 + 5e-10)]))
         assert abs(state.norm - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [0.6, 0.8j],
+            (0.6, 0.0, 0.8j),
+            [1],
+            (True, False),
+            ["1", "0"],
+            np.array([0.6, 0.8]),
+            np.array([-0.0, 0.6, -0.8j]),
+            np.array([0.0, 1.0], dtype=np.float32),
+            np.array([0.6 + 0j, 0.8j]),
+        ],
+    )
+    def test_accepted_inputs(self, amplitudes):
+        state = VibronicState(amplitudes)
+        expected = np.array(amplitudes, dtype=complex)
+        assert type(state.values) is tuple
+        assert all(type(z) is complex for z in state.values)
+        assert state.values == tuple(expected.tolist())
+        assert state.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            "10",
+            b"10",
+            1.0,
+            1j,
+            np.array(1.0),
+            np.array([[1.0, 0.0]]),
+            np.eye(2),
+            [[1.0]],
+            [],
+            np.zeros(0),
+            [1.0, 0.0, 0.0, 0.0],
+            np.array([1.0, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_rejected_shapes(self, amplitudes):
+        with pytest.raises(ValueError, match="1-D vector of length 1..3"):
+            VibronicState(amplitudes)
+
+    def test_states_are_immutable(self):
+        block = three_level_block(1.0, 2.0)
+        built = VibronicState([0.6, 0.8j, 0.0])
+        for state in (built, propagate_analytic(block, built, 0.4)):
+            values, amplitudes = state.values, state.amplitudes
+            for name in ("values", "amplitudes", "norm", "_amplitudes", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(state, name, (1 + 0j,))
+                with pytest.raises(AttributeError):
+                    delattr(state, name)
+            assert state.values is values
+            assert state.amplitudes is amplitudes
+
+    def test_amplitudes_are_one_read_only_array(self):
+        block = three_level_block(1.0, 2.0)
+        built = VibronicState(np.array([0.6, 0.8j, 0.0]))
+        for state in (built, propagate_analytic(block, built, 0.4)):
+            amplitudes = state.amplitudes
+            assert state.amplitudes is amplitudes
+            assert not amplitudes.flags.writeable
+            assert amplitudes.dtype == complex
+            assert amplitudes.tolist() == list(state.values)
+            with pytest.raises(ValueError):
+                amplitudes[0] = 0.0
+
+    def test_array_input_is_copied(self):
+        source = np.array([0.6, 0.8j])
+        state = VibronicState(source)
+        source[0] = 5.0
+        assert state.values == (0.6 + 0j, 0.8j)
+        assert state.amplitudes[0] == 0.6
+
+    def test_pickle_round_trip(self):
+        state = VibronicState([0.6, -0.0, 0.8j])
+        copied = pickle.loads(pickle.dumps(state))
+        assert copied.values == state.values
+        assert copied.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    def test_repr_shows_the_values(self):
+        assert repr(VibronicState([0.6, 0.8j])) == "VibronicState(((0.6+0j), 0.8j))"
+
+    @given(
+        vector=st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=3,
+        ),
+        alpha=coupling_values,
+        beta=coupling_values,
+        t=times,
+    )
+    def test_norm_is_the_vdot_norm_bit_for_bit(self, vector, alpha, beta, t):
+        amplitudes = np.array(vector)
+        length = np.linalg.norm(amplitudes)
+        assume(length > 0.1)
+        state = VibronicState(amplitudes / length)
+        block = block_of_dimension(len(vector), alpha, beta)
+        for each in (state, propagate_analytic(block, state, t)):
+            a = each.amplitudes
+            assert each.norm == math.sqrt(np.vdot(a, a).real)
 
 
 def block_of_dimension(dimension: int, alpha: complex, beta: complex) -> BlockSystem:
@@ -323,6 +428,30 @@ class TestPropagation:
             assert np.max(np.abs(evolved.amplitudes - reference.amplitudes)) <= 1e-10
             assert abs(evolved.norm - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("propagate", [propagate_analytic, propagate_oracle])
+    def test_non_finite_phase_names_the_time(self, propagate, dimension, t):
+        block = block_of_dimension(dimension, 2.0 + 0.5j, 3.0)  # w > 2
+        state = VibronicState.basis_state(dimension, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                propagate(block, state, t)
+        assert str(error.value) == (
+            f"time t = {t!r} gives the non-finite phase w t = {block.angular_frequency * t!r}"
+        )
+
+    @pytest.mark.parametrize("propagate", [propagate_analytic, propagate_oracle])
+    def test_largest_finite_phase_propagates(self, propagate):
+        block = three_level_block(1.0, 3.0)
+        state = VibronicState.basis_state(3, 0)
+        t = 1e308 / block.angular_frequency
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolved = propagate(block, state, t)
+        assert abs(evolved.norm - 1.0) <= 1e-9
+
     @given(alpha=coupling_values, beta=coupling_values, t=times)
     def test_unitarity(self, alpha, beta, t):
         block = three_level_block(alpha, beta)
@@ -427,7 +556,85 @@ class TestSurvivalProbability:
         assert direct == pytest.approx(formula, abs=1e-12)
 
 
+# Real and imaginary parts of amplitudes: signed zeros, subnormals and
+# plain values.
+_parts = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1.0, -1.0)),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+def _state_of(parts, index, imaginary):
+    """Unit state of the drawn (real, imaginary) parts, with component
+    ``index`` replaced by the real or imaginary number that normalizes it."""
+    parts = list(parts)
+    index %= len(parts)
+    rest = sum(re * re + im * im for i, (re, im) in enumerate(parts) if i != index)
+    assume(rest <= 0.99)
+    top = math.sqrt(1.0 - rest)
+    parts[index] = (0.0, top) if imaginary else (top, 0.0)
+    return VibronicState([complex(re, im) for re, im in parts])
+
+
+def _numpy_populations(state):
+    """The populations by numpy's complex absolute value, padded to 3."""
+    expected = (np.abs(state.amplitudes) ** 2).tolist()
+    return expected + [0.0] * (3 - len(expected))
+
+
 class TestLevelProbabilities:
+    # level_probabilities squares the Python abs of each value, which is
+    # libm's hypot. numpy's complex absolute is larger * sqrt(1 + ratio^2)
+    # instead, so the two agree bit for bit when the real or the imaginary
+    # part is zero (every amplitude evolve writes: its blocks have real or
+    # imaginary couplings and start from |n, 1>), and to a few ulp otherwise.
+
+    @given(
+        parts=st.lists(
+            st.one_of(
+                st.tuples(_parts, st.sampled_from((0.0, -0.0))),
+                st.tuples(st.sampled_from((0.0, -0.0)), _parts),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        index=st.integers(0, 2),
+        imaginary=st.booleans(),
+    )
+    def test_real_or_imaginary_values_match_numpy_bit_for_bit(self, parts, index, imaginary):
+        state = _state_of(parts, index, imaginary)
+        probs = level_probabilities(state)
+        assert all(type(p) is float for p in probs)
+        assert np.array(probs).tobytes() == np.array(_numpy_populations(state)).tobytes()
+
+    @given(
+        parts=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=3),
+        index=st.integers(0, 2),
+        imaginary=st.booleans(),
+    )
+    def test_general_values_match_numpy_to_a_few_ulp(self, parts, index, imaginary):
+        state = _state_of(parts, index, imaginary)
+        for p, q in zip(level_probabilities(state), _numpy_populations(state)):
+            assert abs(p - q) <= 8 * np.finfo(float).eps * q
+
+    @given(
+        dimension=st.sampled_from([1, 2, 3]),
+        alpha=st.floats(min_value=-10.0, max_value=10.0),
+        beta=st.floats(min_value=-10.0, max_value=10.0),
+        imaginary=st.tuples(st.booleans(), st.booleans()),
+        t=times,
+    )
+    def test_propagated_basis_states_match_numpy_bit_for_bit(
+        self, dimension, alpha, beta, imaginary, t
+    ):
+        alpha = complex(0.0, alpha) if imaginary[0] else complex(alpha)
+        beta = complex(0.0, beta) if imaginary[1] else complex(beta)
+        block = block_of_dimension(dimension, alpha, beta)
+        for index in range(dimension):
+            state = propagate_analytic(block, VibronicState.basis_state(dimension, index), t)
+            expected = _numpy_populations(state)
+            assert np.array(level_probabilities(state)).tobytes() == np.array(expected).tobytes()
+
     def test_basis_state(self):
         assert level_probabilities(VibronicState.basis_state(3, 0)) == (1.0, 0.0, 0.0)
 
