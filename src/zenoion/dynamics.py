@@ -357,6 +357,10 @@ def survival_probability(chi, angular_frequency, t):
     coupling ratio and w the block angular frequency. Accepts a scalar or
     array ``t`` and returns a float or a matching array. Both are computed
     in one buffer (0-d for a scalar) and squared as x * x.
+
+    A scalar time whose phase w t is not finite raises ``ValueError``, as in
+    the propagators. An array is not checked, to keep its cost: a non-finite
+    phase gives nan there, and the callers bound their grids.
     """
     w = float(angular_frequency)
     if not (math.isfinite(w) and w > 0):
@@ -368,6 +372,8 @@ def survival_probability(chi, angular_frequency, t):
     if not math.isfinite(chi_sq):
         raise ValueError(f"chi = {chi:g} is too large: chi^2 overflows float64")
     times = np.asarray(t, dtype=float)
+    if times.ndim == 0:
+        _finite_phase(w, float(times))
     result = np.multiply(w, times, out=np.empty_like(times))
     np.cos(result, out=result)
     result += chi_sq

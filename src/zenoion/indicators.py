@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -52,6 +53,11 @@ _LARGEST_SQUARABLE = math.sqrt(sys.float_info.max)
 # Grid points in the first chunk of each gqze window scan; every further
 # chunk is twice as long, so the scan stops soon after the crossing.
 _FIRST_CHUNK = 1024
+
+# Grid points per chunk of the numeric twins: 64 KiB per float64 temporary,
+# below glibc's default 128 KiB mmap threshold, so the buffers are reused
+# from the heap instead of being mapped and page-faulted in on every call.
+_TWIN_CHUNK = 8192
 
 
 def _chi_array(chi):
@@ -548,12 +554,38 @@ def indicator_report(
 # test suite compare the two routes; neither side may be dropped.
 
 
+def _twin_chunks(count: int):
+    """Yield the half-open index ranges [lo, hi) that cover 0, ..., count - 1
+    in order, _TWIN_CHUNK indices each (the last one shorter)."""
+    for lo in range(0, count, _TWIN_CHUNK):
+        yield lo, min(lo + _TWIN_CHUNK, count)
+
+
+def _check_resolution(name: str, value) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` unless it is an
+    integer >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def min_survival_grid(chi: float, samples: int = 100_000) -> float:
-    """Grid minimum of the survival probability over one period."""
+    """Grid minimum of the survival probability over one period, on
+    ``samples`` evenly spaced times from 0 (the period end excluded).
+
+    Each time i * (period / samples) is formed as ``np.linspace(0, period,
+    samples, endpoint=False)`` forms it; the grid is evaluated in chunks of
+    _TWIN_CHUNK points and the minimum kept across them.
+    """
+    samples = _check_resolution("samples", samples)
     period = poincare_time(chi)
     w = angular_frequency(chi)
-    times = np.linspace(0.0, period, samples, endpoint=False)
-    return float(np.min(survival_probability(chi, w, times)))
+    step = period / samples
+    lowest = math.inf
+    for lo, hi in _twin_chunks(samples):
+        probabilities = survival_probability(chi, w, _grid_times(lo, hi - 1, step))
+        lowest = min(lowest, float(probabilities.min()))
+    return lowest
 
 
 def time_of_min_grid(chi: float, samples: int = 100_000) -> float:
@@ -563,11 +595,27 @@ def time_of_min_grid(chi: float, samples: int = 100_000) -> float:
     about the half period and its first minimum always lies in the first
     half; restricting the argmin there makes "first occurrence" exact at
     grid resolution.
+
+    The grid is ``np.linspace(0, period / 2, samples)``: i * step with
+    step = (period / 2) / (samples - 1), and the last time set to period / 2
+    exactly (a single sample is t = 0). It is evaluated in chunks of
+    _TWIN_CHUNK points; a later chunk replaces the argmin only with a
+    strictly smaller value.
     """
-    period = poincare_time(chi)
+    samples = _check_resolution("samples", samples)
+    stop = 0.5 * poincare_time(chi)
     w = angular_frequency(chi)
-    times = np.linspace(0.0, 0.5 * period, samples)
-    return float(times[int(np.argmin(survival_probability(chi, w, times)))])
+    step = stop / max(samples - 1, 1)
+    lowest, lowest_time = math.inf, 0.0
+    for lo, hi in _twin_chunks(samples):
+        times = _grid_times(lo, hi - 1, step)
+        if hi == samples > 1:
+            times[-1] = stop
+        probabilities = survival_probability(chi, w, times)
+        index = int(np.argmin(probabilities))
+        if probabilities[index] < lowest:
+            lowest, lowest_time = float(probabilities[index]), float(times[index])
+    return lowest_time
 
 
 def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
@@ -578,6 +626,7 @@ def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
     k exactly unless N divides k. So the default 16 panels, like any
     N >= 3, are exact up to rounding; N = 2 misses by 0.5 at chi = 0.
     """
+    panels = _check_resolution("panels", panels)
     period = poincare_time(chi)
     w = angular_frequency(chi)
     times = np.linspace(0.0, period, panels + 1)
@@ -588,15 +637,22 @@ def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
 
 
 def sub_threshold_measure_grid(chi: float, epsilon: float, samples: int = 400_000) -> float:
-    """Midpoint-sampled measure of the sub-threshold set over one period."""
+    """Midpoint-sampled measure of the sub-threshold set over one period.
+
+    The midpoints (i + 1/2) * (period / samples) are counted in chunks of
+    _TWIN_CHUNK points.
+    """
     if not (math.isfinite(float(epsilon)) and float(epsilon) > 0):
         raise ValueError("epsilon must be finite and > 0")
+    samples = _check_resolution("samples", samples)
     period = poincare_time(chi)
     w = angular_frequency(chi)
     threshold = mean_survival(chi) - float(epsilon)
     step = period / samples
-    times = np.arange(0.5, samples) * step
-    count = int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
+    count = 0
+    for lo, hi in _twin_chunks(samples):
+        times = np.arange(lo + 0.5, hi + 0.5) * step
+        count += int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
     return count * step
 
 
@@ -609,8 +665,12 @@ def gqze_interval_grid(
     """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
     the same grid, brackets the first clearly negative point and bisects, or
     falls back to the closest approach after the gap first clears +1e-13.
-    It accepts the same chi range. Its cost grows linearly in chi, and a
-    grid of more than 2e8 points is a ``ValueError``.
+    It accepts the same chi range.
+
+    The grid is evaluated in chunks of _TWIN_CHUNK points and the scan stops
+    at the chunk holding the crossing, so its memory no longer grows with
+    chi. Its time still grows linearly in chi; a grid of more than 2e8
+    points is a ``ValueError``, a guard that now bounds only that time.
     """
     return _gqze_search(
         _dense_scan, chi, order_threshold, points_per_period, max_reference_periods
@@ -618,24 +678,38 @@ def gqze_interval_grid(
 
 
 def _dense_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
-    """The crossing time found by the dense scan of ``gqze_interval_grid``."""
+    """The crossing time found by the dense scan of ``gqze_interval_grid``.
+
+    Every grid point up to the crossing is evaluated, in order, in chunks of
+    _TWIN_CHUNK points. The bracket's left end is the last clearly positive
+    point before the first clearly negative one (0 if there is none). With no
+    clearly negative point, the result is the first-occurrence argmin of the
+    gap from the first clearly positive point on, or from index 1 if no
+    point is clearly positive.
+    """
     if count > 200_000_000:
         raise ValueError("chi too large for the requested grid resolution")
 
-    times = _grid_times(1, count, step)
-    gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
-    below = np.nonzero(gap < -_CROSSING_TOL)[0]
-    if below.size:
-        first = int(below[0])
-        positive_before = np.nonzero(gap[:first] > _CROSSING_TOL)[0]
-        left = float(times[positive_before[-1]]) if positive_before.size else 0.0
-        right = float(times[first])
-        end = _bisect_gap(chi_value, w, left, right)
-    else:
-        above = np.nonzero(gap > _CROSSING_TOL)[0]
-        start = int(above[0]) if above.size else 0
-        end = float(times[start + int(np.argmin(gap[start:]))])
-    return end
+    left = 0.0
+    armed = False
+    closest_gap, closest_time = math.inf, 0.0
+    for lo, hi in _twin_chunks(count):
+        times = _grid_times(lo + 1, hi, step)
+        gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
+        below = np.nonzero(gap < -_CROSSING_TOL)[0]
+        stop = int(below[0]) if below.size else gap.size
+        positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
+        if positive.size:
+            left = float(times[positive[-1]])
+        if below.size:
+            return _bisect_gap(chi_value, w, left, float(times[stop]))
+        offset = 0
+        if not armed and positive.size:
+            armed, closest_gap, offset = True, math.inf, int(positive[0])
+        index = offset + int(np.argmin(gap[offset:]))
+        if gap[index] < closest_gap:
+            closest_gap, closest_time = float(gap[index]), float(times[index])
+    return closest_time
 
 
 def _gqze_search(
@@ -649,6 +723,12 @@ def _gqze_search(
     ``gqze_interval``, raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
+    for name, value in (
+        ("points_per_period", points_per_period),
+        ("max_reference_periods", max_reference_periods),
+    ):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     # The upper range check runs first; a nan or negative chi passes it and
     # is rejected by _chi_array.
     half_angle = _window_half_angle(float(chi))

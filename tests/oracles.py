@@ -3,8 +3,8 @@
 States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
 so these share no code (and no algebra shortcuts) with the package. The
-exception is ``bisect_gap_oracle``, a reference route through the package's
-own ``survival_probability``.
+exceptions are ``bisect_gap_oracle`` and the whole-grid twins at the end,
+reference routes through the package's own ``survival_probability``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
+from zenoion import indicators
 from zenoion.dynamics import survival_probability
+from zenoion.indicators import angular_frequency, mean_survival, poincare_time
 
 Ket = dict[tuple[int, ...], complex]
 
@@ -104,3 +106,66 @@ def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
         else:
             right = mid
     return 0.5 * (left + right)
+
+
+# --- whole-grid numeric twins ---------------------------------------------
+#
+# The indicator twins in whole-grid form: each builds its whole grid as one
+# array. The package's twins evaluate the same grids in chunks and must
+# return the same floats bit for bit.
+
+
+def min_survival_grid_reference(chi: float, samples: int = 100_000) -> float:
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
+    times = np.linspace(0.0, period, samples, endpoint=False)
+    return float(np.min(survival_probability(chi, w, times)))
+
+
+def time_of_min_grid_reference(chi: float, samples: int = 100_000) -> float:
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
+    times = np.linspace(0.0, 0.5 * period, samples)
+    return float(times[int(np.argmin(survival_probability(chi, w, times)))])
+
+
+def sub_threshold_measure_grid_reference(
+    chi: float, epsilon: float, samples: int = 400_000
+) -> float:
+    period = poincare_time(chi)
+    w = angular_frequency(chi)
+    threshold = mean_survival(chi) - float(epsilon)
+    step = period / samples
+    times = np.arange(0.5, samples) * step
+    count = int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
+    return count * step
+
+
+def _dense_scan_reference(chi_value, w, half_angle, step, count):
+    if count > 200_000_000:
+        raise ValueError("chi too large for the requested grid resolution")
+    times = np.arange(1, count + 1) * step
+    gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
+    below = np.nonzero(gap < -1e-13)[0]
+    if below.size:
+        first = int(below[0])
+        positive_before = np.nonzero(gap[:first] > 1e-13)[0]
+        left = float(times[positive_before[-1]]) if positive_before.size else 0.0
+        return indicators._bisect_gap(chi_value, w, left, float(times[first]))
+    above = np.nonzero(gap > 1e-13)[0]
+    start = int(above[0]) if above.size else 0
+    return float(times[start + int(np.argmin(gap[start:]))])
+
+
+def gqze_interval_grid_reference(
+    chi: float,
+    order_threshold: float = 0.5,
+    points_per_period: int = 10_000,
+    max_reference_periods: float = 4.0,
+):
+    """The dense gqze twin on its whole grid at once, through the package's
+    argument checks, grid layout and bisection (``_bisect_gap`` is pinned to
+    ``bisect_gap_oracle`` on its own)."""
+    return indicators._gqze_search(
+        _dense_scan_reference, chi, order_threshold, points_per_period, max_reference_periods
+    )

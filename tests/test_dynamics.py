@@ -538,6 +538,31 @@ class TestSurvivalProbability:
             with pytest.raises(ValueError, match=r"chi = 1e\+160 is too large: chi\^2 overflows"):
                 survival_probability(1e160, 1.0, t)
 
+    @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    def test_scalar_non_finite_phase_names_the_time(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                survival_probability(1.0, 2.0, t)
+            with pytest.raises(ValueError):
+                survival_probability(1.0, 2.0, np.float64(t))
+        assert str(error.value) == f"time t = {t!r} gives the non-finite phase w t = {2.0 * t!r}"
+
+    def test_array_non_finite_phase_is_nan(self):
+        # Arrays are not checked, to keep their cost; their callers bound
+        # the grid.
+        t = np.array([0.0, 1e308, math.inf, math.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = survival_probability(1.0, 2.0, t)
+        assert values[0] == 1.0
+        assert np.all(np.isnan(values[1:]))
+
+    def test_largest_finite_scalar_phase(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = survival_probability(1.0, 2.0, 1e308 / 2.0)
+        assert 0.0 <= value <= 1.0
+
     def test_requires_positive_frequency(self):
         with pytest.raises(ValueError):
             survival_probability(1.0, 0.0, 1.0)

@@ -1,5 +1,7 @@
 import math
+import struct
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -34,6 +36,7 @@ from zenoion.indicators import (
 )
 from zenoion.runner import _oracle_level_means
 
+from . import oracles
 from .oracles import bisect_gap_oracle
 
 chi_values = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -704,10 +707,169 @@ class TestFloatIndexGrids:
 
         with mock.patch.object(indicators, "survival_probability", record_survival):
             sub_threshold_measure_grid(chi, 0.01)
-        (new,) = times_seen
+        # The chunks cover the grid in order, without overlap.
+        assert [times.size for times in times_seen] == [8192] * 48 + [400_000 - 48 * 8192]
+        assert all(a[-1] < b[0] for a, b in zip(times_seen, times_seen[1:]))
+        new = np.concatenate(times_seen)
         old = (np.arange(400_000) + 0.5) * (poincare_time(chi) / 400_000)
         assert new.shape == old.shape
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def _bits(value: float) -> int:
+    """The float's bit pattern, so that -0.0 and 0.0 differ."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+# Chunk edges fall at multiples of 8192 grid points.
+_TWIN_SAMPLES = [1, 2, 3, 8191, 8192, 8193, 16385, 100_000]
+_twin_chis = st.one_of(
+    st.sampled_from(
+        [0.0, 5e-324, 1e-300, 3.2e-7, 1 / math.sqrt(2), 1.0, math.sqrt(3.0), math.sqrt(8.0), 100.0]
+    ),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+_twin_samples = st.one_of(st.sampled_from(_TWIN_SAMPLES), st.integers(1, 40_000))
+
+
+def _assert_extrema_match_whole_grid(chi, samples):
+    assert _bits(min_survival_grid(chi, samples)) == _bits(
+        oracles.min_survival_grid_reference(chi, samples)
+    )
+    assert _bits(time_of_min_grid(chi, samples)) == _bits(
+        oracles.time_of_min_grid_reference(chi, samples)
+    )
+
+
+class TestChunkedTwins:
+    """The twins evaluate their grids in chunks of 8192 points and return,
+    bit for bit, what the whole-grid references in ``oracles`` return."""
+
+    @pytest.mark.parametrize("samples", _TWIN_SAMPLES)
+    @pytest.mark.parametrize("chi", [0.0, 1e-300, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 100.0])
+    def test_grid_extrema_match_whole_grid(self, chi, samples):
+        _assert_extrema_match_whole_grid(chi, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chi=_twin_chis, samples=_twin_samples)
+    def test_grid_extrema_match_whole_grid_property(self, chi, samples):
+        _assert_extrema_match_whole_grid(chi, samples)
+
+    def test_single_sample_argmin_is_zero(self):
+        assert _bits(time_of_min_grid(2.0, 1)) == _bits(0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chi=_twin_chis,
+        samples=st.one_of(st.sampled_from(_TWIN_SAMPLES + [400_000]), st.integers(1, 40_000)),
+        epsilon=st.sampled_from([1e-12, 0.01, 0.3]),
+    )
+    def test_sub_threshold_measure_matches_whole_grid(self, chi, samples, epsilon):
+        chunked = sub_threshold_measure_grid(chi, epsilon, samples)
+        reference = oracles.sub_threshold_measure_grid_reference(chi, epsilon, samples)
+        assert _bits(chunked) == _bits(reference)
+
+    # Dense-scan cases that take the no-crossing fallback: no point clearly
+    # positive (3.3e-7), first clearly positive point in the second chunk
+    # (2e-6, at index 13113), and commensurate ratios that touch over
+    # several chunks without crossing (sqrt(3), sqrt(15)).
+    @pytest.mark.parametrize(
+        "chi, grid",
+        [
+            (3.3e-7, {"max_reference_periods": 0.1}),
+            (2e-6, {"points_per_period": 100_000, "max_reference_periods": 0.2}),
+            (0.5, {"max_reference_periods": 0.1}),
+            (math.sqrt(3.0), {}),
+            (math.sqrt(15.0), {}),
+        ],
+    )
+    def test_dense_scan_fallback_matches_whole_grid(self, chi, grid):
+        brackets = []
+        bisect = indicators._bisect_gap
+
+        def record(*args):
+            brackets.append(args)
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "_bisect_gap", record):
+            chunked = gqze_interval_grid(chi, **grid)
+        assert not brackets
+        assert chunked == oracles.gqze_interval_grid_reference(chi, **grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chi=st.one_of(
+            st.sampled_from([3.3e-7, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 5.0, 100.0]),
+            st.floats(min_value=math.log10(3.3e-7), max_value=2.0).map(lambda e: 10.0**e),
+        ),
+        points_per_period=st.one_of(st.just(10_000), st.integers(5, 20_000)),
+        max_reference_periods=st.one_of(st.just(4.0), st.floats(0.05, 5.0)),
+    )
+    def test_dense_scan_matches_whole_grid(self, chi, points_per_period, max_reference_periods):
+        grid = {
+            "points_per_period": points_per_period,
+            "max_reference_periods": max_reference_periods,
+        }
+        assert gqze_interval_grid(chi, **grid) == oracles.gqze_interval_grid_reference(chi, **grid)
+
+    @pytest.mark.parametrize(
+        "twin",
+        [
+            lambda: sub_threshold_measure_grid(1.0, 0.01, 400_000),
+            lambda: gqze_interval_grid(5.0),
+        ],
+        ids=["sub_threshold_measure_grid", "gqze_interval_grid"],
+    )
+    def test_peak_memory_is_flat(self, twin):
+        twin()  # warm up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            twin()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("samples", [-3, 0, 2.5, "10", None])
+    @pytest.mark.parametrize(
+        "twin",
+        [
+            lambda samples: min_survival_grid(1.0, samples),
+            lambda samples: time_of_min_grid(1.0, samples),
+            lambda samples: sub_threshold_measure_grid(1.0, 0.01, samples),
+        ],
+        ids=["min_survival_grid", "time_of_min_grid", "sub_threshold_measure_grid"],
+    )
+    def test_rejects_bad_sample_count(self, twin, samples):
+        with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
+            twin(samples)
+
+    @pytest.mark.parametrize("panels", [-1, 0, 16.0])
+    def test_rejects_bad_panel_count(self, panels):
+        with pytest.raises(ValueError, match=r"^panels must be an integer >= 1, got "):
+            mean_survival_quadrature(1.0, panels=panels)
+
+    def test_accepts_numpy_sample_count(self):
+        assert min_survival_grid(2.0, np.int64(1000)) == min_survival_grid(2.0, 1000)
+
+
+class TestGqzeGridArguments:
+    """Both gqze searches check their grid arguments the same way, before
+    any grid is laid out."""
+
+    # points_per_period = -1 used to send the window scan into an endless
+    # loop, and 0 to divide by zero.
+    @pytest.mark.parametrize("value", [-1, 0, 0.0, -2.5, math.nan, math.inf, -math.inf, "10"])
+    @pytest.mark.parametrize("name", ["points_per_period", "max_reference_periods"])
+    def test_rejects_bad_grid_argument(self, name, value):
+        messages = set()
+        for search in (gqze_interval, gqze_interval_grid):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    search(1.0, 0.5, **{name: value})
+            messages.add(str(info.value))
+        assert messages == {f"{name} must be finite and > 0, got {value!r}"}
 
 
 class TestReportsAndSweep:
