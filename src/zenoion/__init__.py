@@ -30,7 +30,6 @@ from .fock import (
     coupling_alpha,
     coupling_beta,
     factorial_ratio_root,
-    sideband_series_term,
 )
 from .indicators import (
     GqzeInterval,
@@ -80,7 +79,6 @@ __all__ = [
     "coupling_alpha",
     "coupling_beta",
     "factorial_ratio_root",
-    "sideband_series_term",
     "GqzeInterval",
     "IndicatorReport",
     "gqze_interval",

@@ -25,7 +25,6 @@ __all__ = [
     "coupling_alpha",
     "coupling_beta",
     "chi_ratio",
-    "sideband_series_term",
 ]
 
 
@@ -219,33 +218,3 @@ def chi_ratio(alpha: complex, beta: complex) -> complex:
     if a == 0:
         raise DegenerateCouplingError("1-2 coupling is zero; coupling ratio undefined")
     return complex(beta) / a
-
-
-def sideband_series_term(lamb_dicke: float, order: int, occupation: int) -> float:
-    """Magnitude of one term of the first-sideband coupling series.
-
-    Term ``j = order`` connects |n> to |n + 1> through j lowerings after
-    j + 1 raisings, carrying the weight eta^(2j+1) / (j! (j+1)!). The j = 0
-    value, eta * sqrt(n + 1), is the coupling retained in the Lamb-Dicke
-    truncation; the j = 1 over j = 0 ratio bounds the truncation error.
-    """
-    eta = float(lamb_dicke)
-    j = int(order)
-    n = int(occupation)
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ValueError("lamb_dicke must be finite and >= 0")
-    if j != order or j < 0:
-        raise ValueError("order must be a non-negative integer")
-    if n != occupation or n < 0:
-        raise ValueError("occupation must be a non-negative integer")
-    # <n+1| a^j (a^dag)^(j+1) |n>: raise j+1 times, then lower j times.
-    amplitude_sq = 1.0
-    level = n
-    for _ in range(j + 1):
-        level += 1
-        amplitude_sq *= level
-    for _ in range(j):
-        amplitude_sq *= level
-        level -= 1
-    weight = eta ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1))
-    return weight * math.sqrt(amplitude_sq)

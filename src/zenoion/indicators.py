@@ -12,7 +12,6 @@ the closed forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -50,9 +49,14 @@ _CROSSING_TOL = 1e-13
 # The largest float x whose square x * x is finite.
 _LARGEST_SQUARABLE = math.sqrt(sys.float_info.max)
 
-# Grid points in the first chunk of each gqze window scan; every further
-# chunk is twice as long, so the scan stops soon after the crossing.
+# Grid points in the first chunk of the gqze window scan; every further
+# chunk is twice as long, up to _MAX_CHUNK, so the scan stops soon after the
+# crossing and no chunk outgrows 512 KiB per float64 temporary.
 _FIRST_CHUNK = 1024
+_MAX_CHUNK = 1 << 16
+
+# The most grid points one gqze scan may visit.
+_MAX_SCAN_POINTS = 200_000_000
 
 # Grid points per chunk of the numeric twins: 64 KiB per float64 temporary,
 # below glibc's default 128 KiB mmap threshold, so the buffers are reused
@@ -208,7 +212,6 @@ def gqze_interval(
     chi: float,
     order_threshold: float = 0.5,
     points_per_period: int = 10_000,
-    max_reference_periods: float = 4.0,
 ) -> Optional[GqzeInterval]:
     """Locate the first time the hindered survival falls back to the
     chi = 0 reference curve.
@@ -219,15 +222,26 @@ def gqze_interval(
     least ``order_threshold`` hindered periods out; chi = 0 reproduces the
     reference exactly and yields no interval.
 
-    Windows: the reference is cos^2(t), and the hindered curve never drops
-    below its floor m(chi), so a crossing needs cos^2(t) > m. That confines
-    it to windows of half-width arccos(sqrt(m)) around k pi. The search
-    samples the grid of ``gqze_interval_grid`` (``points_per_period``
-    points per hindered period, out to ``max_reference_periods`` reference
-    periods) only inside these windows, padded by two points a side, in
-    order of k. For chi <= 1, m = 0 and the
-    windows cover the whole grid; for large chi each window holds about
-    0.6 hindered periods, so the cost no longer grows with chi.
+    Crossing in (pi/2, pi]: the lemma below leaves no crossing in [0, pi/2],
+    and at t = pi the reference is cos^2(pi) = 1, while the hindered survival
+    ((chi^2 + cos(w pi)) / (chi^2 + 1))^2 is at most 1, and equals 1 only
+    when w = sqrt(1 + chi^2) is an even integer. So the gap is <= 0 at pi,
+    and the first crossing lies in (pi/2, pi] for every chi. An even w is a
+    touch, not a crossing: at w = 2 (chi = sqrt(3)) the gap is
+    (sin^2(t) / 2)^2 >= 0. With w > 2 for chi > sqrt(3), t_chi / T_p =
+    t_chi w / (2 pi) > w / 4 > 1/2, so the hindering is present at the
+    default threshold for every chi > sqrt(3).
+
+    Window: the reference is cos^2(t), and the hindered curve never drops
+    below its floor m(chi), so a crossing needs cos^2(t) > m, which confines
+    it to windows of half-width h = arccos(sqrt(m)) around k pi. The search
+    samples the grid of ``gqze_interval_grid`` (``points_per_period`` points
+    per hindered period) only in window k = 1, out to pi + h and padded by
+    two points a side. The crossing can fall between the last grid point at
+    or below pi and the next one (chi = 9.95), so the scan runs past pi.
+    For chi <= 1, m = 0 and the window spans pi/2 to 3 pi/2; for large chi
+    it holds about 0.6 hindered periods, so the cost no longer grows with
+    chi.
 
     Lemma: the gap is never negative for t in [0, pi/2], whatever chi. With
     w = sqrt(1 + chi^2) >= 1 and x = t/2 in [0, pi/4], |sin(wx)| <= w sin x:
@@ -239,66 +253,64 @@ def gqze_interval(
     hindered survival is at least cos^2(t). The first clearly negative point
     therefore lies past pi/2.
 
-    Chunks: the scan starts at the first grid point past pi/2 and runs
-    through the rest of the windows in chunks of 1024, 2048, 4096, ... grid
-    points (a chunk that straddles pi/2 is clipped there). It stops at the
-    first chunk holding a clearly negative gap (below -1e-13; rounding alone
-    makes the tiny small-t gap a few ulp negative). The points past that
-    chunk are never computed. The reference cos^2(t) is formed inline with
-    one cosine and one product, bit for bit ``survival_probability(0.0,
+    Chunks: the scan starts at the first window point past pi/2 and runs in
+    chunks of 1024, 2048, 4096, ... grid points, at most 65536. It stops at
+    the first chunk holding a clearly negative gap (below -1e-13; rounding
+    alone makes the tiny small-t gap a few ulp negative). The points past
+    that chunk are never computed. The reference cos^2(t) is formed inline
+    with one cosine and one product, bit for bit ``survival_probability(0.0,
     1.0, t)``; the hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
-    and the last clearly positive point before it, carried across chunks
-    and windows, and refined by bisection on Python floats
-    (``_bisect_gap``). If no visited point past pi/2 precedes the crossing
-    with a clearly positive gap, the left end is the last such point of the
-    windows at or before pi/2, found by scanning back from pi/2 in chunks of
-    16, 32, 64, ... points, or 0 if there is none. The bracket is thus the
-    one a scan of every window point would find. The bisection stops at its
+    and the last clearly positive point before it, refined by bisection on
+    Python floats (``_bisect_gap``). If no scanned point precedes the
+    crossing with a clearly positive gap, the left end is the last such
+    point at or before pi/2 in window 1 or in window 0 (the points up to
+    h, padded by two), found by scanning back from pi/2 in chunks of 16,
+    32, 64, ... points, or 0 if there is none. The bisection stops at its
     fixed point, where a halving no longer moves the bracket, and so
     returns the same float as a fixed 80 halvings after about 40 of them.
 
-    Fallback: if no strict crossing occurs within the grid (possible only
-    for commensurate frequencies, where the curves touch without crossing,
-    or on a grid that ends before the first crossing) the closest approach
-    is reported: the sampled point of least gap over the windows from
-    t = 0, counted only once the gap has first cleared +1e-13, so rounding
-    noise near t = 0 is never taken for a touch.
+    Touch: if no point of the window is clearly negative, the gap never
+    clearly changes sign before pi, where it is <= 0: the curves touch, or
+    cross within the tolerance, and the crossing is reported at pi exactly.
 
     Range: chi = 0, or chi^2 > 1e-13 (chi above about 3.2e-7) with a floor
     clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
     that range the gap cannot be told from rounding at the 1e-13 tolerance
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
-    formed, so no overflow occurs for any finite chi.
+    formed, so no overflow occurs for any finite chi. A window of more than
+    2e8 grid points is a ``ValueError`` too.
     """
-    return _gqze_search(
-        _window_scan, chi, order_threshold, points_per_period, max_reference_periods
-    )
+    return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
 
 
-def _window_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
-    """The crossing time found by the windowed, chunked scan of
+def _window_scan(chi_value: float, w: float, step: float, windows) -> float:
+    """The crossing time found by the chunked scan of window 1 in
     ``gqze_interval``."""
-    # Window k covers grid indices k * spacing +- reach.
-    chunks = list(_window_chunks(count, math.pi / step, half_angle / step))
     # By the lemma of gqze_interval no point with t <= pi/2 is clearly
     # negative, so the forward scan starts past the last of them.
+    # Window 0 reaches past pi/2 only when window 1 follows on from it.
     quarter = _last_index_at_or_below(0.5 * math.pi, step)
-    left = _last_positive_time(chi_value, w, step, chunks, quarter)
-    for first, last in chunks:
-        if last <= quarter:
-            continue
-        times = _grid_times(max(first, quarter + 1), last, step)
+    (_, window0_last), (first, last) = windows
+    first = quarter + 1 if window0_last > quarter else max(first, quarter + 1)
+    left = None
+    size = _FIRST_CHUNK
+    while first <= last:
+        chunk_last = min(last, first + size - 1)
+        times = _grid_times(first, chunk_last, step)
         gap = _gaps(chi_value, w, times)
-        below = np.nonzero(gap < -_CROSSING_TOL)[0]
+        below = (gap < -_CROSSING_TOL).nonzero()[0]
         stop = int(below[0]) if below.size else gap.size
-        positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
+        positive = (gap[:stop] > _CROSSING_TOL).nonzero()[0]
         if positive.size:
             left = float(times[positive[-1]])
         if below.size:
+            if left is None:
+                left = _last_positive_time(chi_value, w, step, windows, quarter)
             return _bisect_gap(chi_value, w, left, float(times[stop]))
-    return _closest_approach(chi_value, w, step, chunks)
+        first, size = chunk_last + 1, min(2 * size, _MAX_CHUNK)
+    return math.pi
 
 
 def _grid_times(first: int, last: int, step: float) -> np.ndarray:
@@ -322,80 +334,26 @@ def _last_index_at_or_below(t: float, step: float) -> int:
     return index
 
 
-def _last_positive_time(chi_value: float, w: float, step: float, chunks, last_index: int) -> float:
-    """Time of the last clearly positive gap among the visited grid indices
-    up to ``last_index``, or 0.0 if there is none.
+def _last_positive_time(chi_value: float, w: float, step: float, windows, last_index: int) -> float:
+    """Time of the last clearly positive gap among the grid indices of
+    ``windows``, (first, last) ranges in order, up to ``last_index``, or 0.0
+    if there is none.
 
     Scans backwards from ``last_index`` in chunks of 16, 32, 64, ... points,
-    so a positive point close to it costs a few dozen samples.
+    at most _MAX_CHUNK, so a positive point close to it costs a few dozen
+    samples.
     """
     size = 16
-    for first, last in reversed(chunks):
+    for first, last in reversed(windows):
         last = min(last, last_index)
         while first <= last:
             chunk_first = max(first, last - size + 1)
             times = _grid_times(chunk_first, last, step)
-            positive = np.nonzero(_gaps(chi_value, w, times) > _CROSSING_TOL)[0]
+            positive = (_gaps(chi_value, w, times) > _CROSSING_TOL).nonzero()[0]
             if positive.size:
                 return float(times[positive[-1]])
-            last, size = chunk_first - 1, 2 * size
+            last, size = chunk_first - 1, min(2 * size, _MAX_CHUNK)
     return 0.0
-
-
-def _closest_approach(chi_value: float, w: float, step: float, chunks) -> float:
-    """Time of the sampled point of least gap over all visited grid points,
-    counted from the first point past which the gap is known to have cleared
-    +_CROSSING_TOL; the fallback of a scan that finds no clearly negative
-    point."""
-    armed = False
-    closest_gap, closest_time = math.inf, 0.0
-    next_index = 1
-    for first, last in chunks:
-        times = _grid_times(first, last, step)
-        gap = _gaps(chi_value, w, times)
-        offset = 0
-        if not armed:
-            positive = np.nonzero(gap > _CROSSING_TOL)[0]
-            # Skipped points lie outside every window, where the gap is at
-            # least m - cos^2 > 0. Padded windows part only once m exceeds
-            # ~8e-7 (default grid), and the skipped point nearest
-            # (k - 1/2) pi has cos^2 ~ 0, so its gap ~ m clears the
-            # tolerance: a window after skipped points arms from its start,
-            # as the dense scan would.
-            if first > next_index or positive.size:
-                armed, closest_gap = True, math.inf
-                if first == next_index:
-                    offset = int(positive[0])
-        next_index = last + 1
-        index = offset + int(np.argmin(gap[offset:]))
-        if gap[index] < closest_gap:
-            closest_gap, closest_time = float(gap[index]), float(times[index])
-    return closest_time
-
-
-def _window_chunks(count: int, spacing: float, reach: float):
-    """Yield the (first, last) grid-index ranges of the gqze windows, in
-    order. Window k covers k * spacing +- reach, padded by two points a side,
-    clipped to [1, count] and to points not yet visited. Each window is
-    split into chunks of _FIRST_CHUNK, 2 _FIRST_CHUNK, 4 _FIRST_CHUNK, ...
-    points. A chunk holds at most _FIRST_CHUNK points more than the earlier
-    chunks of its window, which bounds the points a scan that stops inside
-    it computes past the crossing.
-    """
-    next_index = 1
-    for k in itertools.count():
-        first = max(next_index, math.floor(k * spacing - reach) - 2)
-        last = min(count, math.ceil(k * spacing + reach) + 2)
-        if first > count:
-            return
-        if first > last:
-            continue
-        next_index = last + 1
-        size = _FIRST_CHUNK
-        while first <= last:
-            chunk_last = min(last, first + size - 1)
-            yield first, chunk_last
-            first, size = chunk_last + 1, 2 * size
 
 
 def _window_half_angle(chi: float) -> float:
@@ -440,19 +398,6 @@ def _check_chi_floor(chi: float) -> None:
         )
 
 
-def _gap(chi_sq: float, w: float, t: float) -> float:
-    """Hindered minus reference survival at one time, on Python floats.
-
-    Bit for bit ``survival_probability(chi, w, t) - survival_probability(0.0,
-    1.0, t)``: each term is the same float64 operations in the same order,
-    squares included (x * x). ``math.cos`` matching numpy's 0-d ``cos`` is
-    checked by the test suite, not assumed.
-    """
-    hindered = (chi_sq + math.cos(w * t)) / (chi_sq + 1.0)
-    reference = math.cos(t)
-    return hindered * hindered - reference * reference
-
-
 def _gaps(chi_value: float, w: float, times: np.ndarray) -> np.ndarray:
     """Hindered minus reference survival on an array of times, as the gqze
     scan forms it.
@@ -477,11 +422,21 @@ def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
     assignment leaves the state unchanged, and so does every later
     iteration. Stopping there returns the same ``0.5 * (left + right)`` as
     all 80 halvings; it happens after about 40 of them.
+
+    The gap is formed inline on Python floats, bit for bit
+    ``survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)``:
+    each term is the same float64 operations in the same order, squares
+    included (x * x). ``math.cos`` matching numpy's 0-d ``cos`` is checked by
+    the test suite, not assumed.
     """
     chi_sq = chi * chi
+    scale = chi_sq + 1.0
+    cos = math.cos
     for _ in range(80):
         mid = 0.5 * (left + right)
-        if _gap(chi_sq, w, mid) > 0.0:
+        hindered = (chi_sq + cos(w * mid)) / scale
+        reference = cos(mid)
+        if hindered * hindered - reference * reference > 0.0:
             if mid == left:
                 break
             left = mid
@@ -660,75 +615,67 @@ def gqze_interval_grid(
     chi: float,
     order_threshold: float = 0.5,
     points_per_period: int = 10_000,
-    max_reference_periods: float = 4.0,
 ) -> Optional[GqzeInterval]:
     """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
-    the same grid, brackets the first clearly negative point and bisects, or
-    falls back to the closest approach after the gap first clears +1e-13.
-    It accepts the same chi range.
+    the same grid from index 1 to the end of window 1 (pi + h, padded by two
+    points), brackets the first clearly negative point and bisects, or
+    reports pi when no point is clearly negative. It does not rely on the
+    lemma of ``gqze_interval``, and accepts the same chi range.
 
     The grid is evaluated in chunks of _TWIN_CHUNK points and the scan stops
-    at the chunk holding the crossing, so its memory no longer grows with
-    chi. Its time still grows linearly in chi; a grid of more than 2e8
-    points is a ``ValueError``, a guard that now bounds only that time.
+    at the chunk holding the crossing, so its memory does not grow with chi.
+    Its time still grows linearly in chi; a grid of more than 2e8 points is
+    a ``ValueError``.
     """
-    return _gqze_search(
-        _dense_scan, chi, order_threshold, points_per_period, max_reference_periods
-    )
+    return _gqze_search(_dense_scan, chi, order_threshold, points_per_period, dense=True)
 
 
-def _dense_scan(chi_value: float, w: float, half_angle: float, step: float, count: int) -> float:
+def _dense_scan(chi_value: float, w: float, step: float, windows) -> float:
     """The crossing time found by the dense scan of ``gqze_interval_grid``.
 
     Every grid point up to the crossing is evaluated, in order, in chunks of
     _TWIN_CHUNK points. The bracket's left end is the last clearly positive
     point before the first clearly negative one (0 if there is none). With no
-    clearly negative point, the result is the first-occurrence argmin of the
-    gap from the first clearly positive point on, or from index 1 if no
-    point is clearly positive.
+    clearly negative point up to the end of window 1, the result is pi.
     """
-    if count > 200_000_000:
-        raise ValueError("chi too large for the requested grid resolution")
-
     left = 0.0
-    armed = False
-    closest_gap, closest_time = math.inf, 0.0
-    for lo, hi in _twin_chunks(count):
+    for lo, hi in _twin_chunks(windows[1][1]):
         times = _grid_times(lo + 1, hi, step)
         gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
-        below = np.nonzero(gap < -_CROSSING_TOL)[0]
+        below = (gap < -_CROSSING_TOL).nonzero()[0]
         stop = int(below[0]) if below.size else gap.size
-        positive = np.nonzero(gap[:stop] > _CROSSING_TOL)[0]
+        positive = (gap[:stop] > _CROSSING_TOL).nonzero()[0]
         if positive.size:
             left = float(times[positive[-1]])
         if below.size:
             return _bisect_gap(chi_value, w, left, float(times[stop]))
-        offset = 0
-        if not armed and positive.size:
-            armed, closest_gap, offset = True, math.inf, int(positive[0])
-        index = offset + int(np.argmin(gap[offset:]))
-        if gap[index] < closest_gap:
-            closest_gap, closest_time = float(gap[index]), float(times[index])
-    return closest_time
+    return math.pi
 
 
 def _gqze_search(
-    scan, chi, order_threshold, points_per_period, max_reference_periods
+    scan, chi, order_threshold, points_per_period, dense=False
 ) -> Optional[GqzeInterval]:
     """Check the arguments of a gqze search, lay out the grid both scans
-    sample (step, 2 step, ..., count step: ``points_per_period`` points per
-    hindered period, out to ``max_reference_periods`` reference periods), and
-    report the crossing time that ``scan(chi, w, half_angle, step, count)``
-    finds. None at chi = 0; ``ValueError`` outside the resolvable range of
-    ``gqze_interval``, raised before chi^2 is formed."""
+    sample, and report the crossing time that ``scan(chi, w, step,
+    windows)`` finds.
+
+    The grid is step, 2 step, ..., with ``points_per_period`` points per
+    hindered period, and ends with window 1. ``windows`` holds the
+    (first, last) grid indices of window 0, 1 to ceil(h / step) + 2, and of
+    window 1, from floor((pi - h) / step) - 2 (or past window 0) to
+    ceil((pi + h) / step) + 2, with h = ``_window_half_angle(chi)``; the two
+    never overlap. A scan that would visit more than 2e8 points, the whole
+    grid if ``dense`` and window 1 otherwise, or a grid too fine to count,
+    is a ``ValueError``. None at chi = 0; ``ValueError`` outside the
+    resolvable range of ``gqze_interval``, raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
-    for name, value in (
-        ("points_per_period", points_per_period),
-        ("max_reference_periods", max_reference_periods),
+    if not (
+        isinstance(points_per_period, numbers.Real)
+        and math.isfinite(points_per_period)
+        and points_per_period > 0
     ):
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        raise ValueError(f"points_per_period must be finite and > 0, got {points_per_period!r}")
     # The upper range check runs first; a nan or negative chi passes it and
     # is rejected by _chi_array.
     half_angle = _window_half_angle(float(chi))
@@ -740,7 +687,22 @@ def _gqze_search(
     w = math.sqrt(1.0 + chi_sq)
     hindered_period = _TWO_PI / w  # never longer than the reference period 2 pi
     step = hindered_period / points_per_period
-    count = int(math.ceil(max_reference_periods * _TWO_PI / step))
-    end = scan(chi_value, w, half_angle, step, count)
+    spacing, reach = math.pi / step, half_angle / step
+    if not math.isfinite(spacing + reach):
+        raise _grid_too_large(chi_value, points_per_period)
+    window0_last = math.ceil(reach) + 2
+    first, last = math.floor(spacing - reach) - 2, math.ceil(spacing + reach) + 2
+    if last - (1 if dense else first) + 1 > _MAX_SCAN_POINTS:
+        raise _grid_too_large(chi_value, points_per_period)
+    windows = ((1, window0_last), (max(window0_last + 1, first), last))
+    end = scan(chi_value, w, step, windows)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)
+
+
+def _grid_too_large(chi: float, points_per_period) -> ValueError:
+    return ValueError(
+        f"the gqze grid at chi = {chi:g} and points_per_period = "
+        f"{points_per_period!r} is too fine: the scan would visit more than 2e8 "
+        f"grid points"
+    )

@@ -3,8 +3,12 @@
 States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
 so these share no code (and no algebra shortcuts) with the package. The
-exceptions are ``bisect_gap_oracle`` and the whole-grid twins at the end,
-reference routes through the package's own ``survival_probability``.
+exceptions are ``scalar_gap``, ``bisect_gap_oracle`` and the whole-grid
+twins at the end, reference routes through the package's own
+``survival_probability`` or bisection arithmetic.
+``sideband_series_term`` is the closed form of one Lamb-Dicke series term;
+only the tests use it, checked against the ladder route of
+``series_term_oracle``.
 """
 
 from __future__ import annotations
@@ -71,6 +75,36 @@ def series_term_oracle(eta: float, j: int, n: int) -> float:
     return eta ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1)) * element
 
 
+def sideband_series_term(lamb_dicke: float, order: int, occupation: int) -> float:
+    """Magnitude of one term of the first-sideband coupling series.
+
+    Term ``j = order`` connects |n> to |n + 1> through j lowerings after
+    j + 1 raisings, carrying the weight eta^(2j+1) / (j! (j+1)!). The j = 0
+    value, eta * sqrt(n + 1), is the coupling retained in the Lamb-Dicke
+    truncation; the j = 1 over j = 0 ratio bounds the truncation error.
+    """
+    eta = float(lamb_dicke)
+    j = int(order)
+    n = int(occupation)
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError("lamb_dicke must be finite and >= 0")
+    if j != order or j < 0:
+        raise ValueError("order must be a non-negative integer")
+    if n != occupation or n < 0:
+        raise ValueError("occupation must be a non-negative integer")
+    # <n+1| a^j (a^dag)^(j+1) |n>: raise j+1 times, then lower j times.
+    amplitude_sq = 1.0
+    level = n
+    for _ in range(j + 1):
+        level += 1
+        amplitude_sq *= level
+    for _ in range(j):
+        amplitude_sq *= level
+        level -= 1
+    weight = eta ** (2 * j + 1) / (math.factorial(j) * math.factorial(j + 1))
+    return weight * math.sqrt(amplitude_sq)
+
+
 def hamiltonian(block) -> np.ndarray:
     """Dense tridiagonal block matrix (interaction picture, hbar = 1)."""
     h = np.zeros((block.dimension, block.dimension), dtype=complex)
@@ -88,6 +122,14 @@ def expm_oracle(matrix: np.ndarray, t: float) -> np.ndarray:
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     phases = np.exp(-1j * eigenvalues * t)
     return (eigenvectors * phases) @ eigenvectors.conj().T
+
+
+def scalar_gap(chi_sq: float, w: float, t: float) -> float:
+    """Hindered minus reference survival at one time, on Python floats, as
+    the package's bisection forms it inline."""
+    hindered = (chi_sq + math.cos(w * t)) / (chi_sq + 1.0)
+    reference = math.cos(t)
+    return hindered * hindered - reference * reference
 
 
 def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
@@ -141,31 +183,26 @@ def sub_threshold_measure_grid_reference(
     return count * step
 
 
-def _dense_scan_reference(chi_value, w, half_angle, step, count):
-    if count > 200_000_000:
-        raise ValueError("chi too large for the requested grid resolution")
-    times = np.arange(1, count + 1) * step
+def _dense_scan_reference(chi_value, w, step, windows):
+    times = np.arange(1, windows[1][1] + 1) * step
     gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
     below = np.nonzero(gap < -1e-13)[0]
-    if below.size:
-        first = int(below[0])
-        positive_before = np.nonzero(gap[:first] > 1e-13)[0]
-        left = float(times[positive_before[-1]]) if positive_before.size else 0.0
-        return indicators._bisect_gap(chi_value, w, left, float(times[first]))
-    above = np.nonzero(gap > 1e-13)[0]
-    start = int(above[0]) if above.size else 0
-    return float(times[start + int(np.argmin(gap[start:]))])
+    if not below.size:
+        return math.pi
+    first = int(below[0])
+    positive_before = np.nonzero(gap[:first] > 1e-13)[0]
+    left = float(times[positive_before[-1]]) if positive_before.size else 0.0
+    return indicators._bisect_gap(chi_value, w, left, float(times[first]))
 
 
 def gqze_interval_grid_reference(
     chi: float,
     order_threshold: float = 0.5,
     points_per_period: int = 10_000,
-    max_reference_periods: float = 4.0,
 ):
     """The dense gqze twin on its whole grid at once, through the package's
     argument checks, grid layout and bisection (``_bisect_gap`` is pinned to
     ``bisect_gap_oracle`` on its own)."""
     return indicators._gqze_search(
-        _dense_scan_reference, chi, order_threshold, points_per_period, max_reference_periods
+        _dense_scan_reference, chi, order_threshold, points_per_period, dense=True
     )

@@ -17,12 +17,7 @@ from zenoion.dynamics import (
     propagate_oracle,
     survival_probability,
 )
-from zenoion.fock import (
-    CouplingConstants,
-    ModeVector,
-    SidebandPattern,
-    sideband_series_term,
-)
+from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern
 from zenoion.indicators import (
     gqze_interval,
     mean_level_probabilities,
@@ -38,7 +33,7 @@ from zenoion.indicators import (
 )
 from zenoion.runner import random_cases, run_figures
 
-from .oracles import series_term_oracle
+from .oracles import series_term_oracle, sideband_series_term
 
 
 def _verdict(number: int, description: str, checks) -> None:

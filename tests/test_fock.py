@@ -15,10 +15,9 @@ from zenoion.fock import (
     coupling_alpha,
     coupling_beta,
     factorial_ratio_root,
-    sideband_series_term,
 )
 
-from .oracles import falling_root_oracle, series_term_oracle
+from .oracles import falling_root_oracle, series_term_oracle, sideband_series_term
 
 occupations = st.integers(min_value=0, max_value=8)
 triples = st.tuples(occupations, occupations, occupations)

@@ -404,21 +404,20 @@ class TestGqzeWindowedSearch:
 
     @pytest.mark.parametrize("chi", [0.5, 2.0])
     def test_short_grid_fallback_matches_dense_grid(self, chi):
-        # A tenth of a reference period holds no crossing, so both searches
-        # take the closest approach after the gap first clears 1e-13.
-        windowed = gqze_interval(chi, max_reference_periods=0.1)
-        assert windowed == gqze_interval_grid(chi, max_reference_periods=0.1)
-        assert not windowed.present
+        # One point per hindered period samples only the recurrences, where
+        # the hindered survival is 1, so the grid holds no clearly negative
+        # point and both searches take the fallback: pi.
+        windowed = gqze_interval(chi, points_per_period=1)
+        assert windowed == gqze_interval_grid(chi, points_per_period=1)
+        assert windowed.end == math.pi
 
     @pytest.mark.parametrize("chi", [3e5, 6.3e6])
     def test_closest_approach_is_not_small_t_noise(self, chi):
         # w = sqrt(1 + chi^2) lies within 2e-6 of an even integer, so the
-        # curves only touch near multiples of pi and no gap is clearly
-        # negative. The closest approach must sit near one of those, not on
-        # a rounding-noise point next to t = 0.
-        turns = gqze_interval(chi).end / math.pi
-        assert round(turns) >= 1
-        assert abs(turns - round(turns)) <= 1e-5
+        # curves only touch near pi and no gap is clearly negative: the
+        # search reports the touch at pi, not a rounding-noise point next to
+        # t = 0 nor a later multiple of pi.
+        assert gqze_interval(chi).end == math.pi
 
     @pytest.mark.parametrize("chi", [6.4e6, 1e7, 1e160, 1e200, 1e300])
     def test_rejects_chi_beyond_resolvable_range(self, chi):
@@ -456,16 +455,73 @@ class TestGqzeWindowedSearch:
         assert not windowed.present
 
 
+# The accepted chi range of the gqze search, (3.2e-7, 6.3e6), drawn
+# log-uniformly so every decade is exercised.
+_accepted_chis = st.floats(min_value=math.log10(3.17e-7), max_value=math.log10(6.3e6)).map(
+    lambda exponent: 10.0**exponent
+)
+
+
+class TestGqzeCrossingRange:
+    """The first crossing lies in (pi/2, pi] for every chi (the lemma and its
+    pi-endpoint half in the ``gqze_interval`` docstring), and a touch is
+    reported at pi."""
+
+    @settings(max_examples=300)
+    @given(chi=_accepted_chis)
+    def test_crossing_lies_past_quarter_period_and_by_pi(self, chi):
+        end = gqze_interval(chi).end
+        assert 0.5 * math.pi < end <= math.pi
+
+    def test_even_frequency_touches_at_pi(self):
+        # w = sqrt(1 + chi^2) = 2k: the hindered survival returns to 1 at pi
+        # together with the reference, and the curves touch there.
+        for k in range(1, 200):
+            assert gqze_interval(math.sqrt(4.0 * k * k - 1.0)).end == math.pi
+
+    def test_crossing_between_grid_points_around_pi(self):
+        # At chi = 9.95 the last grid point at or below pi has gap +1.5e-9
+        # and the next one -3.4e-9, so the window must be scanned past pi.
+        chi = 9.95
+        w = math.sqrt(1.0 + chi * chi)
+        step = 2.0 * math.pi / w / 10_000
+        below_pi = indicators._last_index_at_or_below(math.pi, step)
+        times = indicators._grid_times(below_pi, below_pi + 1, step)
+        before, after = indicators._gaps(chi, w, times)
+        assert before > 1e-13 and after < -1e-13
+        end = gqze_interval(chi).end
+        assert end == 3.141573019001365
+        assert times[0] < end < times[1]
+
+    def test_touch_at_large_chi_reports_pi(self):
+        # The dip near pi stays within the 1e-13 tolerance here; a crossing
+        # taken from a later window would read 2 pi (period ratio 462211.8).
+        chi = 462211.9934130156
+        interval = gqze_interval(chi)
+        assert interval.end == math.pi
+        assert interval.period_ratio == pytest.approx(231106.0, rel=1e-6)
+        assert interval.present
+
+    @settings(max_examples=300)
+    @given(chi=_accepted_chis.filter(lambda chi: chi > math.sqrt(3.0)))
+    def test_present_above_root_three(self, chi):
+        # t_chi / T_p lies in (w / 4, w / 2], above 1/2 once w > 2.
+        assert gqze_interval(chi, order_threshold=0.5).present
+
+    def test_present_just_above_root_three(self):
+        chi = math.nextafter(math.sqrt(3.0), math.inf)
+        assert gqze_interval(chi, order_threshold=0.5).present
+
+
 # Every fourth chi of the twin set, for the checks on other grids.
 _GQZE_SPARSE_CHIS = _GQZE_TWIN_CHIS[::4]
 
 
 def _scaled_grid(scale):
-    """Search-grid arguments ``scale`` times as long in reference periods and
-    ``scale`` times as sparse in points per period as the default grid. The
-    grid keeps about its number of points, but every window and chunk edge
-    moves; scale 1 is the default grid."""
-    return {"points_per_period": round(10_000 / scale), "max_reference_periods": 4.0 * scale}
+    """Search-grid arguments ``scale`` times as sparse in points per period
+    as the default grid, so every window and chunk edge moves; scale 1 is the
+    default grid."""
+    return {"points_per_period": round(10_000 / scale)}
 
 
 class TestGqzeChunkedScan:
@@ -491,16 +547,37 @@ class TestGqzeChunkedScan:
         dense = gqze_interval_grid(chi, points_per_period=points_per_period)
         assert windowed == dense
 
-    # Window 0 covers indices 1 .. ceil(reach) + 2, the whole grid here.
+    # A window of reach + 2 points starting just past pi/2. At chi = sqrt(3)
+    # the gap is (sin^2(t) / 2)^2 >= 0, so the scan runs through the whole
+    # window; chunks stop doubling at 65536 points.
     @pytest.mark.parametrize(
         "reach, sizes",
-        [(1021, [1023]), (1022, [1024]), (1023, [1024, 1]), (9998, [1024, 2048, 4096, 2832])],
+        [
+            (1021, [1023]),
+            (1022, [1024]),
+            (1023, [1024, 1]),
+            (9998, [1024, 2048, 4096, 2832]),
+            (199_998, [1024 << k for k in range(7)] + [65536, 4416]),
+        ],
     )
     def test_chunks_double_and_tile_the_window(self, reach, sizes):
-        chunks = list(indicators._window_chunks(reach + 2, 1e9, float(reach)))
-        assert [last - first + 1 for first, last in chunks] == sizes
-        assert chunks[0][0] == 1 and chunks[-1][1] == reach + 2
-        assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+        chi = math.sqrt(3.0)
+        step = math.pi / 10_000
+        quarter = indicators._last_index_at_or_below(0.5 * math.pi, step)
+        window = (quarter + 1, quarter + reach + 2)
+        times_seen = []
+        survival = indicators.survival_probability
+
+        def record_survival(chi_value, w, times):
+            times_seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival):
+            end = indicators._window_scan(chi, 2.0, step, ((1, 2), window))
+        assert end == math.pi
+        assert [times.size for times in times_seen] == sizes
+        indices = np.concatenate(times_seen) / step
+        assert np.array_equal(np.round(indices), np.arange(window[0], window[1] + 1))
 
     @pytest.mark.parametrize(
         "chi, points_per_period", [(2.0, 3765), (0.5, 10_000), (2.0, 10_000), (20.0, 10_000)]
@@ -541,8 +618,11 @@ class TestGqzeChunkedScan:
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
             gqze_interval(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
-        assert right in times_seen[-1]
-        assert not any(right in times for times in times_seen[:-1])
+        # The backward seed of the bracket's left end, sampled at or before
+        # pi/2, runs after the crossing chunk when it runs at all.
+        forward = [times for times in times_seen if times[0] > 0.5 * math.pi]
+        assert right in forward[-1]
+        assert not any(right in times for times in forward[:-1])
         # Chunks double, so the points past the bracket's right end number
         # at most 1024 more than those up to it.
         after = sum(np.count_nonzero(times > right) for times in times_seen)
@@ -555,12 +635,7 @@ class TestGqzeChunkedScan:
 _searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
     lambda exponent: 10.0**exponent
 )
-_grids = st.fixed_dictionaries(
-    {
-        "points_per_period": st.integers(min_value=1000, max_value=20_000),
-        "max_reference_periods": st.floats(min_value=1.0, max_value=8.0),
-    }
-)
+_grids = st.fixed_dictionaries({"points_per_period": st.integers(min_value=1000, max_value=20_000)})
 
 
 def _search_brackets(chi, grid):
@@ -590,7 +665,8 @@ class TestBisectGap:
         for args in calls:
             assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
 
-    @pytest.mark.parametrize("chi", [3.2e-7, 0.05, 1.0, 2.3, 20.0, 3e3, 6100000.3])
+    # Near the top of the range most chi only touch at pi; 6100001 crosses.
+    @pytest.mark.parametrize("chi", [3.2e-7, 0.05, 1.0, 2.3, 20.0, 3e3, 6100001.0])
     @pytest.mark.parametrize("scale", [1.0, 2.3])
     def test_matches_80_halving_oracle_at_range_edges(self, chi, scale):
         calls = _search_brackets(chi, _scaled_grid(scale))
@@ -609,7 +685,7 @@ class TestBisectGap:
             chi, t = float(chi), float(t)
             w = math.sqrt(1.0 + chi * chi)
             expected = survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
-            assert indicators._gap(chi * chi, w, t) == expected
+            assert oracles.scalar_gap(chi * chi, w, t) == expected
 
     @settings(max_examples=300)
     @given(
@@ -619,7 +695,7 @@ class TestBisectGap:
     def test_scalar_gap_matches_survival_probability(self, chi, t):
         w = math.sqrt(1.0 + chi * chi)
         expected = survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
-        assert indicators._gap(chi * chi, w, t) == expected
+        assert oracles.scalar_gap(chi * chi, w, t) == expected
 
 
 class TestGqzeQuarterPeriodSkip:
@@ -636,7 +712,7 @@ class TestGqzeQuarterPeriodSkip:
     )
     def test_gap_is_not_clearly_negative_before_quarter_period(self, chi, t):
         w = math.sqrt(1.0 + chi * chi)
-        assert indicators._gap(chi * chi, w, t) >= -1e-13
+        assert oracles.scalar_gap(chi * chi, w, t) >= -1e-13
         times = np.append(np.linspace(0.0, 0.5 * math.pi, 1001), t)
         assert indicators._gaps(chi, w, times).min() >= -1e-13
 
@@ -769,16 +845,17 @@ class TestChunkedTwins:
         reference = oracles.sub_threshold_measure_grid_reference(chi, epsilon, samples)
         assert _bits(chunked) == _bits(reference)
 
-    # Dense-scan cases that take the no-crossing fallback: no point clearly
-    # positive (3.3e-7), first clearly positive point in the second chunk
-    # (2e-6, at index 13113), and commensurate ratios that touch over
-    # several chunks without crossing (sqrt(3), sqrt(15)).
+    # Dense-scan cases that take the no-crossing fallback, pi: grids of one
+    # point per hindered period, which sample only recurrences, where the
+    # hindered survival is 1, and commensurate
+    # ratios that touch over several chunks without crossing (sqrt(3),
+    # sqrt(15)).
     @pytest.mark.parametrize(
         "chi, grid",
         [
-            (3.3e-7, {"max_reference_periods": 0.1}),
-            (2e-6, {"points_per_period": 100_000, "max_reference_periods": 0.2}),
-            (0.5, {"max_reference_periods": 0.1}),
+            (3.3e-7, {"points_per_period": 1}),
+            (2e-6, {"points_per_period": 1}),
+            (0.5, {"points_per_period": 1}),
             (math.sqrt(3.0), {}),
             (math.sqrt(15.0), {}),
         ],
@@ -794,6 +871,7 @@ class TestChunkedTwins:
         with mock.patch.object(indicators, "_bisect_gap", record):
             chunked = gqze_interval_grid(chi, **grid)
         assert not brackets
+        assert chunked.end == math.pi
         assert chunked == oracles.gqze_interval_grid_reference(chi, **grid)
 
     @settings(max_examples=60, deadline=None)
@@ -802,14 +880,10 @@ class TestChunkedTwins:
             st.sampled_from([3.3e-7, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 5.0, 100.0]),
             st.floats(min_value=math.log10(3.3e-7), max_value=2.0).map(lambda e: 10.0**e),
         ),
-        points_per_period=st.one_of(st.just(10_000), st.integers(5, 20_000)),
-        max_reference_periods=st.one_of(st.just(4.0), st.floats(0.05, 5.0)),
+        points_per_period=st.one_of(st.just(10_000), st.integers(1, 20_000)),
     )
-    def test_dense_scan_matches_whole_grid(self, chi, points_per_period, max_reference_periods):
-        grid = {
-            "points_per_period": points_per_period,
-            "max_reference_periods": max_reference_periods,
-        }
+    def test_dense_scan_matches_whole_grid(self, chi, points_per_period):
+        grid = {"points_per_period": points_per_period}
         assert gqze_interval_grid(chi, **grid) == oracles.gqze_interval_grid_reference(chi, **grid)
 
     @pytest.mark.parametrize(
@@ -860,7 +934,7 @@ class TestGqzeGridArguments:
     # points_per_period = -1 used to send the window scan into an endless
     # loop, and 0 to divide by zero.
     @pytest.mark.parametrize("value", [-1, 0, 0.0, -2.5, math.nan, math.inf, -math.inf, "10"])
-    @pytest.mark.parametrize("name", ["points_per_period", "max_reference_periods"])
+    @pytest.mark.parametrize("name", ["points_per_period"])
     def test_rejects_bad_grid_argument(self, name, value):
         messages = set()
         for search in (gqze_interval, gqze_interval_grid):
@@ -870,6 +944,42 @@ class TestGqzeGridArguments:
                     search(1.0, 0.5, **{name: value})
             messages.add(str(info.value))
         assert messages == {f"{name} must be finite and > 0, got {value!r}"}
+
+    # 1e308 points per period overflows the grid count to inf; 1e12 would
+    # lay out a window of about 7e11 points.
+    @pytest.mark.parametrize("points_per_period", [1e308, 1e12, 3e8])
+    @pytest.mark.parametrize("search", [gqze_interval, gqze_interval_grid])
+    def test_rejects_grid_beyond_point_bound(self, search, points_per_period):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="more than 2e8 grid points"):
+                    search(1.0, 0.5, points_per_period)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_bound_counts_the_window_for_the_search(self):
+        # At chi = 1e4 window 1 holds about 0.64 points_per_period points,
+        # the grid about 5000 times as many: only the dense twin is refused.
+        assert gqze_interval(1e4, 0.5, 200_000).end <= math.pi
+        with pytest.raises(ValueError, match="more than 2e8 grid points"):
+            gqze_interval_grid(1e4, 0.5, 200_000)
+
+    def test_large_window_scan_has_flat_memory(self):
+        # About 1.4e6 window points: chunks capped at 65536 points keep the
+        # peak near 2 MiB, where doubling chunks would allocate 8 MiB arrays.
+        search = lambda: gqze_interval(1.0, 0.5, 2_000_000)
+        search()
+        tracemalloc.start()
+        try:
+            search()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 class TestReportsAndSweep:
