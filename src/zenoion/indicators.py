@@ -531,6 +531,11 @@ def min_survival_grid(chi: float, samples: int = 100_000) -> float:
     Each time i * (period / samples) is formed as ``np.linspace(0, period,
     samples, endpoint=False)`` forms it; the grid is evaluated in chunks of
     _TWIN_CHUNK points and the minimum kept across them.
+
+    ``run_validate`` no longer calls it: it reads the floor at the argmin of
+    ``time_of_min_grid``, whose half-period pass samples the first minimum
+    at twice this grid's resolution. It stays for the tests and for the
+    benchmark's layer tracer, which looks up each twin by name.
     """
     samples = _check_resolution("samples", samples)
     period = poincare_time(chi)

@@ -518,6 +518,34 @@ class TestValidateHarness:
         assert failed == [f"level-{level} mean: closed vs oracle quadrature"]
         assert not report.ok
 
+    def test_injected_survival_floor_error_is_caught(self, monkeypatch):
+        closed = zenoion.runner.min_survival
+        monkeypatch.setattr("zenoion.runner.min_survival", lambda chi: closed(chi) + 2e-9)
+        config = load_config(None, {"mode": "validate", "seed": 3})
+        report = run_validate(config)
+        failed = [check.name for check in report.checks if not check.passed]
+        assert failed == ["survival minimum: closed vs grid"]
+        assert not report.ok
+
+    def test_survival_floor_comes_from_the_argmin_pass(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("run_validate must not run the full-period minimum grid")
+
+        monkeypatch.setattr("zenoion.indicators.min_survival_grid", unused)
+        monkeypatch.setattr("zenoion.runner.min_survival_grid", unused, raising=False)
+        config = load_config(None, {"mode": "validate", "seed": 3})
+        assert run_validate(config).ok
+
+    def test_survival_floor_deviation_does_not_depend_on_the_seed(self):
+        # The chi grid of the check is fixed; only the propagator checks
+        # draw from the seed.
+        def floor_deviation(seed):
+            report = run_validate(load_config(None, {"mode": "validate", "seed": seed}))
+            (check,) = [c for c in report.checks if c.name == "survival minimum: closed vs grid"]
+            return check.max_deviation, check.tolerance
+
+        assert floor_deviation(0) == floor_deviation(7)
+
 
 class TestCliEntry:
     def test_figures_exit_zero(self, tmp_path, capsys):
@@ -616,7 +644,7 @@ class TestCliEntry:
             ["sweep", "--chi", "1e160"],
             ["evolve", "--chi", "1e200"],
             ["survival", "--chi", "1e160"],
-            ["evolve", "--gamma1", "1e155", "--gamma2", "1e155"],
+            ["evolve", "--gamma1", "1", "--gamma2", "1e155"],
             ["indicators", "--chi", "1e-7"],
             ["sweep", "--chi", "1e-9"],
         ],
@@ -677,6 +705,10 @@ class TestCliEntry:
                 "|c12| = 4.94066e-324 is too small: the period 2 pi / |c12| overflows",
             ),
             (["indicators", "--gamma1", "0", "--gamma2", "1"], "1-2 coupling vanishes"),
+            (
+                ["indicators", "--gamma1", "1.5e308", "--gamma2", "1.5e308"],
+                "the block frequency hypot(|c12|, |c23|) overflows float64",
+            ),
         ],
     )
     def test_oversized_or_underflowing_input_exits_cleanly(
@@ -721,6 +753,28 @@ class TestCliEntry:
             assert (tmp_path / "tiny.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()
         for name, unit in columns["unit"].items():
             np.testing.assert_allclose(columns["tiny"][name], unit, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["evolve", "survival", "indicators"])
+    def test_huge_couplings_match_unit_chi(self, mode, tmp_path):
+        # Couplings whose squares overflow still run: the block frequency is
+        # a hypot, and the closed form divides the couplings by it first.
+        huge = ["--gamma1", "1e200", "--gamma2", "1e200"]
+        columns = {}
+        for name, flags in (("huge", huge), ("unit", ["--chi", "1"])):
+            out = tmp_path / f"{name}.csv"
+            argv = [mode, *flags, "--samples", "200", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
+            columns[name] = read_columns(out)[1]
+        assert columns["huge"].keys() == columns["unit"].keys()
+        if mode == "evolve":
+            # Each time is divided by |c12| and the phase multiplied back by
+            # the frequency, which moves the last bits.
+            for name, unit in columns["unit"].items():
+                np.testing.assert_allclose(columns["huge"][name], unit, rtol=0, atol=1e-12)
+        else:
+            assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "flags",
