@@ -262,14 +262,15 @@ def gqze_interval(
     1.0, t)``; the hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
-    and the last clearly positive point before it, refined by bisection on
-    Python floats (``_bisect_gap``). If no scanned point precedes the
-    crossing with a clearly positive gap, the left end is the last such
-    point at or before pi/2 in window 1 or in window 0 (the points up to
-    h, padded by two), found by scanning back from pi/2 in chunks of 16,
-    32, 64, ... points, or 0 if there is none. The bisection stops at its
-    fixed point, where a halving no longer moves the bracket, and so
-    returns the same float as a fixed 80 halvings after about 40 of them.
+    and the last clearly positive grid point before it, refined by bisection
+    on Python floats (``_bisect_gap``). If no scanned point before the
+    crossing has a clearly positive gap, the left end is the last such point
+    before the window start, found by scanning back from it over the whole
+    grid in chunks of 16, 32, 64, ... points, or 0 if there is none. So the
+    bracket is that of ``gqze_interval_grid`` at every chi. The bisection
+    stops at its fixed point, where a halving no longer moves the bracket,
+    and so returns the same float as a fixed 80 halvings after about 40 of
+    them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -285,20 +286,14 @@ def gqze_interval(
     return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
 
 
-def _window_scan(chi_value: float, w: float, step: float, windows) -> float:
-    """The crossing time found by the chunked scan of window 1 in
-    ``gqze_interval``."""
-    # By the lemma of gqze_interval no point with t <= pi/2 is clearly
-    # negative, so the forward scan starts past the last of them.
-    # Window 0 reaches past pi/2 only when window 1 follows on from it.
-    quarter = _last_index_at_or_below(0.5 * math.pi, step)
-    (_, window0_last), (first, last) = windows
-    first = quarter + 1 if window0_last > quarter else max(first, quarter + 1)
+def _window_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
+    """The crossing time found by the chunked scan of the grid indices
+    first, ..., last in ``gqze_interval``."""
     left = None
-    size = _FIRST_CHUNK
-    while first <= last:
-        chunk_last = min(last, first + size - 1)
-        times = _grid_times(first, chunk_last, step)
+    start, size = first, _FIRST_CHUNK
+    while start <= last:
+        chunk_last = min(last, start + size - 1)
+        times = _grid_times(start, chunk_last, step)
         gap = _gaps(chi_value, w, times)
         below = (gap < -_CROSSING_TOL).nonzero()[0]
         stop = int(below[0]) if below.size else gap.size
@@ -307,9 +302,9 @@ def _window_scan(chi_value: float, w: float, step: float, windows) -> float:
             left = float(times[positive[-1]])
         if below.size:
             if left is None:
-                left = _last_positive_time(chi_value, w, step, windows, quarter)
+                left = _last_positive_time(chi_value, w, step, first - 1)
             return _bisect_gap(chi_value, w, left, float(times[stop]))
-        first, size = chunk_last + 1, min(2 * size, _MAX_CHUNK)
+        start, size = chunk_last + 1, min(2 * size, _MAX_CHUNK)
     return math.pi
 
 
@@ -334,25 +329,22 @@ def _last_index_at_or_below(t: float, step: float) -> int:
     return index
 
 
-def _last_positive_time(chi_value: float, w: float, step: float, windows, last_index: int) -> float:
-    """Time of the last clearly positive gap among the grid indices of
-    ``windows``, (first, last) ranges in order, up to ``last_index``, or 0.0
-    if there is none.
+def _last_positive_time(chi_value: float, w: float, step: float, last: int) -> float:
+    """Time of the last clearly positive gap among the grid indices 1, ...,
+    ``last``, or 0.0 if there is none.
 
-    Scans backwards from ``last_index`` in chunks of 16, 32, 64, ... points,
-    at most _MAX_CHUNK, so a positive point close to it costs a few dozen
+    Scans backwards from ``last`` in chunks of 16, 32, 64, ... points, at
+    most _MAX_CHUNK, so a positive point close to it costs a few dozen
     samples.
     """
     size = 16
-    for first, last in reversed(windows):
-        last = min(last, last_index)
-        while first <= last:
-            chunk_first = max(first, last - size + 1)
-            times = _grid_times(chunk_first, last, step)
-            positive = (_gaps(chi_value, w, times) > _CROSSING_TOL).nonzero()[0]
-            if positive.size:
-                return float(times[positive[-1]])
-            last, size = chunk_first - 1, min(2 * size, _MAX_CHUNK)
+    while last >= 1:
+        chunk_first = max(1, last - size + 1)
+        times = _grid_times(chunk_first, last, step)
+        positive = (_gaps(chi_value, w, times) > _CROSSING_TOL).nonzero()[0]
+        if positive.size:
+            return float(times[positive[-1]])
+        last, size = chunk_first - 1, min(2 * size, _MAX_CHUNK)
     return 0.0
 
 
@@ -622,7 +614,7 @@ def gqze_interval_grid(
     points_per_period: int = 10_000,
 ) -> Optional[GqzeInterval]:
     """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
-    the same grid from index 1 to the end of window 1 (pi + h, padded by two
+    the same grid from index 1 to the end of the window (pi + h, padded by two
     points), brackets the first clearly negative point and bisects, or
     reports pi when no point is clearly negative. It does not rely on the
     lemma of ``gqze_interval``, and accepts the same chi range.
@@ -635,16 +627,18 @@ def gqze_interval_grid(
     return _gqze_search(_dense_scan, chi, order_threshold, points_per_period, dense=True)
 
 
-def _dense_scan(chi_value: float, w: float, step: float, windows) -> float:
+def _dense_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
     """The crossing time found by the dense scan of ``gqze_interval_grid``.
 
-    Every grid point up to the crossing is evaluated, in order, in chunks of
-    _TWIN_CHUNK points. The bracket's left end is the last clearly positive
-    point before the first clearly negative one (0 if there is none). With no
-    clearly negative point up to the end of window 1, the result is pi.
+    Every grid point from index 1 to ``last`` is evaluated, in order, in
+    chunks of _TWIN_CHUNK points, up to the crossing; ``first``, where the
+    windowed scan starts, is not used. The bracket's left end is the last
+    clearly positive point before the first clearly negative one (0 if there
+    is none). With no clearly negative point up to ``last``, the result is
+    pi.
     """
     left = 0.0
-    for lo, hi in _twin_chunks(windows[1][1]):
+    for lo, hi in _twin_chunks(last):
         times = _grid_times(lo + 1, hi, step)
         gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
         below = (gap < -_CROSSING_TOL).nonzero()[0]
@@ -661,18 +655,19 @@ def _gqze_search(
     scan, chi, order_threshold, points_per_period, dense=False
 ) -> Optional[GqzeInterval]:
     """Check the arguments of a gqze search, lay out the grid both scans
-    sample, and report the crossing time that ``scan(chi, w, step,
-    windows)`` finds.
+    sample, and report the crossing time that ``scan(chi, w, step, first,
+    last)`` finds.
 
     The grid is step, 2 step, ..., with ``points_per_period`` points per
-    hindered period, and ends with window 1. ``windows`` holds the
-    (first, last) grid indices of window 0, 1 to ceil(h / step) + 2, and of
-    window 1, from floor((pi - h) / step) - 2 (or past window 0) to
-    ceil((pi + h) / step) + 2, with h = ``_window_half_angle(chi)``; the two
-    never overlap. A scan that would visit more than 2e8 points, the whole
-    grid if ``dense`` and window 1 otherwise, or a grid too fine to count,
-    is a ``ValueError``. None at chi = 0; ``ValueError`` outside the
-    resolvable range of ``gqze_interval``, raised before chi^2 is formed."""
+    hindered period. The window scan runs over the grid indices first, ...,
+    last: ``last`` is ceil((pi + h) / step) + 2, with h =
+    ``_window_half_angle(chi)``, and ``first`` is floor((pi - h) / step) - 2
+    or, if that is not past pi/2, the first index past pi/2. The dense scan
+    runs from index 1 to ``last``. A scan that would visit more than 2e8
+    points, the whole grid if ``dense`` and the window otherwise, or a grid
+    too fine to count, is a ``ValueError``. None at chi = 0; ``ValueError``
+    outside the resolvable range of ``gqze_interval``, raised before chi^2
+    is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     if not (
@@ -695,12 +690,14 @@ def _gqze_search(
     spacing, reach = math.pi / step, half_angle / step
     if not math.isfinite(spacing + reach):
         raise _grid_too_large(chi_value, points_per_period)
-    window0_last = math.ceil(reach) + 2
     first, last = math.floor(spacing - reach) - 2, math.ceil(spacing + reach) + 2
     if last - (1 if dense else first) + 1 > _MAX_SCAN_POINTS:
         raise _grid_too_large(chi_value, points_per_period)
-    windows = ((1, window0_last), (max(window0_last + 1, first), last))
-    end = scan(chi_value, w, step, windows)
+    # By the lemma of gqze_interval no point with t <= pi/2 is clearly
+    # negative. The index is found only once the grid is known to be small
+    # enough to count: on a finer one, index + 1 rounds back to index.
+    first = max(first, _last_index_at_or_below(0.5 * math.pi, step) + 1)
+    end = scan(chi_value, w, step, first, last)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)
 

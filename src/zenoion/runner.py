@@ -43,6 +43,7 @@ from .indicators import (
     mean_survival,
     mean_survival_quadrature,
     min_survival,
+    poincare_time,
     sub_threshold_measure,
     sub_threshold_measure_grid,
     time_of_min,
@@ -568,14 +569,14 @@ def run_validate(config: RunConfig) -> ValidationReport:
     dev_min = dev_argmin_steps = 0.0
     for chi in chi_grid:
         w = angular_frequency(chi)
-        step = 0.5 * (2.0 * math.pi / w) / (argmin_samples - 1)
+        step = 0.5 * poincare_time(chi) / (argmin_samples - 1)
         t_grid = time_of_min_grid(chi, samples=argmin_samples)
         floor = survival_probability(chi, w, t_grid)
         dev_min = max(dev_min, abs(min_survival(chi) - floor))
         dev_argmin_steps = max(dev_argmin_steps, abs(time_of_min(chi) - t_grid) / step)
     dev_measure = 0.0
     for chi in (0.3, 0.7, 1.0, 2.0):
-        period = 2.0 * math.pi / math.sqrt(1.0 + chi * chi)
+        period = poincare_time(chi)
         gap = abs(
             sub_threshold_measure(chi, config.epsilon)
             - sub_threshold_measure_grid(chi, config.epsilon)

@@ -183,8 +183,8 @@ def sub_threshold_measure_grid_reference(
     return count * step
 
 
-def _dense_scan_reference(chi_value, w, step, windows):
-    times = np.arange(1, windows[1][1] + 1) * step
+def _dense_scan_reference(chi_value, w, step, first, last):
+    times = np.arange(1, last + 1) * step
     gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
     below = np.nonzero(gap < -1e-13)[0]
     if not below.size:

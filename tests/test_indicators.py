@@ -573,7 +573,7 @@ class TestGqzeChunkedScan:
             return survival(chi_value, w, times)
 
         with mock.patch.object(indicators, "survival_probability", record_survival):
-            end = indicators._window_scan(chi, 2.0, step, ((1, 2), window))
+            end = indicators._window_scan(chi, 2.0, step, *window)
         assert end == math.pi
         assert [times.size for times in times_seen] == sizes
         indices = np.concatenate(times_seen) / step
@@ -599,6 +599,38 @@ class TestGqzeChunkedScan:
         windowed, dense = brackets
         assert windowed == dense
 
+    # At these large chi no point of the first chunk before the crossing is
+    # clearly positive. The bracket's left end then lies just before the
+    # window start, at grid index 111772947 for the first case, and a seed
+    # that skips the grid between pi/2 and the window misses it.
+    @pytest.mark.parametrize(
+        "chi, points_per_period", [(3605579.6775528197, 62), (2887103.7364610094, 77)]
+    )
+    def test_large_chi_bracket_starts_before_the_window(self, chi, points_per_period):
+        brackets = []
+        bisect = indicators._bisect_gap
+
+        def record(*args):
+            brackets.append(args[2:])
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "_bisect_gap", record):
+            windowed = gqze_interval(chi, points_per_period=points_per_period)
+            dense = gqze_interval_grid(chi, points_per_period=points_per_period)
+        assert windowed == dense
+        (left, right), dense_bracket = brackets
+        assert (left, right) == dense_bracket
+        # The last grid point with a clearly positive gap before the right
+        # end, computed directly on the few thousand points before it.
+        w = math.sqrt(1.0 + chi * chi)
+        step = 2.0 * math.pi / w / points_per_period
+        right_index = round(right / step)
+        times = np.arange(right_index - 5000, right_index + 1) * step
+        assert times[-1] == right
+        gap = survival_probability(chi, w, times[:-1]) - np.cos(times[:-1]) ** 2
+        positive = np.nonzero(gap > 1e-13)[0]
+        assert positive.size and left == times[positive[-1]]
+
     @pytest.mark.parametrize("chi", [0.05, 0.5, 2.0, 20.0, 1e3, 1e4])
     @pytest.mark.parametrize("scale", [1.0, 2.3])
     def test_no_chunk_runs_after_the_crossing(self, chi, scale):
@@ -618,8 +650,10 @@ class TestGqzeChunkedScan:
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
             gqze_interval(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
-        # The backward seed of the bracket's left end, sampled at or before
-        # pi/2, runs after the crossing chunk when it runs at all.
+        # The backward seed of the bracket's left end runs after the crossing
+        # chunk when it runs at all. At these chi it runs only where the
+        # window starts just past pi/2 (chi <= 1), so it samples only at or
+        # before pi/2.
         forward = [times for times in times_seen if times[0] > 0.5 * math.pi]
         assert right in forward[-1]
         assert not any(right in times for times in forward[:-1])
@@ -731,7 +765,7 @@ class TestGqzeQuarterPeriodSkip:
         assert len(early) <= 1
         assert all(times.size <= 64 and np.all(times <= 0.5 * math.pi) for times in early)
 
-    # Below chi ~ 2e-6 no window-0 gap clears 1e-13 and the seed walks back
+    # Below chi ~ 2e-6 no gap up to pi/2 clears 1e-13 and the seed walks back
     # over several chunks to 0; above it one short seed chunk suffices.
     @pytest.mark.parametrize("chi", [4e-7, 1e-6, 2e-6, 3e-6, 1e-3, 0.5, 1.0, 5.0])
     def test_seeded_bracket_matches_dense_grid(self, chi):
@@ -962,7 +996,7 @@ class TestGqzeGridArguments:
         assert peak < 1 << 16
 
     def test_bound_counts_the_window_for_the_search(self):
-        # At chi = 1e4 window 1 holds about 0.64 points_per_period points,
+        # At chi = 1e4 the window holds about 0.64 points_per_period points,
         # the grid about 5000 times as many: only the dense twin is refused.
         assert gqze_interval(1e4, 0.5, 200_000).end <= math.pi
         with pytest.raises(ValueError, match="more than 2e8 grid points"):
