@@ -253,13 +253,15 @@ def gqze_interval(
     hindered survival is at least cos^2(t). The first clearly negative point
     therefore lies past pi/2.
 
-    Chunks: the scan starts at the first window point past pi/2 and runs in
-    chunks of 1024, 2048, 4096, ... grid points, at most 65536. It stops at
-    the first chunk holding a clearly negative gap (below -1e-13; rounding
-    alone makes the tiny small-t gap a few ulp negative). The points past
-    that chunk are never computed. The reference cos^2(t) is formed inline
-    with one cosine and one product, bit for bit ``survival_probability(0.0,
-    1.0, t)``; the hindered curve is ``survival_probability``.
+    Chunks: the scan starts at the window start, which for chi up to about 1
+    lies a few points at or before pi/2 (none of them clearly negative, by
+    the lemma), and runs in chunks of 1024, 2048, 4096, ... grid points, at
+    most 65536. It stops at the first chunk holding a clearly negative gap
+    (below -1e-13; rounding alone makes the tiny small-t gap a few ulp
+    negative). The points past that chunk are never computed. The reference
+    cos^2(t) is formed inline with one cosine and one product, bit for bit
+    ``survival_probability(0.0, 1.0, t)``; the hindered curve is
+    ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
@@ -281,7 +283,10 @@ def gqze_interval(
     that range the gap cannot be told from rounding at the 1e-13 tolerance
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi. A window of more than
-    2e8 grid points is a ``ValueError`` too.
+    2e8 grid points is a ``ValueError`` too. The bound counts the window
+    only: the bracket seed may also walk back over the grid before it, as far
+    as index 1 at chi below about 2e-6, where no gap before pi/2 clears the
+    tolerance.
     """
     return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
 
@@ -316,17 +321,6 @@ def _grid_times(first: int, last: int, step: float) -> np.ndarray:
     the bits of ``np.arange(first, last + 1) * step``.
     """
     return np.arange(float(first), last + 1.0) * step
-
-
-def _last_index_at_or_below(t: float, step: float) -> int:
-    """The largest grid index i with i * step <= t, the product rounded as
-    ``_grid_times`` rounds it."""
-    index = math.floor(t / step)
-    while index * step > t:
-        index -= 1
-    while (index + 1) * step <= t:
-        index += 1
-    return index
 
 
 def _last_positive_time(chi_value: float, w: float, step: float, last: int) -> float:
@@ -661,13 +655,17 @@ def _gqze_search(
     The grid is step, 2 step, ..., with ``points_per_period`` points per
     hindered period. The window scan runs over the grid indices first, ...,
     last: ``last`` is ceil((pi + h) / step) + 2, with h =
-    ``_window_half_angle(chi)``, and ``first`` is floor((pi - h) / step) - 2
-    or, if that is not past pi/2, the first index past pi/2. The dense scan
-    runs from index 1 to ``last``. A scan that would visit more than 2e8
-    points, the whole grid if ``dense`` and the window otherwise, or a grid
-    too fine to count, is a ``ValueError``. None at chi = 0; ``ValueError``
-    outside the resolvable range of ``gqze_interval``, raised before chi^2
-    is formed."""
+    ``_window_half_angle(chi)``, and ``first`` is floor((pi - h) / step) - 2,
+    at least 1. For chi up to about 1 that lies a few points at or before
+    pi/2, where the lemma of ``gqze_interval`` leaves no gap clearly
+    negative. The dense scan runs from index 1 to ``last``. A scan that
+    would visit more than 2e8 points, the whole grid if ``dense`` and the
+    window otherwise, or a grid too fine to count, is a ``ValueError``. For
+    the window scan the bound counts the window only: the bracket seed may
+    also walk back over the points before it, as far as index 1 at chi below
+    about 2e-6, where no gap before pi/2 clears the tolerance. None at chi =
+    0; ``ValueError`` outside the resolvable range of ``gqze_interval``,
+    raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     if not (
@@ -690,13 +688,9 @@ def _gqze_search(
     spacing, reach = math.pi / step, half_angle / step
     if not math.isfinite(spacing + reach):
         raise _grid_too_large(chi_value, points_per_period)
-    first, last = math.floor(spacing - reach) - 2, math.ceil(spacing + reach) + 2
+    first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
     if last - (1 if dense else first) + 1 > _MAX_SCAN_POINTS:
         raise _grid_too_large(chi_value, points_per_period)
-    # By the lemma of gqze_interval no point with t <= pi/2 is clearly
-    # negative. The index is found only once the grid is known to be small
-    # enough to count: on a finer one, index + 1 rounds back to index.
-    first = max(first, _last_index_at_or_below(0.5 * math.pi, step) + 1)
     end = scan(chi_value, w, step, first, last)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)

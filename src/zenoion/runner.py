@@ -243,9 +243,9 @@ def run_evolve(config: RunConfig) -> Path:
 def run_survival(config: RunConfig) -> Path:
     """Survival probability of |n, 1> over the scaled time grid."""
     run = _resolve(config)
-    scaled_frequency = run.block.angular_frequency / run.coupling
-    t_scaled = _time_grid(config, scaled_frequency)
-    values = survival_probability(run.chi, scaled_frequency, t_scaled)
+    frequency = angular_frequency(run.chi)
+    t_scaled = _time_grid(config, frequency)
+    values = survival_probability(run.chi, frequency, t_scaled)
     path = _output_file(config, "survival.csv")
     write_csv(
         path,
@@ -346,11 +346,8 @@ def run_figures(config: RunConfig) -> list[Path]:
     out_dir = Path(config.out)
     chi_short = _chi_grid(3.0, config.chi_step)
     chi_long = _chi_grid(5.0, config.chi_step)
-    t_scaled = _time_grid(config, math.sqrt(1.0 + max(_FIGURE_CHIS) ** 2))
-    columns = [
-        survival_probability(chi, math.sqrt(1.0 + chi * chi), t_scaled)
-        for chi in _FIGURE_CHIS
-    ]
+    t_scaled = _time_grid(config, angular_frequency(max(_FIGURE_CHIS)))
+    columns = [survival_probability(chi, angular_frequency(chi), t_scaled) for chi in _FIGURE_CHIS]
     fig1 = out_dir / "fig1.csv"
     write_csv(
         fig1,
@@ -441,9 +438,19 @@ _ONE_CHAIN_PATTERNS = (
 )
 
 
-def _random_unit_state(rng: np.random.Generator, dimension: int) -> VibronicState:
-    amps = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
-    return VibronicState(amps / np.linalg.norm(amps))
+def _random_gamma(rng: np.random.Generator) -> complex:
+    """A coupling constant of magnitude in [0.3, 2) and uniform phase."""
+    return rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _random_case(rng: np.random.Generator, block: BlockSystem):
+    """(block, random unit state, random time within three periods of 0); a
+    block without dynamics takes the time unit as its period."""
+    frequency = block.angular_frequency
+    period = 2.0 * math.pi / frequency if frequency > 0 else 1.0
+    time = rng.uniform(-3.0, 3.0) * period
+    amps = rng.standard_normal(block.dimension) + 1j * rng.standard_normal(block.dimension)
+    return block, VibronicState(amps / np.linalg.norm(amps)), time
 
 
 def random_cases(rng: np.random.Generator, count: int = 100):
@@ -454,36 +461,18 @@ def random_cases(rng: np.random.Generator, count: int = 100):
     blocks so every dimension is exercised.
     """
     cases = []
-    targets = np.linspace(0.0, 20.0, count)
-    for index, target in enumerate(targets):
+    for index, target in enumerate(np.linspace(0.0, 20.0, count)):
         n, r, l = _THREE_CHAIN_PATTERNS[index % len(_THREE_CHAIN_PATTERNS)]
         mode = ModeVector.of(n)
-        pattern = SidebandPattern(r, l)
-        ratio_12 = factorial_ratio_root(mode, r)
-        ratio_23 = factorial_ratio_root(mode.remove(r), l)
-        gamma1 = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        gamma2 = (
-            target
-            * gamma1
-            * (ratio_12 / ratio_23)
-            * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        )
-        block = build_block(mode, pattern, CouplingConstants(gamma1, gamma2))
-        period = 2.0 * math.pi / block.angular_frequency
-        time = rng.uniform(-3.0, 3.0) * period
-        cases.append((block, _random_unit_state(rng, block.dimension), time))
+        ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
+        gamma1 = _random_gamma(rng)
+        gamma2 = target * gamma1 * ratio * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        block = build_block(mode, SidebandPattern(r, l), CouplingConstants(gamma1, gamma2))
+        cases.append(_random_case(rng, block))
     for n, r, l in _TWO_CHAIN_PATTERNS + _ONE_CHAIN_PATTERNS:
-        gamma1 = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        gamma2 = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        block = build_block(
-            ModeVector.of(n), SidebandPattern(r, l), CouplingConstants(gamma1, gamma2)
-        )
-        if block.angular_frequency > 0:
-            period = 2.0 * math.pi / block.angular_frequency
-        else:
-            period = 1.0
-        time = rng.uniform(-3.0, 3.0) * period
-        cases.append((block, _random_unit_state(rng, block.dimension), time))
+        couplings = CouplingConstants(_random_gamma(rng), _random_gamma(rng))
+        block = build_block(ModeVector.of(n), SidebandPattern(r, l), couplings)
+        cases.append(_random_case(rng, block))
     return cases
 
 
@@ -510,100 +499,85 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
     return weights @ populations / panels
 
 
+def _max_deviation(deviations: Iterable[float]) -> float:
+    """The largest of ``deviations`` as a Python float: 0.0 when there are
+    none, nan when any is nan, so a nan deviation fails its check."""
+    return float(np.max(np.fromiter(deviations, dtype=float), initial=0.0))
+
+
+def _amplitude_gap(one: VibronicState, two: VibronicState) -> float:
+    return float(np.max(np.abs(one.amplitudes - two.amplitudes)))
+
+
+def _top_survival(block: BlockSystem, time: float) -> float:
+    """P1 at ``time`` of the block started in its top state, propagated."""
+    top = VibronicState.basis_state(block.dimension, 0)
+    return level_probabilities(propagate_analytic(block, top, time))[0]
+
+
 def run_validate(config: RunConfig) -> ValidationReport:
     """Cross-check the closed-form dynamics and indicators against their
-    numeric twins."""
-    rng = np.random.default_rng(config.seed)
-    cases = random_cases(rng, count=100)
+    numeric twins.
 
-    dev_oracle = 0.0
-    dev_norm = 0.0
-    dev_reverse = 0.0
-    dev_period = 0.0
-    dev_rabi = 0.0
-    dev_overlap = 0.0
-    for block, state, time in cases:
-        evolved = propagate_analytic(block, state, time)
-        reference = propagate_oracle(block, state, time)
-        dev_oracle = max(
-            dev_oracle, float(np.max(np.abs(evolved.amplitudes - reference.amplitudes)))
-        )
-        dev_norm = max(dev_norm, abs(evolved.norm - 1.0))
-        back = propagate_analytic(block, evolved, -time)
-        dev_reverse = max(
-            dev_reverse, float(np.max(np.abs(back.amplitudes - state.amplitudes)))
-        )
-        if block.angular_frequency > 0:
-            period = 2.0 * math.pi / block.angular_frequency
-            shifted = propagate_analytic(block, state, time + period)
-            dev_period = max(
-                dev_period,
-                float(np.max(np.abs(shifted.amplitudes - evolved.amplitudes))),
-            )
-        if block.dimension == 2 and not block.is_degenerate:
-            top = VibronicState.basis_state(2, 0)
-            p1 = level_probabilities(propagate_analytic(block, top, time))[0]
-            expected = math.cos(abs(block.coupling_12) * time) ** 2
-            dev_rabi = max(dev_rabi, abs(p1 - expected))
-        if block.dimension == 3 and not block.is_degenerate:
-            top = VibronicState.basis_state(3, 0)
-            p1 = level_probabilities(propagate_analytic(block, top, time))[0]
-            closed = survival_probability(abs(block.chi), block.angular_frequency, time)
-            dev_overlap = max(dev_overlap, abs(p1 - closed))
-
+    Each check is one row of a table: its name, its tolerance and its
+    deviations over the cases, which ``_max_deviation`` reduces.
+    """
+    cases = random_cases(np.random.default_rng(config.seed), count=100)
+    runs = [(case, propagate_analytic(*case)) for case in cases]
     chi_grid = np.logspace(-2, 2, 25)
-    dev_mean = max(
-        abs(mean_survival(chi) - mean_survival_quadrature(chi)) for chi in chi_grid
-    )
-    dev_level2 = dev_level3 = 0.0
-    for chi in chi_grid:
-        _, level2, level3 = mean_level_probabilities(chi)
-        _, twin2, twin3 = _oracle_level_means(chi)
-        dev_level2 = max(dev_level2, abs(level2 - twin2))
-        dev_level3 = max(dev_level3, abs(level3 - twin3))
     # The survival floor m is the survival at its first minimum t_m, which
     # lies in the first half period. So one half-period argmin pass per chi
     # checks both: t_m against the grid argmin, m against the survival there.
     # A full-period pass of the same size would sample m half as finely.
     argmin_samples = 100_000
-    dev_min = dev_argmin_steps = 0.0
-    for chi in chi_grid:
-        w = angular_frequency(chi)
-        step = 0.5 * poincare_time(chi) / (argmin_samples - 1)
-        t_grid = time_of_min_grid(chi, samples=argmin_samples)
-        floor = survival_probability(chi, w, t_grid)
-        dev_min = max(dev_min, abs(min_survival(chi) - floor))
-        dev_argmin_steps = max(dev_argmin_steps, abs(time_of_min(chi) - t_grid) / step)
-    dev_measure = 0.0
-    for chi in (0.3, 0.7, 1.0, 2.0):
-        period = poincare_time(chi)
-        gap = abs(
-            sub_threshold_measure(chi, config.epsilon)
-            - sub_threshold_measure_grid(chi, config.epsilon)
-        )
-        dev_measure = max(dev_measure, gap / (period / 1e4))
+    argmins = [(chi, time_of_min_grid(chi, samples=argmin_samples)) for chi in chi_grid]
+    level_means = [(mean_level_probabilities(chi), _oracle_level_means(chi)) for chi in chi_grid]
     # The windowed search samples a subset of the dense grid and must agree
     # with it bit for bit; sqrt(3) is commensurate (w = 2), where the curves
     # touch at t = pi.
-    dev_gqze = 0.0
-    for chi in (0.3, 0.7, 1.0, 2.0, math.sqrt(3.0), 5.0):
-        windowed = gqze_interval(chi, config.order_threshold)
-        dense = gqze_interval_grid(chi, config.order_threshold)
-        dev_gqze = max(dev_gqze, abs(windowed.end - dense.end), float(windowed != dense))
-
-    checks = (
-        ValidationCheck("analytic vs eigendecomposition amplitudes", dev_oracle, 1e-10),
-        ValidationCheck("propagated-state norm", dev_norm, 1e-12),
-        ValidationCheck("forward-backward reversibility", dev_reverse, 1e-10),
-        ValidationCheck("one-period recurrence", dev_period, 1e-10),
-        ValidationCheck("two-level Rabi limit", dev_rabi, 1e-12),
-        ValidationCheck("survival formula vs overlap", dev_overlap, 1e-12),
-        ValidationCheck("survival minimum: closed vs grid", dev_min, 1e-9),
-        ValidationCheck("survival mean: closed vs quadrature", dev_mean, 1e-14),
-        ValidationCheck("level-2 mean: closed vs oracle quadrature", dev_level2, 1e-14),
-        ValidationCheck("level-3 mean: closed vs oracle quadrature", dev_level3, 1e-14),
-        ValidationCheck("first-minimum time vs grid argmin (steps)", dev_argmin_steps, 1.0),
-        ValidationCheck("sub-threshold measure vs grid (T_p/1e4)", dev_measure, 1.0),
-        ValidationCheck("gqze crossing: windowed vs dense grid", dev_gqze, 0.0),
+    threshold = config.order_threshold
+    crossings = [
+        (gqze_interval(chi, threshold), gqze_interval_grid(chi, threshold))
+        for chi in (0.3, 0.7, 1.0, 2.0, math.sqrt(3.0), 5.0)
+    ]
+    table = (
+        ("analytic vs eigendecomposition amplitudes", 1e-10,
+         (_amplitude_gap(evolved, propagate_oracle(*case)) for case, evolved in runs)),
+        ("propagated-state norm", 1e-12, (abs(evolved.norm - 1.0) for _, evolved in runs)),
+        ("forward-backward reversibility", 1e-10,
+         (_amplitude_gap(propagate_analytic(block, evolved, -time), state)
+          for (block, state, time), evolved in runs)),
+        ("one-period recurrence", 1e-10,
+         (_amplitude_gap(
+             evolved, propagate_analytic(block, state, time + math.tau / block.angular_frequency))
+          for (block, state, time), evolved in runs if block.angular_frequency > 0)),
+        ("two-level Rabi limit", 1e-12,
+         (abs(_top_survival(block, time) - math.cos(abs(block.coupling_12) * time) ** 2)
+          for block, _, time in cases if block.dimension == 2 and not block.is_degenerate)),
+        ("survival formula vs overlap", 1e-12,
+         (abs(_top_survival(block, time)
+              - survival_probability(abs(block.chi), block.angular_frequency, time))
+          for block, _, time in cases if block.dimension == 3 and not block.is_degenerate)),
+        ("survival minimum: closed vs grid", 1e-9,
+         (abs(min_survival(chi) - survival_probability(chi, angular_frequency(chi), t))
+          for chi, t in argmins)),
+        ("survival mean: closed vs quadrature", 1e-14,
+         (abs(mean_survival(chi) - mean_survival_quadrature(chi)) for chi in chi_grid)),
+        ("level-2 mean: closed vs oracle quadrature", 1e-14,
+         (abs(closed[1] - twin[1]) for closed, twin in level_means)),
+        ("level-3 mean: closed vs oracle quadrature", 1e-14,
+         (abs(closed[2] - twin[2]) for closed, twin in level_means)),
+        ("first-minimum time vs grid argmin (steps)", 1.0,
+         (abs(time_of_min(chi) - t) / (0.5 * poincare_time(chi) / (argmin_samples - 1))
+          for chi, t in argmins)),
+        ("sub-threshold measure vs grid (T_p/1e4)", 1.0,
+         (abs(sub_threshold_measure(chi, config.epsilon)
+              - sub_threshold_measure_grid(chi, config.epsilon)) / (poincare_time(chi) / 1e4)
+          for chi in (0.3, 0.7, 1.0, 2.0))),
+        ("gqze crossing: windowed vs dense grid", 0.0,
+         (deviation for windowed, dense in crossings
+          for deviation in (abs(windowed.end - dense.end), float(windowed != dense)))),
     )
-    return ValidationReport(checks)
+    return ValidationReport(
+        tuple(ValidationCheck(name, _max_deviation(devs), tol) for name, tol, devs in table)
+    )

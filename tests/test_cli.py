@@ -546,6 +546,39 @@ class TestValidateHarness:
 
         assert floor_deviation(0) == floor_deviation(7)
 
+    # A twin that returns nan for chi > 1 must fail its check, although a
+    # number comes before the nan: max() over Python floats would drop it.
+    @pytest.mark.parametrize(
+        "twin, failing",
+        [
+            ("mean_survival_quadrature", ["survival mean: closed vs quadrature"]),
+            (
+                "_oracle_level_means",
+                [
+                    "level-2 mean: closed vs oracle quadrature",
+                    "level-3 mean: closed vs oracle quadrature",
+                ],
+            ),
+            ("sub_threshold_measure_grid", ["sub-threshold measure vs grid (T_p/1e4)"]),
+        ],
+    )
+    def test_nan_twin_fails_its_check(self, monkeypatch, capsys, twin, failing):
+        original = getattr(zenoion.runner, twin)
+
+        def nan_past_one(chi, *args, **kwargs):
+            value = original(chi, *args, **kwargs)
+            return value * math.nan if chi > 1 else value
+
+        monkeypatch.setattr(f"zenoion.runner.{twin}", nan_past_one)
+        report = run_validate(load_config(None, {"mode": "validate", "seed": 0}))
+        assert [check.name for check in report.checks if not check.passed] == failing
+        assert main(["validate"]) == 2
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_deviations_are_python_floats(self):
+        report = run_validate(load_config(None, {"mode": "validate", "seed": 3}))
+        assert [type(check.max_deviation) for check in report.checks] == [float] * 13
+
 
 class TestCliEntry:
     def test_figures_exit_zero(self, tmp_path, capsys):
@@ -816,6 +849,26 @@ class TestCliEntry:
                 assert value.strip() == f"{internal[label.strip()]:.12g}"
             else:
                 assert line == unit_line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"gamma1": "1.54", "gamma2": "13.54"},
+            {"gamma1": "0.7", "gamma2": "2.3", "n": "3,2,1", "r": "1,1,0", "l": "1,0,1"},
+        ],
+    )
+    def test_survival_at_any_coupling_writes_the_chi_bytes(self, flags, tmp_path):
+        # The survival depends on chi alone, and both runs form its
+        # frequency as sqrt(1 + chi^2).
+        coupled, unit = tmp_path / "coupled.csv", tmp_path / "unit.csv"
+        config = load_config(None, {"mode": "survival", **flags})
+        chi = repr(zenoion.runner._resolve(config).chi)
+        argv = ["survival", *(f"--{key}={value}" for key, value in flags.items())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(coupled)]) == 0
+            assert main(["survival", "--chi", chi, "--out", str(unit)]) == 0
+        assert coupled.read_bytes() == unit.read_bytes()
 
     @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
     def test_negative_inf_and_nan_parse_in_both_spellings(self, value, tmp_path, capsys):

@@ -485,8 +485,9 @@ class TestGqzeCrossingRange:
         chi = 9.95
         w = math.sqrt(1.0 + chi * chi)
         step = 2.0 * math.pi / w / 10_000
-        below_pi = indicators._last_index_at_or_below(math.pi, step)
+        below_pi = math.floor(math.pi / step)
         times = indicators._grid_times(below_pi, below_pi + 1, step)
+        assert times[0] <= math.pi < times[1]
         before, after = indicators._gaps(chi, w, times)
         assert before > 1e-13 and after < -1e-13
         end = gqze_interval(chi).end
@@ -563,8 +564,9 @@ class TestGqzeChunkedScan:
     def test_chunks_double_and_tile_the_window(self, reach, sizes):
         chi = math.sqrt(3.0)
         step = math.pi / 10_000
-        quarter = indicators._last_index_at_or_below(0.5 * math.pi, step)
+        quarter = math.floor(0.5 * math.pi / step)
         window = (quarter + 1, quarter + reach + 2)
+        assert quarter * step <= 0.5 * math.pi < window[0] * step
         times_seen = []
         survival = indicators.survival_probability
 
@@ -651,10 +653,14 @@ class TestGqzeChunkedScan:
             gqze_interval(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
         # The backward seed of the bracket's left end runs after the crossing
-        # chunk when it runs at all. At these chi it runs only where the
-        # window starts just past pi/2 (chi <= 1), so it samples only at or
-        # before pi/2.
-        forward = [times for times in times_seen if times[0] > 0.5 * math.pi]
+        # chunk when it runs at all, and starts before the window. So the
+        # forward chunks are the calls up to the first one that does not
+        # continue the chunk before it.
+        forward = times_seen[:1]
+        for times in times_seen[1:]:
+            if times[0] <= forward[-1][-1]:
+                break
+            forward.append(times)
         assert right in forward[-1]
         assert not any(right in times for times in forward[:-1])
         # Chunks double, so the points past the bracket's right end number
@@ -733,9 +739,10 @@ class TestBisectGap:
 
 
 class TestGqzeQuarterPeriodSkip:
-    """The gqze scan computes no grid point with t <= pi/2, where the lemma
-    of ``gqze_interval`` puts the gap at or above 0; only the backward seed
-    of the bracket's left end samples there."""
+    """The lemma of ``gqze_interval`` puts the gap at or above 0 for t <=
+    pi/2. Above chi of about 1 only the backward seed of the bracket's left
+    end samples there; below it the window also starts a few points before
+    pi/2."""
 
     @settings(max_examples=300)
     @given(
@@ -781,12 +788,6 @@ class TestGqzeQuarterPeriodSkip:
             gqze_interval_grid(chi)
         windowed, dense = brackets
         assert windowed == dense
-
-    def test_quarter_index_rounds_as_the_grid(self):
-        for step in (1e-3, math.pi / 2000, 0.5 * math.pi / 3, 2.3e-11, 0.7):
-            index = indicators._last_index_at_or_below(0.5 * math.pi, step)
-            grid = np.arange(index - 2, index + 3) * step
-            assert grid[2] <= 0.5 * math.pi < grid[3]
 
 
 class TestFloatIndexGrids:
