@@ -306,27 +306,33 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
     )
 
 
-def _spectral_propagator(block: BlockSystem, t: float) -> np.ndarray:
+def _spectral_propagator(block: BlockSystem, t) -> np.ndarray:
     """Evolution matrix from the explicit eigensystem of the block.
 
     The tridiagonal block has eigenvalues {0, +w, -w} with w = angular_frequency
     and eigenvectors writable directly from the couplings; the propagator is
     assembled as sum_k exp(-i lambda_k t) |v_k><v_k|. Deliberately shares no
     code with the closed-form path.
+
+    ``t`` is a float, or an array of times, for which the matrices are
+    stacked along its leading axes. A float time whose phase w t is not
+    finite raises ``ValueError``; an array is not checked, and such a time
+    gives a nan matrix.
     """
     dim = block.dimension
     if dim == 1 or block.angular_frequency == 0.0:
-        return np.eye(dim, dtype=complex)
+        return np.multiply.outer(np.ones(np.shape(t)), np.eye(dim, dtype=complex))
     w = block.angular_frequency
-    _finite_phase(w, t)
+    if np.ndim(t) == 0:
+        _finite_phase(w, t)
     a = complex(block.coupling_12)
     phase_minus = np.exp(-1j * w * t)
     phase_plus = np.exp(+1j * w * t)
     if dim == 2:
         v_plus = np.array([a, w]) / (math.sqrt(2.0) * w)
         v_minus = np.array([a, -w]) / (math.sqrt(2.0) * w)
-        return phase_minus * np.outer(v_plus, v_plus.conj()) + phase_plus * np.outer(
-            v_minus, v_minus.conj()
+        return np.multiply.outer(phase_minus, np.outer(v_plus, v_plus.conj())) + np.multiply.outer(
+            phase_plus, np.outer(v_minus, v_minus.conj())
         )
     b = complex(block.coupling_23)
     v_zero = np.array([b, 0.0, -np.conj(a)]) / w
@@ -334,8 +340,8 @@ def _spectral_propagator(block: BlockSystem, t: float) -> np.ndarray:
     v_minus = np.array([a, -w, np.conj(b)]) / (math.sqrt(2.0) * w)
     return (
         np.outer(v_zero, v_zero.conj())
-        + phase_minus * np.outer(v_plus, v_plus.conj())
-        + phase_plus * np.outer(v_minus, v_minus.conj())
+        + np.multiply.outer(phase_minus, np.outer(v_plus, v_plus.conj()))
+        + np.multiply.outer(phase_plus, np.outer(v_minus, v_minus.conj()))
     )
 
 

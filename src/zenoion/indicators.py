@@ -5,6 +5,11 @@ Frequencies are multiples of omega(0) and times multiples of 1/omega(0),
 where omega(0), the magnitude of the 1-2 block coupling (hbar = 1), is the
 angular frequency of the chi = 0 reference two-level problem.
 
+The closed forms take a scalar chi or an array of them. A scalar runs as
+Python float arithmetic and returns a Python float; an array returns an
+array. Each form is written once for both, so a scalar chi gives the bits
+it gives inside an array: ``sweep`` rows equal the figure values.
+
 Each closed form has a grid or quadrature twin used for cross-checking; the
 twins sample the survival probability directly and share no algebra with
 the closed forms.
@@ -65,14 +70,24 @@ _TWIN_CHUNK = 8192
 
 
 def _chi_array(chi):
-    """chi as a float64 array (0-d for a scalar), chi^2 and whether chi was a
-    scalar. ``ValueError`` unless chi is finite and >= 0 and chi^2 stays
-    finite."""
-    values = np.asarray(chi, dtype=float)
-    scalar = values.ndim == 0
-    if scalar:
-        # A 0-d reduction costs more than the closed form it guards.
-        largest = float(values)
+    """chi and chi^2: Python floats for a scalar chi (a Python or numpy
+    number, or a 0-d array), float64 arrays otherwise. ``ValueError`` unless
+    chi is finite and >= 0 and chi^2 stays finite.
+
+    A scalar chi never becomes a 0-d array: the closed forms run on it as
+    Python float arithmetic, which costs a fraction of 0-d numpy arithmetic.
+    Each closed form is written once for both kinds, with squares as x * x
+    and square roots by ``_sqrt``, so a scalar chi gets the bits that the
+    same chi gets inside an array.
+    """
+    if isinstance(chi, (float, int)):
+        values = float(chi)
+    else:
+        values = np.asarray(chi, dtype=float)
+        if values.ndim == 0:
+            values = float(values)
+    if isinstance(values, float):
+        largest = values
         valid = math.isfinite(largest) and largest >= 0
     else:
         valid = np.all(np.isfinite(values)) and not np.any(values < 0)
@@ -83,14 +98,28 @@ def _chi_array(chi):
     # overflows to inf without a warning.
     if not math.isfinite(largest * largest):
         raise ValueError(f"chi = {largest:g} is too large: chi^2 overflows float64")
-    return values, values * values, scalar
+    return values, values * values
+
+
+def _sqrt(x):
+    """Square root of a float (``math.sqrt``) or an array (``np.sqrt``);
+    both are correctly rounded, so they agree bit for bit."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _where(condition, if_true, if_false):
+    """``np.where`` for an array condition; for the bool a float comparison
+    gives, the chosen value as a Python float. Both values are computed
+    either way."""
+    if isinstance(condition, bool):
+        return float(if_true if condition else if_false)
+    return np.where(condition, if_true, if_false)
 
 
 def angular_frequency(chi):
     """Block angular frequency sqrt(1 + chi^2)."""
-    _, chi_sq, scalar = _chi_array(chi)
-    result = np.sqrt(1.0 + chi_sq)
-    return float(result) if scalar else result
+    _, chi_sq = _chi_array(chi)
+    return _sqrt(1.0 + chi_sq)
 
 
 def poincare_time(chi):
@@ -109,9 +138,9 @@ def min_survival(chi):
     floor rises as ((chi^2 - 1) / (chi^2 + 1))^2 and tends to 1, which is
     the sharpest signature of the hindered evolution.
     """
-    _, chi_sq, scalar = _chi_array(chi)
-    floor = np.where(chi_sq > 1.0, ((chi_sq - 1.0) / (chi_sq + 1.0)) ** 2, 0.0)
-    return float(floor) if scalar else floor
+    _, chi_sq = _chi_array(chi)
+    root = (chi_sq - 1.0) / (chi_sq + 1.0)
+    return _where(chi_sq > 1.0, root * root, 0.0)
 
 
 def time_of_min(chi):
@@ -120,11 +149,13 @@ def time_of_min(chi):
     arccos(-chi^2) / w for chi <= 1 (where the survival first touches zero)
     and pi / w for chi > 1 (the bottom of the cosine), w = sqrt(1 + chi^2).
     Continuous at chi = 1, where it is also maximal.
+
+    The arccos is numpy's for a scalar chi too: ``math.acos`` differs from
+    it in the last bit on some inputs.
     """
-    _, chi_sq, scalar = _chi_array(chi)
-    phase = np.where(chi_sq <= 1.0, np.arccos(np.clip(-chi_sq, -1.0, 1.0)), math.pi)
-    result = phase / np.sqrt(1.0 + chi_sq)
-    return float(result) if scalar else result
+    _, chi_sq = _chi_array(chi)
+    phase = _where(chi_sq <= 1.0, np.arccos(np.maximum(-chi_sq, -1.0)), math.pi)
+    return phase / _sqrt(1.0 + chi_sq)
 
 
 def mean_survival(chi):
@@ -146,27 +177,19 @@ def mean_level_probabilities(chi):
     period-averaging the squared evolution amplitudes; the test suite pins
     them against direct quadrature.
     """
-    _, chi_sq, scalar = _chi_array(chi)
+    _, chi_sq = _chi_array(chi)
+    # chi^4 overflows from chi ~ 1.2e77: there divide by 1 + chi^2 before
+    # squaring; elsewhere keep the form above, bit for bit.
+    fits = chi_sq <= _LARGEST_SQUARABLE
+    small = _where(fits, chi_sq, 0.0)
+    scale = 1.0 + small
+    share = chi_sq / (1.0 + chi_sq)
+    inverse = 1.0 / (1.0 + chi_sq)
+    top = _where(
+        fits, (small * small + 0.5) / (scale * scale), share * share + 0.5 * inverse * inverse
+    )
     middle = 0.5 / (1.0 + chi_sq)
-    largest = float(chi_sq) if scalar else float(chi_sq.max(initial=0.0))
-    if largest <= _LARGEST_SQUARABLE:
-        top = (chi_sq * chi_sq + 0.5) / (1.0 + chi_sq) ** 2
-        bottom = 1.5 * chi_sq / (1.0 + chi_sq) ** 2
-    else:
-        # chi^4 overflows from chi ~ 1.2e77: there divide by 1 + chi^2
-        # before squaring; elsewhere keep the form above, bit for bit.
-        fits = chi_sq <= _LARGEST_SQUARABLE
-        small = np.where(fits, chi_sq, 0.0)
-        share = chi_sq / (1.0 + chi_sq)
-        inverse = 1.0 / (1.0 + chi_sq)
-        top = np.where(
-            fits,
-            (small * small + 0.5) / (1.0 + small) ** 2,
-            share * share + 0.5 * inverse * inverse,
-        )
-        bottom = np.where(fits, 1.5 * small / (1.0 + small) ** 2, 1.5 * share * inverse)
-    if scalar:
-        return (float(top), float(middle), float(bottom))
+    bottom = _where(fits, 1.5 * small / (scale * scale), 1.5 * share * inverse)
     return (top, middle, bottom)
 
 
@@ -181,13 +204,18 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     and each bound is clipped to the cosine range before the angular measure
     2 (arccos(low) - arccos(high)) is taken. Returns 0 once the threshold
     falls to or below the survival floor.
+
+    Raises ``ValueError`` unless ``epsilon`` is finite and > 0, unless chi
+    is finite and >= 0 with a finite chi^2, and for an array chi: chi must be
+    a scalar.
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and > 0")
-    values, chi_sq, _ = _chi_array(chi)
-    chi_sq = float(chi_sq)
-    threshold = mean_survival(values) - epsilon
+    chi, chi_sq = _chi_array(chi)
+    if not isinstance(chi, float):
+        raise ValueError(f"chi must be a scalar, got an array of shape {chi.shape}")
+    threshold = mean_survival(chi) - epsilon
     if threshold <= 0.0:
         return 0.0
     root = math.sqrt(threshold)
@@ -677,7 +705,7 @@ def _gqze_search(
     # The upper range check runs first; a nan or negative chi passes it and
     # is rejected by _chi_array.
     half_angle = _window_half_angle(float(chi))
-    values, chi_sq, _ = _chi_array(chi)
+    values, chi_sq = _chi_array(chi)
     chi_value = float(values)
     if chi_value == 0.0:
         return None

@@ -21,6 +21,7 @@ from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
     BlockSystem,
     VibronicState,
+    _spectral_propagator,
     build_block,
     level_probabilities,
     propagate_analytic,
@@ -256,36 +257,43 @@ def run_survival(config: RunConfig) -> Path:
     return path
 
 
-# CSV column name and value of each indicator; the report is already
-# omega(0)-scaled.
-_REPORT_COLUMNS = (
-    ("chi", lambda r: r.chi),
-    ("omega_scaled", lambda r: r.angular_frequency),
-    ("T_p_scaled", lambda r: r.poincare_period),
-    ("m", lambda r: r.survival_min),
-    ("t_m_scaled", lambda r: r.time_of_min),
-    ("P_mean", lambda r: r.survival_mean),
-    ("P2_mean", lambda r: r.level2_mean),
-    ("P3_mean", lambda r: r.level3_mean),
-    ("S_scaled", lambda r: r.sub_threshold_time),
-    ("S_over_Tp", lambda r: r.sub_threshold_time / r.poincare_period),
-    ("gqze_present", lambda r: r.gqze is not None and r.gqze.present),
-    ("t_chi_scaled", lambda r: math.nan if r.gqze is None else r.gqze.end),
-    ("t_chi_over_Tp", lambda r: math.nan if r.gqze is None else r.gqze.period_ratio),
+# CSV column names of an indicator row, in the order of ``_report_row``.
+_REPORT_HEADER = (
+    "chi", "omega_scaled", "T_p_scaled", "m", "t_m_scaled", "P_mean", "P2_mean", "P3_mean",
+    "S_scaled", "S_over_Tp", "gqze_present", "t_chi_scaled", "t_chi_over_Tp",
 )
 
 
+def _report_row(r: IndicatorReport) -> tuple:
+    """The CSV cells of one report, named by ``_REPORT_HEADER``; the report
+    is already omega(0)-scaled."""
+    gqze = r.gqze
+    return (
+        r.chi,
+        r.angular_frequency,
+        r.poincare_period,
+        r.survival_min,
+        r.time_of_min,
+        r.survival_mean,
+        r.level2_mean,
+        r.level3_mean,
+        r.sub_threshold_time,
+        r.sub_threshold_time / r.poincare_period,
+        gqze is not None and gqze.present,
+        math.nan if gqze is None else gqze.end,
+        math.nan if gqze is None else gqze.period_ratio,
+    )
+
+
 def _write_reports(path: Path, reports: Iterable[IndicatorReport]) -> None:
-    header = [name for name, _ in _REPORT_COLUMNS]
-    rows = ([value(r) for _, value in _REPORT_COLUMNS] for r in reports)
-    write_csv(path, _UNITS_COMMENT, header, rows)
+    write_csv(path, _UNITS_COMMENT, _REPORT_HEADER, map(_report_row, reports))
 
 
 def format_report(report: IndicatorReport, coupling: float) -> str:
     """Human-readable indicator report: omega(0)-scaled times, and the
     period and first-minimum time in internal units for the 1-2 coupling
     magnitude ``coupling`` = omega(0)."""
-    column = {name: value(report) for name, value in _REPORT_COLUMNS}
+    column = dict(zip(_REPORT_HEADER, _report_row(report)))
     lines = [
         f"chi                    = {column['chi']:.12g}",
         f"omega / omega(0)       = {column['omega_scaled']:.12g}",
@@ -481,19 +489,27 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
     starting from level 1, of the block with c12 = 1 and c23 = chi,
     propagated by eigendecomposition.
 
-    Like ``mean_survival_quadrature``, exact up to rounding for any
-    ``panels`` >= 3: each population has harmonics 0, 1 and 2 in wt only.
+    The states at all panel edges are column 0 of the stacked spectral
+    propagators; each population is |z| * |z| with |z| = hypot(Re z, Im z),
+    as ``level_probabilities`` forms it, and each state must have norm 1
+    within 1e-9. Like ``mean_survival_quadrature``, exact up to rounding for
+    any ``panels`` >= 3: each population has harmonics 0, 1 and 2 in wt only.
     """
     block = build_block(
         ModeVector(0, 0, 0),
         SidebandPattern((0, 0, 0), (0, 0, 0)),
         CouplingConstants(1.0, chi),
     )
-    state = VibronicState.basis_state(3, 0)
     times = np.linspace(0.0, 2.0 * math.pi / block.angular_frequency, panels + 1)
-    populations = np.array(
-        [level_probabilities(propagate_oracle(block, state, float(t))) for t in times]
-    )
+    states = _spectral_propagator(block, times)[:, :, 0]
+    magnitudes = np.hypot(states.real, states.imag)
+    populations = magnitudes * magnitudes
+    norms = np.sqrt(populations.sum(axis=1))
+    deviations = np.abs(norms - 1.0)
+    # Written as "not <=" so that a nan norm fails too; argmax finds it first.
+    if not np.all(deviations <= 1e-9):
+        worst = float(norms[np.argmax(deviations)])
+        raise ValueError(f"oracle state must be normalized, got norm {worst!r}")
     weights = np.full(panels + 1, 1.0)
     weights[0] = weights[-1] = 0.5
     return weights @ populations / panels

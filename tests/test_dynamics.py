@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from zenoion.dynamics import (
     BlockSystem,
     VibronicState,
+    _spectral_propagator,
     build_block,
     classify_block,
     level_probabilities,
@@ -487,6 +488,24 @@ class TestPropagation:
         p1 = level_probabilities(propagate_analytic(block, state, t))[0]
         assert p1 == pytest.approx(math.cos(abs(alpha) * t) ** 2, abs=1e-12)
 
+
+
+class TestSpectralPropagatorOverTimes:
+    """Given an array of times, the spectral propagator stacks the matrices
+    it builds for each time alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dimension, alpha, beta",
+        [(1, 1.0, 1.0), (2, 0.7 - 0.2j, 1.0), (3, 1.0, 0.0), (3, 0.4 + 1.1j, -2.5j), (3, 0.0, 1.0)],
+    )
+    def test_stacks_one_time_matrices(self, dimension, alpha, beta):
+        block = block_of_dimension(dimension, alpha, beta)
+        times = np.array([0.0, -1.7, 0.3, 2.0 * math.pi, 12.25])
+        stacked = _spectral_propagator(block, times)
+        assert stacked.shape == (times.size, dimension, dimension)
+        for t, matrix in zip(times, stacked):
+            assert matrix.tobytes() == _spectral_propagator(block, float(t)).tobytes()
+        assert _spectral_propagator(block, times.reshape(5, 1)).shape == (5, 1) + (dimension,) * 2
 
 class TestSurvivalProbability:
     def test_two_level_quarter_period(self):

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zenoion.runner
 from zenoion import indicators
 from zenoion.dynamics import (
     VibronicState,
     build_block,
     level_probabilities,
     propagate_analytic,
+    propagate_oracle,
     survival_probability,
 )
 from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern
@@ -107,6 +109,88 @@ class TestChiSquareOverflow:
             with pytest.raises(ValueError) as info:
                 _CLOSED_FORMS[name](chi)
         assert str(info.value) == "chi = 1e+200 is too large: chi^2 overflows float64"
+
+
+def _scalar_and_array_values(chi):
+    """(name, value for the scalar chi, value for chi inside an array) of each
+    closed form that accepts an array, the three mean levels apart."""
+    grid = np.array([0.3, chi, 2.0])
+    pairs = [
+        (name, _CLOSED_FORMS[name](chi), _CLOSED_FORMS[name](grid)[1])
+        for name in ("angular_frequency", "poincare_time", "min_survival", "time_of_min",
+                     "mean_survival")
+    ]
+    for level, (one, many) in enumerate(
+        zip(mean_level_probabilities(chi), mean_level_probabilities(grid)), start=1
+    ):
+        pairs.append((f"P{level}", one, many[1]))
+    return pairs
+
+
+class TestScalarMatchesArray:
+    """A scalar chi runs as Python float arithmetic and an array as numpy
+    arithmetic; both round every operation alike, so the bits agree and a
+    ``sweep`` row equals the figure value at the same chi."""
+
+    @settings(max_examples=300)
+    @given(
+        chi=st.one_of(
+            st.floats(min_value=0.0, max_value=1e6),
+            st.floats(min_value=-6.0, max_value=6.0).map(lambda exponent: 10.0**exponent),
+        )
+    )
+    def test_same_bits(self, chi):
+        for name, scalar, element in _scalar_and_array_values(chi):
+            assert _bits(scalar) == _bits(element), name
+
+    # chi^4 overflows from about 1.2e77, where the averages change form.
+    @settings(max_examples=100)
+    @given(chi=st.floats(min_value=1.2e77, max_value=1e154))
+    def test_same_bits_past_chi_fourth_overflow(self, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = _scalar_and_array_values(chi)
+        for name, scalar, element in pairs:
+            assert _bits(scalar) == _bits(element), name
+
+    # Where a 0-d float64 square, which calls libm pow, missed x * x by an ulp.
+    @pytest.mark.parametrize(
+        "chi, function",
+        [(0.52, mean_survival), (0.52, lambda chi: mean_level_probabilities(chi)[2]),
+         (1.83, min_survival)],
+    )
+    def test_former_pow_rows(self, chi, function):
+        assert _bits(function(chi)) == _bits(function(np.array([chi]))[0])
+
+
+class TestScalarInputs:
+    @pytest.mark.parametrize(
+        "chi", [2, True, 0.5, np.float64(1.5), np.float32(0.25), np.array(3.0)],
+        ids=["int", "bool", "float", "float64", "float32", "0-d"],
+    )
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_scalar_gives_python_float(self, name, chi):
+        value = _CLOSED_FORMS[name](chi)
+        values = value if name == "mean_level_probabilities" else (value,)
+        assert [type(v) for v in values] == [float] * len(values)
+
+    @pytest.mark.parametrize("chi", [[0.0, 2.0], np.array([0.5, 1.5])], ids=["list", "array"])
+    @pytest.mark.parametrize("name", sorted(set(_CLOSED_FORMS) - {"sub_threshold_measure"}))
+    def test_sequence_gives_array(self, name, chi):
+        value = _CLOSED_FORMS[name](chi)
+        values = value if name == "mean_level_probabilities" else (value,)
+        for v in values:
+            assert isinstance(v, np.ndarray) and v.shape == (2,)
+
+    # TestChiSquareOverflow covers 1e200.
+    @pytest.mark.parametrize("chi", [math.nan, -0.5, math.inf])
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_rejected_values(self, name, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                _CLOSED_FORMS[name](chi)
+        assert str(info.value) == "chi must be finite and >= 0"
 
 
 class TestMinSurvival:
@@ -272,6 +356,45 @@ class TestPeriodAverageTrapezoidExactness:
         assert abs(level3 - expected[2]) > 1e-2
 
 
+class TestOracleLevelMeans:
+    """``_oracle_level_means`` propagates all panel edges at once; it must
+    give the bits of propagating one time after another."""
+
+    @staticmethod
+    def _per_time(chi, panels):
+        block = build_block(
+            ModeVector(0, 0, 0),
+            SidebandPattern((0, 0, 0), (0, 0, 0)),
+            CouplingConstants(1.0, chi),
+        )
+        state = VibronicState.basis_state(3, 0)
+        times = np.linspace(0.0, 2.0 * math.pi / block.angular_frequency, panels + 1)
+        populations = np.array(
+            [level_probabilities(propagate_oracle(block, state, float(t))) for t in times]
+        )
+        weights = np.full(panels + 1, 1.0)
+        weights[0] = weights[-1] = 0.5
+        return weights @ populations / panels
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chi=st.one_of(
+            st.just(0.0), st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 10.0**e)
+        ),
+        panels=st.sampled_from([2, 3, 16, 33]),
+    )
+    def test_matches_one_time_at_a_time(self, chi, panels):
+        assert _oracle_level_means(chi, panels).tobytes() == self._per_time(chi, panels).tobytes()
+
+    def test_unnormalised_state_is_rejected(self, monkeypatch):
+        original = zenoion.runner._spectral_propagator
+        monkeypatch.setattr(
+            zenoion.runner, "_spectral_propagator", lambda block, t: 1.01 * original(block, t)
+        )
+        with pytest.raises(ValueError, match="^oracle state must be normalized, got norm 1.01"):
+            _oracle_level_means(0.7)
+
+
 class TestAveragesPastChiFourthOverflow:
     # chi^4 overflows float64 from chi ~ 1.2e77, well inside the chi^2 range.
     @pytest.mark.parametrize("chi", [1e100, 1e150])
@@ -315,6 +438,13 @@ class TestSubThresholdMeasure:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             sub_threshold_measure(1.0, 0.0)
+
+    @pytest.mark.parametrize("chi", [[0.5, 2.0], np.array([0.5, 2.0]), np.array([[1.0]])])
+    def test_rejects_array_chi(self, chi):
+        with pytest.raises(ValueError) as info:
+            sub_threshold_measure(chi, 0.01)
+        assert str(info.value).startswith("chi must be a scalar, got an array of shape ")
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("chi", [0.3, 0.7, 1.0, 2.0])
     def test_matches_grid_measure(self, chi):
