@@ -101,6 +101,13 @@ def _chi_array(chi):
     return values, values * values
 
 
+def _check_scalar(chi) -> None:
+    """``ValueError`` for a chi with one or more dimensions; a Python float
+    passes on one type test."""
+    if not isinstance(chi, float) and np.ndim(chi) != 0:
+        raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
+
+
 def _sqrt(x):
     """Square root of a float (``math.sqrt``) or an array (``np.sqrt``);
     both are correctly rounded, so they agree bit for bit."""
@@ -213,8 +220,7 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and > 0")
     chi, chi_sq = _chi_array(chi)
-    if not isinstance(chi, float):
-        raise ValueError(f"chi must be a scalar, got an array of shape {chi.shape}")
+    _check_scalar(chi)
     threshold = mean_survival(chi) - epsilon
     if threshold <= 0.0:
         return 0.0
@@ -315,6 +321,10 @@ def gqze_interval(
     only: the bracket seed may also walk back over the grid before it, as far
     as index 1 at chi below about 2e-6, where no gap before pi/2 clears the
     tolerance.
+
+    chi must be a scalar: an array or a list, even of one element, is a
+    ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
+    raised before the range checks.
     """
     return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
 
@@ -496,7 +506,9 @@ def indicator_report(
     """Assemble the full indicator set for one coupling ratio.
 
     The hindering interval is found first: it checks chi and rejects one
-    beyond its resolvable range before any other indicator forms chi^2.
+    beyond its resolvable range before any other indicator forms chi^2. An
+    array or list chi is a ``ValueError``, as in ``gqze_interval``: chi must
+    be a scalar.
     """
     gqze = gqze_interval(chi, order_threshold)
     chi_value = float(chi)
@@ -692,8 +704,8 @@ def _gqze_search(
     the window scan the bound counts the window only: the bracket seed may
     also walk back over the points before it, as far as index 1 at chi below
     about 2e-6, where no gap before pi/2 clears the tolerance. None at chi =
-    0; ``ValueError`` outside the resolvable range of ``gqze_interval``,
-    raised before chi^2 is formed."""
+    0; ``ValueError`` for a chi that is not a scalar, or outside the
+    resolvable range of ``gqze_interval``, raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     if not (
@@ -702,6 +714,7 @@ def _gqze_search(
         and points_per_period > 0
     ):
         raise ValueError(f"points_per_period must be finite and > 0, got {points_per_period!r}")
+    _check_scalar(chi)
     # The upper range check runs first; a nan or negative chi passes it and
     # is rejected by _chi_array.
     half_angle = _window_half_angle(float(chi))

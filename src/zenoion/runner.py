@@ -241,19 +241,21 @@ def run_evolve(config: RunConfig) -> Path:
     return path
 
 
+def _survival_rows(config: RunConfig, chis: Sequence[float]):
+    """Rows (t_scaled, P(chi_1), ..., P(chi_k)) of the survival curves at
+    ``chis`` over the scaled time grid, whose phase bound is that of the
+    largest chi. The grid and the columns are computed before it returns, so
+    a ``ConfigError`` comes before any file is written."""
+    t_scaled = _time_grid(config, angular_frequency(max(chis)))
+    columns = [survival_probability(chi, angular_frequency(chi), t_scaled) for chi in chis]
+    return zip(t_scaled, *columns)
+
+
 def run_survival(config: RunConfig) -> Path:
     """Survival probability of |n, 1> over the scaled time grid."""
-    run = _resolve(config)
-    frequency = angular_frequency(run.chi)
-    t_scaled = _time_grid(config, frequency)
-    values = survival_probability(run.chi, frequency, t_scaled)
+    rows = _survival_rows(config, [_resolve(config).chi])
     path = _output_file(config, "survival.csv")
-    write_csv(
-        path,
-        _UNITS_COMMENT,
-        ("t_scaled", "survival"),
-        zip(t_scaled, values),
-    )
+    write_csv(path, _UNITS_COMMENT, ("t_scaled", "survival"), rows)
     return path
 
 
@@ -345,49 +347,30 @@ def run_sweep(config: RunConfig) -> Path:
 def run_figures(config: RunConfig) -> list[Path]:
     """Emit fig1.csv ... fig4.csv under the output directory.
 
-    fig1: survival vs scaled time for chi in {0, 1, 5, 10};
+    fig1: survival vs scaled time, one column P_chi<chi> per chi of
+    ``_FIGURE_CHIS`` (0, 1, 5, 10), on the grid of ``run_survival``, so
+    ``survival`` at one of those chi writes its fig1 column;
     fig2: survival minimum vs chi on [0, 3];
     fig3: scaled first-minimum time vs chi on [0, 3];
     fig4: period-averaged survival vs chi on [0, 5].
-    All use the unit 1-2 coupling, so omega(0) = 1.
+    All use the unit 1-2 coupling, so omega(0) = 1. Every grid is checked
+    and every column computed before the first file is written.
     """
-    out_dir = Path(config.out)
     chi_short = _chi_grid(3.0, config.chi_step)
     chi_long = _chi_grid(5.0, config.chi_step)
-    t_scaled = _time_grid(config, angular_frequency(max(_FIGURE_CHIS)))
-    columns = [survival_probability(chi, angular_frequency(chi), t_scaled) for chi in _FIGURE_CHIS]
-    fig1 = out_dir / "fig1.csv"
-    write_csv(
-        fig1,
-        _UNITS_COMMENT,
-        ("t_scaled", "P_chi0", "P_chi1", "P_chi5", "P_chi10"),
-        zip(t_scaled, *columns),
+    table = (
+        ("fig1.csv", _UNITS_COMMENT, ("t_scaled", *(f"P_chi{chi:g}" for chi in _FIGURE_CHIS)),
+         _survival_rows(config, _FIGURE_CHIS)),
+        ("fig2.csv", "chi dimensionless; m = survival-probability minimum over one period",
+         ("chi", "m"), zip(chi_short, min_survival(chi_short))),
+        ("fig3.csv", _UNITS_COMMENT, ("chi", "t_m_scaled"), zip(chi_short, time_of_min(chi_short))),
+        ("fig4.csv", "chi dimensionless; P_mean = period-averaged survival probability",
+         ("chi", "P_mean"), zip(chi_long, mean_survival(chi_long))),
     )
-
-    fig2 = out_dir / "fig2.csv"
-    write_csv(
-        fig2,
-        "chi dimensionless; m = survival-probability minimum over one period",
-        ("chi", "m"),
-        zip(chi_short, min_survival(chi_short)),
-    )
-
-    fig3 = out_dir / "fig3.csv"
-    write_csv(
-        fig3,
-        _UNITS_COMMENT,
-        ("chi", "t_m_scaled"),
-        zip(chi_short, time_of_min(chi_short)),
-    )
-
-    fig4 = out_dir / "fig4.csv"
-    write_csv(
-        fig4,
-        "chi dimensionless; P_mean = period-averaged survival probability",
-        ("chi", "P_mean"),
-        zip(chi_long, mean_survival(chi_long)),
-    )
-    return [fig1, fig2, fig3, fig4]
+    paths = [Path(config.out) / name for name, *_ in table]
+    for path, (_, comment, header, rows) in zip(paths, table):
+        write_csv(path, comment, header, rows)
+    return paths
 
 
 # --- validation harness ---------------------------------------------------

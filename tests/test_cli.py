@@ -14,7 +14,8 @@ import zenoion
 import zenoion.runner
 from zenoion.cli import main
 from zenoion.config import ConfigError, RunConfig, load_config
-from zenoion.dynamics import VibronicState, build_block, propagate_analytic
+from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
+from zenoion.indicators import angular_frequency
 from zenoion.runner import (
     _chi_grid,
     run_evolve,
@@ -47,6 +48,15 @@ class TestFiguresMode:
         for column in header[1:]:
             assert data[column][0] == 1.0
             assert np.all((0.0 <= data[column]) & (data[column] <= 1.0))
+
+    def test_fig1_columns_follow_figure_chis(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(zenoion.runner, "_FIGURE_CHIS", (0.0, 2.5))
+        config = load_config(None, {"mode": "figures", "out": str(tmp_path), "samples": 300})
+        header, data = read_columns(run_figures(config)[0])
+        assert header == ["t_scaled", "P_chi0", "P_chi2.5"]
+        for chi, column in zip((0.0, 2.5), header[1:]):
+            expected = survival_probability(chi, angular_frequency(chi), data["t_scaled"])
+            assert data[column].tobytes() == expected.tobytes()
 
     def test_fig2_zero_floor_at_unit_ratio(self, tmp_path):
         config = load_config(None, {"mode": "figures", "out": str(tmp_path), "samples": 50})
@@ -94,6 +104,17 @@ class TestCurveModes:
         w = math.sqrt(101.0)
         expected = ((100.0 + np.cos(w * data["t_scaled"])) / 101.0) ** 2
         np.testing.assert_allclose(data["survival"], expected, atol=1e-15)
+
+    def test_survival_equals_its_fig1_column(self, tmp_path):
+        # survival and fig1 share one time grid and one survival builder.
+        grid = ["--t-max", "30", "--samples", "4000"]
+        assert main(["survival", "--chi", "5", *grid, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["figures", *grid, "--out", str(tmp_path)]) == 0
+        survival = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()[2:]
+        fig1 = (tmp_path / "fig1.csv").read_text(encoding="utf-8").splitlines()[1:]
+        column = fig1[0].split(",").index("P_chi5")
+        assert len(survival) == 4000
+        assert survival == [f"{row.split(',')[0]},{row.split(',')[column]}" for row in fig1[1:]]
 
     def test_evolve_probabilities(self, tmp_path):
         config = load_config(

@@ -511,6 +511,28 @@ class TestGqzeInterval:
         with pytest.raises(ValueError):
             gqze_interval(2.0, order_threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "chi, shape",
+        [([0.5, 2.0], "(2,)"), (np.array([0.5, 2.0]), "(2,)"), (np.array([2.0]), "(1,)")],
+        ids=["list", "array", "one-element-array"],
+    )
+    @pytest.mark.parametrize(
+        "search",
+        [gqze_interval, gqze_interval_grid, lambda chi: indicator_report(chi, 0.01)],
+        ids=["gqze_interval", "gqze_interval_grid", "indicator_report"],
+    )
+    def test_rejects_array_chi(self, search, chi, shape):
+        # The one-line error of sub_threshold_measure, not numpy's or
+        # Python's TypeError from float(chi).
+        with pytest.raises(ValueError) as info:
+            search(chi)
+        assert str(info.value) == f"chi must be a scalar, got an array of shape {shape}"
+
+    @pytest.mark.parametrize("chi", [2, np.float64(2.0), np.array(2.0)], ids=type)
+    def test_accepts_every_scalar_kind(self, chi):
+        assert gqze_interval(chi) == gqze_interval(2.0)
+        assert indicator_report(chi, 0.01) == indicator_report(2.0, 0.01)
+
 
 # Grids the windowed gqze search is pinned to the dense scan on: the 0.05
 # sweep grid to 22, a log grid over four decades, and commensurate ratios
