@@ -10,9 +10,9 @@ Python float arithmetic and returns a Python float; an array returns an
 array. Each form is written once for both, so a scalar chi gives the bits
 it gives inside an array: ``sweep`` rows equal the figure values.
 
-Each closed form has a grid or quadrature twin used for cross-checking; the
-twins sample the survival probability directly and share no algebra with
-the closed forms.
+Each closed form has a grid, bisection or quadrature twin used for
+cross-checking; the twins sample the survival probability directly and
+share no algebra with the closed forms.
 """
 
 from __future__ import annotations
@@ -63,9 +63,15 @@ _MAX_CHUNK = 1 << 16
 # The most grid points one gqze scan may visit.
 _MAX_SCAN_POINTS = 200_000_000
 
-# Grid points per chunk of the numeric twins: 64 KiB per float64 temporary,
-# below glibc's default 128 KiB mmap threshold, so the buffers are reused
-# from the heap instead of being mapped and page-faulted in on every call.
+# Grid points per round, and rounds, of the bracketed argmin in
+# ``time_of_min_grid``: each round shrinks the bracket by a factor of 511.5.
+_ARGMIN_POINTS = 1024
+_ARGMIN_ROUNDS = 3
+
+# Grid points per chunk of the full-grid twins, ``min_survival_grid`` and
+# the dense gqze scan: 64 KiB per float64 temporary, below glibc's default
+# 128 KiB mmap threshold, so the buffers are reused from the heap instead of
+# being mapped and page-faulted in on every call.
 _TWIN_CHUNK = 8192
 
 
@@ -558,10 +564,10 @@ def min_survival_grid(chi: float, samples: int = 100_000) -> float:
     samples, endpoint=False)`` forms it; the grid is evaluated in chunks of
     _TWIN_CHUNK points and the minimum kept across them.
 
-    ``run_validate`` no longer calls it: it reads the floor at the argmin of
-    ``time_of_min_grid``, whose half-period pass samples the first minimum
-    at twice this grid's resolution. It stays for the tests and for the
-    benchmark's layer tracer, which looks up each twin by name.
+    ``run_validate`` no longer calls it: it reads the floor at the
+    bracketed argmin of ``time_of_min_grid``, which places the first
+    minimum to about 1e-8 from 3,072 samples. It stays for the tests and
+    for the benchmark's layer tracer, which looks up each twin by name.
     """
     samples = _check_resolution("samples", samples)
     period = poincare_time(chi)
@@ -574,34 +580,37 @@ def min_survival_grid(chi: float, samples: int = 100_000) -> float:
     return lowest
 
 
-def time_of_min_grid(chi: float, samples: int = 100_000) -> float:
-    """First-occurrence grid argmin of the survival probability.
+def time_of_min_grid(chi: float) -> float:
+    """First time the survival probability reaches its minimum, by a
+    bracketed grid argmin over the first half period.
 
     The survival depends on time only through cos(wt), so it is symmetric
-    about the half period and its first minimum always lies in the first
-    half; restricting the argmin there makes "first occurrence" exact at
-    grid resolution.
+    about the half period and its first minimum lies in the first half,
+    [0, T_p/2], where wt runs over [0, pi] and cos(wt) falls from 1 to -1.
+    There the amplitude A = (chi^2 + cos(wt)) / (chi^2 + 1) falls too, and
+    the survival A^2 is unimodal: it falls while A > 0 and rises once A < 0
+    (A changes sign only for chi < 1; for chi >= 1 it falls all the way to
+    T_p/2). So the two grid neighbours of a discrete argmin bracket the true
+    minimum.
 
-    The grid is ``np.linspace(0, period / 2, samples)``: i * step with
-    step = (period / 2) / (samples - 1), and the last time set to period / 2
-    exactly (a single sample is t = 0). It is evaluated in chunks of
-    _TWIN_CHUNK points; a later chunk replaces the argmin only with a
-    strictly smaller value.
+    Each of _ARGMIN_ROUNDS rounds lays out ``np.linspace`` of
+    _ARGMIN_POINTS points over the current bracket, takes the first grid
+    argmin, and shrinks the bracket to its two neighbours, clamped to
+    [0, T_p/2]. The first bracket is [0, T_p/2]; the result is the argmin
+    of the last round, 3,072 survival samples in all. The last round's
+    grid step is 4 / 1023^3, about 4e-9, half periods. Where the minimum is
+    flat (chi >= 1) the survival equals its floor to within rounding over a
+    span of up to about 2e-8 (in units of 1/omega(0)), and the first grid
+    point inside that span is returned.
     """
-    samples = _check_resolution("samples", samples)
-    stop = 0.5 * poincare_time(chi)
     w = angular_frequency(chi)
-    step = stop / max(samples - 1, 1)
-    lowest, lowest_time = math.inf, 0.0
-    for lo, hi in _twin_chunks(samples):
-        times = _grid_times(lo, hi - 1, step)
-        if hi == samples > 1:
-            times[-1] = stop
-        probabilities = survival_probability(chi, w, times)
-        index = int(np.argmin(probabilities))
-        if probabilities[index] < lowest:
-            lowest, lowest_time = float(probabilities[index]), float(times[index])
-    return lowest_time
+    low, high = 0.0, 0.5 * poincare_time(chi)
+    last = _ARGMIN_POINTS - 1
+    for _ in range(_ARGMIN_ROUNDS):
+        times = np.linspace(low, high, _ARGMIN_POINTS)
+        index = int(np.argmin(survival_probability(chi, w, times)))
+        low, high = float(times[max(index - 1, 0)]), float(times[min(index + 1, last)])
+    return float(times[index])
 
 
 def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
@@ -622,24 +631,71 @@ def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
     return float(np.sum(weights * probabilities) / panels)
 
 
-def sub_threshold_measure_grid(chi: float, epsilon: float, samples: int = 400_000) -> float:
-    """Midpoint-sampled measure of the sub-threshold set over one period.
+def sub_threshold_measure_grid(chi: float, epsilon: float) -> float:
+    """Measure of the sub-threshold set {t in [0, T_p] : P(t) < mean -
+    epsilon}, from the roots of P - threshold, each found by bisection.
 
-    The midpoints (i + 1/2) * (period / samples) are counted in chunks of
-    _TWIN_CHUNK points.
+    Nodes: 0, t*, T_p/2, T_p - t* and T_p, with t* = ``time_of_min_grid``.
+    The survival depends on t only through cos(wt), and cos(wt) is monotone
+    on [0, T_p/2] and on [T_p/2, T_p]; the survival is unimodal on each half
+    (see ``time_of_min_grid``) with its minimum at t* and, by the symmetry
+    t -> T_p - t, at T_p - t*. So P is monotone on each of the four pieces
+    between consecutive nodes, and each piece holds at most one root of P -
+    threshold, however narrow the sub-threshold set is. A piece whose ends
+    are both below the threshold counts whole, and one whose ends are both
+    at or above it counts nothing. Otherwise the piece's root is bisected
+    with scalar ``survival_probability`` to its fixed point, where the
+    midpoint of the bracket rounds onto one of its ends, and the part on the
+    end below the threshold counts.
+
+    The measure needs no grid, so a sub-threshold interval narrower than any
+    grid cell, as when epsilon nears mean - floor, is not missed. t* may
+    miss the minimum by up to about 2e-8, which matters only for a
+    threshold within rounding of the floor.
     """
     if not (math.isfinite(float(epsilon)) and float(epsilon) > 0):
         raise ValueError("epsilon must be finite and > 0")
-    samples = _check_resolution("samples", samples)
     period = poincare_time(chi)
     w = angular_frequency(chi)
     threshold = mean_survival(chi) - float(epsilon)
-    step = period / samples
-    count = 0
-    for lo, hi in _twin_chunks(samples):
-        times = np.arange(lo + 0.5, hi + 0.5) * step
-        count += int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
-    return count * step
+    first = time_of_min_grid(chi)
+    nodes = (0.0, first, 0.5 * period, period - first, period)
+    below = (survival_probability(chi, w, np.array(nodes)) < threshold).tolist()
+    total = 0.0
+    for start, end, start_below, end_below in zip(nodes, nodes[1:], below, below[1:]):
+        if start_below and end_below:
+            total += end - start
+        elif start_below:
+            total += _threshold_crossing(chi, w, threshold, start, end) - start
+        elif end_below:
+            total += end - _threshold_crossing(chi, w, threshold, end, start)
+    return total
+
+
+def _threshold_crossing(
+    chi: float, w: float, threshold: float, below: float, above: float
+) -> float:
+    """Bisect the crossing of ``threshold`` by the survival between
+    ``below``, where it is below the threshold, and ``above``, where it is
+    not, keeping each end on its side.
+
+    Each halving either moves an end strictly inward, leaving fewer floats
+    in the bracket, or rounds onto the end it would replace. The loop stops
+    there, at the fixed point, so it always ends: for the brackets of
+    ``sub_threshold_measure_grid``, within [0, 2 pi], typically after
+    about 55 halvings.
+    """
+    while True:
+        mid = 0.5 * (below + above)
+        if survival_probability(chi, w, mid) < threshold:
+            if mid == below:
+                break
+            below = mid
+        else:
+            if mid == above:
+                break
+            above = mid
+    return 0.5 * (below + above)
 
 
 def gqze_interval_grid(

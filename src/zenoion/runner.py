@@ -524,12 +524,10 @@ def run_validate(config: RunConfig) -> ValidationReport:
     cases = random_cases(np.random.default_rng(config.seed), count=100)
     runs = [(case, propagate_analytic(*case)) for case in cases]
     chi_grid = np.logspace(-2, 2, 25)
-    # The survival floor m is the survival at its first minimum t_m, which
-    # lies in the first half period. So one half-period argmin pass per chi
-    # checks both: t_m against the grid argmin, m against the survival there.
-    # A full-period pass of the same size would sample m half as finely.
-    argmin_samples = 100_000
-    argmins = [(chi, time_of_min_grid(chi, samples=argmin_samples)) for chi in chi_grid]
+    # The survival floor m is the survival at its first minimum t_m. So one
+    # bracketed argmin per chi checks both: t_m against the argmin, m against
+    # the survival there.
+    argmins = [(chi, time_of_min_grid(chi)) for chi in chi_grid]
     level_means = [(mean_level_probabilities(chi), _oracle_level_means(chi)) for chi in chi_grid]
     # The windowed search samples a subset of the dense grid and must agree
     # with it bit for bit; sqrt(3) is commensurate (w = 2), where the curves
@@ -557,7 +555,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
          (abs(_top_survival(block, time)
               - survival_probability(abs(block.chi), block.angular_frequency, time))
           for block, _, time in cases if block.dimension == 3 and not block.is_degenerate)),
-        ("survival minimum: closed vs grid", 1e-9,
+        ("survival minimum: closed vs grid", 1e-14,
          (abs(min_survival(chi) - survival_probability(chi, angular_frequency(chi), t))
           for chi, t in argmins)),
         ("survival mean: closed vs quadrature", 1e-14,
@@ -566,12 +564,11 @@ def run_validate(config: RunConfig) -> ValidationReport:
          (abs(closed[1] - twin[1]) for closed, twin in level_means)),
         ("level-3 mean: closed vs oracle quadrature", 1e-14,
          (abs(closed[2] - twin[2]) for closed, twin in level_means)),
-        ("first-minimum time vs grid argmin (steps)", 1.0,
-         (abs(time_of_min(chi) - t) / (0.5 * poincare_time(chi) / (argmin_samples - 1))
-          for chi, t in argmins)),
-        ("sub-threshold measure vs grid (T_p/1e4)", 1.0,
+        ("first-minimum time vs bracketed argmin", 1e-7,
+         (abs(time_of_min(chi) - t) for chi, t in argmins)),
+        ("sub-threshold measure vs bisection (T_p)", 1e-8,
          (abs(sub_threshold_measure(chi, config.epsilon)
-              - sub_threshold_measure_grid(chi, config.epsilon)) / (poincare_time(chi) / 1e4)
+              - sub_threshold_measure_grid(chi, config.epsilon)) / poincare_time(chi)
           for chi in (0.3, 0.7, 1.0, 2.0))),
         ("gqze crossing: windowed vs dense grid", 0.0,
          (deviation for windowed, dense in crossings

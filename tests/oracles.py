@@ -19,7 +19,7 @@ import numpy as np
 
 from zenoion import indicators
 from zenoion.dynamics import survival_probability
-from zenoion.indicators import angular_frequency, mean_survival, poincare_time
+from zenoion.indicators import angular_frequency, poincare_time
 
 Ket = dict[tuple[int, ...], complex]
 
@@ -152,7 +152,7 @@ def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
 
 # --- whole-grid numeric twins ---------------------------------------------
 #
-# The indicator twins in whole-grid form: each builds its whole grid as one
+# The full-grid twins in whole-grid form: each builds its whole grid as one
 # array. The package's twins evaluate the same grids in chunks and must
 # return the same floats bit for bit.
 
@@ -162,25 +162,6 @@ def min_survival_grid_reference(chi: float, samples: int = 100_000) -> float:
     w = angular_frequency(chi)
     times = np.linspace(0.0, period, samples, endpoint=False)
     return float(np.min(survival_probability(chi, w, times)))
-
-
-def time_of_min_grid_reference(chi: float, samples: int = 100_000) -> float:
-    period = poincare_time(chi)
-    w = angular_frequency(chi)
-    times = np.linspace(0.0, 0.5 * period, samples)
-    return float(times[int(np.argmin(survival_probability(chi, w, times)))])
-
-
-def sub_threshold_measure_grid_reference(
-    chi: float, epsilon: float, samples: int = 400_000
-) -> float:
-    period = poincare_time(chi)
-    w = angular_frequency(chi)
-    threshold = mean_survival(chi) - float(epsilon)
-    step = period / samples
-    times = np.arange(0.5, samples) * step
-    count = int(np.count_nonzero(survival_probability(chi, w, times) < threshold))
-    return count * step
 
 
 def _dense_scan_reference(chi_value, w, step, first, last):

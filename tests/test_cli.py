@@ -15,7 +15,7 @@ import zenoion.runner
 from zenoion.cli import main
 from zenoion.config import ConfigError, RunConfig, load_config
 from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
-from zenoion.indicators import angular_frequency
+from zenoion.indicators import angular_frequency, mean_survival, min_survival, poincare_time
 from zenoion.runner import (
     _chi_grid,
     run_evolve,
@@ -548,6 +548,52 @@ class TestValidateHarness:
         assert failed == ["survival minimum: closed vs grid"]
         assert not report.ok
 
+    # Each error lies below what a 1e5-point grid twin resolves and above
+    # the row's tolerance (1e-14, 1e-7 and 1e-8 T_p).
+    @pytest.mark.parametrize(
+        "closed, error, failing",
+        [
+            ("min_survival", lambda chi: 1e-12, "survival minimum: closed vs grid"),
+            ("time_of_min", lambda chi: 2e-7, "first-minimum time vs bracketed argmin"),
+            (
+                "sub_threshold_measure",
+                lambda chi: 1e-7 * poincare_time(chi),
+                "sub-threshold measure vs bisection (T_p)",
+            ),
+        ],
+        ids=["min_survival", "time_of_min", "sub_threshold_measure"],
+    )
+    def test_injected_error_below_the_grid_tolerance_is_caught(
+        self, monkeypatch, closed, error, failing
+    ):
+        original = getattr(zenoion.runner, closed)
+        monkeypatch.setattr(
+            f"zenoion.runner.{closed}", lambda chi, *args: original(chi, *args) + error(chi)
+        )
+        report = run_validate(load_config(None, {"mode": "validate", "seed": 3}))
+        assert [check.name for check in report.checks if not check.passed] == [failing]
+
+    # The measure row holds for a user epsilon up to mean - floor at each of
+    # its chi, where the sub-threshold set shrinks to the first minimum.
+    @pytest.mark.parametrize(
+        "shrink",
+        [
+            lambda gap: gap,
+            lambda gap: math.nextafter(gap, 0.0),
+            lambda gap: gap * (1.0 - 1e-15),
+            lambda gap: gap * (1.0 - 1e-6),
+        ],
+        ids=["gap", "nextafter", "1-1e-15", "1-1e-6"],
+    )
+    @pytest.mark.parametrize("chi", [0.3, 0.7, 1.0, 2.0])
+    def test_measure_row_passes_near_the_floor(self, chi, shrink):
+        gap = mean_survival(chi) - min_survival(chi)
+        config = load_config(None, {"mode": "validate", "seed": 3, "epsilon": shrink(gap)})
+        report = run_validate(config)
+        (check,) = [c for c in report.checks if c.name.startswith("sub-threshold measure")]
+        assert check.passed, check
+        assert report.ok
+
     def test_survival_floor_comes_from_the_argmin_pass(self, monkeypatch):
         def unused(*args, **kwargs):
             raise AssertionError("run_validate must not run the full-period minimum grid")
@@ -580,7 +626,7 @@ class TestValidateHarness:
                     "level-3 mean: closed vs oracle quadrature",
                 ],
             ),
-            ("sub_threshold_measure_grid", ["sub-threshold measure vs grid (T_p/1e4)"]),
+            ("sub_threshold_measure_grid", ["sub-threshold measure vs bisection (T_p)"]),
         ],
     )
     def test_nan_twin_fails_its_check(self, monkeypatch, capsys, twin, failing):

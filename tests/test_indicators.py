@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zenoion.runner
 from zenoion import indicators
@@ -248,10 +248,7 @@ class TestTimeOfMin:
         "chi", [0.0, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0, 10.0]
     )
     def test_matches_first_grid_argmin(self, chi):
-        samples = 100_000
-        step = 0.5 * poincare_time(chi) / (samples - 1)
-        gap = abs(time_of_min(chi) - time_of_min_grid(chi, samples=samples))
-        assert gap <= step
+        assert abs(time_of_min(chi) - time_of_min_grid(chi)) <= 1e-7
 
 
 class TestMeanSurvival:
@@ -450,8 +447,8 @@ class TestSubThresholdMeasure:
     def test_matches_grid_measure(self, chi):
         period = poincare_time(chi)
         closed = sub_threshold_measure(chi, 0.01)
-        grid = sub_threshold_measure_grid(chi, 0.01)
-        assert abs(closed - grid) <= period / 1e4
+        twin = sub_threshold_measure_grid(chi, 0.01)
+        assert abs(closed - twin) <= 1e-8 * period
 
     def test_ratio_eventually_vanishes(self):
         ratios = [
@@ -959,25 +956,6 @@ class TestFloatIndexGrids:
         assert new.dtype == old.dtype and new.shape == old.shape
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
-    @pytest.mark.parametrize("chi", [0.0, 0.3, 0.7, 1.0, 2.0])
-    def test_midpoint_grid_keeps_integer_grid_bits(self, chi):
-        times_seen = []
-        survival = indicators.survival_probability
-
-        def record_survival(chi_value, w, times):
-            times_seen.append(np.array(times))
-            return survival(chi_value, w, times)
-
-        with mock.patch.object(indicators, "survival_probability", record_survival):
-            sub_threshold_measure_grid(chi, 0.01)
-        # The chunks cover the grid in order, without overlap.
-        assert [times.size for times in times_seen] == [8192] * 48 + [400_000 - 48 * 8192]
-        assert all(a[-1] < b[0] for a, b in zip(times_seen, times_seen[1:]))
-        new = np.concatenate(times_seen)
-        old = (np.arange(400_000) + 0.5) * (poincare_time(chi) / 400_000)
-        assert new.shape == old.shape
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
-
 
 def _bits(value: float) -> int:
     """The float's bit pattern, so that -0.0 and 0.0 differ."""
@@ -999,14 +977,21 @@ def _assert_extrema_match_whole_grid(chi, samples):
     assert _bits(min_survival_grid(chi, samples)) == _bits(
         oracles.min_survival_grid_reference(chi, samples)
     )
-    assert _bits(time_of_min_grid(chi, samples)) == _bits(
-        oracles.time_of_min_grid_reference(chi, samples)
-    )
+    # The survival is unimodal on the first half period, so the first argmin
+    # of an evenly spaced grid there lies within one step of the minimum,
+    # and the bracketed argmin within rounding (about 1e-8) of it.
+    stop = 0.5 * poincare_time(chi)
+    times = np.linspace(0.0, stop, samples)
+    grid_argmin = times[int(np.argmin(survival_probability(chi, angular_frequency(chi), times)))]
+    step = stop / max(samples - 1, 1)
+    assert abs(time_of_min_grid(chi) - grid_argmin) <= step + 1e-7
 
 
 class TestChunkedTwins:
-    """The twins evaluate their grids in chunks of 8192 points and return,
-    bit for bit, what the whole-grid references in ``oracles`` return."""
+    """The full-grid twins evaluate their grids in chunks of 8192 points and
+    return, bit for bit, what the whole-grid references in ``oracles``
+    return. The bracketed argmin and the bisected measure agree with whole
+    grids to within the grid's resolution."""
 
     @pytest.mark.parametrize("samples", _TWIN_SAMPLES)
     @pytest.mark.parametrize("chi", [0.0, 1e-300, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 100.0])
@@ -1018,9 +1003,6 @@ class TestChunkedTwins:
     def test_grid_extrema_match_whole_grid_property(self, chi, samples):
         _assert_extrema_match_whole_grid(chi, samples)
 
-    def test_single_sample_argmin_is_zero(self):
-        assert _bits(time_of_min_grid(2.0, 1)) == _bits(0.0)
-
     @settings(max_examples=40, deadline=None)
     @given(
         chi=_twin_chis,
@@ -1028,9 +1010,16 @@ class TestChunkedTwins:
         epsilon=st.sampled_from([1e-12, 0.01, 0.3]),
     )
     def test_sub_threshold_measure_matches_whole_grid(self, chi, samples, epsilon):
-        chunked = sub_threshold_measure_grid(chi, epsilon, samples)
-        reference = oracles.sub_threshold_measure_grid_reference(chi, epsilon, samples)
-        assert _bits(chunked) == _bits(reference)
+        # A midpoint count over the whole period places each of the at most
+        # four roots of P - threshold to within half a cell.
+        period = poincare_time(chi)
+        step = period / samples
+        times = np.arange(0.5, samples) * step
+        below = survival_probability(chi, angular_frequency(chi), times) < (
+            mean_survival(chi) - epsilon
+        )
+        counted = int(np.count_nonzero(below)) * step
+        assert abs(sub_threshold_measure_grid(chi, epsilon) - counted) <= 2.0 * step + 1e-8 * period
 
     # Dense-scan cases that take the no-crossing fallback, pi: grids of one
     # point per hindered period, which sample only recurrences, where the
@@ -1076,7 +1065,7 @@ class TestChunkedTwins:
     @pytest.mark.parametrize(
         "twin",
         [
-            lambda: sub_threshold_measure_grid(1.0, 0.01, 400_000),
+            lambda: sub_threshold_measure_grid(1.0, 0.01),
             lambda: gqze_interval_grid(5.0),
         ],
         ids=["sub_threshold_measure_grid", "gqze_interval_grid"],
@@ -1096,10 +1085,8 @@ class TestChunkedTwins:
         "twin",
         [
             lambda samples: min_survival_grid(1.0, samples),
-            lambda samples: time_of_min_grid(1.0, samples),
-            lambda samples: sub_threshold_measure_grid(1.0, 0.01, samples),
         ],
-        ids=["min_survival_grid", "time_of_min_grid", "sub_threshold_measure_grid"],
+        ids=["min_survival_grid"],
     )
     def test_rejects_bad_sample_count(self, twin, samples):
         with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
@@ -1112,6 +1099,104 @@ class TestChunkedTwins:
 
     def test_accepts_numpy_sample_count(self):
         assert min_survival_grid(2.0, np.int64(1000)) == min_survival_grid(2.0, 1000)
+
+
+_bracketed_chis = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1.0, math.sqrt(3.0)]),
+    st.floats(min_value=-3.0, max_value=4.0).map(lambda exponent: 10.0**exponent),
+)
+_epsilon_shares = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+def _measure_deviation(chi, epsilon):
+    """|closed - twin| of the sub-threshold measure, in periods."""
+    closed = sub_threshold_measure(chi, epsilon)
+    return abs(closed - sub_threshold_measure_grid(chi, epsilon)) / poincare_time(chi)
+
+
+class TestBracketedTwins:
+    """The bracketed argmin and the bisected measure against the closed
+    forms, for every epsilon in (0, mean - floor]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chi=_bracketed_chis, share=_epsilon_shares)
+    def test_agree_with_closed_forms(self, chi, share):
+        assert abs(time_of_min_grid(chi) - time_of_min(chi)) <= 1e-7
+        epsilon = share * (mean_survival(chi) - min_survival(chi))
+        assume(epsilon > 0)
+        # Where the threshold nears the survival at the half period (the
+        # floor for chi > 1), two roots of P - threshold merge there, and a
+        # rounding u in cos(wt) moves the measure by up to sqrt(2 u) / pi
+        # periods. Both routes round chi^2 + cos(wt) to about ulp(1 + chi^2):
+        # the twin in the survival formula, the closed form in its bound
+        # root (1 + chi^2) - chi^2. Measured against 60-digit references, the
+        # routes were 1.9e-8 periods apart at chi = 5.46 and 2.7e-5 at
+        # chi = 6748.
+        resolution = math.sqrt(6.0 * math.ulp(1.0 + chi * chi)) / math.pi
+        assert _measure_deviation(chi, epsilon) <= 1e-8 + resolution
+
+    @settings(max_examples=200, deadline=None)
+    @given(chi=st.sampled_from([0.3, 0.7, 1.0, 2.0]), share=_epsilon_shares)
+    def test_validate_chis_agree_for_every_epsilon(self, chi, share):
+        # validate's measure row holds at its tolerance for any user epsilon.
+        epsilon = share * (mean_survival(chi) - min_survival(chi))
+        assume(epsilon > 0)
+        assert _measure_deviation(chi, epsilon) <= 1e-8
+
+    @pytest.mark.parametrize("chi", [0.3, 2.0])
+    def test_finds_an_interval_narrower_than_any_grid_cell(self, chi):
+        # At 1 - 1e-6 of mean - floor, the sub-threshold interval is about
+        # 1e-3 T_p wide around the first minimum, narrower than one cell of
+        # a 1024-cell period grid.
+        epsilon = (mean_survival(chi) - min_survival(chi)) * (1.0 - 1e-6)
+        period = poincare_time(chi)
+        closed = sub_threshold_measure(chi, epsilon)
+        assert 0.0 < closed < period / 1024
+        assert _measure_deviation(chi, epsilon) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "chi, epsilon", [(0.3, 0.01), (0.7, 0.2162), (2.0, 0.05), (50.0, 1e-5)]
+    )
+    def test_crossing_is_a_fixed_point_between_adjacent_floats(self, chi, epsilon):
+        # The root of the first piece, [0, t*], is one of two adjacent
+        # floats on either side of the threshold.
+        w = angular_frequency(chi)
+        threshold = mean_survival(chi) - epsilon
+        first = time_of_min_grid(chi)
+        assert survival_probability(chi, w, first) < threshold <= survival_probability(chi, w, 0.0)
+        root = indicators._threshold_crossing(chi, w, threshold, first, 0.0)
+        if survival_probability(chi, w, root) < threshold:
+            assert survival_probability(chi, w, math.nextafter(root, 0.0)) >= threshold
+        else:
+            assert survival_probability(chi, w, math.nextafter(root, first)) < threshold
+
+    def test_twins_do_not_call_the_closed_forms(self, monkeypatch):
+        expected = (time_of_min_grid(0.7), sub_threshold_measure_grid(0.7, 0.01))
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("a numeric twin called a closed form")
+
+        for name in ("time_of_min", "min_survival", "sub_threshold_measure"):
+            monkeypatch.setattr(indicators, name, closed_form)
+        assert (time_of_min_grid(0.7), sub_threshold_measure_grid(0.7, 0.01)) == expected
+
+    def test_sample_counts(self, monkeypatch):
+        sizes = []
+        survival = indicators.survival_probability
+
+        def record(chi, w, t):
+            sizes.append(np.size(t))
+            return survival(chi, w, t)
+
+        monkeypatch.setattr(indicators, "survival_probability", record)
+        time_of_min_grid(0.3)
+        assert sizes == [1024] * 3
+        sizes.clear()
+        sub_threshold_measure_grid(0.3, 0.01)
+        # Three argmin rounds, the five nodes, then one sample per halving.
+        assert sizes[:4] == [1024, 1024, 1024, 5]
+        assert set(sizes[4:]) == {1}
+        assert 4 * 45 <= len(sizes) - 4 <= 4 * 80
 
 
 class TestGqzeGridArguments:
