@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .fock import CouplingConstants, LaserDrive, ModeVector, SidebandPattern, Triple
 
-__all__ = ["MAX_GRID_POINTS", "MODES", "ConfigError", "RunConfig", "load_config"]
+__all__ = ["MODES", "ConfigError", "RunConfig", "load_config"]
 
 
 class _Mode(NamedTuple):

@@ -31,7 +31,6 @@ from .fock import (
 )
 
 __all__ = [
-    "BasisLabel",
     "BlockSystem",
     "VibronicState",
     "classify_block",
@@ -191,6 +190,8 @@ class VibronicState:
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
+        if not 1 <= dimension <= 3:
+            raise ValueError(f"block dimension must be 1, 2 or 3, got {dimension!r}")
         if not 0 <= index < dimension:
             raise ValueError("basis index outside block")
         return _state(tuple(1 + 0j if i == index else 0j for i in range(dimension)))
@@ -356,13 +357,53 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
 
 
+def _chi_array(chi):
+    """chi and chi^2: Python floats for a scalar chi (a Python or numpy
+    number, or a 0-d array), float64 arrays otherwise. ``ValueError`` unless
+    chi is finite and >= 0 and chi^2 stays finite.
+
+    A scalar chi never becomes a 0-d array: the closed forms of
+    ``indicators`` run on it as Python float arithmetic, which costs a
+    fraction of 0-d numpy arithmetic. Each is written once for both kinds,
+    with squares as x * x and square roots by ``indicators._sqrt``, so a
+    scalar chi gets the bits that the same chi gets inside an array.
+    """
+    if isinstance(chi, (float, int)):
+        values = float(chi)
+    else:
+        values = np.asarray(chi, dtype=float)
+        if values.ndim == 0:
+            values = float(values)
+    if isinstance(values, float):
+        largest = values
+        valid = math.isfinite(largest) and largest >= 0
+    else:
+        valid = np.all(np.isfinite(values)) and not np.any(values < 0)
+        largest = float(values.max(initial=0.0)) if valid else 0.0
+    if not valid:
+        raise ValueError("chi must be finite and >= 0")
+    # Squaring is monotone, so the largest chi decides; on Python floats it
+    # overflows to inf without a warning.
+    if not math.isfinite(largest * largest):
+        raise ValueError(f"chi = {largest:g} is too large: chi^2 overflows float64")
+    return values, values * values
+
+
+def _check_scalar(chi) -> None:
+    """``ValueError`` for a chi with one or more dimensions; a Python float
+    passes on one type test."""
+    if not isinstance(chi, float) and np.ndim(chi) != 0:
+        raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
+
+
 def survival_probability(chi, angular_frequency, t):
     """Survival probability of the top-of-chain state |n, 1>.
 
     ((chi^2 + cos(w t)) / (chi^2 + 1))^2 with chi the modulus of the block
-    coupling ratio and w the block angular frequency. Accepts a scalar or
-    array ``t`` and returns a float or a matching array. Both are computed
-    in one buffer (0-d for a scalar) and squared as x * x.
+    coupling ratio and w the block angular frequency. chi must be a scalar
+    (an array or a list is a ``ValueError``), finite and >= 0, with a finite
+    square. ``t`` is a scalar or an array, and so is the result. Both are
+    computed in one buffer (0-d for a scalar) and squared as x * x.
 
     A scalar time whose phase w t is not finite raises ``ValueError``, as in
     the propagators. An array is not checked, to keep its cost: a non-finite
@@ -371,12 +412,8 @@ def survival_probability(chi, angular_frequency, t):
     w = float(angular_frequency)
     if not (math.isfinite(w) and w > 0):
         raise ValueError("angular_frequency must be finite and > 0")
-    chi = float(chi)
-    if not (math.isfinite(chi) and chi >= 0):
-        raise ValueError("chi must be finite and >= 0")
-    chi_sq = chi * chi
-    if not math.isfinite(chi_sq):
-        raise ValueError(f"chi = {chi:g} is too large: chi^2 overflows float64")
+    _check_scalar(chi)
+    _, chi_sq = _chi_array(chi)
     times = np.asarray(t, dtype=float)
     if times.ndim == 0:
         _finite_phase(w, float(times))

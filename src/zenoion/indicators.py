@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import survival_probability
+from .dynamics import _check_scalar, _chi_array, survival_probability
 
+# The package API; the numeric twins stay out and are imported by name.
 __all__ = [
     "GqzeInterval",
     "IndicatorReport",
@@ -38,11 +39,6 @@ __all__ = [
     "sub_threshold_measure",
     "gqze_interval",
     "indicator_report",
-    "min_survival_grid",
-    "time_of_min_grid",
-    "mean_survival_quadrature",
-    "sub_threshold_measure_grid",
-    "gqze_interval_grid",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -73,45 +69,6 @@ _ARGMIN_ROUNDS = 3
 # 128 KiB mmap threshold, so the buffers are reused from the heap instead of
 # being mapped and page-faulted in on every call.
 _TWIN_CHUNK = 8192
-
-
-def _chi_array(chi):
-    """chi and chi^2: Python floats for a scalar chi (a Python or numpy
-    number, or a 0-d array), float64 arrays otherwise. ``ValueError`` unless
-    chi is finite and >= 0 and chi^2 stays finite.
-
-    A scalar chi never becomes a 0-d array: the closed forms run on it as
-    Python float arithmetic, which costs a fraction of 0-d numpy arithmetic.
-    Each closed form is written once for both kinds, with squares as x * x
-    and square roots by ``_sqrt``, so a scalar chi gets the bits that the
-    same chi gets inside an array.
-    """
-    if isinstance(chi, (float, int)):
-        values = float(chi)
-    else:
-        values = np.asarray(chi, dtype=float)
-        if values.ndim == 0:
-            values = float(values)
-    if isinstance(values, float):
-        largest = values
-        valid = math.isfinite(largest) and largest >= 0
-    else:
-        valid = np.all(np.isfinite(values)) and not np.any(values < 0)
-        largest = float(values.max(initial=0.0)) if valid else 0.0
-    if not valid:
-        raise ValueError("chi must be finite and >= 0")
-    # Squaring is monotone, so the largest chi decides; on Python floats it
-    # overflows to inf without a warning.
-    if not math.isfinite(largest * largest):
-        raise ValueError(f"chi = {largest:g} is too large: chi^2 overflows float64")
-    return values, values * values
-
-
-def _check_scalar(chi) -> None:
-    """``ValueError`` for a chi with one or more dimensions; a Python float
-    passes on one type test."""
-    if not isinstance(chi, float) and np.ndim(chi) != 0:
-        raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
 
 
 def _sqrt(x):
@@ -206,6 +163,14 @@ def mean_level_probabilities(chi):
     return (top, middle, bottom)
 
 
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` as a float; ``ValueError`` unless it is finite and > 0."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and > 0")
+    return epsilon
+
+
 def sub_threshold_measure(chi: float, epsilon: float) -> float:
     """Total time per period spent below mean survival minus ``epsilon``.
 
@@ -222,9 +187,7 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     is finite and >= 0 with a finite chi^2, and for an array chi: chi must be
     a scalar.
     """
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be finite and > 0")
+    epsilon = _check_epsilon(epsilon)
     chi, chi_sq = _chi_array(chi)
     _check_scalar(chi)
     threshold = mean_survival(chi) - epsilon
@@ -653,11 +616,10 @@ def sub_threshold_measure_grid(chi: float, epsilon: float) -> float:
     miss the minimum by up to about 2e-8, which matters only for a
     threshold within rounding of the floor.
     """
-    if not (math.isfinite(float(epsilon)) and float(epsilon) > 0):
-        raise ValueError("epsilon must be finite and > 0")
+    epsilon = _check_epsilon(epsilon)
     period = poincare_time(chi)
     w = angular_frequency(chi)
-    threshold = mean_survival(chi) - float(epsilon)
+    threshold = mean_survival(chi) - epsilon
     first = time_of_min_grid(chi)
     nodes = (0.0, first, 0.5 * period, period - first, period)
     below = (survival_probability(chi, w, np.array(nodes)) < threshold).tolist()
@@ -774,8 +736,7 @@ def _gqze_search(
     # The upper range check runs first; a nan or negative chi passes it and
     # is rejected by _chi_array.
     half_angle = _window_half_angle(float(chi))
-    values, chi_sq = _chi_array(chi)
-    chi_value = float(values)
+    chi_value, chi_sq = _chi_array(chi)
     if chi_value == 0.0:
         return None
     _check_chi_floor(chi_value)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
+    _NORM_TOL,
     BlockSystem,
     VibronicState,
     _spectral_propagator,
@@ -60,7 +61,6 @@ __all__ = [
     "run_validate",
     "ValidationCheck",
     "ValidationReport",
-    "write_csv",
 ]
 
 _UNITS_COMMENT = "time columns in units of 1/omega(0), hbar = 1; probabilities dimensionless"
@@ -354,8 +354,15 @@ def run_figures(config: RunConfig) -> list[Path]:
     fig3: scaled first-minimum time vs chi on [0, 3];
     fig4: period-averaged survival vs chi on [0, 5].
     All use the unit 1-2 coupling, so omega(0) = 1. Every grid is checked
-    and every column computed before the first file is written.
+    and every column computed before the first file is written. ``out``
+    must name a directory: a ``.csv`` path is a ``ConfigError``, raised
+    before anything is created.
     """
+    if Path(config.out).suffix == ".csv":
+        raise ConfigError(
+            f"figures writes fig1.csv ... fig4.csv into a directory, but out = "
+            f"{config.out!r} names a .csv file"
+        )
     chi_short = _chi_grid(3.0, config.chi_step)
     chi_long = _chi_grid(5.0, config.chi_step)
     table = (
@@ -475,8 +482,9 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
     The states at all panel edges are column 0 of the stacked spectral
     propagators; each population is |z| * |z| with |z| = hypot(Re z, Im z),
     as ``level_probabilities`` forms it, and each state must have norm 1
-    within 1e-9. Like ``mean_survival_quadrature``, exact up to rounding for
-    any ``panels`` >= 3: each population has harmonics 0, 1 and 2 in wt only.
+    within ``_NORM_TOL``, as a ``VibronicState`` must. Like
+    ``mean_survival_quadrature``, exact up to rounding for any ``panels``
+    >= 3: each population has harmonics 0, 1 and 2 in wt only.
     """
     block = build_block(
         ModeVector(0, 0, 0),
@@ -490,7 +498,7 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
     norms = np.sqrt(populations.sum(axis=1))
     deviations = np.abs(norms - 1.0)
     # Written as "not <=" so that a nan norm fails too; argmax finds it first.
-    if not np.all(deviations <= 1e-9):
+    if not np.all(deviations <= _NORM_TOL):
         worst = float(norms[np.argmax(deviations)])
         raise ValueError(f"oracle state must be normalized, got norm {worst!r}")
     weights = np.full(panels + 1, 1.0)

@@ -705,6 +705,17 @@ class TestCliEntry:
         assert (tmp_path / "y" / "fig1.csv").exists()
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("name", ["figs.csv", "sub/figs.csv"])
+    def test_figures_rejects_csv_path(self, tmp_path, capsys, name):
+        target = tmp_path / name
+        code = main(["figures", "--out", str(target), "--samples", "20"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: figures writes fig1.csv ... fig4.csv into a directory, "
+            f"but out = {str(target)!r} names a .csv file\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_exit_code(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory", encoding="utf-8")

@@ -130,6 +130,11 @@ class TestVibronicState:
         state = VibronicState.basis_state(3, 1)
         assert_allclose(state.amplitudes, [0, 1, 0])
 
+    @pytest.mark.parametrize("dimension", [-1, 0, 4, 5])
+    def test_basis_state_rejects_dimension_outside_block_range(self, dimension):
+        with pytest.raises(ValueError, match=r"block dimension must be 1, 2 or 3"):
+            VibronicState.basis_state(dimension, 0)
+
     def test_amplitudes_are_read_only(self):
         state = VibronicState.basis_state(2, 0)
         with pytest.raises(ValueError):
@@ -589,6 +594,37 @@ class TestSurvivalProbability:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             survival_probability(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "chi, shape",
+        [([0.5, 2.0], "(2,)"), (np.array([0.5, 2.0]), "(2,)"), (np.array([2.0]), "(1,)")],
+    )
+    def test_rejects_non_scalar_chi(self, chi, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                survival_probability(chi, 1.0, np.linspace(0.0, 1.0, 5))
+        assert str(error.value) == f"chi must be a scalar, got an array of shape {shape}"
+
+    @pytest.mark.parametrize(
+        "chi, message",
+        [
+            (math.nan, "chi must be finite and >= 0"),
+            (-1.0, "chi must be finite and >= 0"),
+            (1e160, "chi = 1e+160 is too large: chi^2 overflows float64"),
+        ],
+    )
+    def test_bad_scalar_chi_messages(self, chi, message):
+        with pytest.raises(ValueError) as error:
+            survival_probability(chi, 1.0, 0.5)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("chi", [2, np.float32(2.0), np.array(2.0), 2.0])
+    def test_scalar_chi_kinds_agree(self, chi):
+        t = np.linspace(0.0, 3.0, 7)
+        assert survival_probability(chi, 1.5, t).tobytes() == survival_probability(
+            2.0, 1.5, t
+        ).tobytes()
 
     @given(beta=coupling_values, t=times)
     def test_matches_overlap_of_propagated_state(self, beta, t):
