@@ -50,7 +50,16 @@ _CROSSING_TOL = 1e-13
 # The largest float x whose square x * x is finite.
 _LARGEST_SQUARABLE = math.sqrt(sys.float_info.max)
 
-# Grid points in the first chunk of the gqze window scan; every further
+# Scalar gaps the certified-skip scan of a gqze window evaluates before it
+# hands the rest of the window to the chunked scan. Near a touch the
+# certified skip shrinks to one grid point, and this bounds the cost there.
+_MAX_SKIP_EVALUATIONS = 64
+
+# What a certified skip subtracts from _CROSSING_TOL to cover the rounding
+# of two computed gaps and of the slope bound (see ``gqze_interval``).
+_SKIP_MARGIN = 1e-14
+
+# Grid points in the first chunk of the chunked gqze scan; every further
 # chunk is twice as long, up to _MAX_CHUNK, so the scan stops soon after the
 # crossing and no chunk outgrows 512 KiB per float64 temporary.
 _FIRST_CHUNK = 1024
@@ -124,7 +133,10 @@ def time_of_min(chi):
     it in the last bit on some inputs.
     """
     _, chi_sq = _chi_array(chi)
-    phase = _where(chi_sq <= 1.0, np.arccos(np.maximum(-chi_sq, -1.0)), math.pi)
+    if isinstance(chi_sq, float) and chi_sq > 1.0:
+        phase = math.pi  # no arccos for _where to discard
+    else:
+        phase = _where(chi_sq <= 1.0, np.arccos(np.maximum(-chi_sq, -1.0)), math.pi)
     return phase / _sqrt(1.0 + chi_sq)
 
 
@@ -190,7 +202,12 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     epsilon = _check_epsilon(epsilon)
     chi, chi_sq = _chi_array(chi)
     _check_scalar(chi)
-    threshold = mean_survival(chi) - epsilon
+    return _measure_below(chi_sq, mean_survival(chi) - epsilon)
+
+
+def _measure_below(chi_sq: float, threshold: float) -> float:
+    """The measure of ``sub_threshold_measure`` from chi^2 and the threshold
+    mean - epsilon, so that ``indicator_report`` reuses its mean."""
     if threshold <= 0.0:
         return 0.0
     root = math.sqrt(threshold)
@@ -256,26 +273,62 @@ def gqze_interval(
     hindered survival is at least cos^2(t). The first clearly negative point
     therefore lies past pi/2.
 
-    Chunks: the scan starts at the window start, which for chi up to about 1
-    lies a few points at or before pi/2 (none of them clearly negative, by
-    the lemma), and runs in chunks of 1024, 2048, 4096, ... grid points, at
-    most 65536. It stops at the first chunk holding a clearly negative gap
-    (below -1e-13; rounding alone makes the tiny small-t gap a few ulp
-    negative). The points past that chunk are never computed. The reference
-    cos^2(t) is formed inline with one cosine and one product, bit for bit
-    ``survival_probability(0.0, 1.0, t)``; the hindered curve is
-    ``survival_probability``.
+    Scan: the scan looks for the first grid point whose gap is clearly
+    negative (below tol = 1e-13; rounding alone makes the tiny small-t gap a
+    few ulp negative). It starts at the window start, which for chi up to
+    about 1 lies a few points at or before pi/2 (none of them clearly
+    negative, by the lemma). At grid index k, time t = k step, it forms the
+    gap g on Python floats with the arithmetic of ``_bisect_gap``. Unless g
+    is clearly negative it goes on to index max(k + 1, floor((t + s) /
+    step)), with s = (g + tol - margin) / L; every index it passes over is
+    certified not clearly negative, as shown below. After 64 gaps
+    (_MAX_SKIP_EVALUATIONS) it hands the rest of the window, from the next
+    index, to the chunked scan; a window of at most 64 points goes to the
+    chunked scan whole.
+
+    Skip bound: write H = (chi^2 + cos wt) / (chi^2 + 1), so the gap is G =
+    H^2 - cos^2 t. Then |H| <= 1, |H'| = w |sin wt| / (1 + chi^2) <= 1 / w
+    and |sin 2t| <= 2 |sin t|, so |G'| <= 2 / w + 2 |sin t|. Every window
+    point lies within h + 3 steps of pi, so between two of them |G'| <= L =
+    2 / w + 2 sin(min(h + 3 step, pi/2)). If each computed gap is within e
+    of G at its time, a grid point j past k with t_j - t_k <= s has computed
+    gap >= G(t_j) - e >= G(t_k) - L s - e >= g - 2e - (g + tol - margin) =
+    -tol + margin - 2e, which is not clearly negative once margin >= 2e.
+
+    Rounding: with u = 2^-53, w t is rounded by at most u w t, each cosine
+    by u and every other operation by u of its result, so a computed gap
+    lies within e = (2t + 11) u of G. A window of more than 64 points has a
+    step below pi/58, so t < 4.9 and e < 2.4e-15. The rounding of L, of
+    w^2 against 1 + chi^2 and of the window ends loosens the bound by a few
+    ulp, under 1e-15 over a skip since L s <= 1 + tol. So margin = 1e-14
+    (_SKIP_MARGIN) covers two gaps. The grid indices stay below about 1e15
+    (the window holds at most 2e8 points and h > 3e-7), so the roundings of
+    t + s, of its quotient by step and of the grid times move an index by
+    less than one: the index the scan lands on may lie just past the
+    certified span, but it is evaluated, not passed over. So the scan finds
+    the first clearly negative grid point of the dense scan. Near a touch
+    the gap decays like (pi - t)^4 and the certified step shrinks to one
+    point; the 64-gap budget bounds the cost there.
+
+    Chunks: the chunked scan (``_chunked_scan``) runs in chunks of 1024,
+    2048, 4096, ... grid points, at most 65536, and stops at the first chunk
+    holding a clearly negative gap; the points past that chunk are never
+    computed. The reference cos^2(t) is formed inline with one cosine and
+    one product, bit for bit ``survival_probability(0.0, 1.0, t)``; the
+    hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
-    on Python floats (``_bisect_gap``). If no scanned point before the
-    crossing has a clearly positive gap, the left end is the last such point
-    before the window start, found by scanning back from it over the whole
-    grid in chunks of 16, 32, 64, ... points, or 0 if there is none. So the
-    bracket is that of ``gqze_interval_grid`` at every chi. The bisection
-    stops at its fixed point, where a halving no longer moves the bracket,
-    and so returns the same float as a fixed 80 halvings after about 40 of
-    them.
+    on Python floats (``_bisect_gap``). The skip scan takes the left end
+    from a backward scan that starts at the point before the crossing; the
+    chunked scan takes it from the points it computed, or, when none before
+    the crossing is clearly positive, from a backward scan that starts at
+    the point before its own start. The backward scan runs over the whole
+    grid in chunks of 16, 32, 64, ... points, and gives 0 if it finds no
+    clearly positive point. So the bracket is that of
+    ``gqze_interval_grid`` at every chi. The bisection stops at its fixed
+    point, where a halving no longer moves the bracket, and so returns the
+    same float as a fixed 80 halvings after about 40 of them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -299,8 +352,40 @@ def gqze_interval(
 
 
 def _window_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
-    """The crossing time found by the chunked scan of the grid indices
-    first, ..., last in ``gqze_interval``."""
+    """The crossing time found by the certified-skip scan of the grid indices
+    first, ..., last in ``gqze_interval``; the rest of the window goes to
+    ``_chunked_scan`` after _MAX_SKIP_EVALUATIONS gaps, and the whole of a
+    window no longer than that."""
+    if last - first < _MAX_SKIP_EVALUATIONS:
+        return _chunked_scan(chi_value, w, step, first, last)
+    chi_sq = chi_value * chi_value
+    scale = chi_sq + 1.0
+    # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
+    angle = min(_window_half_angle(chi_value) + 3.0 * step, 0.5 * math.pi)
+    slope = 2.0 / w + 2.0 * math.sin(angle)
+    reach = _CROSSING_TOL - _SKIP_MARGIN
+    cos = math.cos
+    index = first
+    for _ in range(_MAX_SKIP_EVALUATIONS):
+        if index > last:
+            return math.pi
+        t = index * step
+        hindered = (chi_sq + cos(w * t)) / scale
+        reference = cos(t)
+        gap = hindered * hindered - reference * reference
+        if gap < -_CROSSING_TOL:
+            left = _last_positive_time(chi_value, w, step, index - 1)
+            return _bisect_gap(chi_value, w, left, t)
+        index = max(index + 1, math.floor((t + (gap + reach) / slope) / step))
+    return _chunked_scan(chi_value, w, step, index, last)
+
+
+def _chunked_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
+    """The crossing time found by scanning the grid indices first, ...,
+    last in chunks of _FIRST_CHUNK, twice that, ... points, at most
+    _MAX_CHUNK, up to the chunk that holds the first clearly negative gap.
+    With no clearly positive gap in the chunks before it, the bracket's left
+    end is seeded backwards from ``first - 1``."""
     left = None
     start, size = first, _FIRST_CHUNK
     while start <= last:
@@ -492,7 +577,7 @@ def indicator_report(
         level2_mean=level2,
         level3_mean=level3,
         epsilon=float(epsilon),
-        sub_threshold_time=sub_threshold_measure(chi_value, epsilon),
+        sub_threshold_time=_measure_below(chi_value * chi_value, mean - _check_epsilon(epsilon)),
         gqze=gqze,
     )
 

@@ -168,9 +168,15 @@ def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np
     return np.linspace(0.0, config.t_max, config.samples)
 
 
+def _names_csv_file(out: str) -> bool:
+    """Whether ``out`` names a CSV file, not a directory: its suffix is .csv
+    in any case (x.csv, x.CSV)."""
+    return Path(out).suffix.lower() == ".csv"
+
+
 def _output_file(config: RunConfig, default_name: str) -> Path:
     target = Path(config.out)
-    if target.suffix == ".csv":
+    if _names_csv_file(config.out):
         return target
     return target / default_name
 
@@ -355,10 +361,10 @@ def run_figures(config: RunConfig) -> list[Path]:
     fig4: period-averaged survival vs chi on [0, 5].
     All use the unit 1-2 coupling, so omega(0) = 1. Every grid is checked
     and every column computed before the first file is written. ``out``
-    must name a directory: a ``.csv`` path is a ``ConfigError``, raised
-    before anything is created.
+    must name a directory: a ``.csv`` path (the suffix in any case) is a
+    ``ConfigError``, raised before anything is created.
     """
-    if Path(config.out).suffix == ".csv":
+    if _names_csv_file(config.out):
         raise ConfigError(
             f"figures writes fig1.csv ... fig4.csv into a directory, but out = "
             f"{config.out!r} names a .csv file"

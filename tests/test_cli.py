@@ -422,6 +422,22 @@ class TestSweepAndIndicators:
         totals = data["P_mean"] + data["P2_mean"] + data["P3_mean"]
         np.testing.assert_allclose(totals, 1.0, atol=1e-12)
 
+    def test_sweep_samples_a_tenth_of_the_chunked_scan(self, tmp_path, monkeypatch, capsys):
+        # On this grid the chunked window scan, with no certified skips,
+        # sampled 811,170 survival points; the skips must cut that tenfold.
+        chunked_scan_points = 811_170
+        points = []
+        survival = zenoion.indicators.survival_probability
+
+        def record(chi, w, times):
+            points.append(np.size(times))
+            return survival(chi, w, times)
+
+        monkeypatch.setattr(zenoion.indicators, "survival_probability", record)
+        code = main(["sweep", "--chi-max", "20", "--chi-step", "0.05", "--out", str(tmp_path)])
+        assert code == 0
+        assert sum(points) <= chunked_scan_points // 10
+
     def test_single_point_sweep_via_chi(self, tmp_path):
         config = load_config(
             None, {"mode": "sweep", "chi": 10.0, "out": str(tmp_path)}
@@ -662,6 +678,15 @@ class TestCliEntry:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("name", ["s.CSV", "s.Csv"])
+    def test_survival_csv_suffix_in_any_case_names_a_file(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        code = main(["survival", "--chi", "10", "--samples", "50", "--out", str(out)])
+        assert code == 0
+        assert out.is_file()
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_bytes().startswith(b"# ")
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["survival", "--out", str(tmp_path)])
         assert code == 1
@@ -705,7 +730,7 @@ class TestCliEntry:
         assert (tmp_path / "y" / "fig1.csv").exists()
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("name", ["figs.csv", "sub/figs.csv"])
+    @pytest.mark.parametrize("name", ["figs.csv", "sub/figs.csv", "figs.CSV", "sub/figs.Csv"])
     def test_figures_rejects_csv_path(self, tmp_path, capsys, name):
         target = tmp_path / name
         code = main(["figures", "--out", str(target), "--samples", "20"])

@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -674,12 +675,19 @@ def _scaled_grid(scale):
     return {"points_per_period": round(10_000 / scale)}
 
 
+def _chunked_search(chi, points_per_period):
+    """``gqze_interval`` with its window scanned whole by ``_chunked_scan``,
+    without the certified skips of ``_window_scan``."""
+    return indicators._gqze_search(indicators._chunked_scan, chi, 0.5, points_per_period)
+
+
 class TestGqzeChunkedScan:
-    """The window scan runs in chunks of 1024, 2048, ... points and stops at
-    the chunk holding the crossing; it must still agree bit for bit with the
-    dense grid, whatever the grid and however the windows compare with the
-    first chunk. The checks named after couplings, which the search once
-    took, now vary the grid through ``_scaled_grid``."""
+    """The window scan must agree bit for bit with the dense grid, whatever
+    the grid and however the windows compare with the first chunk. The
+    chunked scan it falls back to runs in chunks of 1024, 2048, ... points
+    and stops at the chunk holding the crossing. The checks named after
+    couplings, which the search once took, now vary the grid through
+    ``_scaled_grid``."""
 
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
     @pytest.mark.parametrize("scale", [0.37, 2.3])
@@ -724,7 +732,7 @@ class TestGqzeChunkedScan:
             return survival(chi_value, w, times)
 
         with mock.patch.object(indicators, "survival_probability", record_survival):
-            end = indicators._window_scan(chi, 2.0, step, *window)
+            end = indicators._chunked_scan(chi, 2.0, step, *window)
         assert end == math.pi
         assert [times.size for times in times_seen] == sizes
         indices = np.concatenate(times_seen) / step
@@ -799,7 +807,7 @@ class TestGqzeChunkedScan:
 
         with mock.patch.object(indicators, "survival_probability", record_survival), \
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
-            gqze_interval(chi, **_scaled_grid(scale))
+            _chunked_search(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
         # The backward seed of the bracket's left end runs after the crossing
         # chunk when it runs at all, and starts before the window. So the
@@ -817,6 +825,164 @@ class TestGqzeChunkedScan:
         after = sum(np.count_nonzero(times > right) for times in times_seen)
         up_to = sum(np.count_nonzero(times <= right) for times in times_seen)
         assert after <= up_to + 1024
+
+
+def _step(chi, points_per_period=10_000):
+    """The grid step of the gqze search, formed as ``_gqze_search`` forms it."""
+    return 2.0 * math.pi / math.sqrt(1.0 + chi * chi) / points_per_period
+
+
+def _dense_bracket(chi, points_per_period=10_000):
+    """The (left, right) bracket that ``gqze_interval_grid`` bisects."""
+    brackets = []
+    bisect = indicators._bisect_gap
+
+    def record(*args):
+        brackets.append(args[2:])
+        return bisect(*args)
+
+    with mock.patch.object(indicators, "_bisect_gap", record):
+        gqze_interval_grid(chi, points_per_period=points_per_period)
+    [bracket] = brackets
+    return bracket
+
+
+def _skip_scan_indices(chi, points_per_period=10_000):
+    """The grid indices whose gaps the certified-skip scan of
+    ``gqze_interval`` forms on Python floats, in order.
+
+    The scan forms each gap from cos(w t) and then cos(t), so every second
+    ``math.cos`` argument is a grid time. The bisection is stubbed out, so
+    its own cosines are not recorded."""
+    arguments = []
+
+    def record_cos(x):
+        arguments.append(x)
+        return math.cos(x)
+
+    spy_math = types.SimpleNamespace(**vars(math))
+    spy_math.cos = record_cos
+    with mock.patch.object(indicators, "math", spy_math), \
+            mock.patch.object(indicators, "_bisect_gap", lambda chi, w, left, right: right):
+        gqze_interval(chi, points_per_period=points_per_period)
+    step = _step(chi, points_per_period)
+    indices = [round(t / step) for t in arguments[1::2]]
+    assert arguments[1::2] == [index * step for index in indices]
+    return indices
+
+
+# The touch family w = sqrt(1 + chi^2) = 2k, with each chi's two float
+# neighbours and relative offsets of 1e-9 either way: near a touch the gap
+# decays like (pi - t)^4 and the certified skips shrink to one grid point.
+def _touch_family(ks):
+    for k in ks:
+        chi = math.sqrt(4.0 * k * k - 1.0)
+        yield from (
+            chi, math.nextafter(chi, 0.0), math.nextafter(chi, math.inf),
+            chi * (1.0 + 1e-9), chi * (1.0 - 1e-9),
+        )
+
+
+@st.composite
+def _dense_feasible_grids(draw):
+    """Points per period in [100, 20000] and a log-uniform chi from the
+    bottom of the accepted range up to where the dense twin's grid holds
+    about 2e6 points."""
+    points_per_period = draw(st.integers(min_value=100, max_value=20_000))
+    top = math.log10(4e6 / points_per_period)
+    chi = 10.0 ** draw(st.floats(min_value=math.log10(3.2e-7), max_value=top))
+    return chi, points_per_period
+
+
+class TestGqzeSkipScan:
+    """The window scan of ``gqze_interval`` skips the grid points that the
+    slope bound in its docstring certifies are not clearly negative, and
+    hands the window to ``_chunked_scan`` after _MAX_SKIP_EVALUATIONS gaps.
+    It finds the first clearly negative point of the dense grid, and so the
+    dense twin's bracket and t_chi, bit for bit."""
+
+    @pytest.mark.parametrize("chi", [1e-3, 0.05, 0.5, 0.6, 2.0, 9.95, 20.0, 300.0])
+    @pytest.mark.parametrize("points_per_period", [1000, 10_000])
+    def test_never_evaluates_past_the_first_clearly_negative_point(self, chi, points_per_period):
+        indices = _skip_scan_indices(chi, points_per_period)
+        _, right = _dense_bracket(chi, points_per_period)
+        first_negative = round(right / _step(chi, points_per_period))
+        assert indices and max(indices) <= first_negative
+        assert indices == sorted(set(indices))
+
+    def test_stops_at_the_first_clearly_negative_point(self):
+        # Away from a touch (w far from an even integer) the scan itself
+        # lands on the dense grid's first clearly negative point, within its
+        # budget of gaps. At chi = 20 or 300, w is within 0.03 of an even
+        # integer, and the scan falls back.
+        for chi in (0.3, 2.0, 5.0, 21.0, 301.0, 1001.0):
+            indices = _skip_scan_indices(chi)
+            _, right = _dense_bracket(chi)
+            assert len(indices) < indicators._MAX_SKIP_EVALUATIONS
+            assert indices[-1] * _step(chi) == right
+
+    @pytest.mark.parametrize("chi", list(_touch_family(range(1, 31))))
+    def test_touch_family_matches_dense_grid(self, chi):
+        assert gqze_interval(chi) == gqze_interval_grid(chi)
+
+    @pytest.mark.parametrize("chi", list(_touch_family([50, 100, 199])))
+    def test_touch_family_matches_dense_grid_at_large_k(self, chi):
+        assert gqze_interval(chi, points_per_period=1000) == gqze_interval_grid(
+            chi, points_per_period=1000
+        )
+
+    @settings(max_examples=200)
+    @given(grid=_dense_feasible_grids())
+    def test_matches_dense_grid_property(self, grid):
+        chi, points_per_period = grid
+        windowed = gqze_interval(chi, points_per_period=points_per_period)
+        assert windowed == gqze_interval_grid(chi, points_per_period=points_per_period)
+
+    # 9.95 and 19.95 cross just past a near-touch, and 0.6 crosses where the
+    # gap creeps down, so each uses up its 64 gaps; the smaller budgets force
+    # the fallback anywhere.
+    @pytest.mark.parametrize(
+        "chi, budget",
+        [(9.95, 64), (19.95, 64), (0.6, 64), (0.05, 1), (2.0, 2), (20.0, 3), (300.0, 5)],
+    )
+    def test_fallback_bracket_matches_dense_grid(self, chi, budget):
+        starts, brackets = [], []
+        chunked, bisect = indicators._chunked_scan, indicators._bisect_gap
+
+        def record_chunked(chi_value, w, step, first, last):
+            starts.append(first)
+            return chunked(chi_value, w, step, first, last)
+
+        def record_bisect(*args):
+            brackets.append(args[2:])
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", budget), \
+                mock.patch.object(indicators, "_chunked_scan", record_chunked), \
+                mock.patch.object(indicators, "_bisect_gap", record_bisect):
+            windowed = gqze_interval(chi)
+        assert windowed == gqze_interval_grid(chi)
+        [bracket] = brackets
+        assert bracket == _dense_bracket(chi)
+        # The fallback starts past the window start: the budget was spent.
+        [start] = starts
+        assert start > math.floor((math.pi - indicators._window_half_angle(chi)) / _step(chi)) - 2
+
+    def test_short_window_goes_to_the_chunked_scan(self):
+        # At 60 points per period the window of chi = 20 holds about 42
+        # points, fewer than the gap budget: it is scanned whole, in one call.
+        windows = []
+        chunked = indicators._chunked_scan
+
+        def record_chunked(chi_value, w, step, first, last):
+            windows.append((first, last))
+            return chunked(chi_value, w, step, first, last)
+
+        with mock.patch.object(indicators, "_chunked_scan", record_chunked):
+            windowed = gqze_interval(20.0, points_per_period=60)
+        [(first, last)] = windows
+        assert last - first < indicators._MAX_SKIP_EVALUATIONS
+        assert windowed == gqze_interval_grid(20.0, points_per_period=60)
 
 
 # The gqze search accepts chi in (3.2e-7, 6.3e6); draw it log-uniformly so
@@ -1255,6 +1421,21 @@ class TestGqzeGridArguments:
 
 
 class TestReportsAndSweep:
+    @pytest.mark.parametrize("chi", [0.3, 2.0, 7.3])
+    def test_report_forms_the_level_means_once(self, chi):
+        calls = []
+        levels = indicators.mean_level_probabilities
+
+        def record(chi_value):
+            calls.append(chi_value)
+            return levels(chi_value)
+
+        with mock.patch.object(indicators, "mean_level_probabilities", record):
+            report = indicator_report(chi, 0.01)
+        assert calls == [chi]
+        assert report.sub_threshold_time == sub_threshold_measure(chi, 0.01)
+        assert report.survival_mean == mean_survival(chi)
+
     def test_single_point_sweep(self):
         report = indicator_report(0.0, 0.01)
         assert report.survival_min == 0.0
