@@ -41,8 +41,6 @@ __all__ = [
     "indicator_report",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 # Rounding can push the tiny small-t gap of the gqze search a few ulp
 # negative; only a gap beyond this bound counts as clearly signed.
 _CROSSING_TOL = 1e-13
@@ -51,7 +49,7 @@ _CROSSING_TOL = 1e-13
 _LARGEST_SQUARABLE = math.sqrt(sys.float_info.max)
 
 # Scalar gaps the certified-skip scan of a gqze window evaluates before it
-# hands the rest of the window to the chunked scan. Near a touch the
+# hands the rest of the window to the chunked search. Near a touch the
 # certified skip shrinks to one grid point, and this bounds the cost there.
 _MAX_SKIP_EVALUATIONS = 64
 
@@ -59,10 +57,13 @@ _MAX_SKIP_EVALUATIONS = 64
 # of two computed gaps and of the slope bound (see ``gqze_interval``).
 _SKIP_MARGIN = 1e-14
 
-# Grid points in the first chunk of the chunked gqze scan; every further
-# chunk is twice as long, up to _MAX_CHUNK, so the scan stops soon after the
-# crossing and no chunk outgrows 512 KiB per float64 temporary.
+# Grid points in the first chunk of the chunked gqze search, forward to the
+# crossing and back to the bracket's left end, which mostly lies a few points
+# before it; every further chunk is twice as long, up to _MAX_CHUNK, so the
+# search stops soon after its hit and no chunk outgrows 512 KiB per float64
+# temporary.
 _FIRST_CHUNK = 1024
+_FIRST_SEED_CHUNK = 16
 _MAX_CHUNK = 1 << 16
 
 # The most grid points one gqze scan may visit.
@@ -107,7 +108,7 @@ def poincare_time(chi):
     One full Rabi cycle of the block; the survival probability returns to 1
     exactly here.
     """
-    return _TWO_PI / angular_frequency(chi)
+    return math.tau / angular_frequency(chi)
 
 
 def min_survival(chi):
@@ -283,8 +284,8 @@ def gqze_interval(
     step)), with s = (g + tol - margin) / L; every index it passes over is
     certified not clearly negative, as shown below. After 64 gaps
     (_MAX_SKIP_EVALUATIONS) it hands the rest of the window, from the next
-    index, to the chunked scan; a window of at most 64 points goes to the
-    chunked scan whole.
+    index, to the chunked search; a window of at most 64 points goes to the
+    chunked search whole.
 
     Skip bound: write H = (chi^2 + cos wt) / (chi^2 + 1), so the gap is G =
     H^2 - cos^2 t. Then |H| <= 1, |H'| = w |sin wt| / (1 + chi^2) <= 1 / w
@@ -310,22 +311,19 @@ def gqze_interval(
     the gap decays like (pi - t)^4 and the certified step shrinks to one
     point; the 64-gap budget bounds the cost there.
 
-    Chunks: the chunked scan (``_chunked_scan``) runs in chunks of 1024,
-    2048, 4096, ... grid points, at most 65536, and stops at the first chunk
-    holding a clearly negative gap; the points past that chunk are never
-    computed. The reference cos^2(t) is formed inline with one cosine and
-    one product, bit for bit ``survival_probability(0.0, 1.0, t)``; the
-    hindered curve is ``survival_probability``.
+    Chunks: the chunked search (``_chunked_search``) runs forward in chunks
+    of 1024, 2048, 4096, ... grid points, at most 65536, and stops at the
+    first chunk holding a clearly negative gap; the points past that chunk
+    are never computed. The reference cos^2(t) is formed inline with one
+    cosine and one product, bit for bit ``survival_probability(0.0, 1.0,
+    t)``; the hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
-    on Python floats (``_bisect_gap``). The skip scan takes the left end
-    from a backward scan that starts at the point before the crossing; the
-    chunked scan takes it from the points it computed, or, when none before
-    the crossing is clearly positive, from a backward scan that starts at
-    the point before its own start. The backward scan runs over the whole
-    grid in chunks of 16, 32, 64, ... points, and gives 0 if it finds no
-    clearly positive point. So the bracket is that of
+    on Python floats (``_bisect_gap``). The left end always comes from the
+    chunked search run backward from the point before the crossing, in
+    chunks of 16, 32, 64, ... points down to index 1; it is 0 if no point
+    there is clearly positive. So the bracket is that of
     ``gqze_interval_grid`` at every chi. The bisection stops at its fixed
     point, where a halving no longer moves the bracket, and so returns the
     same float as a fixed 80 halvings after about 40 of them.
@@ -340,9 +338,9 @@ def gqze_interval(
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi. A window of more than
     2e8 grid points is a ``ValueError`` too. The bound counts the window
-    only: the bracket seed may also walk back over the grid before it, as far
-    as index 1 at chi below about 2e-6, where no gap before pi/2 clears the
-    tolerance.
+    only: the backward search may also walk back over the grid before it,
+    as far as index 1 at chi below about 2e-6, where no gap before pi/2
+    clears the tolerance.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
@@ -353,56 +351,62 @@ def gqze_interval(
 
 def _window_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
     """The crossing time found by the certified-skip scan of the grid indices
-    first, ..., last in ``gqze_interval``; the rest of the window goes to
-    ``_chunked_scan`` after _MAX_SKIP_EVALUATIONS gaps, and the whole of a
-    window no longer than that."""
-    if last - first < _MAX_SKIP_EVALUATIONS:
-        return _chunked_scan(chi_value, w, step, first, last)
-    chi_sq = chi_value * chi_value
-    scale = chi_sq + 1.0
-    # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
-    angle = min(_window_half_angle(chi_value) + 3.0 * step, 0.5 * math.pi)
-    slope = 2.0 / w + 2.0 * math.sin(angle)
-    reach = _CROSSING_TOL - _SKIP_MARGIN
-    cos = math.cos
-    index = first
-    for _ in range(_MAX_SKIP_EVALUATIONS):
-        if index > last:
+    first, ..., last in ``gqze_interval``. After _MAX_SKIP_EVALUATIONS gaps
+    the rest of the window goes to the forward ``_chunked_search``, and so
+    does the whole of a window no longer than that; the bracket's left end
+    comes from the backward search."""
+    index, crossing = first, None
+    if last - first >= _MAX_SKIP_EVALUATIONS:
+        chi_sq = chi_value * chi_value
+        scale = chi_sq + 1.0
+        # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
+        angle = min(_window_half_angle(chi_value) + 3.0 * step, 0.5 * math.pi)
+        slope = 2.0 / w + 2.0 * math.sin(angle)
+        reach = _CROSSING_TOL - _SKIP_MARGIN
+        cos = math.cos
+        for _ in range(_MAX_SKIP_EVALUATIONS):
+            if index > last:
+                break
+            t = index * step
+            hindered = (chi_sq + cos(w * t)) / scale
+            reference = cos(t)
+            gap = hindered * hindered - reference * reference
+            if gap < -_CROSSING_TOL:
+                crossing = index
+                break
+            index = max(index + 1, math.floor((t + (gap + reach) / slope) / step))
+    if crossing is None:
+        crossing = _chunked_search(chi_value, w, step, index, last)
+        if crossing is None:
             return math.pi
-        t = index * step
-        hindered = (chi_sq + cos(w * t)) / scale
-        reference = cos(t)
-        gap = hindered * hindered - reference * reference
-        if gap < -_CROSSING_TOL:
-            left = _last_positive_time(chi_value, w, step, index - 1)
-            return _bisect_gap(chi_value, w, left, t)
-        index = max(index + 1, math.floor((t + (gap + reach) / slope) / step))
-    return _chunked_scan(chi_value, w, step, index, last)
+    left = _chunked_search(chi_value, w, step, crossing - 1, 1, forward=False)
+    return _bisect_gap(chi_value, w, 0.0 if left is None else left * step, crossing * step)
 
 
-def _chunked_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
-    """The crossing time found by scanning the grid indices first, ...,
-    last in chunks of _FIRST_CHUNK, twice that, ... points, at most
-    _MAX_CHUNK, up to the chunk that holds the first clearly negative gap.
-    With no clearly positive gap in the chunks before it, the bracket's left
-    end is seeded backwards from ``first - 1``."""
-    left = None
-    start, size = first, _FIRST_CHUNK
-    while start <= last:
-        chunk_last = min(last, start + size - 1)
-        times = _grid_times(start, chunk_last, step)
-        gap = _gaps(chi_value, w, times)
-        below = (gap < -_CROSSING_TOL).nonzero()[0]
-        stop = int(below[0]) if below.size else gap.size
-        positive = (gap[:stop] > _CROSSING_TOL).nonzero()[0]
-        if positive.size:
-            left = float(times[positive[-1]])
-        if below.size:
-            if left is None:
-                left = _last_positive_time(chi_value, w, step, first - 1)
-            return _bisect_gap(chi_value, w, left, float(times[stop]))
-        start, size = chunk_last + 1, min(2 * size, _MAX_CHUNK)
-    return math.pi
+def _chunked_search(
+    chi_value: float, w: float, step: float, start: int, stop: int, forward: bool = True
+) -> Optional[int]:
+    """The first grid index from ``start`` towards ``stop``, both included,
+    whose gap is clearly negative going forward or clearly positive going
+    back; None if there is none.
+
+    The indices run in chunks of _FIRST_CHUNK points forward and
+    _FIRST_SEED_CHUNK back, each chunk twice as long as the one before, at
+    most _MAX_CHUNK, up to the chunk that holds the hit; no point past it is
+    computed.
+    """
+    size = _FIRST_CHUNK if forward else _FIRST_SEED_CHUNK
+    while (start <= stop) if forward else (start >= stop):
+        if forward:
+            low, high = start, min(stop, start + size - 1)
+        else:
+            low, high = max(stop, start - size + 1), start
+        gap = _gaps(chi_value, w, _grid_times(low, high, step))
+        hits = (gap < -_CROSSING_TOL if forward else gap > _CROSSING_TOL).nonzero()[0]
+        if hits.size:
+            return low + int(hits[0] if forward else hits[-1])
+        start, size = high + 1 if forward else low - 1, min(2 * size, _MAX_CHUNK)
+    return None
 
 
 def _grid_times(first: int, last: int, step: float) -> np.ndarray:
@@ -413,25 +417,6 @@ def _grid_times(first: int, last: int, step: float) -> np.ndarray:
     the bits of ``np.arange(first, last + 1) * step``.
     """
     return np.arange(float(first), last + 1.0) * step
-
-
-def _last_positive_time(chi_value: float, w: float, step: float, last: int) -> float:
-    """Time of the last clearly positive gap among the grid indices 1, ...,
-    ``last``, or 0.0 if there is none.
-
-    Scans backwards from ``last`` in chunks of 16, 32, 64, ... points, at
-    most _MAX_CHUNK, so a positive point close to it costs a few dozen
-    samples.
-    """
-    size = 16
-    while last >= 1:
-        chunk_first = max(1, last - size + 1)
-        times = _grid_times(chunk_first, last, step)
-        positive = (_gaps(chi_value, w, times) > _CROSSING_TOL).nonzero()[0]
-        if positive.size:
-            return float(times[positive[-1]])
-        last, size = chunk_first - 1, min(2 * size, _MAX_CHUNK)
-    return 0.0
 
 
 def _window_half_angle(chi: float) -> float:
@@ -803,12 +788,10 @@ def _gqze_search(
     pi/2, where the lemma of ``gqze_interval`` leaves no gap clearly
     negative. The dense scan runs from index 1 to ``last``. A scan that
     would visit more than 2e8 points, the whole grid if ``dense`` and the
-    window otherwise, or a grid too fine to count, is a ``ValueError``. For
-    the window scan the bound counts the window only: the bracket seed may
-    also walk back over the points before it, as far as index 1 at chi below
-    about 2e-6, where no gap before pi/2 clears the tolerance. None at chi =
-    0; ``ValueError`` for a chi that is not a scalar, or outside the
-    resolvable range of ``gqze_interval``, raised before chi^2 is formed."""
+    window otherwise (the Range paragraph of ``gqze_interval``), or a grid
+    too fine to count, is a ``ValueError``. None at chi = 0; ``ValueError``
+    for a chi that is not a scalar, or outside the resolvable range of
+    ``gqze_interval``, raised before chi^2 is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     if not (
@@ -826,7 +809,7 @@ def _gqze_search(
         return None
     _check_chi_floor(chi_value)
     w = math.sqrt(1.0 + chi_sq)
-    hindered_period = _TWO_PI / w  # never longer than the reference period 2 pi
+    hindered_period = math.tau / w  # never longer than the reference period 2 pi
     step = hindered_period / points_per_period
     spacing, reach = math.pi / step, half_angle / step
     if not math.isfinite(spacing + reach):

@@ -444,14 +444,14 @@ _ONE_CHAIN_PATTERNS = (
 
 def _random_gamma(rng: np.random.Generator) -> complex:
     """A coupling constant of magnitude in [0.3, 2) and uniform phase."""
-    return rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, math.tau))
 
 
 def _random_case(rng: np.random.Generator, block: BlockSystem):
     """(block, random unit state, random time within three periods of 0); a
     block without dynamics takes the time unit as its period."""
     frequency = block.angular_frequency
-    period = 2.0 * math.pi / frequency if frequency > 0 else 1.0
+    period = math.tau / frequency if frequency > 0 else 1.0
     time = rng.uniform(-3.0, 3.0) * period
     amps = rng.standard_normal(block.dimension) + 1j * rng.standard_normal(block.dimension)
     return block, VibronicState(amps / np.linalg.norm(amps)), time
@@ -470,7 +470,7 @@ def random_cases(rng: np.random.Generator, count: int = 100):
         mode = ModeVector.of(n)
         ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
         gamma1 = _random_gamma(rng)
-        gamma2 = target * gamma1 * ratio * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        gamma2 = target * gamma1 * ratio * np.exp(1j * rng.uniform(0.0, math.tau))
         block = build_block(mode, SidebandPattern(r, l), CouplingConstants(gamma1, gamma2))
         cases.append(_random_case(rng, block))
     for n, r, l in _TWO_CHAIN_PATTERNS + _ONE_CHAIN_PATTERNS:
@@ -497,7 +497,7 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
         SidebandPattern((0, 0, 0), (0, 0, 0)),
         CouplingConstants(1.0, chi),
     )
-    times = np.linspace(0.0, 2.0 * math.pi / block.angular_frequency, panels + 1)
+    times = np.linspace(0.0, math.tau / block.angular_frequency, panels + 1)
     states = _spectral_propagator(block, times)[:, :, 0]
     magnitudes = np.hypot(states.real, states.imag)
     populations = magnitudes * magnitudes

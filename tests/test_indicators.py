@@ -675,19 +675,21 @@ def _scaled_grid(scale):
     return {"points_per_period": round(10_000 / scale)}
 
 
-def _chunked_search(chi, points_per_period):
-    """``gqze_interval`` with its window scanned whole by ``_chunked_scan``,
-    without the certified skips of ``_window_scan``."""
-    return indicators._gqze_search(indicators._chunked_scan, chi, 0.5, points_per_period)
+def _search_without_skips(chi, points_per_period):
+    """``gqze_interval`` with its window searched whole by the forward
+    ``_chunked_search``, without the certified skips of ``_window_scan``."""
+    with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", 0):
+        return gqze_interval(chi, points_per_period=points_per_period)
 
 
 class TestGqzeChunkedScan:
     """The window scan must agree bit for bit with the dense grid, whatever
     the grid and however the windows compare with the first chunk. The
-    chunked scan it falls back to runs in chunks of 1024, 2048, ... points
-    and stops at the chunk holding the crossing. The checks named after
-    couplings, which the search once took, now vary the grid through
-    ``_scaled_grid``."""
+    forward chunked search it falls back to runs in chunks of 1024, 2048,
+    ... points and stops at the chunk holding the crossing; the backward
+    search for the bracket's left end runs in chunks of 16, 32, ... points
+    and stops at index 1. The checks named after couplings, which the search
+    once took, now vary the grid through ``_scaled_grid``."""
 
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
     @pytest.mark.parametrize("scale", [0.37, 2.3])
@@ -732,8 +734,8 @@ class TestGqzeChunkedScan:
             return survival(chi_value, w, times)
 
         with mock.patch.object(indicators, "survival_probability", record_survival):
-            end = indicators._chunked_scan(chi, 2.0, step, *window)
-        assert end == math.pi
+            crossing = indicators._chunked_search(chi, 2.0, step, *window)
+        assert crossing is None
         assert [times.size for times in times_seen] == sizes
         indices = np.concatenate(times_seen) / step
         assert np.array_equal(np.round(indices), np.arange(window[0], window[1] + 1))
@@ -807,12 +809,12 @@ class TestGqzeChunkedScan:
 
         with mock.patch.object(indicators, "survival_probability", record_survival), \
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
-            _chunked_search(chi, **_scaled_grid(scale))
+            _search_without_skips(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
-        # The backward seed of the bracket's left end runs after the crossing
-        # chunk when it runs at all, and starts before the window. So the
-        # forward chunks are the calls up to the first one that does not
-        # continue the chunk before it.
+        # The backward search for the bracket's left end runs after the
+        # crossing chunk and starts inside it. So the forward chunks are the
+        # calls up to the first one that does not continue the chunk before
+        # it.
         forward = times_seen[:1]
         for times in times_seen[1:]:
             if times[0] <= forward[-1][-1]:
@@ -825,6 +827,87 @@ class TestGqzeChunkedScan:
         after = sum(np.count_nonzero(times > right) for times in times_seen)
         up_to = sum(np.count_nonzero(times <= right) for times in times_seen)
         assert after <= up_to + 1024
+
+
+@st.composite
+def _backward_starts(draw):
+    """A log-uniform chi up to 100, a grid of 50 to 2000 points per period,
+    and a start index up to 1.5 pi on it, so that a brute-force scan from
+    index 1 stays below about 1.5e5 points."""
+    chi = 10.0 ** draw(st.floats(min_value=math.log10(3.2e-7), max_value=2.0))
+    points_per_period = draw(st.integers(min_value=50, max_value=2000))
+    step = _step(chi, points_per_period)
+    start = draw(st.integers(min_value=1, max_value=math.ceil(1.5 * math.pi / step)))
+    return chi, points_per_period, start
+
+
+class TestGqzeBackwardSearch:
+    """The backward ``_chunked_search`` seeds the bracket's left end: the
+    last grid index before the crossing whose gap is clearly positive."""
+
+    def test_chunks_double_and_stop_at_index_one(self):
+        # With no gap clearly positive the search runs from ``start`` down to
+        # index 1 in chunks of 16, 32, 64, ..., capped at 65536.
+        start, step = 200_000, 1e-3
+        seen = []
+
+        def record_gaps(chi_value, w, times):
+            seen.append(np.array(times))
+            return np.zeros(times.size)
+
+        with mock.patch.object(indicators, "_gaps", record_gaps):
+            assert indicators._chunked_search(2.0, 2.0, step, start, 1, forward=False) is None
+        doubling = [16 << k for k in range(12)]  # 16, ..., 32768
+        assert [times.size for times in seen] == doubling + [65536, 65536, 3408]
+        indices = np.round(np.concatenate(seen[::-1]) / step)
+        assert np.array_equal(indices, np.arange(1, start + 1))
+
+    @settings(max_examples=100)
+    @given(case=_backward_starts())
+    def test_matches_brute_force_scan(self, case):
+        chi, points_per_period, start = case
+        w = math.sqrt(1.0 + chi * chi)
+        step = _step(chi, points_per_period)
+        times = np.arange(1, start + 1) * step
+        gap = survival_probability(chi, w, times) - np.cos(times) ** 2
+        positive = np.nonzero(gap > 1e-13)[0]
+        expected = int(positive[-1]) + 1 if positive.size else None
+        assert indicators._chunked_search(chi, w, step, start, 1, forward=False) == expected
+
+    def test_no_clearly_positive_point_gives_left_end_zero(self):
+        # At chi = 4e-7 the gap's first positive lobe peaks near 0.06 chi^2,
+        # below 1e-13, so no point before the crossing is clearly positive:
+        # the search walks back to index 1, a few thousand points, and the
+        # bracket opens at 0.
+        chi = 4e-7
+        seen, brackets = [], []
+        survival = indicators.survival_probability
+        bisect = indicators._bisect_gap
+
+        def record_survival(chi_value, w, times):
+            seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        def record_bisect(*args):
+            brackets.append(args[2:])
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival), \
+                mock.patch.object(indicators, "_bisect_gap", record_bisect):
+            windowed = gqze_interval(chi)
+        [(left, right)] = brackets
+        assert left == 0.0
+        assert windowed == gqze_interval_grid(chi)
+        step = _step(chi)
+        right_index = round(right / step)
+        w = math.sqrt(1.0 + chi * chi)
+        assert indicators._chunked_search(chi, w, step, right_index - 1, 1, forward=False) is None
+        # The backward search runs after every forward call, and only the
+        # forward calls reach the crossing.
+        reaching = [k for k, times in enumerate(seen) if times.max() >= right]
+        backward = np.concatenate(seen[reaching[-1] + 1:] if reaching else seen)
+        assert np.array_equal(np.sort(np.round(backward / step)), np.arange(1, right_index))
+        assert 1000 < backward.size < 10_000
 
 
 def _step(chi, points_per_period=10_000):
@@ -897,7 +980,8 @@ def _dense_feasible_grids(draw):
 class TestGqzeSkipScan:
     """The window scan of ``gqze_interval`` skips the grid points that the
     slope bound in its docstring certifies are not clearly negative, and
-    hands the window to ``_chunked_scan`` after _MAX_SKIP_EVALUATIONS gaps.
+    hands the window to the forward ``_chunked_search`` after
+    _MAX_SKIP_EVALUATIONS gaps.
     It finds the first clearly negative point of the dense grid, and so the
     dense twin's bracket and t_chi, bit for bit."""
 
@@ -947,18 +1031,19 @@ class TestGqzeSkipScan:
     )
     def test_fallback_bracket_matches_dense_grid(self, chi, budget):
         starts, brackets = [], []
-        chunked, bisect = indicators._chunked_scan, indicators._bisect_gap
+        chunked, bisect = indicators._chunked_search, indicators._bisect_gap
 
-        def record_chunked(chi_value, w, step, first, last):
-            starts.append(first)
-            return chunked(chi_value, w, step, first, last)
+        def record_chunked(chi_value, w, step, start, stop, forward=True):
+            if forward:
+                starts.append(start)
+            return chunked(chi_value, w, step, start, stop, forward)
 
         def record_bisect(*args):
             brackets.append(args[2:])
             return bisect(*args)
 
         with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", budget), \
-                mock.patch.object(indicators, "_chunked_scan", record_chunked), \
+                mock.patch.object(indicators, "_chunked_search", record_chunked), \
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
             windowed = gqze_interval(chi)
         assert windowed == gqze_interval_grid(chi)
@@ -970,15 +1055,17 @@ class TestGqzeSkipScan:
 
     def test_short_window_goes_to_the_chunked_scan(self):
         # At 60 points per period the window of chi = 20 holds about 42
-        # points, fewer than the gap budget: it is scanned whole, in one call.
+        # points, fewer than the gap budget: it is searched whole, in one
+        # forward call.
         windows = []
-        chunked = indicators._chunked_scan
+        chunked = indicators._chunked_search
 
-        def record_chunked(chi_value, w, step, first, last):
-            windows.append((first, last))
-            return chunked(chi_value, w, step, first, last)
+        def record_chunked(chi_value, w, step, start, stop, forward=True):
+            if forward:
+                windows.append((start, stop))
+            return chunked(chi_value, w, step, start, stop, forward)
 
-        with mock.patch.object(indicators, "_chunked_scan", record_chunked):
+        with mock.patch.object(indicators, "_chunked_search", record_chunked):
             windowed = gqze_interval(20.0, points_per_period=60)
         [(first, last)] = windows
         assert last - first < indicators._MAX_SKIP_EVALUATIONS
