@@ -26,6 +26,20 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The flags are built once and shared by every mode: each add_argument
+    # call builds a help formatter, which queries the terminal size.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", metavar="PATH", help="INI config file")
+    for f in fields(RunConfig):
+        if f.name == "mode":  # set by the subcommand
+            continue
+        flags.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=f.metadata["type"],
+            metavar=f.metadata["metavar"],
+            help=f.metadata["help"],
+        )
     parser = argparse.ArgumentParser(
         prog="zenoion",
         description=(
@@ -35,19 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
     for mode, spec in MODES.items():
-        sub = subparsers.add_parser(mode, help=spec.help)
+        sub = subparsers.add_parser(mode, help=spec.help, parents=[flags])
         sub._negative_number_matcher = _NEGATIVE_NUMBER
-        sub.add_argument("--config", metavar="PATH", help="INI config file")
-        for f in fields(RunConfig):
-            if f.name == "mode":  # set by the subcommand
-                continue
-            sub.add_argument(
-                "--" + f.name.replace("_", "-"),
-                dest=f.name,
-                type=f.metadata["type"],
-                metavar=f.metadata["metavar"],
-                help=f.metadata["help"],
-            )
     return parser
 
 

@@ -58,10 +58,11 @@ _MAX_SKIP_EVALUATIONS = 64
 _SKIP_MARGIN = 1e-14
 
 # Grid points in the first chunk of the chunked gqze search, forward to the
-# crossing and back to the bracket's left end, which mostly lies a few points
-# before it; every further chunk is twice as long, up to _MAX_CHUNK, so the
-# search stops soon after its hit and no chunk outgrows 512 KiB per float64
-# temporary.
+# crossing and back to the bracket's left end; every further chunk is twice
+# as long, up to _MAX_CHUNK, so the search stops soon after its hit and no
+# chunk outgrows 512 KiB per float64 temporary. The left end mostly lies just
+# before the crossing: _FIRST_SEED_CHUNK points back are walked on Python
+# floats first, and only the grid further back is searched in chunks.
 _FIRST_CHUNK = 1024
 _FIRST_SEED_CHUNK = 16
 _MAX_CHUNK = 1 << 16
@@ -130,14 +131,17 @@ def time_of_min(chi):
     and pi / w for chi > 1 (the bottom of the cosine), w = sqrt(1 + chi^2).
     Continuous at chi = 1, where it is also maximal.
 
-    The arccos is numpy's for a scalar chi too: ``math.acos`` differs from
-    it in the last bit on some inputs.
+    The arccos is libm's ``math.acos``, taken per element for an array:
+    numpy picks its ``arccos`` kernel by CPU, and with AVX-512 it differs
+    from libm in the last bit on some inputs, so t_m would depend on the
+    host.
     """
     _, chi_sq = _chi_array(chi)
-    if isinstance(chi_sq, float) and chi_sq > 1.0:
-        phase = math.pi  # no arccos for _where to discard
+    if isinstance(chi_sq, float):
+        phase = math.acos(-chi_sq) if chi_sq <= 1.0 else math.pi
     else:
-        phase = _where(chi_sq <= 1.0, np.arccos(np.maximum(-chi_sq, -1.0)), math.pi)
+        acos = np.vectorize(math.acos, otypes=[float])
+        phase = np.where(chi_sq <= 1.0, acos(np.maximum(-chi_sq, -1.0)), math.pi)
     return phase / _sqrt(1.0 + chi_sq)
 
 
@@ -320,13 +324,17 @@ def gqze_interval(
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
-    on Python floats (``_bisect_gap``). The left end always comes from the
-    chunked search run backward from the point before the crossing, in
-    chunks of 16, 32, 64, ... points down to index 1; it is 0 if no point
-    there is clearly positive. So the bracket is that of
-    ``gqze_interval_grid`` at every chi. The bisection stops at its fixed
-    point, where a halving no longer moves the bracket, and so returns the
-    same float as a fixed 80 halvings after about 40 of them.
+    on Python floats (``_bisect_gap``). The left end (``_bracket_left``) is
+    found by walking back from the point before the crossing on Python
+    floats, with the gap arithmetic of ``_bisect_gap``, for at most 16
+    points; on the sweep grid of 0.05 steps to chi = 20 it is the point just
+    before the crossing at every chi. Only if none of those 16 points is
+    clearly positive does the chunked search take the rest of the grid,
+    backward in chunks of 16, 32, 64, ... points down to index 1; the left
+    end is 0 if no point there is clearly positive. So the bracket is that of ``gqze_interval_grid`` at
+    every chi. The bisection stops at its fixed point, where a halving no
+    longer moves the bracket, and so returns the same float as a fixed 80
+    halvings after about 40 of them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -338,9 +346,10 @@ def gqze_interval(
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi. A window of more than
     2e8 grid points is a ``ValueError`` too. The bound counts the window
-    only: the backward search may also walk back over the grid before it,
-    as far as index 1 at chi below about 2e-6, where no gap before pi/2
-    clears the tolerance.
+    only: the search for the bracket's left end may also go back over the
+    grid before it. Past its 16-point walk that is the backward chunked
+    search, which reaches as far as index 1 at chi below about 2e-6, where
+    no gap before pi/2 clears the tolerance.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
@@ -354,7 +363,7 @@ def _window_scan(chi_value: float, w: float, step: float, first: int, last: int)
     first, ..., last in ``gqze_interval``. After _MAX_SKIP_EVALUATIONS gaps
     the rest of the window goes to the forward ``_chunked_search``, and so
     does the whole of a window no longer than that; the bracket's left end
-    comes from the backward search."""
+    comes from ``_bracket_left``."""
     index, crossing = first, None
     if last - first >= _MAX_SKIP_EVALUATIONS:
         chi_sq = chi_value * chi_value
@@ -379,8 +388,31 @@ def _window_scan(chi_value: float, w: float, step: float, first: int, last: int)
         crossing = _chunked_search(chi_value, w, step, index, last)
         if crossing is None:
             return math.pi
-    left = _chunked_search(chi_value, w, step, crossing - 1, 1, forward=False)
-    return _bisect_gap(chi_value, w, 0.0 if left is None else left * step, crossing * step)
+    left = _bracket_left(chi_value, w, step, crossing)
+    return _bisect_gap(chi_value, w, left * step, crossing * step)
+
+
+def _bracket_left(chi_value: float, w: float, step: float, crossing: int) -> int:
+    """The last grid index before ``crossing`` whose gap is clearly positive,
+    or 0 if there is none: the left end of the gqze bracket.
+
+    The gaps of the _FIRST_SEED_CHUNK points before ``crossing`` are formed
+    on Python floats, one at a time, with the arithmetic of ``_bisect_gap``;
+    only if none of them is clearly positive do the indices further back,
+    down to 1, go to the backward ``_chunked_search``.
+    """
+    chi_sq = chi_value * chi_value
+    scale = chi_sq + 1.0
+    cos = math.cos
+    stop = max(crossing - _FIRST_SEED_CHUNK, 1)
+    for index in range(crossing - 1, stop - 1, -1):
+        t = index * step
+        hindered = (chi_sq + cos(w * t)) / scale
+        reference = cos(t)
+        if hindered * hindered - reference * reference > _CROSSING_TOL:
+            return index
+    left = _chunked_search(chi_value, w, step, stop - 1, 1, forward=False)
+    return 0 if left is None else left
 
 
 def _chunked_search(
@@ -389,6 +421,13 @@ def _chunked_search(
     """The first grid index from ``start`` towards ``stop``, both included,
     whose gap is clearly negative going forward or clearly positive going
     back; None if there is none.
+
+    Forward, it is the gqze window scan's fallback once the certified skips
+    have spent their budget. Back, it is the numpy tail of the bracket's
+    left end: ``_bracket_left`` hands it the grid past its 16-point scalar
+    walk. At 10,000 points per period that happens below chi of about 2e-6,
+    and at some chi above about 8e4, where the gap stays within the
+    tolerance for more than 16 points before the crossing.
 
     The indices run in chunks of _FIRST_CHUNK points forward and
     _FIRST_SEED_CHUNK back, each chunk twice as long as the one before, at

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 import zenoion
 import zenoion.runner
-from zenoion.cli import main
-from zenoion.config import ConfigError, RunConfig, load_config
+from zenoion.cli import build_parser, main
+from zenoion.config import MODES, ConfigError, RunConfig, load_config
 from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
 from zenoion.indicators import angular_frequency, mean_survival, min_survival, poincare_time
 from zenoion.runner import (
@@ -437,6 +438,22 @@ class TestSweepAndIndicators:
         code = main(["sweep", "--chi-max", "20", "--chi-step", "0.05", "--out", str(tmp_path)])
         assert code == 0
         assert sum(points) <= chunked_scan_points // 10
+
+    def test_sweep_seeds_every_bracket_on_floats(self, tmp_path, monkeypatch, capsys):
+        # On this grid the bracket's left end is the point just before the
+        # crossing at every chi, so the scalar walk back finds it and no
+        # backward chunked search runs; the forward fallback still does.
+        directions = []
+        chunked = zenoion.indicators._chunked_search
+
+        def record(chi, w, step, start, stop, forward=True):
+            directions.append(forward)
+            return chunked(chi, w, step, start, stop, forward)
+
+        monkeypatch.setattr(zenoion.indicators, "_chunked_search", record)
+        code = main(["sweep", "--chi-max", "20", "--chi-step", "0.05", "--out", str(tmp_path)])
+        assert code == 0
+        assert directions and all(directions)
 
     def test_single_point_sweep_via_chi(self, tmp_path):
         config = load_config(
@@ -990,12 +1007,17 @@ class TestCliEntry:
         _, data = read_columns(tmp_path / "evolve.csv")
         np.testing.assert_allclose(data["p1"] + data["p2"], 1.0, atol=1e-12)
 
-    def test_negative_exponent_values_are_values(self, tmp_path, capsys):
-        # argparse before Python 3.13 reads "-1e-3" as an option.
-        argv = ["evolve", "--gamma1", "1", "--gamma2", "-1e-3", "--samples", "10"]
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert (tmp_path / "evolve.csv").exists()
-        assert main(["evolve", "--chi", "-1e-3", "--out", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_negative_exponent_values_are_values(self, mode, tmp_path, capsys):
+        # argparse before Python 3.13 reads "-1e-3" as an option; every mode
+        # carries the matcher that reads it as a value.
+        namespace = build_parser().parse_args([mode, "--gamma2", "-1e-3", "--eta-a", "-2.5E+1"])
+        assert (namespace.mode, namespace.gamma2, namespace.eta_a) == (mode, -1e-3, -25.0)
+        if mode == "evolve":
+            argv = ["evolve", "--gamma1", "1", "--gamma2", "-1e-3", "--samples", "10"]
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            assert (tmp_path / "evolve.csv").exists()
+        assert main([mode, "--chi", "-1e-3", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "config error: chi must be >= 0\n"
 
     def test_example_config_runs(self, tmp_path):
@@ -1135,6 +1157,53 @@ _SPELLINGS = {
 
 # Fields that are only valid together.
 _GROUPS = (("gamma1", "gamma2"), ("omega_a", "eta_a", "omega_b", "eta_b"))
+
+
+class TestParser:
+    """The flags are built once, on a parent parser that every mode shares."""
+
+    @staticmethod
+    def _flags(parser):
+        """(option_strings, dest, type, metavar, help) of every action but -h."""
+        return [
+            (action.option_strings, action.dest, action.type, action.metavar, action.help)
+            for action in parser._actions
+            if action.dest != "help"
+        ]
+
+    def test_every_mode_has_the_same_flags_in_field_order(self):
+        [subparsers] = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(subparsers.choices) == list(MODES)
+        expected = [(["--config"], "config", None, "PATH", "INI config file")] + [
+            (
+                ["--" + f.name.replace("_", "-")],
+                f.name,
+                f.metadata["type"],
+                f.metadata["metavar"],
+                f.metadata["help"],
+            )
+            for f in fields(RunConfig)
+            if f.name != "mode"
+        ]
+        for sub in subparsers.choices.values():
+            assert self._flags(sub) == expected
+
+    def test_flags_are_added_once(self, monkeypatch):
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def record(container, *args, **kwargs):
+            calls.append(args)
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", record)
+        build_parser()
+        # Every parser adds its own -h internally; that call is not counted.
+        flags = [args for args in calls if args != ("-h", "--help")]
+        assert len(flags) <= len(fields(RunConfig)) + 1
 
 
 class TestFlagsMatchIniKeys:

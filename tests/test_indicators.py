@@ -251,6 +251,21 @@ class TestTimeOfMin:
     def test_matches_first_grid_argmin(self, chi):
         assert abs(time_of_min(chi) - time_of_min_grid(chi)) <= 1e-7
 
+    def test_arccos_is_libm_for_scalars_and_arrays(self):
+        # numpy's arccos kernel depends on the CPU; libm's does not. 0.70,
+        # 0.75 and 0.85 are sweep grid points where an AVX-512 kernel
+        # differs from libm in the last bit.
+        rng = np.random.default_rng(13)
+        chis = np.concatenate([[0.0, 0.64, 0.7, 0.74, 0.75, 0.85, 1.0], rng.uniform(0, 1, 1993)])
+        expected = [math.acos(-c * c) / math.sqrt(1.0 + c * c) for c in chis.tolist()]
+        assert [time_of_min(c) for c in chis.tolist()] == expected
+        assert time_of_min(chis).tolist() == expected
+        assert time_of_min(chis.reshape(40, 50)).ravel().tolist() == expected
+        above = np.array([1.5, 2.0, 1e3])
+        assert time_of_min(np.append(chis, above)).tolist() == expected + (
+            math.pi / np.sqrt(1.0 + above * above)
+        ).tolist()
+
 
 class TestMeanSurvival:
     def test_two_level_average(self):
@@ -687,9 +702,10 @@ class TestGqzeChunkedScan:
     the grid and however the windows compare with the first chunk. The
     forward chunked search it falls back to runs in chunks of 1024, 2048,
     ... points and stops at the chunk holding the crossing; the backward
-    search for the bracket's left end runs in chunks of 16, 32, ... points
-    and stops at index 1. The checks named after couplings, which the search
-    once took, now vary the grid through ``_scaled_grid``."""
+    search, the numpy tail of the bracket's left end, runs in chunks of 16,
+    32, ... points and stops at index 1. The checks named after couplings,
+    which the search once took, now vary the grid through
+    ``_scaled_grid``."""
 
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
     @pytest.mark.parametrize("scale", [0.37, 2.3])
@@ -811,10 +827,10 @@ class TestGqzeChunkedScan:
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
             _search_without_skips(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
-        # The backward search for the bracket's left end runs after the
-        # crossing chunk and starts inside it. So the forward chunks are the
-        # calls up to the first one that does not continue the chunk before
-        # it.
+        # A backward numpy search for the bracket's left end, if any, runs
+        # after the crossing chunk and starts inside it. So the forward
+        # chunks are the calls up to the first one that does not continue
+        # the chunk before it.
         forward = times_seen[:1]
         for times in times_seen[1:]:
             if times[0] <= forward[-1][-1]:
@@ -842,8 +858,9 @@ def _backward_starts(draw):
 
 
 class TestGqzeBackwardSearch:
-    """The backward ``_chunked_search`` seeds the bracket's left end: the
-    last grid index before the crossing whose gap is clearly positive."""
+    """The backward ``_chunked_search`` is the numpy tail of the bracket's
+    left end: the last grid index at or before ``start`` whose gap is
+    clearly positive."""
 
     def test_chunks_double_and_stop_at_index_one(self):
         # With no gap clearly positive the search runs from ``start`` down to
@@ -877,8 +894,9 @@ class TestGqzeBackwardSearch:
     def test_no_clearly_positive_point_gives_left_end_zero(self):
         # At chi = 4e-7 the gap's first positive lobe peaks near 0.06 chi^2,
         # below 1e-13, so no point before the crossing is clearly positive:
-        # the search walks back to index 1, a few thousand points, and the
-        # bracket opens at 0.
+        # the scalar walk back finds none in its 16 points, the numpy tail
+        # tiles every index from J - 17 down to 1, a few thousand points,
+        # and the bracket opens at 0.
         chi = 4e-7
         seen, brackets = [], []
         survival = indicators.survival_probability
@@ -902,12 +920,107 @@ class TestGqzeBackwardSearch:
         right_index = round(right / step)
         w = math.sqrt(1.0 + chi * chi)
         assert indicators._chunked_search(chi, w, step, right_index - 1, 1, forward=False) is None
-        # The backward search runs after every forward call, and only the
-        # forward calls reach the crossing.
+        assert indicators._bracket_left(chi, w, step, right_index) == 0
+        # The numpy tail runs after every forward call, and only the forward
+        # calls reach the crossing.
         reaching = [k for k, times in enumerate(seen) if times.max() >= right]
         backward = np.concatenate(seen[reaching[-1] + 1:] if reaching else seen)
-        assert np.array_equal(np.sort(np.round(backward / step)), np.arange(1, right_index))
-        assert 1000 < backward.size < 10_000
+        walk = indicators._FIRST_SEED_CHUNK
+        assert np.array_equal(np.sort(np.round(backward / step)), np.arange(1, right_index - walk))
+        assert 1000 < backward.size + walk < 10_000
+
+
+@st.composite
+def _left_end_cases(draw):
+    """A chi, its grid step and brute-force gaps at indices 1 to ``start``
+    (from ``_backward_starts``), and a crossing index J on that grid.
+
+    J is either ``start`` + 1 or, for a drawn distance d, d points past a
+    clearly positive index p with no clearly positive index between them,
+    so that the left end lies d points back from J: d = 1, 15 and 16 are
+    found by the scalar walk, 17 and more by the numpy tail."""
+    chi, points_per_period, start = draw(_backward_starts())
+    w = math.sqrt(1.0 + chi * chi)
+    step = _step(chi, points_per_period)
+    times = np.arange(1, start + 1) * step
+    gap = survival_probability(chi, w, times) - np.cos(times) ** 2
+    positive = np.nonzero(gap > 1e-13)[0] + 1
+    crossing = start + 1
+    back = draw(st.sampled_from([None, 1, 2, 15, 16, 17, 18, 100, 1000]))
+    if back is not None and positive.size:
+        following = np.append(positive[1:], start + 1)
+        candidates = positive[(following - positive >= back) & (positive + back <= start + 1)]
+        if candidates.size:
+            crossing = int(candidates[draw(st.integers(0, candidates.size - 1))]) + back
+    return chi, w, step, positive, crossing
+
+
+class TestBracketLeft:
+    """``_bracket_left`` walks back from the crossing on Python floats for at
+    most _FIRST_SEED_CHUNK points and hands the indices further back to the
+    backward ``_chunked_search``; either way it returns the last clearly
+    positive index before the crossing, or 0."""
+
+    @settings(max_examples=150)
+    @given(case=_left_end_cases())
+    def test_matches_brute_force_scan(self, case):
+        chi, w, step, positive, crossing = case
+        before = positive[positive < crossing]
+        expected = int(before[-1]) if before.size else 0
+        assert indicators._bracket_left(chi, w, step, crossing) == expected
+
+    @staticmethod
+    def _traced_left_end(chi, points_per_period, crossing):
+        """``_bracket_left`` at ``crossing``, the brute-force left end, and
+        the grid indices whose gaps numpy computed, in order."""
+        w = math.sqrt(1.0 + chi * chi)
+        step = _step(chi, points_per_period)
+        times = np.arange(1, crossing) * step
+        gap = survival_probability(chi, w, times) - np.cos(times) ** 2
+        positive = np.nonzero(gap > 1e-13)[0] + 1
+        computed = []
+        survival = indicators.survival_probability
+
+        def record(chi_value, w, times):
+            computed.extend(np.round(np.asarray(times) / step).astype(int).tolist())
+            return survival(chi_value, w, times)
+
+        with mock.patch.object(indicators, "survival_probability", record):
+            left = indicators._bracket_left(chi, w, step, crossing)
+        return left, int(positive[-1]) if positive.size else 0, computed
+
+    # At chi = 4e-7 no index before pi/2 is clearly positive, and at chi =
+    # 1e-3 on a 50-point grid index 1 already is. A crossing up to 17 is
+    # walked down to index 1 and leaves numpy nothing to compute; past it
+    # the numpy tail covers every index from J - 17 down to 1.
+    @pytest.mark.parametrize(
+        "chi, points_per_period, crossing, expected",
+        [(4e-7, 10_000, 2, 0), (4e-7, 10_000, 17, 0), (4e-7, 10_000, 18, 0),
+         (4e-7, 10_000, 2500, 0), (1e-3, 50, 2, 1)],
+    )
+    def test_left_ends_zero_and_one(self, chi, points_per_period, crossing, expected):
+        left, brute_force, computed = self._traced_left_end(chi, points_per_period, crossing)
+        assert left == brute_force == expected
+        tail = range(1, crossing - indicators._FIRST_SEED_CHUNK) if expected == 0 else []
+        assert sorted(computed) == list(tail)
+
+    # At chi = 2e-6 the gap's first positive lobe clears 1e-13 only on a band
+    # of grid points that ends about 110 points before pi/2 (index 2500),
+    # and the first clearly negative point lies about 80 points past pi/2. A
+    # crossing placed ``back`` points past the band's last index puts the
+    # left end that far back: up to 16 the walk finds it with no numpy call,
+    # from 17 the numpy tail does, starting at J - 17.
+    @pytest.mark.parametrize("back", [1, 2, 15, 16, 17, 18, 150])
+    def test_left_end_back_from_the_crossing(self, back):
+        chi = 2e-6
+        _, band_end, _ = self._traced_left_end(chi, 10_000, 2500)
+        assert 2300 < band_end < 2400
+        crossing = band_end + back
+        left, brute_force, computed = self._traced_left_end(chi, 10_000, crossing)
+        assert left == brute_force == band_end
+        walk = indicators._FIRST_SEED_CHUNK
+        top = crossing - walk - 1 if back > walk else None
+        assert (max(computed) if computed else None) == top
 
 
 def _step(chi, points_per_period=10_000):
@@ -935,8 +1048,9 @@ def _skip_scan_indices(chi, points_per_period=10_000):
     ``gqze_interval`` forms on Python floats, in order.
 
     The scan forms each gap from cos(w t) and then cos(t), so every second
-    ``math.cos`` argument is a grid time. The bisection is stubbed out, so
-    its own cosines are not recorded."""
+    ``math.cos`` argument is a grid time. The walk back for the bracket's
+    left end and the bisection are stubbed out, so their own cosines are not
+    recorded."""
     arguments = []
 
     def record_cos(x):
@@ -946,6 +1060,7 @@ def _skip_scan_indices(chi, points_per_period=10_000):
     spy_math = types.SimpleNamespace(**vars(math))
     spy_math.cos = record_cos
     with mock.patch.object(indicators, "math", spy_math), \
+            mock.patch.object(indicators, "_bracket_left", lambda chi, w, step, crossing: 0), \
             mock.patch.object(indicators, "_bisect_gap", lambda chi, w, left, right: right):
         gqze_interval(chi, points_per_period=points_per_period)
     step = _step(chi, points_per_period)
@@ -1142,8 +1257,8 @@ class TestBisectGap:
 
 class TestGqzeQuarterPeriodSkip:
     """The lemma of ``gqze_interval`` puts the gap at or above 0 for t <=
-    pi/2. Above chi of about 1 only the backward seed of the bracket's left
-    end samples there; below it the window also starts a few points before
+    pi/2. Above chi of about 1 only the search for the bracket's left end
+    could sample there; below it the window also starts a few points before
     pi/2."""
 
     @settings(max_examples=300)
@@ -1161,18 +1276,29 @@ class TestGqzeQuarterPeriodSkip:
 
     @pytest.mark.parametrize("chi", [2.0, 20.0, 1e3, 1e4])
     def test_points_before_quarter_period_are_one_short_seed(self, chi):
-        times_seen = []
+        # The scalar code forms each gap from cos(w t) and then cos(t), so
+        # every second ``math.cos`` argument is a time it samples.
+        times_seen, arguments = [], []
         survival = indicators.survival_probability
 
         def record_survival(chi_value, w, times):
             times_seen.append(np.array(times))
             return survival(chi_value, w, times)
 
-        with mock.patch.object(indicators, "survival_probability", record_survival):
+        def record_cos(x):
+            arguments.append(x)
+            return math.cos(x)
+
+        spy_math = types.SimpleNamespace(**vars(math))
+        spy_math.cos = record_cos
+        with mock.patch.object(indicators, "survival_probability", record_survival), \
+                mock.patch.object(indicators, "math", spy_math):
             gqze_interval(chi)
         early = [times for times in times_seen if np.any(times <= 0.5 * math.pi)]
         assert len(early) <= 1
         assert all(times.size <= 64 and np.all(times <= 0.5 * math.pi) for times in early)
+        early_scalar = [t for t in arguments[1::2] if t <= 0.5 * math.pi]
+        assert len(early_scalar) <= indicators._FIRST_SEED_CHUNK
 
     # Below chi ~ 2e-6 no gap up to pi/2 clears 1e-13 and the seed walks back
     # over several chunks to 0; above it one short seed chunk suffices.
