@@ -402,8 +402,14 @@ def survival_probability(chi, angular_frequency, t):
     ((chi^2 + cos(w t)) / (chi^2 + 1))^2 with chi the modulus of the block
     coupling ratio and w the block angular frequency. chi must be a scalar
     (an array or a list is a ``ValueError``), finite and >= 0, with a finite
-    square. ``t`` is a scalar or an array, and so is the result. Both are
-    computed in one buffer (0-d for a scalar) and squared as x * x.
+    square. ``t`` is a scalar or an array, and so is the result; the square
+    is x * x.
+
+    A scalar time (a Python or numpy number, or a 0-d array) runs on Python
+    floats with ``math.cos`` and gives a Python float; an array is computed
+    in one buffer. Both take the same float64 operations in the same order,
+    so a scalar time gets the bits of the same time inside an array (the
+    test suite checks that ``math.cos`` matches numpy's ``cos``).
 
     A scalar time whose phase w t is not finite raises ``ValueError``, as in
     the propagators. An array is not checked, to keep its cost: a non-finite
@@ -414,15 +420,17 @@ def survival_probability(chi, angular_frequency, t):
         raise ValueError("angular_frequency must be finite and > 0")
     _check_scalar(chi)
     _, chi_sq = _chi_array(chi)
+    if isinstance(t, float) or np.ndim(t) == 0:
+        phase = _finite_phase(w, float(t))
+        value = (chi_sq + math.cos(phase)) / (chi_sq + 1.0)
+        return value * value
     times = np.asarray(t, dtype=float)
-    if times.ndim == 0:
-        _finite_phase(w, float(times))
     result = np.multiply(w, times, out=np.empty_like(times))
     np.cos(result, out=result)
     result += chi_sq
     result /= chi_sq + 1.0
     np.square(result, out=result)
-    return float(result) if result.ndim == 0 else result
+    return result
 
 
 def level_probabilities(state: VibronicState) -> tuple[float, float, float]:

@@ -528,8 +528,8 @@ def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
     The gap is formed inline on Python floats, bit for bit
     ``survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)``:
     each term is the same float64 operations in the same order, squares
-    included (x * x). ``math.cos`` matching numpy's 0-d ``cos`` is checked by
-    the test suite, not assumed.
+    included (x * x). ``math.cos`` matching numpy's array ``cos`` is checked
+    by the test suite, not assumed.
     """
     chi_sq = chi * chi
     scale = chi_sq + 1.0

@@ -9,8 +9,10 @@ significant digits so the files round-trip 64-bit values exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -442,35 +444,41 @@ _ONE_CHAIN_PATTERNS = (
 )
 
 
-def _random_gamma(rng: np.random.Generator) -> complex:
-    """A coupling constant of magnitude in [0.3, 2) and uniform phase."""
-    return rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0.0, math.tau))
+def _random_gamma(rng: random.Random) -> complex:
+    """A coupling constant of magnitude in [0.3, 2] and uniform phase."""
+    return rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(0.0, math.tau))
 
 
-def _random_case(rng: np.random.Generator, block: BlockSystem):
+def _random_case(rng: random.Random, block: BlockSystem):
     """(block, random unit state, random time within three periods of 0); a
-    block without dynamics takes the time unit as its period."""
+    block without dynamics takes the time unit as its period. The state's
+    real parts, then its imaginary parts, are standard normal draws,
+    normalised."""
     frequency = block.angular_frequency
     period = math.tau / frequency if frequency > 0 else 1.0
     time = rng.uniform(-3.0, 3.0) * period
-    amps = rng.standard_normal(block.dimension) + 1j * rng.standard_normal(block.dimension)
-    return block, VibronicState(amps / np.linalg.norm(amps)), time
+    # gauss takes its arguments explicitly: Python 3.10 gives them no defaults.
+    parts = [rng.gauss(0.0, 1.0) for _ in range(2 * block.dimension)]
+    norm = math.hypot(*parts)
+    amps = [complex(re, im) / norm for re, im in zip(parts, parts[block.dimension:])]
+    return block, VibronicState(amps), time
 
 
-def random_cases(rng: np.random.Generator, count: int = 100):
-    """Randomized (block, state, time) cases spanning chi in [0, 20].
+def random_cases(rng: random.Random, count: int = 100) -> list:
+    """Randomized (block, state, time) cases spanning chi in [0, 20], drawn
+    from ``rng``, a ``random.Random``.
 
-    Yields three-chain blocks with chi swept uniformly over [0, 20] (random
-    coupling phases and magnitudes), plus a tail of two- and one-chain
-    blocks so every dimension is exercised.
+    Returns a list: ``count`` three-chain blocks with chi swept uniformly
+    over [0, 20] (random coupling phases and magnitudes), then a tail of
+    two- and one-chain blocks so every dimension is exercised.
     """
     cases = []
-    for index, target in enumerate(np.linspace(0.0, 20.0, count)):
+    for index, target in enumerate(np.linspace(0.0, 20.0, count).tolist()):
         n, r, l = _THREE_CHAIN_PATTERNS[index % len(_THREE_CHAIN_PATTERNS)]
         mode = ModeVector.of(n)
         ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
         gamma1 = _random_gamma(rng)
-        gamma2 = target * gamma1 * ratio * np.exp(1j * rng.uniform(0.0, math.tau))
+        gamma2 = target * gamma1 * ratio * cmath.exp(1j * rng.uniform(0.0, math.tau))
         block = build_block(mode, SidebandPattern(r, l), CouplingConstants(gamma1, gamma2))
         cases.append(_random_case(rng, block))
     for n, r, l in _TWO_CHAIN_PATTERNS + _ONE_CHAIN_PATTERNS:
@@ -535,7 +543,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
     Each check is one row of a table: its name, its tolerance and its
     deviations over the cases, which ``_max_deviation`` reduces.
     """
-    cases = random_cases(np.random.default_rng(config.seed), count=100)
+    cases = random_cases(random.Random(config.seed), count=100)
     runs = [(case, propagate_analytic(*case)) for case in cases]
     chi_grid = np.logspace(-2, 2, 25)
     # The survival floor m is the survival at its first minimum t_m. So one

@@ -3,8 +3,8 @@
 States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
 so these share no code (and no algebra shortcuts) with the package. The
-exceptions are ``scalar_gap``, ``bisect_gap_oracle`` and the whole-grid
-twins at the end, reference routes through the package's own
+exceptions are ``scalar_gap``, ``array_gap``, ``bisect_gap_oracle`` and the
+whole-grid twins at the end, reference routes through the package's own
 ``survival_probability`` or bisection arithmetic.
 ``sideband_series_term`` is the closed form of one Lamb-Dicke series term;
 only the tests use it, checked against the ladder route of
@@ -132,18 +132,24 @@ def scalar_gap(chi_sq: float, w: float, t: float) -> float:
     return hindered * hindered - reference * reference
 
 
+def array_gap(chi: float, w: float, t: float) -> float:
+    """Hindered minus reference survival at one time, each taken from a
+    one-element array through ``survival_probability``'s numpy path, so a
+    comparison with the package's Python-float arithmetic checks
+    ``math.cos`` against numpy's ``cos``."""
+    times = np.array([t])
+    hindered = survival_probability(chi, w, times)[0]
+    return float(hindered - survival_probability(0.0, 1.0, times)[0])
+
+
 def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
     """The hindering-interval bisection in its first form: always 80
-    halvings, each taking the gap from two 0-d ``survival_probability``
-    calls. The package's early-exiting scalar bisection must return the
-    same float bit for bit."""
-
-    def gap(t: float) -> float:
-        return survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)
-
+    halvings, each taking the gap from ``array_gap`` (numpy's array path).
+    The package's early-exiting scalar bisection must return the same float
+    bit for bit."""
     for _ in range(80):
         mid = 0.5 * (left + right)
-        if gap(mid) > 0.0:
+        if array_gap(chi, w, mid) > 0.0:
             left = mid
         else:
             right = mid
