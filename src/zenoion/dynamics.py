@@ -357,43 +357,32 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
 
 
-def _chi_array(chi):
-    """chi and chi^2: Python floats for a scalar chi (a Python or numpy
-    number, or a 0-d array), float64 arrays otherwise. ``ValueError`` unless
-    chi is finite and >= 0 and chi^2 stays finite.
-
-    A scalar chi never becomes a 0-d array: the closed forms of
-    ``indicators`` run on it as Python float arithmetic, which costs a
-    fraction of 0-d numpy arithmetic. Each is written once for both kinds,
-    with squares as x * x and square roots by ``indicators._sqrt``, so a
-    scalar chi gets the bits that the same chi gets inside an array.
-    """
-    if isinstance(chi, (float, int)):
-        values = float(chi)
-    else:
-        values = np.asarray(chi, dtype=float)
-        if values.ndim == 0:
-            values = float(values)
-    if isinstance(values, float):
-        largest = values
-        valid = math.isfinite(largest) and largest >= 0
-    else:
-        valid = np.all(np.isfinite(values)) and not np.any(values < 0)
-        largest = float(values.max(initial=0.0)) if valid else 0.0
-    if not valid:
-        raise ValueError("chi must be finite and >= 0")
-    # Squaring is monotone, so the largest chi decides; on Python floats it
-    # overflows to inf without a warning.
-    if not math.isfinite(largest * largest):
-        raise ValueError(f"chi = {largest:g} is too large: chi^2 overflows float64")
-    return values, values * values
-
-
 def _check_scalar(chi) -> None:
     """``ValueError`` for a chi with one or more dimensions; a Python float
-    passes on one type test."""
-    if not isinstance(chi, float) and np.ndim(chi) != 0:
+    or int passes on one type test."""
+    if not isinstance(chi, (float, int)) and np.ndim(chi) != 0:
         raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
+
+
+def _scalar_chi(chi) -> tuple[float, float]:
+    """chi and chi^2 as Python floats. chi must be a scalar (a Python or
+    numpy number, or a 0-d array): an array or a list, even of one element,
+    is a ``ValueError``, and so is a chi that is not finite and >= 0 or
+    whose square overflows.
+
+    A Python float or int reaches no numpy call, so the closed forms of
+    ``indicators`` run on Python floats alone.
+    """
+    _check_scalar(chi)
+    # None is rejected as a chi that is not finite.
+    value = math.nan if chi is None else float(chi)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("chi must be finite and >= 0")
+    # On Python floats the square overflows to inf without a warning.
+    chi_sq = value * value
+    if not math.isfinite(chi_sq):
+        raise ValueError(f"chi = {value:g} is too large: chi^2 overflows float64")
+    return value, chi_sq
 
 
 def survival_probability(chi, angular_frequency, t):
@@ -418,9 +407,8 @@ def survival_probability(chi, angular_frequency, t):
     w = float(angular_frequency)
     if not (math.isfinite(w) and w > 0):
         raise ValueError("angular_frequency must be finite and > 0")
-    _check_scalar(chi)
-    _, chi_sq = _chi_array(chi)
-    if isinstance(t, float) or np.ndim(t) == 0:
+    _, chi_sq = _scalar_chi(chi)
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:
         phase = _finite_phase(w, float(t))
         value = (chi_sq + math.cos(phase)) / (chi_sq + 1.0)
         return value * value

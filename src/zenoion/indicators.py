@@ -5,10 +5,10 @@ Frequencies are multiples of omega(0) and times multiples of 1/omega(0),
 where omega(0), the magnitude of the 1-2 block coupling (hbar = 1), is the
 angular frequency of the chi = 0 reference two-level problem.
 
-The closed forms take a scalar chi or an array of them. A scalar runs as
-Python float arithmetic and returns a Python float; an array returns an
-array. Each form is written once for both, so a scalar chi gives the bits
-it gives inside an array: ``sweep`` rows equal the figure values.
+Every closed form takes one scalar chi, runs as Python float arithmetic and
+returns Python floats; an array or a list chi is a ``ValueError``. A grid
+of chi takes one call per point, so ``sweep`` rows and the figure columns
+come from the same code.
 
 Each closed form has a grid, bisection or quadrature twin used for
 cross-checking; the twins sample the survival probability directly and
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _check_scalar, _chi_array, survival_probability
+from .dynamics import _check_scalar, _scalar_chi, survival_probability
 
 # The package API; the numeric twins stay out and are imported by name.
 __all__ = [
@@ -82,25 +82,10 @@ _ARGMIN_ROUNDS = 3
 _TWIN_CHUNK = 8192
 
 
-def _sqrt(x):
-    """Square root of a float (``math.sqrt``) or an array (``np.sqrt``);
-    both are correctly rounded, so they agree bit for bit."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def _where(condition, if_true, if_false):
-    """``np.where`` for an array condition; for the bool a float comparison
-    gives, the chosen value as a Python float. Both values are computed
-    either way."""
-    if isinstance(condition, bool):
-        return float(if_true if condition else if_false)
-    return np.where(condition, if_true, if_false)
-
-
 def angular_frequency(chi):
     """Block angular frequency sqrt(1 + chi^2)."""
-    _, chi_sq = _chi_array(chi)
-    return _sqrt(1.0 + chi_sq)
+    _, chi_sq = _scalar_chi(chi)
+    return math.sqrt(1.0 + chi_sq)
 
 
 def poincare_time(chi):
@@ -119,9 +104,11 @@ def min_survival(chi):
     floor rises as ((chi^2 - 1) / (chi^2 + 1))^2 and tends to 1, which is
     the sharpest signature of the hindered evolution.
     """
-    _, chi_sq = _chi_array(chi)
+    _, chi_sq = _scalar_chi(chi)
+    if chi_sq <= 1.0:
+        return 0.0
     root = (chi_sq - 1.0) / (chi_sq + 1.0)
-    return _where(chi_sq > 1.0, root * root, 0.0)
+    return root * root
 
 
 def time_of_min(chi):
@@ -131,18 +118,13 @@ def time_of_min(chi):
     and pi / w for chi > 1 (the bottom of the cosine), w = sqrt(1 + chi^2).
     Continuous at chi = 1, where it is also maximal.
 
-    The arccos is libm's ``math.acos``, taken per element for an array:
-    numpy picks its ``arccos`` kernel by CPU, and with AVX-512 it differs
-    from libm in the last bit on some inputs, so t_m would depend on the
-    host.
+    The arccos is libm's ``math.acos``: numpy picks its ``arccos`` kernel by
+    CPU, and with AVX-512 it differs from libm in the last bit on some
+    inputs, so t_m would depend on the host.
     """
-    _, chi_sq = _chi_array(chi)
-    if isinstance(chi_sq, float):
-        phase = math.acos(-chi_sq) if chi_sq <= 1.0 else math.pi
-    else:
-        acos = np.vectorize(math.acos, otypes=[float])
-        phase = np.where(chi_sq <= 1.0, acos(np.maximum(-chi_sq, -1.0)), math.pi)
-    return phase / _sqrt(1.0 + chi_sq)
+    _, chi_sq = _scalar_chi(chi)
+    phase = math.acos(-chi_sq) if chi_sq <= 1.0 else math.pi
+    return phase / math.sqrt(1.0 + chi_sq)
 
 
 def mean_survival(chi):
@@ -164,20 +146,16 @@ def mean_level_probabilities(chi):
     period-averaging the squared evolution amplitudes; the test suite pins
     them against direct quadrature.
     """
-    _, chi_sq = _chi_array(chi)
+    _, chi_sq = _scalar_chi(chi)
+    scale = 1.0 + chi_sq
+    middle = 0.5 / scale
+    if chi_sq <= _LARGEST_SQUARABLE:
+        return (chi_sq * chi_sq + 0.5) / (scale * scale), middle, 1.5 * chi_sq / (scale * scale)
     # chi^4 overflows from chi ~ 1.2e77: there divide by 1 + chi^2 before
-    # squaring; elsewhere keep the form above, bit for bit.
-    fits = chi_sq <= _LARGEST_SQUARABLE
-    small = _where(fits, chi_sq, 0.0)
-    scale = 1.0 + small
-    share = chi_sq / (1.0 + chi_sq)
-    inverse = 1.0 / (1.0 + chi_sq)
-    top = _where(
-        fits, (small * small + 0.5) / (scale * scale), share * share + 0.5 * inverse * inverse
-    )
-    middle = 0.5 / (1.0 + chi_sq)
-    bottom = _where(fits, 1.5 * small / (scale * scale), 1.5 * share * inverse)
-    return (top, middle, bottom)
+    # squaring.
+    share = chi_sq / scale
+    inverse = 1.0 / scale
+    return share * share + 0.5 * inverse * inverse, middle, 1.5 * share * inverse
 
 
 def _check_epsilon(epsilon) -> float:
@@ -205,8 +183,7 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     a scalar.
     """
     epsilon = _check_epsilon(epsilon)
-    chi, chi_sq = _chi_array(chi)
-    _check_scalar(chi)
+    chi, chi_sq = _scalar_chi(chi)
     return _measure_below(chi_sq, mean_survival(chi) - epsilon)
 
 
@@ -331,10 +308,10 @@ def gqze_interval(
     before the crossing at every chi. Only if none of those 16 points is
     clearly positive does the chunked search take the rest of the grid,
     backward in chunks of 16, 32, 64, ... points down to index 1; the left
-    end is 0 if no point there is clearly positive. So the bracket is that of ``gqze_interval_grid`` at
-    every chi. The bisection stops at its fixed point, where a halving no
-    longer moves the bracket, and so returns the same float as a fixed 80
-    halvings after about 40 of them.
+    end is 0 if no point there is clearly positive. So the bracket is that
+    of ``gqze_interval_grid`` at every chi. The bisection stops at its fixed
+    point, where a halving no longer moves the bracket, and so returns the
+    same float as a fixed 80 halvings after about 40 of them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -841,9 +818,9 @@ def _gqze_search(
         raise ValueError(f"points_per_period must be finite and > 0, got {points_per_period!r}")
     _check_scalar(chi)
     # The upper range check runs first; a nan or negative chi passes it and
-    # is rejected by _chi_array.
+    # is rejected by _scalar_chi.
     half_angle = _window_half_angle(float(chi))
-    chi_value, chi_sq = _chi_array(chi)
+    chi_value, chi_sq = _scalar_chi(chi)
     if chi_value == 0.0:
         return None
     _check_chi_floor(chi_value)

@@ -361,8 +361,10 @@ def run_figures(config: RunConfig) -> list[Path]:
     fig2: survival minimum vs chi on [0, 3];
     fig3: scaled first-minimum time vs chi on [0, 3];
     fig4: period-averaged survival vs chi on [0, 5].
-    All use the unit 1-2 coupling, so omega(0) = 1. Every grid is checked
-    and every column computed before the first file is written. ``out``
+    All use the unit 1-2 coupling, so omega(0) = 1. Every grid is checked,
+    and fig1's columns computed, before the first file is written; fig2-fig4
+    make one scalar closed-form call per chi as their rows are written,
+    which cannot fail on a checked grid. ``out``
     must name a directory: a ``.csv`` path (the suffix in any case) is a
     ``ConfigError``, raised before anything is created.
     """
@@ -377,10 +379,11 @@ def run_figures(config: RunConfig) -> list[Path]:
         ("fig1.csv", _UNITS_COMMENT, ("t_scaled", *(f"P_chi{chi:g}" for chi in _FIGURE_CHIS)),
          _survival_rows(config, _FIGURE_CHIS)),
         ("fig2.csv", "chi dimensionless; m = survival-probability minimum over one period",
-         ("chi", "m"), zip(chi_short, min_survival(chi_short))),
-        ("fig3.csv", _UNITS_COMMENT, ("chi", "t_m_scaled"), zip(chi_short, time_of_min(chi_short))),
+         ("chi", "m"), ((chi, min_survival(chi)) for chi in chi_short)),
+        ("fig3.csv", _UNITS_COMMENT, ("chi", "t_m_scaled"),
+         ((chi, time_of_min(chi)) for chi in chi_short)),
         ("fig4.csv", "chi dimensionless; P_mean = period-averaged survival probability",
-         ("chi", "P_mean"), zip(chi_long, mean_survival(chi_long))),
+         ("chi", "P_mean"), ((chi, mean_survival(chi)) for chi in chi_long)),
     )
     paths = [Path(config.out) / name for name, *_ in table]
     for path, (_, comment, header, rows) in zip(paths, table):

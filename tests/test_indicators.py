@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import zenoion.runner
-from zenoion import indicators
+from zenoion import dynamics, indicators
 from zenoion.dynamics import (
     VibronicState,
     build_block,
@@ -59,16 +59,17 @@ class TestPoincareTime:
             (gqze_interval, (1e200,)),
             (gqze_interval_grid, (1e200,)),
             (poincare_time, (1e200,)),
-            (poincare_time, (np.array([0.0, 1e200]),)),
+            (poincare_time, (np.float64(1e200),)),
             (time_of_min, (1e200,)),
-            (time_of_min, (np.array([0.0, 1e200]),)),
+            (time_of_min, (np.array(1e200),)),
             (sub_threshold_measure, (1e200, 0.01)),
             (sub_threshold_measure, (1e200, 2.0)),
         ],
     )
     def test_frequency_that_overflows(self, function, args):
         # sqrt(1 + chi^2) cannot be formed once chi^2 overflows; the searches
-        # reject such a chi by their range check first.
+        # reject such a chi by their range check first. A numpy float and a
+        # 0-d array are scalar chi, rejected alike.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: ") as info:
@@ -85,7 +86,6 @@ class TestPoincareTime:
             assert angular_frequency(chi) == w
             assert poincare_time(chi) == math.tau / w
             assert time_of_min(chi) == math.pi / w
-            assert time_of_min(np.array([chi]))[0] == math.pi / w
 
 
 # Every closed form that depends on chi alone, as a function of chi.
@@ -99,12 +99,22 @@ _CLOSED_FORMS = {
     "sub_threshold_measure": lambda chi: sub_threshold_measure(chi, 0.01),
 }
 
+# Every public function of chi, as a function of chi alone.
+_CHI_FUNCTIONS = {
+    **_CLOSED_FORMS,
+    "survival_probability": lambda chi: survival_probability(chi, 1.0, 0.5),
+    "gqze_interval": gqze_interval,
+    "gqze_interval_grid": gqze_interval_grid,
+    "indicator_report": lambda chi: indicator_report(chi, 0.01),
+}
+
 
 class TestChiSquareOverflow:
+    # The array is 0-d: a scalar chi, whose square overflows alike.
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
     def test_is_one_line_value_error(self, name, shape):
-        chi = 1e200 if shape == "scalar" else np.array([0.0, 2.0, 1e200])
+        chi = 1e200 if shape == "scalar" else np.array(1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
@@ -112,26 +122,22 @@ class TestChiSquareOverflow:
         assert str(info.value) == "chi = 1e+200 is too large: chi^2 overflows float64"
 
 
-def _scalar_and_array_values(chi):
-    """(name, value for the scalar chi, value for chi inside an array) of each
-    closed form that accepts an array, the three mean levels apart."""
-    grid = np.array([0.3, chi, 2.0])
+def _closed_form_values(chi):
+    """(name, value) of each closed form at chi, the three mean levels apart."""
     pairs = [
-        (name, _CLOSED_FORMS[name](chi), _CLOSED_FORMS[name](grid)[1])
+        (name, _CLOSED_FORMS[name](chi))
         for name in ("angular_frequency", "poincare_time", "min_survival", "time_of_min",
                      "mean_survival")
     ]
-    for level, (one, many) in enumerate(
-        zip(mean_level_probabilities(chi), mean_level_probabilities(grid)), start=1
-    ):
-        pairs.append((f"P{level}", one, many[1]))
+    pairs += [(f"P{level}", value) for level, value in
+              enumerate(mean_level_probabilities(chi), start=1)]
     return pairs
 
 
 class TestScalarMatchesArray:
-    """A scalar chi runs as Python float arithmetic and an array as numpy
-    arithmetic; both round every operation alike, so the bits agree and a
-    ``sweep`` row equals the figure value at the same chi."""
+    """``figures`` passes each chi as the numpy float it takes from its grid
+    array and ``sweep`` as a Python float. Both run the same Python float
+    arithmetic, so a ``sweep`` row equals the figure value at the same chi."""
 
     @settings(max_examples=300)
     @given(
@@ -141,8 +147,11 @@ class TestScalarMatchesArray:
         )
     )
     def test_same_bits(self, chi):
-        for name, scalar, element in _scalar_and_array_values(chi):
-            assert _bits(scalar) == _bits(element), name
+        element = np.array([0.3, chi, 2.0])[1]
+        for (name, scalar), (_, value) in zip(
+            _closed_form_values(chi), _closed_form_values(element)
+        ):
+            assert type(value) is float and _bits(scalar) == _bits(value), name
 
     # chi^4 overflows from about 1.2e77, where the averages change form.
     @settings(max_examples=100)
@@ -150,18 +159,27 @@ class TestScalarMatchesArray:
     def test_same_bits_past_chi_fourth_overflow(self, chi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairs = _scalar_and_array_values(chi)
-        for name, scalar, element in pairs:
-            assert _bits(scalar) == _bits(element), name
+            pairs = zip(_closed_form_values(chi), _closed_form_values(np.array([chi])[0]))
+            for (name, scalar), (_, value) in pairs:
+                assert _bits(scalar) == _bits(value), name
 
-    # Where a 0-d float64 square, which calls libm pow, missed x * x by an ulp.
+    # Where a 0-d float64 square, which calls libm pow, missed x * x by an
+    # ulp; each expected value is written out with x * x from chi^2.
     @pytest.mark.parametrize(
-        "chi, function",
-        [(0.52, mean_survival), (0.52, lambda chi: mean_level_probabilities(chi)[2]),
-         (1.83, min_survival)],
+        "chi, function, written_out",
+        [
+            pytest.param(0.52, mean_survival,
+                         lambda sq: (sq * sq + 0.5) / ((1.0 + sq) * (1.0 + sq)),
+                         id="0.52-mean_survival"),
+            pytest.param(0.52, lambda chi: mean_level_probabilities(chi)[2],
+                         lambda sq: 1.5 * sq / ((1.0 + sq) * (1.0 + sq)), id="0.52-<lambda>"),
+            pytest.param(1.83, min_survival,
+                         lambda sq: ((sq - 1.0) / (sq + 1.0)) * ((sq - 1.0) / (sq + 1.0)),
+                         id="1.83-min_survival"),
+        ],
     )
-    def test_former_pow_rows(self, chi, function):
-        assert _bits(function(chi)) == _bits(function(np.array([chi]))[0])
+    def test_former_pow_rows(self, chi, function, written_out):
+        assert _bits(function(chi)) == _bits(written_out(chi * chi))
 
 
 class TestScalarInputs:
@@ -175,23 +193,64 @@ class TestScalarInputs:
         values = value if name == "mean_level_probabilities" else (value,)
         assert [type(v) for v in values] == [float] * len(values)
 
-    @pytest.mark.parametrize("chi", [[0.0, 2.0], np.array([0.5, 1.5])], ids=["list", "array"])
-    @pytest.mark.parametrize("name", sorted(set(_CLOSED_FORMS) - {"sub_threshold_measure"}))
-    def test_sequence_gives_array(self, name, chi):
-        value = _CLOSED_FORMS[name](chi)
-        values = value if name == "mean_level_probabilities" else (value,)
-        for v in values:
-            assert isinstance(v, np.ndarray) and v.shape == (2,)
+    @pytest.mark.parametrize(
+        "chi, shape",
+        [
+            ([0.5, 2.0], "(2,)"),
+            (np.array([0.5, 2.0]), "(2,)"),
+            (np.array([2.0]), "(1,)"),
+            (np.array([[1.0]]), "(1, 1)"),
+        ],
+        ids=["list", "array", "one-element-array", "2-d-array"],
+    )
+    @pytest.mark.parametrize("name", list(_CHI_FUNCTIONS))
+    def test_rejects_array_chi(self, name, chi, shape):
+        # One line, raised before any range check, and neither numpy's
+        # DeprecationWarning nor Python's TypeError from float(chi).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                _CHI_FUNCTIONS[name](chi)
+        assert str(info.value) == f"chi must be a scalar, got an array of shape {shape}"
 
-    # TestChiSquareOverflow covers 1e200.
-    @pytest.mark.parametrize("chi", [math.nan, -0.5, math.inf])
+    # TestChiSquareOverflow covers 1e200. 'x' keeps float()'s own message.
+    @pytest.mark.parametrize(
+        "chi, message",
+        [
+            pytest.param(math.nan, "chi must be finite and >= 0", id="nan"),
+            pytest.param(-0.5, "chi must be finite and >= 0", id="-0.5"),
+            pytest.param(math.inf, "chi must be finite and >= 0", id="inf"),
+            pytest.param(None, "chi must be finite and >= 0", id="None"),
+            pytest.param("x", "could not convert string to float: 'x'", id="x"),
+        ],
+    )
     @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
-    def test_rejected_values(self, name, chi):
+    def test_rejected_values(self, name, chi, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 _CLOSED_FORMS[name](chi)
-        assert str(info.value) == "chi must be finite and >= 0"
+        assert str(info.value) == message
+
+
+class _NoNumpy:
+    """Stands in for the numpy module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy reached: np.{name}")
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("chi", [0.7, 2], ids=["float", "int"])
+    def test_python_chi_reaches_no_numpy(self, monkeypatch, chi):
+        monkeypatch.setattr(dynamics, "np", _NoNumpy())
+        monkeypatch.setattr(indicators, "np", _NoNumpy())
+        values = {name: function(chi) for name, function in _CLOSED_FORMS.items()}
+        w = values["angular_frequency"]
+        for t in (0.5, 1):
+            assert type(survival_probability(chi, w, t)) is float
+        monkeypatch.undo()
+        assert values == {name: function(float(chi)) for name, function in _CLOSED_FORMS.items()}
 
 
 class TestMinSurvival:
@@ -212,9 +271,8 @@ class TestMinSurvival:
         assert min_survival(chi) == pytest.approx(min_survival_grid(chi), abs=1e-6)
 
     def test_nondecreasing_above_one(self):
-        grid = np.linspace(1.0, 40.0, 400)
-        values = min_survival(grid)
-        assert np.all(np.diff(values) >= 0)
+        values = [min_survival(chi) for chi in np.linspace(1.0, 40.0, 400).tolist()]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("chi", [2.0, 5.0, 20.0, 100.0])
     def test_floor_approaches_one(self, chi):
@@ -241,9 +299,8 @@ class TestTimeOfMin:
             assert abs(time_of_min(1.0 + h) - at_one) <= 3 * math.sqrt(h)
 
     def test_argmax_is_unit_ratio(self):
-        grid = np.round(np.arange(301) * 0.01, 12)
-        values = time_of_min(grid)
-        assert grid[int(np.argmax(values))] == pytest.approx(1.0, abs=0.01)
+        grid = np.round(np.arange(301) * 0.01, 12).tolist()
+        assert max(grid, key=time_of_min) == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize(
         "chi", [0.0, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0, 10.0]
@@ -259,12 +316,12 @@ class TestTimeOfMin:
         chis = np.concatenate([[0.0, 0.64, 0.7, 0.74, 0.75, 0.85, 1.0], rng.uniform(0, 1, 1993)])
         expected = [math.acos(-c * c) / math.sqrt(1.0 + c * c) for c in chis.tolist()]
         assert [time_of_min(c) for c in chis.tolist()] == expected
-        assert time_of_min(chis).tolist() == expected
-        assert time_of_min(chis.reshape(40, 50)).ravel().tolist() == expected
-        above = np.array([1.5, 2.0, 1e3])
-        assert time_of_min(np.append(chis, above)).tolist() == expected + (
-            math.pi / np.sqrt(1.0 + above * above)
-        ).tolist()
+        # The numpy floats that ``figures`` takes from its grid array.
+        assert [time_of_min(c) for c in chis] == expected
+        above = [1.5, 2.0, 1e3]
+        assert [time_of_min(c) for c in np.array(above)] == [
+            math.pi / math.sqrt(1.0 + c * c) for c in above
+        ]
 
 
 class TestMeanSurvival:
@@ -289,9 +346,8 @@ class TestMeanSurvival:
         assert mean_survival(chi) >= 1 - 2 / chi**2
 
     def test_argmin_on_dense_grid(self):
-        grid = np.round(np.arange(20_001) * 1e-4, 12)
-        values = mean_survival(grid)
-        assert grid[int(np.argmin(values))] == pytest.approx(1 / math.sqrt(2), abs=1e-3)
+        grid = np.round(np.arange(20_001) * 1e-4, 12).tolist()
+        assert min(grid, key=mean_survival) == pytest.approx(1 / math.sqrt(2), abs=1e-3)
 
     @given(chi=chi_values)
     def test_mean_bounds_floor(self, chi):
@@ -410,29 +466,32 @@ class TestOracleLevelMeans:
 
 class TestAveragesPastChiFourthOverflow:
     # chi^4 overflows float64 from chi ~ 1.2e77, well inside the chi^2 range.
+    # The array is 0-d: a scalar chi.
     @pytest.mark.parametrize("chi", [1e100, 1e150])
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     def test_finite_and_normalised(self, chi, shape):
-        value = chi if shape == "scalar" else np.array([chi, chi])
+        value = chi if shape == "scalar" else np.array(chi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             triple = mean_level_probabilities(value)
             mean = mean_survival(value)
-            if shape == "scalar":
-                assert sub_threshold_measure(chi, 0.01) == 0.0
-        for level in triple:
-            assert np.all(np.isfinite(level))
-        np.testing.assert_allclose(sum(triple), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(mean, 1.0, rtol=0, atol=1e-15)
+            assert sub_threshold_measure(value, 0.01) == 0.0
+        assert all(math.isfinite(level) for level in triple)
+        assert abs(sum(triple) - 1.0) <= 1e-15
+        assert abs(mean - 1.0) <= 1e-15
 
     def test_in_range_entries_keep_their_bits(self):
-        grid = np.array([0.0, 0.3, 2.0, 1e10, 1e77])
+        # Below the overflow the averages keep the form of their docstring,
+        # written out here with x * x; past it P1 rounds to 1.
+        for chi in (0.0, 0.3, 2.0, 1e10, 1e77):
+            sq = chi * chi
+            scale = (1.0 + sq) * (1.0 + sq)
+            assert mean_level_probabilities(chi) == (
+                (sq * sq + 0.5) / scale, 0.5 / (1.0 + sq), 1.5 * sq / scale
+            )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mixed = mean_level_probabilities(np.append(grid, 1e150))
-        for plain, with_huge in zip(mean_level_probabilities(grid), mixed):
-            assert np.array_equal(plain, with_huge[:-1])
-        assert mixed[0][-1] == 1.0
+            assert mean_level_probabilities(1e150)[0] == 1.0
 
 
 class TestSubThresholdMeasure:
@@ -451,13 +510,6 @@ class TestSubThresholdMeasure:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             sub_threshold_measure(1.0, 0.0)
-
-    @pytest.mark.parametrize("chi", [[0.5, 2.0], np.array([0.5, 2.0]), np.array([[1.0]])])
-    def test_rejects_array_chi(self, chi):
-        with pytest.raises(ValueError) as info:
-            sub_threshold_measure(chi, 0.01)
-        assert str(info.value).startswith("chi must be a scalar, got an array of shape ")
-        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("chi", [0.3, 0.7, 1.0, 2.0])
     def test_matches_grid_measure(self, chi):
@@ -523,23 +575,6 @@ class TestGqzeInterval:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             gqze_interval(2.0, order_threshold=0.0)
-
-    @pytest.mark.parametrize(
-        "chi, shape",
-        [([0.5, 2.0], "(2,)"), (np.array([0.5, 2.0]), "(2,)"), (np.array([2.0]), "(1,)")],
-        ids=["list", "array", "one-element-array"],
-    )
-    @pytest.mark.parametrize(
-        "search",
-        [gqze_interval, gqze_interval_grid, lambda chi: indicator_report(chi, 0.01)],
-        ids=["gqze_interval", "gqze_interval_grid", "indicator_report"],
-    )
-    def test_rejects_array_chi(self, search, chi, shape):
-        # The one-line error of sub_threshold_measure, not numpy's or
-        # Python's TypeError from float(chi).
-        with pytest.raises(ValueError) as info:
-            search(chi)
-        assert str(info.value) == f"chi must be a scalar, got an array of shape {shape}"
 
     @pytest.mark.parametrize("chi", [2, np.float64(2.0), np.array(2.0)], ids=type)
     def test_accepts_every_scalar_kind(self, chi):
@@ -1677,7 +1712,5 @@ class TestReportsAndSweep:
             assert 0.0 <= report.sub_threshold_time <= report.poincare_period
 
     def test_strict_mean_floor_gap_on_grid(self):
-        grid = np.round(np.arange(1, 501) * 0.02, 12)
-        floors = min_survival(grid)
-        means = mean_survival(grid)
-        assert np.all(means > floors)
+        for chi in np.round(np.arange(1, 501) * 0.02, 12).tolist():
+            assert mean_survival(chi) > min_survival(chi), chi
