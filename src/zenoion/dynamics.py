@@ -357,27 +357,29 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
 
 
-def _check_scalar(chi) -> None:
-    """``ValueError`` for a chi with one or more dimensions; a Python float
-    or int passes on one type test."""
+def _finite_chi(chi) -> float:
+    """chi as a Python float. chi must be a scalar (a Python or numpy
+    number, or a 0-d array): an array or a list, even of one element, is a
+    ``ValueError``, and so is a chi that is not finite and >= 0, None
+    included. A Python float or int passes the scalar check on one type
+    test."""
     if not isinstance(chi, (float, int)) and np.ndim(chi) != 0:
         raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
-
-
-def _scalar_chi(chi) -> tuple[float, float]:
-    """chi and chi^2 as Python floats. chi must be a scalar (a Python or
-    numpy number, or a 0-d array): an array or a list, even of one element,
-    is a ``ValueError``, and so is a chi that is not finite and >= 0 or
-    whose square overflows.
-
-    A Python float or int reaches no numpy call, so the closed forms of
-    ``indicators`` run on Python floats alone.
-    """
-    _check_scalar(chi)
     # None is rejected as a chi that is not finite.
     value = math.nan if chi is None else float(chi)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError("chi must be finite and >= 0")
+    return value
+
+
+def _scalar_chi(chi) -> tuple[float, float]:
+    """chi and chi^2 as Python floats: ``_finite_chi``'s checks, and a
+    ``ValueError`` when the square overflows.
+
+    A Python float or int reaches no numpy call, so the closed forms of
+    ``indicators`` run on Python floats alone.
+    """
+    value = _finite_chi(chi)
     # On Python floats the square overflows to inf without a warning.
     chi_sq = value * value
     if not math.isfinite(chi_sq):

@@ -37,6 +37,19 @@ class DegenerateCouplingError(ValueError):
 
 
 def _int_triple(value: TripleLike, what: str) -> Triple:
+    """``value`` as a tuple of three Python ints >= 0, or the ``TypeError`` or
+    ``ValueError`` that names ``what``.
+
+    A tuple of exactly three Python ints >= 0 (exact types: no bool, no
+    numpy integer, no tuple subclass) is returned unchanged, so what a
+    ``ModeVector`` or ``SidebandPattern`` stores, and what ``remove`` hands
+    on, is checked once and then passes here on a few type tests. Anything
+    else takes the full check.
+    """
+    if type(value) is tuple and len(value) == 3:
+        a, b, c = value
+        if type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0:
+            return value
     if isinstance(value, ModeVector):
         return value.components
     try:
@@ -82,8 +95,8 @@ class ModeVector:
 
     def can_remove(self, quanta: TripleLike) -> bool:
         """Whether removing the given quanta per mode leaves a valid state."""
-        removed = _int_triple(quanta, "removed quanta")
-        return all(n >= d for n, d in zip(self.components, removed))
+        dx, dy, dz = _int_triple(quanta, "removed quanta")
+        return self.nx >= dx and self.ny >= dy and self.nz >= dz
 
     def remove(self, quanta: TripleLike) -> "ModeVector":
         """Occupation after removing ``quanta`` per mode.
@@ -93,8 +106,8 @@ class ModeVector:
         block classification depends on the distinction.
         """
         removed = _int_triple(quanta, "removed quanta")
-        diff = tuple(n - d for n, d in zip(self.components, removed))
-        if any(d < 0 for d in diff):
+        diff = (self.nx - removed[0], self.ny - removed[1], self.nz - removed[2])
+        if min(diff) < 0:
             raise InvalidSubspaceError(
                 f"cannot remove {removed} quanta from occupation {self.components}"
             )

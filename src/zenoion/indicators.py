@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _check_scalar, _scalar_chi, survival_probability
+from .dynamics import _finite_chi, _scalar_chi, survival_probability
 
 # The package API; the numeric twins stay out and are imported by name.
 __all__ = [
@@ -806,8 +806,9 @@ def _gqze_search(
     would visit more than 2e8 points, the whole grid if ``dense`` and the
     window otherwise (the Range paragraph of ``gqze_interval``), or a grid
     too fine to count, is a ``ValueError``. None at chi = 0; ``ValueError``
-    for a chi that is not a scalar, or outside the resolvable range of
-    ``gqze_interval``, raised before chi^2 is formed."""
+    for a chi that is not a scalar, not finite and >= 0 (None included), or
+    outside the resolvable range of ``gqze_interval``, raised before chi^2
+    is formed."""
     if not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     if not (
@@ -816,15 +817,14 @@ def _gqze_search(
         and points_per_period > 0
     ):
         raise ValueError(f"points_per_period must be finite and > 0, got {points_per_period!r}")
-    _check_scalar(chi)
-    # The upper range check runs first; a nan or negative chi passes it and
-    # is rejected by _scalar_chi.
-    half_angle = _window_half_angle(float(chi))
-    chi_value, chi_sq = _scalar_chi(chi)
+    chi_value = _finite_chi(chi)
+    # The upper range check runs before chi^2 is formed; every chi it lets
+    # pass lies below about 6.3e6, whose square cannot overflow.
+    half_angle = _window_half_angle(chi_value)
     if chi_value == 0.0:
         return None
     _check_chi_floor(chi_value)
-    w = math.sqrt(1.0 + chi_sq)
+    w = math.sqrt(1.0 + chi_value * chi_value)
     hindered_period = math.tau / w  # never longer than the reference period 2 pi
     step = hindered_period / points_per_period
     spacing, reach = math.pi / step, half_angle / step

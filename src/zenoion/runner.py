@@ -474,21 +474,35 @@ def random_cases(rng: random.Random, count: int = 100) -> list:
     Returns a list: ``count`` three-chain blocks with chi swept uniformly
     over [0, 20] (random coupling phases and magnitudes), then a tail of
     two- and one-chain blocks so every dimension is exercised.
+
+    Each three-chain pattern's ``ModeVector``, ``SidebandPattern`` and
+    factorial ratio are built once per call, before any draw, and shared by
+    the cases that use the pattern; the draws, and so every case, are those
+    of a per-case build.
     """
-    cases = []
-    for index, target in enumerate(np.linspace(0.0, 20.0, count).tolist()):
-        n, r, l = _THREE_CHAIN_PATTERNS[index % len(_THREE_CHAIN_PATTERNS)]
+    chains = []
+    for n, r, l in _THREE_CHAIN_PATTERNS:
         mode = ModeVector.of(n)
         ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
+        chains.append((mode, SidebandPattern(r, l), ratio))
+    cases = []
+    for index, target in enumerate(np.linspace(0.0, 20.0, count).tolist()):
+        mode, pattern, ratio = chains[index % len(chains)]
         gamma1 = _random_gamma(rng)
         gamma2 = target * gamma1 * ratio * cmath.exp(1j * rng.uniform(0.0, math.tau))
-        block = build_block(mode, SidebandPattern(r, l), CouplingConstants(gamma1, gamma2))
+        block = build_block(mode, pattern, CouplingConstants(gamma1, gamma2))
         cases.append(_random_case(rng, block))
     for n, r, l in _TWO_CHAIN_PATTERNS + _ONE_CHAIN_PATTERNS:
         couplings = CouplingConstants(_random_gamma(rng), _random_gamma(rng))
         block = build_block(ModeVector.of(n), SidebandPattern(r, l), couplings)
         cases.append(_random_case(rng, block))
     return cases
+
+
+# The block of _oracle_level_means: all three levels of the ground mode
+# vector, carrier-driven.
+_GROUND_MODE = ModeVector(0, 0, 0)
+_CARRIER = SidebandPattern((0, 0, 0), (0, 0, 0))
 
 
 def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
@@ -503,11 +517,7 @@ def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
     ``mean_survival_quadrature``, exact up to rounding for any ``panels``
     >= 3: each population has harmonics 0, 1 and 2 in wt only.
     """
-    block = build_block(
-        ModeVector(0, 0, 0),
-        SidebandPattern((0, 0, 0), (0, 0, 0)),
-        CouplingConstants(1.0, chi),
-    )
+    block = build_block(_GROUND_MODE, _CARRIER, CouplingConstants(1.0, chi))
     times = np.linspace(0.0, math.tau / block.angular_frequency, panels + 1)
     states = _spectral_propagator(block, times)[:, :, 0]
     magnitudes = np.hypot(states.real, states.imag)
@@ -530,7 +540,13 @@ def _max_deviation(deviations: Iterable[float]) -> float:
 
 
 def _amplitude_gap(one: VibronicState, two: VibronicState) -> float:
-    return float(np.max(np.abs(one.amplitudes - two.amplitudes)))
+    """The largest modulus of the amplitude differences, each formed on
+    Python complex numbers (libm ``hypot`` through ``abs``); nan when any
+    modulus is nan. The moduli are >= 0, so their sum is nan only then (no
+    inf - inf can arise), while ``max`` alone would drop a nan that follows
+    a number."""
+    gaps = [abs(a - b) for a, b in zip(one.values, two.values, strict=True)]
+    return math.nan if math.isnan(sum(gaps)) else max(gaps)
 
 
 def _top_survival(block: BlockSystem, time: float) -> float:

@@ -4,8 +4,9 @@ States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
 so these share no code (and no algebra shortcuts) with the package. The
 exceptions are ``scalar_gap``, ``array_gap``, ``bisect_gap_oracle`` and the
-whole-grid twins at the end, reference routes through the package's own
-``survival_probability`` or bisection arithmetic.
+whole-grid twins, reference routes through the package's own
+``survival_probability`` or bisection arithmetic, and
+``int_triple_reference`` at the end, the full check of occupation triples.
 ``sideband_series_term`` is the closed form of one Lamb-Dicke series term;
 only the tests use it, checked against the ladder route of
 ``series_term_oracle``.
@@ -19,6 +20,7 @@ import numpy as np
 
 from zenoion import indicators
 from zenoion.dynamics import survival_probability
+from zenoion.fock import ModeVector
 from zenoion.indicators import angular_frequency, poincare_time
 
 Ket = dict[tuple[int, ...], complex]
@@ -193,3 +195,28 @@ def gqze_interval_grid_reference(
     return indicators._gqze_search(
         _dense_scan_reference, chi, order_threshold, points_per_period, dense=True
     )
+
+
+# The occupation-triple check with no fast path: ``fock._int_triple``'s full
+# check, word for word. The package's version must accept and reject the
+# same inputs, with the same results and messages.
+
+
+def int_triple_reference(value, what: str) -> tuple[int, int, int]:
+    if isinstance(value, ModeVector):
+        return value.components
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an iterable of three integers") from None
+    if len(items) != 3:
+        raise ValueError(f"{what} needs exactly 3 components, got {len(items)}")
+    out = []
+    for component in items:
+        as_int = int(component)
+        if as_int != component:
+            raise ValueError(f"{what} components must be integers, got {component!r}")
+        if as_int < 0:
+            raise ValueError(f"{what} components must be >= 0, got {as_int}")
+        out.append(as_int)
+    return (out[0], out[1], out[2])

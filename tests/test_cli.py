@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import math
 import os
 import random
@@ -17,6 +18,7 @@ import zenoion.runner
 from zenoion.cli import build_parser, main
 from zenoion.config import MODES, ConfigError, RunConfig, load_config
 from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
+from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern, factorial_ratio_root
 from zenoion.indicators import angular_frequency, mean_survival, min_survival, poincare_time
 from zenoion.runner import (
     _chi_grid,
@@ -699,6 +701,84 @@ class TestValidateHarness:
             rel=1e-13,
             abs=0.0,
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cases_match_a_per_case_build(self, seed):
+        # random_cases builds each three-chain pattern once; the same draws
+        # with the pattern built anew for every case must give the same bits.
+        rng = random.Random(seed)
+        expected = []
+        patterns = zenoion.runner._THREE_CHAIN_PATTERNS
+        for index, target in enumerate(np.linspace(0.0, 20.0, 100).tolist()):
+            n, r, l = patterns[index % len(patterns)]
+            mode = ModeVector.of(n)
+            ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
+            gamma1 = zenoion.runner._random_gamma(rng)
+            gamma2 = target * gamma1 * ratio * cmath.exp(1j * rng.uniform(0.0, math.tau))
+            block = build_block(mode, SidebandPattern(r, l), CouplingConstants(gamma1, gamma2))
+            expected.append(zenoion.runner._random_case(rng, block))
+        for n, r, l in zenoion.runner._TWO_CHAIN_PATTERNS + zenoion.runner._ONE_CHAIN_PATTERNS:
+            couplings = CouplingConstants(
+                zenoion.runner._random_gamma(rng), zenoion.runner._random_gamma(rng)
+            )
+            block = build_block(ModeVector.of(n), SidebandPattern(r, l), couplings)
+            expected.append(zenoion.runner._random_case(rng, block))
+        cases = random_cases(random.Random(seed), 100)
+        assert [_case_bits(case) for case in cases] == [_case_bits(case) for case in expected]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_amplitude_gap_keeps_a_nan(self, index):
+        # Every other difference is larger: the nan must win over numbers
+        # on either side of it.
+        one = _unchecked_state((0.5 + 0j, 0.5j, -0.5))
+        shifted = [z + 2.0 for z in one.values]
+        shifted[index] = complex(math.nan, 0.0)
+        assert math.isnan(zenoion.runner._amplitude_gap(one, _unchecked_state(shifted)))
+        assert math.isnan(zenoion.runner._amplitude_gap(_unchecked_state(shifted), one))
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_amplitude_row_catches_a_shift_in_a_later_component(self, monkeypatch, index):
+        original = zenoion.runner.propagate_oracle
+
+        def shifted(block, state, time):
+            values = list(original(block, state, time).values)
+            if len(values) > index:
+                values[index] += 1e-9
+            return _unchecked_state(values)
+
+        monkeypatch.setattr("zenoion.runner.propagate_oracle", shifted)
+        report = run_validate(load_config(None, {"mode": "validate", "seed": 0}))
+        assert [check.name for check in report.checks if not check.passed] == [
+            "analytic vs eigendecomposition amplitudes"
+        ]
+
+
+def _unchecked_state(values):
+    """A state of ``values`` past the norm check."""
+    state = object.__new__(VibronicState)
+    object.__setattr__(state, "values", tuple(complex(z) for z in values))
+    return state
+
+
+def _bits(z):
+    """The exact bits of a float or complex as hex strings; None stays None."""
+    if z is None:
+        return None
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _case_bits(case):
+    block, state, time = case
+    return (
+        block.dimension,
+        block.basis_labels,
+        _bits(block.coupling_12),
+        _bits(block.coupling_23),
+        _bits(block.angular_frequency),
+        [_bits(z) for z in state.values],
+        _bits(time),
+    )
 
 
 class TestCliEntry:

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,13 +12,19 @@ from zenoion.fock import (
     LaserDrive,
     ModeVector,
     SidebandPattern,
+    _int_triple,
     chi_ratio,
     coupling_alpha,
     coupling_beta,
     factorial_ratio_root,
 )
 
-from .oracles import falling_root_oracle, series_term_oracle, sideband_series_term
+from .oracles import (
+    falling_root_oracle,
+    int_triple_reference,
+    series_term_oracle,
+    sideband_series_term,
+)
 
 occupations = st.integers(min_value=0, max_value=8)
 triples = st.tuples(occupations, occupations, occupations)
@@ -48,6 +55,56 @@ class TestModeVector:
         n = ModeVector(2, 0, 1)
         assert n.can_remove((2, 0, 1))
         assert not n.can_remove((0, 1, 0))
+
+
+# One component of a candidate triple: every kind _int_triple meets or must
+# refuse.
+triple_components = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-3, 12).map(np.int64),
+    st.integers(0, 12).map(np.uint8),
+    st.integers(-3, 12).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+)
+# Three int-like components: near the fast path, which must take only
+# exact Python ints >= 0.
+int_like = st.one_of(st.integers(-3, 12), st.booleans(), st.integers(-3, 12).map(np.int64))
+triple_inputs = st.one_of(
+    st.lists(triple_components, max_size=4).map(tuple),
+    st.lists(triple_components, max_size=4),
+    st.tuples(st.integers(-3, 12), st.integers(-3, 12), st.integers(-3, 12)),
+    st.tuples(int_like, int_like, int_like),
+    st.text(max_size=4),
+    triples.map(lambda t: ModeVector(*t)),
+    st.none(),
+    st.integers(),
+    st.floats(),
+)
+
+
+def _int_triple_outcome(check, value):
+    """The triple ``check`` returns, with its types, or the type and message
+    of what it raises."""
+    try:
+        result = check(value, "mode vector")
+    except Exception as error:
+        return type(error), str(error)
+    return type(result), result, [type(component) for component in result]
+
+
+class TestIntTriple:
+    @given(value=triple_inputs)
+    def test_matches_the_full_check(self, value):
+        assert _int_triple_outcome(_int_triple, value) == _int_triple_outcome(
+            int_triple_reference, value
+        )
+
+    def test_checked_triple_is_returned_unchanged(self):
+        triple = (3, 0, 2)
+        assert _int_triple(triple, "mode vector") is triple
 
 
 class TestSidebandPattern:

@@ -76,6 +76,15 @@ class TestPoincareTime:
                 function(*args)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "function, args",
+        [(indicator_report, (1e200, 0.01)), (gqze_interval, (1e200,)),
+         (gqze_interval_grid, (1e200,))],
+    )
+    def test_searches_reject_a_finite_chi_by_their_range_check(self, function, args):
+        with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: the survival floor"):
+            function(*args)
+
     def test_largest_finite_frequency_keeps_its_bits(self):
         chi = math.sqrt(sys.float_info.max)
         while math.isfinite(math.nextafter(chi, math.inf) * math.nextafter(chi, math.inf)):
@@ -214,6 +223,8 @@ class TestScalarInputs:
         assert str(info.value) == f"chi must be a scalar, got an array of shape {shape}"
 
     # TestChiSquareOverflow covers 1e200. 'x' keeps float()'s own message.
+    # The gqze searches check chi before their range check, so None and inf
+    # read as they do in the closed forms.
     @pytest.mark.parametrize(
         "chi, message",
         [
@@ -224,12 +235,12 @@ class TestScalarInputs:
             pytest.param("x", "could not convert string to float: 'x'", id="x"),
         ],
     )
-    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    @pytest.mark.parametrize("name", list(_CHI_FUNCTIONS))
     def test_rejected_values(self, name, chi, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                _CLOSED_FORMS[name](chi)
+                _CHI_FUNCTIONS[name](chi)
         assert str(info.value) == message
 
 
