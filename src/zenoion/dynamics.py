@@ -312,8 +312,10 @@ def _spectral_propagator(block: BlockSystem, t) -> np.ndarray:
 
     The tridiagonal block has eigenvalues {0, +w, -w} with w = angular_frequency
     and eigenvectors writable directly from the couplings; the propagator is
-    assembled as sum_k exp(-i lambda_k t) |v_k><v_k|. Deliberately shares no
-    code with the closed-form path.
+    assembled as sum_k exp(-i lambda_k t) |v_k><v_k|. A two-level block is
+    the three-level one with c23 = 0 cut to its first two levels, where the
+    zero-eigenvalue projector vanishes. Deliberately shares no code with the
+    closed-form path.
 
     ``t`` is a float, or an array of times, for which the matrices are
     stacked along its leading axes. A float time whose phase w t is not
@@ -327,22 +329,16 @@ def _spectral_propagator(block: BlockSystem, t) -> np.ndarray:
     if np.ndim(t) == 0:
         _finite_phase(w, t)
     a = complex(block.coupling_12)
-    phase_minus = np.exp(-1j * w * t)
-    phase_plus = np.exp(+1j * w * t)
-    if dim == 2:
-        v_plus = np.array([a, w]) / (math.sqrt(2.0) * w)
-        v_minus = np.array([a, -w]) / (math.sqrt(2.0) * w)
-        return np.multiply.outer(phase_minus, np.outer(v_plus, v_plus.conj())) + np.multiply.outer(
-            phase_plus, np.outer(v_minus, v_minus.conj())
-        )
-    b = complex(block.coupling_23)
-    v_zero = np.array([b, 0.0, -np.conj(a)]) / w
-    v_plus = np.array([a, w, np.conj(b)]) / (math.sqrt(2.0) * w)
-    v_minus = np.array([a, -w, np.conj(b)]) / (math.sqrt(2.0) * w)
+    b = complex(block.coupling_23) if dim == 3 else 0j
+    root = math.sqrt(2.0) * w
+    # The eigenvectors of 0, +w and -w as rows, cut to the block's levels.
+    vectors = np.array([[b, 0.0, -a.conjugate()], [a, w, b.conjugate()], [a, -w, b.conjugate()]])
+    vectors = (vectors / np.array([[w], [root], [root]]))[:, :dim]
+    p_zero, p_plus, p_minus = vectors[:, :, None] * vectors.conj()[:, None, :]
     return (
-        np.outer(v_zero, v_zero.conj())
-        + np.multiply.outer(phase_minus, np.outer(v_plus, v_plus.conj()))
-        + np.multiply.outer(phase_plus, np.outer(v_minus, v_minus.conj()))
+        p_zero
+        + np.multiply.outer(np.exp(-1j * w * t), p_plus)
+        + np.multiply.outer(np.exp(+1j * w * t), p_minus)
     )
 
 

@@ -57,14 +57,10 @@ _MAX_SKIP_EVALUATIONS = 64
 # of two computed gaps and of the slope bound (see ``gqze_interval``).
 _SKIP_MARGIN = 1e-14
 
-# Grid points in the first chunk of the chunked gqze search, forward to the
-# crossing and back to the bracket's left end; every further chunk is twice
-# as long, up to _MAX_CHUNK, so the search stops soon after its hit and no
-# chunk outgrows 512 KiB per float64 temporary. The left end mostly lies just
-# before the crossing: _FIRST_SEED_CHUNK points back are walked on Python
-# floats first, and only the grid further back is searched in chunks.
+# Grid points in the first chunk of the chunked gqze search; every further
+# chunk is twice as long, up to _MAX_CHUNK, so the search stops soon after
+# its hit and no chunk outgrows 512 KiB per float64 temporary.
 _FIRST_CHUNK = 1024
-_FIRST_SEED_CHUNK = 16
 _MAX_CHUNK = 1 << 16
 
 # The most grid points one gqze scan may visit.
@@ -292,26 +288,30 @@ def gqze_interval(
     the gap decays like (pi - t)^4 and the certified step shrinks to one
     point; the 64-gap budget bounds the cost there.
 
-    Chunks: the chunked search (``_chunked_search``) runs forward in chunks
-    of 1024, 2048, 4096, ... grid points, at most 65536, and stops at the
-    first chunk holding a clearly negative gap; the points past that chunk
-    are never computed. The reference cos^2(t) is formed inline with one
-    cosine and one product, bit for bit ``survival_probability(0.0, 1.0,
+    Chunks: the chunked search (``_chunked_search``), the search's one numpy
+    path, runs forward in chunks of 1024, 2048, 4096, ... grid points, at
+    most 65536, and stops at the first chunk holding a clearly negative gap;
+    the points past that chunk are never computed. The reference cos^2(t)
+    is formed inline with one cosine and one product, bit for bit ``survival_probability(0.0, 1.0,
     t)``; the hindered curve is ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
     on Python floats (``_bisect_gap``). The left end (``_bracket_left``) is
-    found by walking back from the point before the crossing on Python
-    floats, with the gap arithmetic of ``_bisect_gap``, for at most 16
-    points; on the sweep grid of 0.05 steps to chi = 20 it is the point just
-    before the crossing at every chi. Only if none of those 16 points is
-    clearly positive does the chunked search take the rest of the grid,
-    backward in chunks of 16, 32, 64, ... points down to index 1; the left
-    end is 0 if no point there is clearly positive. So the bracket is that
-    of ``gqze_interval_grid`` at every chi. The bisection stops at its fixed
-    point, where a halving no longer moves the bracket, and so returns the
-    same float as a fixed 80 halvings after about 40 of them.
+    found by walking back from the point before the crossing, down to index
+    1 at most, on Python floats with the gap arithmetic of ``_bisect_gap``;
+    it is 0 if no point is clearly positive. So the bracket is that of
+    ``gqze_interval_grid`` at every chi, and no numpy kernel picks its left
+    end. On the sweep grid of 0.05 steps to chi = 20 the left end is the
+    point just before the crossing at every chi. The walk is longest where
+    the gap stays within the tolerance far back from the crossing: at chi
+    below about 2e-6, where it reaches index 1, and at some chi above about
+    8e4. The longest walks found at 10,000 points per period form about
+    3,600 gaps, and the walk grows in proportion to ``points_per_period``.
+    The bisection
+    stops at its fixed point, where a halving no longer moves the bracket,
+    and so returns the same float as a fixed 80 halvings after about 40 of
+    them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -323,10 +323,11 @@ def gqze_interval(
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
     formed, so no overflow occurs for any finite chi. A window of more than
     2e8 grid points is a ``ValueError`` too. The bound counts the window
-    only: the search for the bracket's left end may also go back over the
-    grid before it. Past its 16-point walk that is the backward chunked
-    search, which reaches as far as index 1 at chi below about 2e-6, where
-    no gap before pi/2 clears the tolerance.
+    only: the walk back to the bracket's left end may also go over the grid
+    before it, as far as index 1 at chi below about 2e-6, where no gap
+    before pi/2 clears the tolerance. There the walk forms about 0.36
+    ``points_per_period`` gaps on Python floats, 356,209 at 1e6 points per
+    period.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
@@ -335,18 +336,20 @@ def gqze_interval(
     return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
 
 
-def _window_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
+def _window_scan(
+    chi_value: float, w: float, step: float, first: int, last: int, half_angle: float
+) -> float:
     """The crossing time found by the certified-skip scan of the grid indices
-    first, ..., last in ``gqze_interval``. After _MAX_SKIP_EVALUATIONS gaps
-    the rest of the window goes to the forward ``_chunked_search``, and so
-    does the whole of a window no longer than that; the bracket's left end
-    comes from ``_bracket_left``."""
+    first, ..., last in ``gqze_interval``, whose window has half-width
+    ``half_angle`` about pi. After _MAX_SKIP_EVALUATIONS gaps the rest of the
+    window goes to ``_chunked_search``, and so does the whole of a window no
+    longer than that; the bracket's left end comes from ``_bracket_left``."""
     index, crossing = first, None
     if last - first >= _MAX_SKIP_EVALUATIONS:
         chi_sq = chi_value * chi_value
         scale = chi_sq + 1.0
         # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
-        angle = min(_window_half_angle(chi_value) + 3.0 * step, 0.5 * math.pi)
+        angle = min(half_angle + 3.0 * step, 0.5 * math.pi)
         slope = 2.0 / w + 2.0 * math.sin(angle)
         reach = _CROSSING_TOL - _SKIP_MARGIN
         cos = math.cos
@@ -373,55 +376,45 @@ def _bracket_left(chi_value: float, w: float, step: float, crossing: int) -> int
     """The last grid index before ``crossing`` whose gap is clearly positive,
     or 0 if there is none: the left end of the gqze bracket.
 
-    The gaps of the _FIRST_SEED_CHUNK points before ``crossing`` are formed
-    on Python floats, one at a time, with the arithmetic of ``_bisect_gap``;
-    only if none of them is clearly positive do the indices further back,
-    down to 1, go to the backward ``_chunked_search``.
+    It walks back from ``crossing`` - 1 to index 1 on Python floats, one gap
+    at a time, with the arithmetic of ``_bisect_gap``, so no numpy call and
+    no CPU-specific kernel picks the left end. At 10,000 points per period
+    it forms up to about 3,600 gaps: 3,563 at chi = 3.3e-7, where the left
+    end is 0, and 3,598 at chi = 5373932.526323148. The count grows in
+    proportion to ``points_per_period`` (the Bracket paragraph of
+    ``gqze_interval``).
     """
     chi_sq = chi_value * chi_value
     scale = chi_sq + 1.0
     cos = math.cos
-    stop = max(crossing - _FIRST_SEED_CHUNK, 1)
-    for index in range(crossing - 1, stop - 1, -1):
+    for index in range(crossing - 1, 0, -1):
         t = index * step
         hindered = (chi_sq + cos(w * t)) / scale
         reference = cos(t)
         if hindered * hindered - reference * reference > _CROSSING_TOL:
             return index
-    left = _chunked_search(chi_value, w, step, stop - 1, 1, forward=False)
-    return 0 if left is None else left
+    return 0
 
 
 def _chunked_search(
-    chi_value: float, w: float, step: float, start: int, stop: int, forward: bool = True
+    chi_value: float, w: float, step: float, start: int, stop: int
 ) -> Optional[int]:
-    """The first grid index from ``start`` towards ``stop``, both included,
-    whose gap is clearly negative going forward or clearly positive going
-    back; None if there is none.
+    """The first grid index from ``start`` to ``stop``, both included, whose
+    gap is clearly negative; None if there is none.
 
-    Forward, it is the gqze window scan's fallback once the certified skips
-    have spent their budget. Back, it is the numpy tail of the bracket's
-    left end: ``_bracket_left`` hands it the grid past its 16-point scalar
-    walk. At 10,000 points per period that happens below chi of about 2e-6,
-    and at some chi above about 8e4, where the gap stays within the
-    tolerance for more than 16 points before the crossing.
-
-    The indices run in chunks of _FIRST_CHUNK points forward and
-    _FIRST_SEED_CHUNK back, each chunk twice as long as the one before, at
-    most _MAX_CHUNK, up to the chunk that holds the hit; no point past it is
-    computed.
+    It is the gqze window scan's fallback once the certified skips have spent
+    their budget, and the one numpy search of ``gqze_interval``. The indices
+    run forward in chunks of _FIRST_CHUNK points, each chunk twice as long as
+    the one before, at most _MAX_CHUNK, up to the chunk that holds the hit;
+    no point past it is computed.
     """
-    size = _FIRST_CHUNK if forward else _FIRST_SEED_CHUNK
-    while (start <= stop) if forward else (start >= stop):
-        if forward:
-            low, high = start, min(stop, start + size - 1)
-        else:
-            low, high = max(stop, start - size + 1), start
-        gap = _gaps(chi_value, w, _grid_times(low, high, step))
-        hits = (gap < -_CROSSING_TOL if forward else gap > _CROSSING_TOL).nonzero()[0]
+    size = _FIRST_CHUNK
+    while start <= stop:
+        high = min(stop, start + size - 1)
+        hits = (_gaps(chi_value, w, _grid_times(start, high, step)) < -_CROSSING_TOL).nonzero()[0]
         if hits.size:
-            return low + int(hits[0] if forward else hits[-1])
-        start, size = high + 1 if forward else low - 1, min(2 * size, _MAX_CHUNK)
+            return start + int(hits[0])
+        start, size = high + 1, min(2 * size, _MAX_CHUNK)
     return None
 
 
@@ -765,15 +758,17 @@ def gqze_interval_grid(
     return _gqze_search(_dense_scan, chi, order_threshold, points_per_period, dense=True)
 
 
-def _dense_scan(chi_value: float, w: float, step: float, first: int, last: int) -> float:
+def _dense_scan(
+    chi_value: float, w: float, step: float, first: int, last: int, half_angle: float
+) -> float:
     """The crossing time found by the dense scan of ``gqze_interval_grid``.
 
     Every grid point from index 1 to ``last`` is evaluated, in order, in
-    chunks of _TWIN_CHUNK points, up to the crossing; ``first``, where the
-    windowed scan starts, is not used. The bracket's left end is the last
-    clearly positive point before the first clearly negative one (0 if there
-    is none). With no clearly negative point up to ``last``, the result is
-    pi.
+    chunks of _TWIN_CHUNK points, up to the crossing; ``first`` and
+    ``half_angle``, which shape the windowed scan, are not used. The
+    bracket's left end is the last clearly positive point before the first
+    clearly negative one (0 if there is none). With no clearly negative point
+    up to ``last``, the result is pi.
     """
     left = 0.0
     for lo, hi in _twin_chunks(last):
@@ -794,7 +789,7 @@ def _gqze_search(
 ) -> Optional[GqzeInterval]:
     """Check the arguments of a gqze search, lay out the grid both scans
     sample, and report the crossing time that ``scan(chi, w, step, first,
-    last)`` finds.
+    last, h)`` finds.
 
     The grid is step, 2 step, ..., with ``points_per_period`` points per
     hindered period. The window scan runs over the grid indices first, ...,
@@ -833,7 +828,7 @@ def _gqze_search(
     first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
     if last - (1 if dense else first) + 1 > _MAX_SCAN_POINTS:
         raise _grid_too_large(chi_value, points_per_period)
-    end = scan(chi_value, w, step, first, last)
+    end = scan(chi_value, w, step, first, last, half_angle)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)
 

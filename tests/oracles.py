@@ -172,7 +172,7 @@ def min_survival_grid_reference(chi: float, samples: int = 100_000) -> float:
     return float(np.min(survival_probability(chi, w, times)))
 
 
-def _dense_scan_reference(chi_value, w, step, first, last):
+def _dense_scan_reference(chi_value, w, step, first, last, half_angle):
     times = np.arange(1, last + 1) * step
     gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
     below = np.nonzero(gap < -1e-13)[0]

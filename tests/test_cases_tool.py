@@ -1,0 +1,53 @@
+"""``tools/cases.py``, the t_chi case-set printer: its output must be the
+same bytes on every run, and cover every case set it documents."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zenoion
+from zenoion.runner import _chi_grid
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "cases.py"
+
+# Every set and its size, as the tool's docstring lists them.
+_SET_SIZES = {
+    "log-uniform": 3000,
+    "sweep-grid": 441,
+    "uniform": 1000,
+    "touch": 995,
+    "density-300": 806,
+    "density-1700": 806,
+    "density-40000": 806,
+}
+
+
+def _run_tool(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    # The package the tests import, wherever it is installed.
+    package_root = str(Path(zenoion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(_TOOL)], env=env, capture_output=True, check=True
+    ).stdout
+
+
+@pytest.mark.skipif(not _TOOL.exists(), reason="tools/ is not part of this tree")
+def test_output_is_deterministic_and_covers_every_set():
+    output = _run_tool("1")
+    assert output == _run_tool("2")
+    rows = [line.split("\t") for line in output.decode("utf-8").splitlines()]
+    assert all(len(row) == 4 for row in rows)
+    names = [row[0] for row in rows]
+    assert {name: names.count(name) for name in _SET_SIZES} == _SET_SIZES
+    assert len(rows) == sum(_SET_SIZES.values())
+    for name, chi, points, result in rows:
+        assert points == (name[len("density-"):] if name.startswith("density-") else "10000")
+        expected = "None" if float(chi) == 0.0 else "GqzeInterval("
+        assert result.startswith(expected)
+    # The sweep-grid set is the grid that ``sweep --chi-max 22`` lays out.
+    grid = [float(chi) for name, chi, _, _ in rows if name == "sweep-grid"]
+    assert grid == _chi_grid(22.0, 0.05).tolist()

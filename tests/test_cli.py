@@ -445,19 +445,27 @@ class TestSweepAndIndicators:
 
     def test_sweep_seeds_every_bracket_on_floats(self, tmp_path, monkeypatch, capsys):
         # On this grid the bracket's left end is the point just before the
-        # crossing at every chi, so the scalar walk back finds it and no
-        # backward chunked search runs; the forward fallback still does.
-        directions = []
+        # crossing at every chi, so the walk back on Python floats forms one
+        # gap per chi; the chunked fallback still runs on some chi.
+        backs, fallbacks = [], []
+        bracket_left = zenoion.indicators._bracket_left
         chunked = zenoion.indicators._chunked_search
 
-        def record(chi, w, step, start, stop, forward=True):
-            directions.append(forward)
-            return chunked(chi, w, step, start, stop, forward)
+        def record_left(chi, w, step, crossing):
+            left = bracket_left(chi, w, step, crossing)
+            backs.append(crossing - left)
+            return left
 
-        monkeypatch.setattr(zenoion.indicators, "_chunked_search", record)
+        def record_chunked(*args):
+            fallbacks.append(args)
+            return chunked(*args)
+
+        monkeypatch.setattr(zenoion.indicators, "_bracket_left", record_left)
+        monkeypatch.setattr(zenoion.indicators, "_chunked_search", record_chunked)
         code = main(["sweep", "--chi-max", "20", "--chi-step", "0.05", "--out", str(tmp_path)])
         assert code == 0
-        assert directions and all(directions)
+        assert len(backs) == 400 and set(backs) == {1}
+        assert fallbacks
 
     def test_single_point_sweep_via_chi(self, tmp_path):
         config = load_config(

@@ -737,7 +737,7 @@ def _scaled_grid(scale):
 
 
 def _search_without_skips(chi, points_per_period):
-    """``gqze_interval`` with its window searched whole by the forward
+    """``gqze_interval`` with its window searched whole by
     ``_chunked_search``, without the certified skips of ``_window_scan``."""
     with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", 0):
         return gqze_interval(chi, points_per_period=points_per_period)
@@ -746,11 +746,9 @@ def _search_without_skips(chi, points_per_period):
 class TestGqzeChunkedScan:
     """The window scan must agree bit for bit with the dense grid, whatever
     the grid and however the windows compare with the first chunk. The
-    forward chunked search it falls back to runs in chunks of 1024, 2048,
-    ... points and stops at the chunk holding the crossing; the backward
-    search, the numpy tail of the bracket's left end, runs in chunks of 16,
-    32, ... points and stops at index 1. The checks named after couplings,
-    which the search once took, now vary the grid through
+    chunked search it falls back to runs forward in chunks of 1024, 2048,
+    ... points and stops at the chunk holding the crossing. The checks named
+    after couplings, which the search once took, now vary the grid through
     ``_scaled_grid``."""
 
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
@@ -873,17 +871,12 @@ class TestGqzeChunkedScan:
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
             _search_without_skips(chi, **_scaled_grid(scale))
         [(_, right)] = brackets
-        # A backward numpy search for the bracket's left end, if any, runs
-        # after the crossing chunk and starts inside it. So the forward
-        # chunks are the calls up to the first one that does not continue
-        # the chunk before it.
-        forward = times_seen[:1]
-        for times in times_seen[1:]:
-            if times[0] <= forward[-1][-1]:
-                break
-            forward.append(times)
-        assert right in forward[-1]
-        assert not any(right in times for times in forward[:-1])
+        # Every numpy call is a forward chunk: each continues the one before,
+        # and the last one holds the crossing.
+        for before, times in zip(times_seen, times_seen[1:]):
+            assert times[0] > before[-1]
+        assert right in times_seen[-1]
+        assert not any(right in times for times in times_seen[:-1])
         # Chunks double, so the points past the bracket's right end number
         # at most 1024 more than those up to it.
         after = sum(np.count_nonzero(times > right) for times in times_seen)
@@ -903,27 +896,44 @@ def _backward_starts(draw):
     return chi, points_per_period, start
 
 
+def _walked_indices(chi, w, step, crossing):
+    """``_bracket_left`` at ``crossing``, and the grid indices whose gaps it
+    formed, in order.
+
+    The walk forms each gap from cos(w t) and then cos(t), so every second
+    ``math.cos`` argument is a grid time."""
+    arguments = []
+
+    def record_cos(x):
+        arguments.append(x)
+        return math.cos(x)
+
+    spy_math = types.SimpleNamespace(**vars(math))
+    spy_math.cos = record_cos
+    with mock.patch.object(indicators, "math", spy_math):
+        left = indicators._bracket_left(chi, w, step, crossing)
+    indices = [round(t / step) for t in arguments[1::2]]
+    assert arguments[1::2] == [index * step for index in indices]
+    return left, indices
+
+
 class TestGqzeBackwardSearch:
-    """The backward ``_chunked_search`` is the numpy tail of the bracket's
-    left end: the last grid index at or before ``start`` whose gap is
-    clearly positive."""
+    """The backward search for the bracket's left end is the walk of
+    ``_bracket_left`` on Python floats: the last grid index before the
+    crossing whose gap is clearly positive, or 0."""
 
-    def test_chunks_double_and_stop_at_index_one(self):
-        # With no gap clearly positive the search runs from ``start`` down to
-        # index 1 in chunks of 16, 32, 64, ..., capped at 65536.
-        start, step = 200_000, 1e-3
-        seen = []
-
-        def record_gaps(chi_value, w, times):
-            seen.append(np.array(times))
-            return np.zeros(times.size)
-
-        with mock.patch.object(indicators, "_gaps", record_gaps):
-            assert indicators._chunked_search(2.0, 2.0, step, start, 1, forward=False) is None
-        doubling = [16 << k for k in range(12)]  # 16, ..., 32768
-        assert [times.size for times in seen] == doubling + [65536, 65536, 3408]
-        indices = np.round(np.concatenate(seen[::-1]) / step)
-        assert np.array_equal(indices, np.arange(1, start + 1))
+    def test_walk_stops_at_index_one(self):
+        # With no gap clearly positive the walk runs from the crossing down
+        # to index 1, one point at a time, and the left end is 0. At chi =
+        # 4e-7 the gap's first positive lobe peaks near 0.06 chi^2, below
+        # 1e-13, so no point before the crossing clears the tolerance.
+        chi = 4e-7
+        w = math.sqrt(1.0 + chi * chi)
+        step = _step(chi)
+        crossing = round(_dense_bracket(chi)[1] / step)
+        left, walked = _walked_indices(chi, w, step, crossing)
+        assert left == 0
+        assert walked == list(range(crossing - 1, 0, -1))
 
     @settings(max_examples=100)
     @given(case=_backward_starts())
@@ -934,15 +944,13 @@ class TestGqzeBackwardSearch:
         times = np.arange(1, start + 1) * step
         gap = survival_probability(chi, w, times) - np.cos(times) ** 2
         positive = np.nonzero(gap > 1e-13)[0]
-        expected = int(positive[-1]) + 1 if positive.size else None
-        assert indicators._chunked_search(chi, w, step, start, 1, forward=False) == expected
+        expected = int(positive[-1]) + 1 if positive.size else 0
+        assert indicators._bracket_left(chi, w, step, start + 1) == expected
 
     def test_no_clearly_positive_point_gives_left_end_zero(self):
-        # At chi = 4e-7 the gap's first positive lobe peaks near 0.06 chi^2,
-        # below 1e-13, so no point before the crossing is clearly positive:
-        # the scalar walk back finds none in its 16 points, the numpy tail
-        # tiles every index from J - 17 down to 1, a few thousand points,
-        # and the bracket opens at 0.
+        # At chi = 4e-7 no point before the crossing is clearly positive, so
+        # the bracket opens at 0, a few thousand points before the crossing.
+        # numpy only computes the chunks of the forward fallback, if it runs.
         chi = 4e-7
         seen, brackets = [], []
         survival = indicators.survival_probability
@@ -965,15 +973,50 @@ class TestGqzeBackwardSearch:
         step = _step(chi)
         right_index = round(right / step)
         w = math.sqrt(1.0 + chi * chi)
-        assert indicators._chunked_search(chi, w, step, right_index - 1, 1, forward=False) is None
         assert indicators._bracket_left(chi, w, step, right_index) == 0
-        # The numpy tail runs after every forward call, and only the forward
-        # calls reach the crossing.
-        reaching = [k for k, times in enumerate(seen) if times.max() >= right]
-        backward = np.concatenate(seen[reaching[-1] + 1:] if reaching else seen)
-        walk = indicators._FIRST_SEED_CHUNK
-        assert np.array_equal(np.sort(np.round(backward / step)), np.arange(1, right_index - walk))
-        assert 1000 < backward.size + walk < 10_000
+        assert 1000 < right_index < 10_000
+        for before, times in zip(seen, seen[1:]):
+            assert times[0] > before[-1]
+
+
+class TestBracketLeftWithoutNumpy:
+    """``_bracket_left`` makes no numpy call, however far back the left end
+    lies: here about 3,600 points at either end of the accepted chi range."""
+
+    # The crossing index of the search and the left end: at chi = 3.3e-7 it
+    # is 0, and at chi = 5373932.526323148 the gap stays within the
+    # tolerance for 3,598 points before the crossing.
+    @pytest.mark.parametrize(
+        "chi, crossing, left",
+        [(3.3e-7, 3564, 0), (5373932.526323148, 26_869_663_524, 26_869_659_926)],
+    )
+    def test_walk_reaches_no_numpy(self, monkeypatch, chi, crossing, left):
+        crossings = []
+        bracket_left = indicators._bracket_left
+
+        def record(chi_value, w, step, index):
+            crossings.append(index)
+            return bracket_left(chi_value, w, step, index)
+
+        with mock.patch.object(indicators, "_bracket_left", record):
+            gqze_interval(chi)
+        assert crossings == [crossing]
+        # The brute-force left end, from the gaps of the 4000 points up to
+        # the crossing.
+        w = math.sqrt(1.0 + chi * chi)
+        step = _step(chi)
+        times = np.arange(max(crossing - 4000, 1), crossing + 1) * step
+        gap = survival_probability(chi, w, times) - np.cos(times) ** 2
+        assert gap[-1] < -1e-13
+        positive = times[:-1][gap[:-1] > 1e-13]
+        assert (positive[-1] if positive.size else 0.0) == left * step
+
+        def no_survival(*args):
+            raise AssertionError("survival_probability reached")
+
+        monkeypatch.setattr(indicators, "np", _NoNumpy())
+        monkeypatch.setattr(indicators, "survival_probability", no_survival)
+        assert indicators._bracket_left(chi, w, step, crossing) == left
 
 
 @st.composite
@@ -983,8 +1026,7 @@ def _left_end_cases(draw):
 
     J is either ``start`` + 1 or, for a drawn distance d, d points past a
     clearly positive index p with no clearly positive index between them,
-    so that the left end lies d points back from J: d = 1, 15 and 16 are
-    found by the scalar walk, 17 and more by the numpy tail."""
+    so that the left end lies d points back from J, from 1 point to 1000."""
     chi, points_per_period, start = draw(_backward_starts())
     w = math.sqrt(1.0 + chi * chi)
     step = _step(chi, points_per_period)
@@ -1002,10 +1044,10 @@ def _left_end_cases(draw):
 
 
 class TestBracketLeft:
-    """``_bracket_left`` walks back from the crossing on Python floats for at
-    most _FIRST_SEED_CHUNK points and hands the indices further back to the
-    backward ``_chunked_search``; either way it returns the last clearly
-    positive index before the crossing, or 0."""
+    """``_bracket_left`` walks back from the crossing on Python floats, one
+    point at a time, down to index 1 at most; it returns the last clearly
+    positive index before the crossing, or 0, and numpy computes none of
+    the gaps."""
 
     @settings(max_examples=150)
     @given(case=_left_end_cases())
@@ -1017,8 +1059,9 @@ class TestBracketLeft:
 
     @staticmethod
     def _traced_left_end(chi, points_per_period, crossing):
-        """``_bracket_left`` at ``crossing``, the brute-force left end, and
-        the grid indices whose gaps numpy computed, in order."""
+        """``_bracket_left`` at ``crossing``, the brute-force left end, the
+        grid indices whose gaps numpy computed, and those the walk formed on
+        Python floats, each in order."""
         w = math.sqrt(1.0 + chi * chi)
         step = _step(chi, points_per_period)
         times = np.arange(1, crossing) * step
@@ -1032,41 +1075,42 @@ class TestBracketLeft:
             return survival(chi_value, w, times)
 
         with mock.patch.object(indicators, "survival_probability", record):
-            left = indicators._bracket_left(chi, w, step, crossing)
-        return left, int(positive[-1]) if positive.size else 0, computed
+            left, walked = _walked_indices(chi, w, step, crossing)
+        return left, int(positive[-1]) if positive.size else 0, computed, walked
 
     # At chi = 4e-7 no index before pi/2 is clearly positive, and at chi =
-    # 1e-3 on a 50-point grid index 1 already is. A crossing up to 17 is
-    # walked down to index 1 and leaves numpy nothing to compute; past it
-    # the numpy tail covers every index from J - 17 down to 1.
+    # 1e-3 on a 50-point grid index 1 already is. Either way the walk covers
+    # every index from J - 1 down to the left end (down to 1 for a left end
+    # of 0), and numpy computes none of them.
     @pytest.mark.parametrize(
         "chi, points_per_period, crossing, expected",
         [(4e-7, 10_000, 2, 0), (4e-7, 10_000, 17, 0), (4e-7, 10_000, 18, 0),
          (4e-7, 10_000, 2500, 0), (1e-3, 50, 2, 1)],
     )
     def test_left_ends_zero_and_one(self, chi, points_per_period, crossing, expected):
-        left, brute_force, computed = self._traced_left_end(chi, points_per_period, crossing)
+        left, brute_force, computed, walked = self._traced_left_end(
+            chi, points_per_period, crossing
+        )
         assert left == brute_force == expected
-        tail = range(1, crossing - indicators._FIRST_SEED_CHUNK) if expected == 0 else []
-        assert sorted(computed) == list(tail)
+        assert computed == []
+        assert walked == list(range(crossing - 1, max(expected, 1) - 1, -1))
 
     # At chi = 2e-6 the gap's first positive lobe clears 1e-13 only on a band
     # of grid points that ends about 110 points before pi/2 (index 2500),
     # and the first clearly negative point lies about 80 points past pi/2. A
     # crossing placed ``back`` points past the band's last index puts the
-    # left end that far back: up to 16 the walk finds it with no numpy call,
-    # from 17 the numpy tail does, starting at J - 17.
+    # left end that far back: the walk forms exactly ``back`` gaps, and
+    # numpy none.
     @pytest.mark.parametrize("back", [1, 2, 15, 16, 17, 18, 150])
     def test_left_end_back_from_the_crossing(self, back):
         chi = 2e-6
-        _, band_end, _ = self._traced_left_end(chi, 10_000, 2500)
+        _, band_end, _, _ = self._traced_left_end(chi, 10_000, 2500)
         assert 2300 < band_end < 2400
         crossing = band_end + back
-        left, brute_force, computed = self._traced_left_end(chi, 10_000, crossing)
+        left, brute_force, computed, walked = self._traced_left_end(chi, 10_000, crossing)
         assert left == brute_force == band_end
-        walk = indicators._FIRST_SEED_CHUNK
-        top = crossing - walk - 1 if back > walk else None
-        assert (max(computed) if computed else None) == top
+        assert computed == []
+        assert walked == list(range(crossing - 1, band_end - 1, -1))
 
 
 def _step(chi, points_per_period=10_000):
@@ -1141,7 +1185,7 @@ def _dense_feasible_grids(draw):
 class TestGqzeSkipScan:
     """The window scan of ``gqze_interval`` skips the grid points that the
     slope bound in its docstring certifies are not clearly negative, and
-    hands the window to the forward ``_chunked_search`` after
+    hands the rest of the window to ``_chunked_search`` after
     _MAX_SKIP_EVALUATIONS gaps.
     It finds the first clearly negative point of the dense grid, and so the
     dense twin's bracket and t_chi, bit for bit."""
@@ -1194,10 +1238,9 @@ class TestGqzeSkipScan:
         starts, brackets = [], []
         chunked, bisect = indicators._chunked_search, indicators._bisect_gap
 
-        def record_chunked(chi_value, w, step, start, stop, forward=True):
-            if forward:
-                starts.append(start)
-            return chunked(chi_value, w, step, start, stop, forward)
+        def record_chunked(chi_value, w, step, start, stop):
+            starts.append(start)
+            return chunked(chi_value, w, step, start, stop)
 
         def record_bisect(*args):
             brackets.append(args[2:])
@@ -1217,14 +1260,13 @@ class TestGqzeSkipScan:
     def test_short_window_goes_to_the_chunked_scan(self):
         # At 60 points per period the window of chi = 20 holds about 42
         # points, fewer than the gap budget: it is searched whole, in one
-        # forward call.
+        # call.
         windows = []
         chunked = indicators._chunked_search
 
-        def record_chunked(chi_value, w, step, start, stop, forward=True):
-            if forward:
-                windows.append((start, stop))
-            return chunked(chi_value, w, step, start, stop, forward)
+        def record_chunked(chi_value, w, step, start, stop):
+            windows.append((start, stop))
+            return chunked(chi_value, w, step, start, stop)
 
         with mock.patch.object(indicators, "_chunked_search", record_chunked):
             windowed = gqze_interval(20.0, points_per_period=60)
@@ -1320,8 +1362,10 @@ class TestGqzeQuarterPeriodSkip:
 
     @pytest.mark.parametrize("chi", [2.0, 20.0, 1e3, 1e4])
     def test_points_before_quarter_period_are_one_short_seed(self, chi):
-        # The scalar code forms each gap from cos(w t) and then cos(t), so
-        # every second ``math.cos`` argument is a time it samples.
+        # Here the window starts past pi/2 and the left end lies next to the
+        # crossing, so neither numpy nor the scalar code samples a time at or
+        # before pi/2. The scalar code forms each gap from cos(w t) and then
+        # cos(t), so every second ``math.cos`` argument is a time it samples.
         times_seen, arguments = [], []
         survival = indicators.survival_probability
 
@@ -1338,14 +1382,11 @@ class TestGqzeQuarterPeriodSkip:
         with mock.patch.object(indicators, "survival_probability", record_survival), \
                 mock.patch.object(indicators, "math", spy_math):
             gqze_interval(chi)
-        early = [times for times in times_seen if np.any(times <= 0.5 * math.pi)]
-        assert len(early) <= 1
-        assert all(times.size <= 64 and np.all(times <= 0.5 * math.pi) for times in early)
-        early_scalar = [t for t in arguments[1::2] if t <= 0.5 * math.pi]
-        assert len(early_scalar) <= indicators._FIRST_SEED_CHUNK
+        assert not [times for times in times_seen if np.any(times <= 0.5 * math.pi)]
+        assert not [t for t in arguments[1::2] if t <= 0.5 * math.pi]
 
-    # Below chi ~ 2e-6 no gap up to pi/2 clears 1e-13 and the seed walks back
-    # over several chunks to 0; above it one short seed chunk suffices.
+    # Below chi ~ 2e-6 no gap up to pi/2 clears 1e-13 and the walk goes back
+    # to 0; above it the left end lies a few points before the crossing.
     @pytest.mark.parametrize("chi", [4e-7, 1e-6, 2e-6, 3e-6, 1e-3, 0.5, 1.0, 5.0])
     def test_seeded_bracket_matches_dense_grid(self, chi):
         brackets = []
