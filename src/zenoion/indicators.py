@@ -57,13 +57,17 @@ _MAX_SKIP_EVALUATIONS = 64
 # of two computed gaps and of the slope bound (see ``gqze_interval``).
 _SKIP_MARGIN = 1e-14
 
-# Grid points in the first chunk of the chunked gqze search; every further
-# chunk is twice as long, up to _MAX_CHUNK, so the search stops soon after
-# its hit and no chunk outgrows 512 KiB per float64 temporary.
-_FIRST_CHUNK = 1024
-_MAX_CHUNK = 1 << 16
+# Grid points per hindered period of both gqze searches. Every window then
+# holds 5,006 to 7,077 points with a step of at most 2 pi / 10,000, as the
+# skip scan's rounding bound needs (see ``gqze_interval``).
+_POINTS_PER_PERIOD = 10_000
 
-# The most grid points one gqze scan may visit.
+# Grid points in the first chunk of the chunked gqze search; every further
+# chunk is twice as long, so the search stops soon after its hit. Chunks of
+# 1024, 2048 and 4096 points cover any window.
+_FIRST_CHUNK = 1024
+
+# The most grid points the dense gqze twin may visit.
 _MAX_SCAN_POINTS = 200_000_000
 
 # Grid points per round, and rounds, of the bracketed argmin in
@@ -155,8 +159,9 @@ def mean_level_probabilities(chi):
 
 
 def _check_epsilon(epsilon) -> float:
-    """``epsilon`` as a float; ``ValueError`` unless it is finite and > 0."""
-    epsilon = float(epsilon)
+    """``epsilon`` as a float; ``ValueError`` unless it is finite and > 0,
+    None included."""
+    epsilon = math.nan if epsilon is None else float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and > 0")
     return epsilon
@@ -206,11 +211,7 @@ class GqzeInterval:
     present: bool
 
 
-def gqze_interval(
-    chi: float,
-    order_threshold: float = 0.5,
-    points_per_period: int = 10_000,
-) -> Optional[GqzeInterval]:
+def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInterval]:
     """Locate the first time the hindered survival falls back to the
     chi = 0 reference curve.
 
@@ -233,13 +234,13 @@ def gqze_interval(
     Window: the reference is cos^2(t), and the hindered curve never drops
     below its floor m(chi), so a crossing needs cos^2(t) > m, which confines
     it to windows of half-width h = arccos(sqrt(m)) around k pi. The search
-    samples the grid of ``gqze_interval_grid`` (``points_per_period`` points
-    per hindered period) only in window k = 1, out to pi + h and padded by
-    two points a side. The crossing can fall between the last grid point at
-    or below pi and the next one (chi = 9.95), so the scan runs past pi.
-    For chi <= 1, m = 0 and the window spans pi/2 to 3 pi/2; for large chi
-    it holds about 0.6 hindered periods, so the cost no longer grows with
-    chi.
+    samples the grid of ``gqze_interval_grid`` (10,000 points per hindered
+    period, _POINTS_PER_PERIOD) only in window k = 1, out to pi + h and
+    padded by two points a side. The crossing can fall between the last
+    grid point at or below pi and the next one (chi = 9.95), so the scan
+    runs past pi. For chi <= 1, m = 0 and the window spans pi/2 to 3 pi/2;
+    for large chi it holds about 0.64 hindered periods. Every window holds
+    5,006 to 7,077 points, so the cost does not grow with chi.
 
     Lemma: the gap is never negative for t in [0, pi/2], whatever chi. With
     w = sqrt(1 + chi^2) >= 1 and x = t/2 in [0, pi/4], |sin(wx)| <= w sin x:
@@ -261,8 +262,7 @@ def gqze_interval(
     step)), with s = (g + tol - margin) / L; every index it passes over is
     certified not clearly negative, as shown below. After 64 gaps
     (_MAX_SKIP_EVALUATIONS) it hands the rest of the window, from the next
-    index, to the chunked search; a window of at most 64 points goes to the
-    chunked search whole.
+    index, to the chunked search.
 
     Skip bound: write H = (chi^2 + cos wt) / (chi^2 + 1), so the gap is G =
     H^2 - cos^2 t. Then |H| <= 1, |H'| = w |sin wt| / (1 + chi^2) <= 1 / w
@@ -275,25 +275,27 @@ def gqze_interval(
 
     Rounding: with u = 2^-53, w t is rounded by at most u w t, each cosine
     by u and every other operation by u of its result, so a computed gap
-    lies within e = (2t + 11) u of G. A window of more than 64 points has a
-    step below pi/58, so t < 4.9 and e < 2.4e-15. The rounding of L, of
-    w^2 against 1 + chi^2 and of the window ends loosens the bound by a few
-    ulp, under 1e-15 over a skip since L s <= 1 + tol. So margin = 1e-14
-    (_SKIP_MARGIN) covers two gaps. The grid indices stay below about 1e15
-    (the window holds at most 2e8 points and h > 3e-7), so the roundings of
-    t + s, of its quotient by step and of the grid times move an index by
-    less than one: the index the scan lands on may lie just past the
-    certified span, but it is evaluated, not passed over. So the scan finds
-    the first clearly negative grid point of the dense scan. Near a touch
-    the gap decays like (pi - t)^4 and the certified step shrinks to one
-    point; the 64-gap budget bounds the cost there.
+    lies within e = (2t + 11) u of G. The step is at most 2 pi / 10,000
+    (w >= 1), so every window time is below 3 pi/2 + 0.002, t < 4.72, and
+    e < 2.4e-15. The rounding of L, of w^2 against 1 + chi^2 and of the
+    window ends loosens the bound by a few ulp, under 1e-15 over a skip
+    since L s <= 1 + tol. So margin = 1e-14 (_SKIP_MARGIN) covers two gaps.
+    The grid indices stay below 5e10 (at most about 0.75 w 10,000, with w
+    below 6.4e6), so the roundings of t + s, of its quotient by step and of
+    the grid times move an index by less than one: the index the scan lands
+    on may lie just past the certified span, but it is evaluated, not
+    passed over. So the scan finds the first clearly negative grid point of
+    the dense scan. Near a touch the gap decays like (pi - t)^4 and the
+    certified step shrinks to one point; the 64-gap budget bounds the cost
+    there.
 
     Chunks: the chunked search (``_chunked_search``), the search's one numpy
-    path, runs forward in chunks of 1024, 2048, 4096, ... grid points, at
-    most 65536, and stops at the first chunk holding a clearly negative gap;
-    the points past that chunk are never computed. The reference cos^2(t)
-    is formed inline with one cosine and one product, bit for bit ``survival_probability(0.0, 1.0,
-    t)``; the hindered curve is ``survival_probability``.
+    path, runs forward in chunks of 1024, 2048 and 4096 grid points, which
+    cover any window, and stops at the first chunk holding a clearly
+    negative gap; the points past that chunk are never computed. The
+    reference cos^2(t) is formed inline with one cosine and one product, bit
+    for bit ``survival_probability(0.0, 1.0, t)``; the hindered curve is
+    ``survival_probability``.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
@@ -306,12 +308,9 @@ def gqze_interval(
     point just before the crossing at every chi. The walk is longest where
     the gap stays within the tolerance far back from the crossing: at chi
     below about 2e-6, where it reaches index 1, and at some chi above about
-    8e4. The longest walks found at 10,000 points per period form about
-    3,600 gaps, and the walk grows in proportion to ``points_per_period``.
-    The bisection
-    stops at its fixed point, where a halving no longer moves the bracket,
-    and so returns the same float as a fixed 80 halvings after about 40 of
-    them.
+    8e4. The longest walks found form about 3,600 gaps. The bisection stops
+    at its fixed point, where a halving no longer moves the bracket, and so
+    returns the same float as a fixed 80 halvings after about 40 of them.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -321,19 +320,16 @@ def gqze_interval(
     clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
     that range the gap cannot be told from rounding at the 1e-13 tolerance
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
-    formed, so no overflow occurs for any finite chi. A window of more than
-    2e8 grid points is a ``ValueError`` too. The bound counts the window
-    only: the walk back to the bracket's left end may also go over the grid
-    before it, as far as index 1 at chi below about 2e-6, where no gap
-    before pi/2 clears the tolerance. There the walk forms about 0.36
-    ``points_per_period`` gaps on Python floats, 356,209 at 1e6 points per
-    period.
+    formed, so no overflow occurs for any finite chi. The walk back to the
+    bracket's left end may go over the grid before the window, as far as
+    index 1 at chi below about 2e-6, where no gap before pi/2 clears the
+    tolerance; there it forms about 3,600 gaps on Python floats.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
     raised before the range checks.
     """
-    return _gqze_search(_window_scan, chi, order_threshold, points_per_period)
+    return _gqze_search(_window_scan, chi, order_threshold)
 
 
 def _window_scan(
@@ -342,28 +338,27 @@ def _window_scan(
     """The crossing time found by the certified-skip scan of the grid indices
     first, ..., last in ``gqze_interval``, whose window has half-width
     ``half_angle`` about pi. After _MAX_SKIP_EVALUATIONS gaps the rest of the
-    window goes to ``_chunked_search``, and so does the whole of a window no
-    longer than that; the bracket's left end comes from ``_bracket_left``."""
+    window goes to ``_chunked_search``; the bracket's left end comes from
+    ``_bracket_left``."""
     index, crossing = first, None
-    if last - first >= _MAX_SKIP_EVALUATIONS:
-        chi_sq = chi_value * chi_value
-        scale = chi_sq + 1.0
-        # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
-        angle = min(half_angle + 3.0 * step, 0.5 * math.pi)
-        slope = 2.0 / w + 2.0 * math.sin(angle)
-        reach = _CROSSING_TOL - _SKIP_MARGIN
-        cos = math.cos
-        for _ in range(_MAX_SKIP_EVALUATIONS):
-            if index > last:
-                break
-            t = index * step
-            hindered = (chi_sq + cos(w * t)) / scale
-            reference = cos(t)
-            gap = hindered * hindered - reference * reference
-            if gap < -_CROSSING_TOL:
-                crossing = index
-                break
-            index = max(index + 1, math.floor((t + (gap + reach) / slope) / step))
+    chi_sq = chi_value * chi_value
+    scale = chi_sq + 1.0
+    # L, the bound on |G'| between window points, of the ``gqze_interval`` proof.
+    angle = min(half_angle + 3.0 * step, 0.5 * math.pi)
+    slope = 2.0 / w + 2.0 * math.sin(angle)
+    reach = _CROSSING_TOL - _SKIP_MARGIN
+    cos = math.cos
+    for _ in range(_MAX_SKIP_EVALUATIONS):
+        if index > last:
+            break
+        t = index * step
+        hindered = (chi_sq + cos(w * t)) / scale
+        reference = cos(t)
+        gap = hindered * hindered - reference * reference
+        if gap < -_CROSSING_TOL:
+            crossing = index
+            break
+        index = max(index + 1, math.floor((t + (gap + reach) / slope) / step))
     if crossing is None:
         crossing = _chunked_search(chi_value, w, step, index, last)
         if crossing is None:
@@ -378,11 +373,9 @@ def _bracket_left(chi_value: float, w: float, step: float, crossing: int) -> int
 
     It walks back from ``crossing`` - 1 to index 1 on Python floats, one gap
     at a time, with the arithmetic of ``_bisect_gap``, so no numpy call and
-    no CPU-specific kernel picks the left end. At 10,000 points per period
-    it forms up to about 3,600 gaps: 3,563 at chi = 3.3e-7, where the left
-    end is 0, and 3,598 at chi = 5373932.526323148. The count grows in
-    proportion to ``points_per_period`` (the Bracket paragraph of
-    ``gqze_interval``).
+    no CPU-specific kernel picks the left end. It forms up to about 3,600
+    gaps: 3,563 at chi = 3.3e-7, where the left end is 0, and 3,598 at
+    chi = 5373932.526323148 (the Bracket paragraph of ``gqze_interval``).
     """
     chi_sq = chi_value * chi_value
     scale = chi_sq + 1.0
@@ -405,8 +398,8 @@ def _chunked_search(
     It is the gqze window scan's fallback once the certified skips have spent
     their budget, and the one numpy search of ``gqze_interval``. The indices
     run forward in chunks of _FIRST_CHUNK points, each chunk twice as long as
-    the one before, at most _MAX_CHUNK, up to the chunk that holds the hit;
-    no point past it is computed.
+    the one before, up to the chunk that holds the hit; no point past it is
+    computed. A window of at most 7,168 points takes three chunks at most.
     """
     size = _FIRST_CHUNK
     while start <= stop:
@@ -414,7 +407,7 @@ def _chunked_search(
         hits = (_gaps(chi_value, w, _grid_times(start, high, step)) < -_CROSSING_TOL).nonzero()[0]
         if hits.size:
             return start + int(hits[0])
-        start, size = high + 1, min(2 * size, _MAX_CHUNK)
+        start, size = high + 1, 2 * size
     return None
 
 
@@ -556,9 +549,11 @@ def indicator_report(
     The hindering interval is found first: it checks chi and rejects one
     beyond its resolvable range before any other indicator forms chi^2. An
     array or list chi is a ``ValueError``, as in ``gqze_interval``: chi must
-    be a scalar.
+    be a scalar. So is an ``epsilon`` that is not finite and > 0, None
+    included; the report stores it as a float.
     """
     gqze = gqze_interval(chi, order_threshold)
+    epsilon = _check_epsilon(epsilon)
     chi_value = float(chi)
     mean, level2, level3 = mean_level_probabilities(chi_value)
     return IndicatorReport(
@@ -570,8 +565,8 @@ def indicator_report(
         survival_mean=mean,
         level2_mean=level2,
         level3_mean=level3,
-        epsilon=float(epsilon),
-        sub_threshold_time=_measure_below(chi_value * chi_value, mean - _check_epsilon(epsilon)),
+        epsilon=epsilon,
+        sub_threshold_time=_measure_below(chi_value * chi_value, mean - epsilon),
         gqze=gqze,
     )
 
@@ -739,11 +734,7 @@ def _threshold_crossing(
     return 0.5 * (below + above)
 
 
-def gqze_interval_grid(
-    chi: float,
-    order_threshold: float = 0.5,
-    points_per_period: int = 10_000,
-) -> Optional[GqzeInterval]:
+def gqze_interval_grid(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInterval]:
     """Dense-grid twin of ``gqze_interval``: samples the gap on every point of
     the same grid from index 1 to the end of the window (pi + h, padded by two
     points), brackets the first clearly negative point and bisects, or
@@ -752,10 +743,11 @@ def gqze_interval_grid(
 
     The grid is evaluated in chunks of _TWIN_CHUNK points and the scan stops
     at the chunk holding the crossing, so its memory does not grow with chi.
-    Its time still grows linearly in chi; a grid of more than 2e8 points is
-    a ``ValueError``.
+    Its time still grows linearly in chi: the grid holds about 5,000 x chi
+    points, and one of more than 2e8 points (chi above about 4e4) is a
+    ``ValueError``.
     """
-    return _gqze_search(_dense_scan, chi, order_threshold, points_per_period, dense=True)
+    return _gqze_search(_dense_scan, chi, order_threshold)
 
 
 def _dense_scan(
@@ -768,8 +760,13 @@ def _dense_scan(
     ``half_angle``, which shape the windowed scan, are not used. The
     bracket's left end is the last clearly positive point before the first
     clearly negative one (0 if there is none). With no clearly negative point
-    up to ``last``, the result is pi.
+    up to ``last``, the result is pi. A ``last`` above 2e8 is a ``ValueError``.
     """
+    if last > _MAX_SCAN_POINTS:
+        raise ValueError(
+            f"the dense gqze grid at chi = {chi_value:g} is too fine: the scan "
+            f"would visit more than 2e8 grid points"
+        )
     left = 0.0
     for lo, hi in _twin_chunks(last):
         times = _grid_times(lo + 1, hi, step)
@@ -784,34 +781,24 @@ def _dense_scan(
     return math.pi
 
 
-def _gqze_search(
-    scan, chi, order_threshold, points_per_period, dense=False
-) -> Optional[GqzeInterval]:
+def _gqze_search(scan, chi, order_threshold) -> Optional[GqzeInterval]:
     """Check the arguments of a gqze search, lay out the grid both scans
     sample, and report the crossing time that ``scan(chi, w, step, first,
     last, h)`` finds.
 
-    The grid is step, 2 step, ..., with ``points_per_period`` points per
-    hindered period. The window scan runs over the grid indices first, ...,
-    last: ``last`` is ceil((pi + h) / step) + 2, with h =
-    ``_window_half_angle(chi)``, and ``first`` is floor((pi - h) / step) - 2,
-    at least 1. For chi up to about 1 that lies a few points at or before
+    The grid is step, 2 step, ..., with _POINTS_PER_PERIOD points per
+    hindered period, read at call time. The window scan runs over the grid
+    indices first, ..., last: ``last`` is ceil((pi + h) / step) + 2, with h
+    = ``_window_half_angle(chi)``, and ``first`` is floor((pi - h) / step) -
+    2, at least 1. For chi up to about 1 that lies a few points at or before
     pi/2, where the lemma of ``gqze_interval`` leaves no gap clearly
-    negative. The dense scan runs from index 1 to ``last``. A scan that
-    would visit more than 2e8 points, the whole grid if ``dense`` and the
-    window otherwise (the Range paragraph of ``gqze_interval``), or a grid
-    too fine to count, is a ``ValueError``. None at chi = 0; ``ValueError``
-    for a chi that is not a scalar, not finite and >= 0 (None included), or
-    outside the resolvable range of ``gqze_interval``, raised before chi^2
-    is formed."""
-    if not 0.0 < order_threshold <= 1.0:
+    negative. The dense scan runs from index 1 to ``last``. None at chi = 0;
+    ``ValueError`` for an ``order_threshold`` outside (0, 1] (None
+    included), and for a chi that is not a scalar, not finite and >= 0
+    (None included), or outside the resolvable range of ``gqze_interval``,
+    raised before chi^2 is formed."""
+    if order_threshold is None or not 0.0 < order_threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
-    if not (
-        isinstance(points_per_period, numbers.Real)
-        and math.isfinite(points_per_period)
-        and points_per_period > 0
-    ):
-        raise ValueError(f"points_per_period must be finite and > 0, got {points_per_period!r}")
     chi_value = _finite_chi(chi)
     # The upper range check runs before chi^2 is formed; every chi it lets
     # pass lies below about 6.3e6, whose square cannot overflow.
@@ -821,21 +808,9 @@ def _gqze_search(
     _check_chi_floor(chi_value)
     w = math.sqrt(1.0 + chi_value * chi_value)
     hindered_period = math.tau / w  # never longer than the reference period 2 pi
-    step = hindered_period / points_per_period
+    step = hindered_period / _POINTS_PER_PERIOD
     spacing, reach = math.pi / step, half_angle / step
-    if not math.isfinite(spacing + reach):
-        raise _grid_too_large(chi_value, points_per_period)
     first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
-    if last - (1 if dense else first) + 1 > _MAX_SCAN_POINTS:
-        raise _grid_too_large(chi_value, points_per_period)
     end = scan(chi_value, w, step, first, last, half_angle)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= order_threshold)
-
-
-def _grid_too_large(chi: float, points_per_period) -> ValueError:
-    return ValueError(
-        f"the gqze grid at chi = {chi:g} and points_per_period = "
-        f"{points_per_period!r} is too fine: the scan would visit more than 2e8 "
-        f"grid points"
-    )

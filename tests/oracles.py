@@ -184,17 +184,11 @@ def _dense_scan_reference(chi_value, w, step, first, last, half_angle):
     return indicators._bisect_gap(chi_value, w, left, float(times[first]))
 
 
-def gqze_interval_grid_reference(
-    chi: float,
-    order_threshold: float = 0.5,
-    points_per_period: int = 10_000,
-):
+def gqze_interval_grid_reference(chi: float, order_threshold: float = 0.5):
     """The dense gqze twin on its whole grid at once, through the package's
     argument checks, grid layout and bisection (``_bisect_gap`` is pinned to
     ``bisect_gap_oracle`` on its own)."""
-    return indicators._gqze_search(
-        _dense_scan_reference, chi, order_threshold, points_per_period, dense=True
-    )
+    return indicators._gqze_search(_dense_scan_reference, chi, order_threshold)
 
 
 # The occupation-triple check with no fast path: ``fock._int_triple``'s full

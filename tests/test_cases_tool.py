@@ -19,9 +19,6 @@ _SET_SIZES = {
     "sweep-grid": 441,
     "uniform": 1000,
     "touch": 995,
-    "density-300": 806,
-    "density-1700": 806,
-    "density-40000": 806,
 }
 
 
@@ -40,14 +37,13 @@ def test_output_is_deterministic_and_covers_every_set():
     output = _run_tool("1")
     assert output == _run_tool("2")
     rows = [line.split("\t") for line in output.decode("utf-8").splitlines()]
-    assert all(len(row) == 4 for row in rows)
+    assert all(len(row) == 3 for row in rows)
     names = [row[0] for row in rows]
     assert {name: names.count(name) for name in _SET_SIZES} == _SET_SIZES
     assert len(rows) == sum(_SET_SIZES.values())
-    for name, chi, points, result in rows:
-        assert points == (name[len("density-"):] if name.startswith("density-") else "10000")
+    for name, chi, result in rows:
         expected = "None" if float(chi) == 0.0 else "GqzeInterval("
         assert result.startswith(expected)
     # The sweep-grid set is the grid that ``sweep --chi-max 22`` lays out.
-    grid = [float(chi) for name, chi, _, _ in rows if name == "sweep-grid"]
+    grid = [float(chi) for name, chi, _ in rows if name == "sweep-grid"]
     assert grid == _chi_grid(22.0, 0.05).tolist()

@@ -522,6 +522,15 @@ class TestSubThresholdMeasure:
         with pytest.raises(ValueError):
             sub_threshold_measure(1.0, 0.0)
 
+    # None fails the check itself, not float(None) with a TypeError.
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0, math.inf, None])
+    @pytest.mark.parametrize(
+        "function", [sub_threshold_measure, sub_threshold_measure_grid, indicator_report]
+    )
+    def test_rejects_bad_epsilon_in_one_line(self, function, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must be finite and > 0$"):
+            function(2.0, epsilon)
+
     @pytest.mark.parametrize("chi", [0.3, 0.7, 1.0, 2.0])
     def test_matches_grid_measure(self, chi):
         period = poincare_time(chi)
@@ -587,6 +596,21 @@ class TestGqzeInterval:
         with pytest.raises(ValueError):
             gqze_interval(2.0, order_threshold=0.0)
 
+    # None fails the check itself, not the comparison with a TypeError.
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, math.inf, None, 1.5])
+    @pytest.mark.parametrize(
+        "function",
+        [
+            gqze_interval,
+            gqze_interval_grid,
+            lambda chi, threshold: indicator_report(chi, 0.01, threshold),
+        ],
+        ids=["gqze_interval", "gqze_interval_grid", "indicator_report"],
+    )
+    def test_rejects_bad_threshold_in_one_line(self, function, threshold):
+        with pytest.raises(ValueError, match=r"^order_threshold must lie in \(0, 1\]$"):
+            function(2.0, threshold)
+
     @pytest.mark.parametrize("chi", [2, np.float64(2.0), np.array(2.0)], ids=type)
     def test_accepts_every_scalar_kind(self, chi):
         assert gqze_interval(chi) == gqze_interval(2.0)
@@ -612,15 +636,6 @@ class TestGqzeWindowedSearch:
     @given(chi=st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
     def test_matches_dense_grid_property(self, chi):
         assert gqze_interval(chi) == gqze_interval_grid(chi)
-
-    @pytest.mark.parametrize("chi", [0.5, 2.0])
-    def test_short_grid_fallback_matches_dense_grid(self, chi):
-        # One point per hindered period samples only the recurrences, where
-        # the hindered survival is 1, so the grid holds no clearly negative
-        # point and both searches take the fallback: pi.
-        windowed = gqze_interval(chi, points_per_period=1)
-        assert windowed == gqze_interval_grid(chi, points_per_period=1)
-        assert windowed.end == math.pi
 
     @pytest.mark.parametrize("chi", [3e5, 6.3e6])
     def test_closest_approach_is_not_small_t_noise(self, chi):
@@ -729,18 +744,26 @@ class TestGqzeCrossingRange:
 _GQZE_SPARSE_CHIS = _GQZE_TWIN_CHIS[::4]
 
 
+def _on_grid(points_per_period):
+    """Both gqze searches on ``points_per_period`` points per hindered period
+    instead of the fixed 10,000, within the ``with`` block. The window scan's
+    rounding bound needs every window to hold more than 64 points with a
+    step below pi/58, which holds from 300 points per period."""
+    assert points_per_period >= 300
+    return mock.patch.object(indicators, "_POINTS_PER_PERIOD", points_per_period)
+
+
 def _scaled_grid(scale):
-    """Search-grid arguments ``scale`` times as sparse in points per period
-    as the default grid, so every window and chunk edge moves; scale 1 is the
-    default grid."""
-    return {"points_per_period": round(10_000 / scale)}
+    """``_on_grid`` at ``scale`` times fewer points per period than the fixed
+    grid, so every window and chunk edge moves; scale 1 is the fixed grid."""
+    return _on_grid(round(10_000 / scale))
 
 
-def _search_without_skips(chi, points_per_period):
+def _search_without_skips(chi):
     """``gqze_interval`` with its window searched whole by
     ``_chunked_search``, without the certified skips of ``_window_scan``."""
     with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", 0):
-        return gqze_interval(chi, points_per_period=points_per_period)
+        return gqze_interval(chi)
 
 
 class TestGqzeChunkedScan:
@@ -754,8 +777,8 @@ class TestGqzeChunkedScan:
     @pytest.mark.parametrize("chi", _GQZE_SPARSE_CHIS)
     @pytest.mark.parametrize("scale", [0.37, 2.3])
     def test_matches_dense_grid_at_other_couplings(self, chi, scale):
-        grid = _scaled_grid(scale)
-        assert gqze_interval(chi, **grid) == gqze_interval_grid(chi, **grid)
+        with _scaled_grid(scale):
+            assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     # At 300 points per period every window is shorter than the first chunk;
     # at 1700 the large-chi windows (about 0.64 of that) hold about one
@@ -763,13 +786,13 @@ class TestGqzeChunkedScan:
     @pytest.mark.parametrize("chi", [0.3, 0.9, 1.0, 2.0, math.sqrt(3.0), 5.0, 20.0])
     @pytest.mark.parametrize("points_per_period", [300, 1700, 40_000])
     def test_matches_dense_grid_at_other_densities(self, chi, points_per_period):
-        windowed = gqze_interval(chi, points_per_period=points_per_period)
-        dense = gqze_interval_grid(chi, points_per_period=points_per_period)
-        assert windowed == dense
+        with _on_grid(points_per_period):
+            assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     # A window of reach + 2 points starting just past pi/2. At chi = sqrt(3)
     # the gap is (sin^2(t) / 2)^2 >= 0, so the scan runs through the whole
-    # window; chunks stop doubling at 65536 points.
+    # window. The largest window of the fixed grid, 7,077 points, takes
+    # three chunks.
     @pytest.mark.parametrize(
         "reach, sizes",
         [
@@ -777,7 +800,7 @@ class TestGqzeChunkedScan:
             (1022, [1024]),
             (1023, [1024, 1]),
             (9998, [1024, 2048, 4096, 2832]),
-            (199_998, [1024 << k for k in range(7)] + [65536, 4416]),
+            (7075, [1024, 2048, 4005]),
         ],
     )
     def test_chunks_double_and_tile_the_window(self, reach, sizes):
@@ -814,42 +837,47 @@ class TestGqzeChunkedScan:
             brackets.append(args)
             return bisect(*args)
 
-        with mock.patch.object(indicators, "_bisect_gap", record):
-            gqze_interval(chi, points_per_period=points_per_period)
-            gqze_interval_grid(chi, points_per_period=points_per_period)
+        with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record):
+            gqze_interval(chi)
+            gqze_interval_grid(chi)
         windowed, dense = brackets
         assert windowed == dense
 
-    # At these large chi no point of the first chunk before the crossing is
-    # clearly positive. The bracket's left end then lies just before the
-    # window start, at grid index 111772947 for the first case, and a seed
-    # that skips the grid between pi/2 and the window misses it.
-    @pytest.mark.parametrize(
-        "chi, points_per_period", [(3605579.6775528197, 62), (2887103.7364610094, 77)]
-    )
-    def test_large_chi_bracket_starts_before_the_window(self, chi, points_per_period):
-        brackets = []
-        bisect = indicators._bisect_gap
+    # At these large chi the gap stays within the tolerance for over 800
+    # points before the crossing, so the bracket's left end lies before the
+    # window start: 469 points before it for the first case and 310 for the
+    # second. A left end searched only inside the window would miss it. The
+    # dense twin's grid is too large here, so the bracket is checked against
+    # the gaps of the 5000 grid points before its right end.
+    @pytest.mark.parametrize("chi", [3605579.6775528197, 2887103.7364610094])
+    def test_large_chi_bracket_starts_before_the_window(self, chi):
+        brackets, windows = [], []
+        bisect, scan = indicators._bisect_gap, indicators._window_scan
 
         def record(*args):
             brackets.append(args[2:])
             return bisect(*args)
 
-        with mock.patch.object(indicators, "_bisect_gap", record):
-            windowed = gqze_interval(chi, points_per_period=points_per_period)
-            dense = gqze_interval_grid(chi, points_per_period=points_per_period)
-        assert windowed == dense
-        (left, right), dense_bracket = brackets
-        assert (left, right) == dense_bracket
-        # The last grid point with a clearly positive gap before the right
-        # end, computed directly on the few thousand points before it.
+        def record_scan(chi_value, w, step, first, last, half_angle):
+            windows.append(first)
+            return scan(chi_value, w, step, first, last, half_angle)
+
+        with mock.patch.object(indicators, "_bisect_gap", record), \
+                mock.patch.object(indicators, "_window_scan", record_scan):
+            gqze_interval(chi)
+        [(left, right)] = brackets
+        [first] = windows
         w = math.sqrt(1.0 + chi * chi)
-        step = 2.0 * math.pi / w / points_per_period
+        step = _step(chi)
         right_index = round(right / step)
+        assert round(left / step) < first < right_index
         times = np.arange(right_index - 5000, right_index + 1) * step
         assert times[-1] == right
-        gap = survival_probability(chi, w, times[:-1]) - np.cos(times[:-1]) ** 2
-        positive = np.nonzero(gap > 1e-13)[0]
+        gap = survival_probability(chi, w, times) - np.cos(times) ** 2
+        # The right end is the first clearly negative point, and the left
+        # end the last clearly positive point before it.
+        assert gap[-1] < -1e-13 and not np.any(gap[:-1] < -1e-13)
+        positive = np.nonzero(gap[:-1] > 1e-13)[0]
         assert positive.size and left == times[positive[-1]]
 
     @pytest.mark.parametrize("chi", [0.05, 0.5, 2.0, 20.0, 1e3, 1e4])
@@ -869,7 +897,8 @@ class TestGqzeChunkedScan:
 
         with mock.patch.object(indicators, "survival_probability", record_survival), \
                 mock.patch.object(indicators, "_bisect_gap", record_bisect):
-            _search_without_skips(chi, **_scaled_grid(scale))
+            with _scaled_grid(scale):
+                _search_without_skips(chi)
         [(_, right)] = brackets
         # Every numpy call is a forward chunk: each continues the one before,
         # and the last one holds the crossing.
@@ -1127,8 +1156,8 @@ def _dense_bracket(chi, points_per_period=10_000):
         brackets.append(args[2:])
         return bisect(*args)
 
-    with mock.patch.object(indicators, "_bisect_gap", record):
-        gqze_interval_grid(chi, points_per_period=points_per_period)
+    with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record):
+        gqze_interval_grid(chi)
     [bracket] = brackets
     return bracket
 
@@ -1149,10 +1178,10 @@ def _skip_scan_indices(chi, points_per_period=10_000):
 
     spy_math = types.SimpleNamespace(**vars(math))
     spy_math.cos = record_cos
-    with mock.patch.object(indicators, "math", spy_math), \
+    with _on_grid(points_per_period), mock.patch.object(indicators, "math", spy_math), \
             mock.patch.object(indicators, "_bracket_left", lambda chi, w, step, crossing: 0), \
             mock.patch.object(indicators, "_bisect_gap", lambda chi, w, left, right: right):
-        gqze_interval(chi, points_per_period=points_per_period)
+        gqze_interval(chi)
     step = _step(chi, points_per_period)
     indices = [round(t / step) for t in arguments[1::2]]
     assert arguments[1::2] == [index * step for index in indices]
@@ -1173,10 +1202,10 @@ def _touch_family(ks):
 
 @st.composite
 def _dense_feasible_grids(draw):
-    """Points per period in [100, 20000] and a log-uniform chi from the
+    """Points per period in [300, 20000] and a log-uniform chi from the
     bottom of the accepted range up to where the dense twin's grid holds
     about 2e6 points."""
-    points_per_period = draw(st.integers(min_value=100, max_value=20_000))
+    points_per_period = draw(st.integers(min_value=300, max_value=20_000))
     top = math.log10(4e6 / points_per_period)
     chi = 10.0 ** draw(st.floats(min_value=math.log10(3.2e-7), max_value=top))
     return chi, points_per_period
@@ -1216,16 +1245,15 @@ class TestGqzeSkipScan:
 
     @pytest.mark.parametrize("chi", list(_touch_family([50, 100, 199])))
     def test_touch_family_matches_dense_grid_at_large_k(self, chi):
-        assert gqze_interval(chi, points_per_period=1000) == gqze_interval_grid(
-            chi, points_per_period=1000
-        )
+        with _on_grid(1000):
+            assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     @settings(max_examples=200)
     @given(grid=_dense_feasible_grids())
     def test_matches_dense_grid_property(self, grid):
         chi, points_per_period = grid
-        windowed = gqze_interval(chi, points_per_period=points_per_period)
-        assert windowed == gqze_interval_grid(chi, points_per_period=points_per_period)
+        with _on_grid(points_per_period):
+            assert gqze_interval(chi) == gqze_interval_grid(chi)
 
     # 9.95 and 19.95 cross just past a near-touch, and 0.6 crosses where the
     # gap creeps down, so each uses up its 64 gaps; the smaller budgets force
@@ -1257,22 +1285,25 @@ class TestGqzeSkipScan:
         [start] = starts
         assert start > math.floor((math.pi - indicators._window_half_angle(chi)) / _step(chi)) - 2
 
-    def test_short_window_goes_to_the_chunked_scan(self):
-        # At 60 points per period the window of chi = 20 holds about 42
-        # points, fewer than the gap budget: it is searched whole, in one
-        # call.
+    # The rounding bound of the skip scan (the Rounding paragraph of
+    # ``gqze_interval``) needs more than 64 window points and a step below
+    # pi/58. The windows are longest for chi up to 1 and near sqrt(3), and
+    # the grid is finest at the top of the accepted range.
+    @pytest.mark.parametrize("chi", [3.2e-7, 1.0, math.sqrt(3.0), 6.2e6])
+    def test_window_meets_the_rounding_premise(self, chi):
         windows = []
-        chunked = indicators._chunked_search
+        scan = indicators._window_scan
 
-        def record_chunked(chi_value, w, step, start, stop):
-            windows.append((start, stop))
-            return chunked(chi_value, w, step, start, stop)
+        def record_scan(chi_value, w, step, first, last, half_angle):
+            windows.append((step, first, last))
+            return scan(chi_value, w, step, first, last, half_angle)
 
-        with mock.patch.object(indicators, "_chunked_search", record_chunked):
-            windowed = gqze_interval(20.0, points_per_period=60)
-        [(first, last)] = windows
-        assert last - first < indicators._MAX_SKIP_EVALUATIONS
-        assert windowed == gqze_interval_grid(20.0, points_per_period=60)
+        with mock.patch.object(indicators, "_window_scan", record_scan):
+            gqze_interval(chi)
+        [(step, first, last)] = windows
+        assert last - first + 1 > indicators._MAX_SKIP_EVALUATIONS
+        assert step < math.pi / 58
+        assert 5000 < last - first + 1 < 7100
 
 
 # The gqze search accepts chi in (3.2e-7, 6.3e6); draw it log-uniformly so
@@ -1280,12 +1311,13 @@ class TestGqzeSkipScan:
 _searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
     lambda exponent: 10.0**exponent
 )
-_grids = st.fixed_dictionaries({"points_per_period": st.integers(min_value=1000, max_value=20_000)})
+_grids = st.integers(min_value=1000, max_value=20_000)
 
 
-def _search_brackets(chi, grid):
+def _search_brackets(chi, points_per_period):
     """The (chi, w, left, right) arguments of every bisection that
-    ``gqze_interval`` starts on ``grid``, recorded from a real search."""
+    ``gqze_interval`` starts on a grid of ``points_per_period`` points per
+    hindered period, recorded from a real search."""
     calls = []
     bisect = indicators._bisect_gap
 
@@ -1293,8 +1325,8 @@ def _search_brackets(chi, grid):
         calls.append(args)
         return bisect(*args)
 
-    with mock.patch.object(indicators, "_bisect_gap", record):
-        gqze_interval(chi, **grid)
+    with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record):
+        gqze_interval(chi)
     return calls
 
 
@@ -1314,7 +1346,7 @@ class TestBisectGap:
     @pytest.mark.parametrize("chi", [3.2e-7, 0.05, 1.0, 2.3, 20.0, 3e3, 6100001.0])
     @pytest.mark.parametrize("scale", [1.0, 2.3])
     def test_matches_80_halving_oracle_at_range_edges(self, chi, scale):
-        calls = _search_brackets(chi, _scaled_grid(scale))
+        calls = _search_brackets(chi, round(10_000 / scale))
         assert calls
         for args in calls:
             assert indicators._bisect_gap(*args) == bisect_gap_oracle(*args)
@@ -1485,22 +1517,12 @@ class TestChunkedTwins:
         counted = int(np.count_nonzero(below)) * step
         assert abs(sub_threshold_measure_grid(chi, epsilon) - counted) <= 2.0 * step + 1e-8 * period
 
-    # Dense-scan cases that take the no-crossing fallback, pi: grids of one
-    # point per hindered period, which sample only recurrences, where the
-    # hindered survival is 1, and commensurate
-    # ratios that touch over several chunks without crossing (sqrt(3),
-    # sqrt(15)).
+    # Dense-scan cases that take the no-crossing fallback, pi: commensurate
+    # ratios w = 2k that touch over several chunks without crossing.
     @pytest.mark.parametrize(
-        "chi, grid",
-        [
-            (3.3e-7, {"points_per_period": 1}),
-            (2e-6, {"points_per_period": 1}),
-            (0.5, {"points_per_period": 1}),
-            (math.sqrt(3.0), {}),
-            (math.sqrt(15.0), {}),
-        ],
+        "chi", [math.sqrt(3.0), math.sqrt(15.0), math.sqrt(35.0), math.sqrt(399.0)]
     )
-    def test_dense_scan_fallback_matches_whole_grid(self, chi, grid):
+    def test_dense_scan_fallback_matches_whole_grid(self, chi):
         brackets = []
         bisect = indicators._bisect_gap
 
@@ -1509,10 +1531,10 @@ class TestChunkedTwins:
             return bisect(*args)
 
         with mock.patch.object(indicators, "_bisect_gap", record):
-            chunked = gqze_interval_grid(chi, **grid)
+            chunked = gqze_interval_grid(chi)
         assert not brackets
         assert chunked.end == math.pi
-        assert chunked == oracles.gqze_interval_grid_reference(chi, **grid)
+        assert chunked == oracles.gqze_interval_grid_reference(chi)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1520,11 +1542,11 @@ class TestChunkedTwins:
             st.sampled_from([3.3e-7, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 5.0, 100.0]),
             st.floats(min_value=math.log10(3.3e-7), max_value=2.0).map(lambda e: 10.0**e),
         ),
-        points_per_period=st.one_of(st.just(10_000), st.integers(1, 20_000)),
+        points_per_period=st.one_of(st.just(10_000), st.integers(300, 20_000)),
     )
     def test_dense_scan_matches_whole_grid(self, chi, points_per_period):
-        grid = {"points_per_period": points_per_period}
-        assert gqze_interval_grid(chi, **grid) == oracles.gqze_interval_grid_reference(chi, **grid)
+        with _on_grid(points_per_period):
+            assert gqze_interval_grid(chi) == oracles.gqze_interval_grid_reference(chi)
 
     @pytest.mark.parametrize(
         "twin",
@@ -1664,58 +1686,45 @@ class TestBracketedTwins:
 
 
 class TestGqzeGridArguments:
-    """Both gqze searches check their grid arguments the same way, before
-    any grid is laid out."""
+    """The gqze searches lay out their fixed grid from chi alone. The window
+    holds at most 7,077 points at any chi; the dense twin's grid, from index
+    1, grows with chi and is bounded at 2e8 points."""
 
-    # points_per_period = -1 used to send the window scan into an endless
-    # loop, and 0 to divide by zero.
-    @pytest.mark.parametrize("value", [-1, 0, 0.0, -2.5, math.nan, math.inf, -math.inf, "10"])
-    @pytest.mark.parametrize("name", ["points_per_period"])
-    def test_rejects_bad_grid_argument(self, name, value):
-        messages = set()
-        for search in (gqze_interval, gqze_interval_grid):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError) as info:
-                    search(1.0, 0.5, **{name: value})
-            messages.add(str(info.value))
-        assert messages == {f"{name} must be finite and > 0, got {value!r}"}
-
-    # 1e308 points per period overflows the grid count to inf; 1e12 would
-    # lay out a window of about 7e11 points.
-    @pytest.mark.parametrize("points_per_period", [1e308, 1e12, 3e8])
-    @pytest.mark.parametrize("search", [gqze_interval, gqze_interval_grid])
-    def test_rejects_grid_beyond_point_bound(self, search, points_per_period):
+    # The dense grid holds about 5,000 chi points, past 2e8 above chi ~ 4e4.
+    # The twin refuses it before laying out any of it, while the windowed
+    # search answers.
+    @pytest.mark.parametrize("chi", [1e5, 1e6, 6e6])
+    def test_rejects_dense_grid_beyond_point_bound(self, chi):
+        assert gqze_interval(chi).end <= math.pi
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="more than 2e8 grid points"):
-                    search(1.0, 0.5, points_per_period)
+                with pytest.raises(
+                    ValueError, match=r"^the dense gqze grid at chi = .* more than 2e8 grid points$"
+                ):
+                    gqze_interval_grid(chi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
 
-    def test_bound_counts_the_window_for_the_search(self):
-        # At chi = 1e4 the window holds about 0.64 points_per_period points,
-        # the grid about 5000 times as many: only the dense twin is refused.
-        assert gqze_interval(1e4, 0.5, 200_000).end <= math.pi
-        with pytest.raises(ValueError, match="more than 2e8 grid points"):
-            gqze_interval_grid(1e4, 0.5, 200_000)
-
     def test_large_window_scan_has_flat_memory(self):
-        # About 1.4e6 window points: chunks capped at 65536 points keep the
-        # peak near 2 MiB, where doubling chunks would allocate 8 MiB arrays.
-        search = lambda: gqze_interval(1.0, 0.5, 2_000_000)
+        # The window of chi = sqrt(3), 6,673 points, searched whole by the
+        # chunked search: at chunks of at most 4096 points the peak stays
+        # near 90 KiB.
+        def search():
+            with mock.patch.object(indicators, "_MAX_SKIP_EVALUATIONS", 0):
+                return gqze_interval(math.sqrt(3.0))
+
         search()
         tracemalloc.start()
         try:
-            search()
+            assert search().end == math.pi
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 << 20
+        assert peak < 1 << 18
 
 
 class TestReportsAndSweep:

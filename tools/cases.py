@@ -1,11 +1,11 @@
 """Print t_chi over fixed case sets, one line per case, so that two trees
 can be compared with one ``cmp``.
 
-Each line is ``set <TAB> repr(chi) <TAB> points_per_period <TAB> result``,
-where the result is ``repr(gqze_interval(chi, points_per_period=...))``, or
-the type and message of the ``ValueError`` it raises. The chi values come
-from ``random.Random`` with fixed seeds and from fixed formulas, never from
-the package, so every tree is asked the same questions:
+Each line is ``set <TAB> repr(chi) <TAB> result``, where the result is
+``repr(gqze_interval(chi))``, or the type and message of the ``ValueError``
+it raises. The chi values come from ``random.Random`` with fixed seeds and
+from fixed formulas, never from the package, so every tree is asked the
+same questions:
 
 - ``log-uniform``: 3,000 chi drawn log-uniformly over the accepted range,
   (3.17e-7, 6.3e6);
@@ -13,13 +13,10 @@ the package, so every tree is asked the same questions:
 - ``uniform``: 1,000 chi drawn uniformly from [0, 25];
 - ``touch``: chi = sqrt(4 k^2 - 1) for k = 1, ..., 199, where w = 2k and
   the curves only touch at pi, with each chi's two float neighbours and
-  relative offsets of 1e-9 either way: 995 chi;
-- ``density-300``, ``density-1700``, ``density-40000``: every fifth chi of
-  ``log-uniform``, every fourth of ``sweep-grid`` and the ``touch`` chi for
-  k < 20, each at that many points per period (806 cases each).
+  relative offsets of 1e-9 either way: 995 chi.
 
-Every other set uses the default 10,000 points per period. Run it from the
-repository root against the package under test, for example::
+Run it from the repository root against the package under test, for
+example::
 
     PYTHONPATH=src python tools/cases.py > cases.txt
     PYTHONPATH=other/src python tools/cases.py | cmp - cases.txt
@@ -34,9 +31,6 @@ import sys
 import numpy as np
 
 from zenoion.indicators import gqze_interval
-
-DEFAULT_POINTS = 10_000
-DENSITIES = (300, 1700, 40_000)
 
 
 def _log_uniform(count: int, seed: int) -> list[float]:
@@ -67,25 +61,19 @@ def _touch(ks) -> list[float]:
     return chis
 
 
-def case_sets() -> dict[str, list[tuple[float, int]]]:
-    """Every case set by name: a list of (chi, points_per_period)."""
-    log_uniform = _log_uniform(3000, seed=2025)
-    grid = _sweep_grid()
-    subset = log_uniform[::5] + grid[::4] + _touch(range(1, 20))
-    sets = {
-        "log-uniform": [(chi, DEFAULT_POINTS) for chi in log_uniform],
-        "sweep-grid": [(chi, DEFAULT_POINTS) for chi in grid],
-        "uniform": [(chi, DEFAULT_POINTS) for chi in _uniform(1000, seed=2026)],
-        "touch": [(chi, DEFAULT_POINTS) for chi in _touch(range(1, 200))],
+def case_sets() -> dict[str, list[float]]:
+    """Every case set by name: a list of chi."""
+    return {
+        "log-uniform": _log_uniform(3000, seed=2025),
+        "sweep-grid": _sweep_grid(),
+        "uniform": _uniform(1000, seed=2026),
+        "touch": _touch(range(1, 200)),
     }
-    for points in DENSITIES:
-        sets[f"density-{points}"] = [(chi, points) for chi in subset]
-    return sets
 
 
-def _result(chi: float, points_per_period: int) -> str:
+def _result(chi: float) -> str:
     try:
-        return repr(gqze_interval(chi, points_per_period=points_per_period))
+        return repr(gqze_interval(chi))
     except ValueError as error:
         return f"ValueError: {error}"
 
@@ -93,8 +81,8 @@ def _result(chi: float, points_per_period: int) -> str:
 def main() -> None:
     out = sys.stdout
     for name, cases in case_sets().items():
-        for chi, points in cases:
-            out.write(f"{name}\t{chi!r}\t{points}\t{_result(chi, points)}\n")
+        for chi in cases:
+            out.write(f"{name}\t{chi!r}\t{_result(chi)}\n")
 
 
 if __name__ == "__main__":
