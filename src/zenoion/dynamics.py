@@ -168,25 +168,23 @@ class VibronicState:
     """Complex amplitudes over one block's basis chain, unit norm.
 
     ``values`` holds the amplitudes as a tuple of 1 to 3 Python complex
-    numbers; the closed-form propagator and ``level_probabilities`` work on
-    it directly. ``amplitudes`` is the same vector as a read-only complex
-    array, built from ``values`` on first access and then kept. States are
-    immutable: assigning any attribute raises.
+    numbers, the one stored copy; the closed-form propagator and
+    ``level_probabilities`` work on it directly. ``amplitudes`` is the same
+    vector as a read-only complex array, built from ``values`` anew on each
+    access. States are immutable: assigning any attribute raises.
 
     The constructor takes anything ``np.array(..., dtype=complex)`` reads as
     a 1-D vector of length 1..3 and raises ``ValueError`` unless its norm is
     1 within 1e-9.
     """
 
-    __slots__ = ("values", "_amplitudes")
+    __slots__ = ("values",)
 
     def __init__(self, amplitudes) -> None:
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
-        amps.setflags(write=False)
         _init_state(self, tuple(amps.tolist()))
-        _set_amplitudes(self, amps)
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
@@ -198,17 +196,14 @@ class VibronicState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        try:
-            return self._amplitudes
-        except AttributeError:
-            amps = np.array(self.values, dtype=complex)
-            amps.setflags(write=False)
-            _set_amplitudes(self, amps)
-            return amps
+        amps = np.array(self.values, dtype=complex)
+        amps.setflags(write=False)
+        return amps
 
     @property
     def norm(self) -> float:
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+        amps = self.amplitudes
+        return math.sqrt(np.vdot(amps, amps).real)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -223,9 +218,8 @@ class VibronicState:
         return VibronicState, (self.values,)
 
 
-# Writers of the two slots, past the __setattr__ that refuses assignment.
+# The writer of the one slot, past the __setattr__ that refuses assignment.
 _set_values = VibronicState.values.__set__
-_set_amplitudes = VibronicState._amplitudes.__set__
 
 
 def _init_state(state: VibronicState, values: tuple[complex, ...]) -> None:
@@ -353,16 +347,21 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
 
 
+def _scalar(value, name: str) -> float:
+    """The scalar argument ``name`` (a Python or numpy number, or a 0-d
+    array) as a Python float: an array or a list, even of one element, is a
+    ``ValueError`` naming ``name``. None becomes nan, for the caller's range
+    check to reject; anything else goes through ``float()``. A Python float
+    or int passes the scalar check on one type test."""
+    if not isinstance(value, (float, int)) and np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
+    return math.nan if value is None else float(value)
+
+
 def _finite_chi(chi) -> float:
-    """chi as a Python float. chi must be a scalar (a Python or numpy
-    number, or a 0-d array): an array or a list, even of one element, is a
-    ``ValueError``, and so is a chi that is not finite and >= 0, None
-    included. A Python float or int passes the scalar check on one type
-    test."""
-    if not isinstance(chi, (float, int)) and np.ndim(chi) != 0:
-        raise ValueError(f"chi must be a scalar, got an array of shape {np.shape(chi)}")
-    # None is rejected as a chi that is not finite.
-    value = math.nan if chi is None else float(chi)
+    """chi as a Python float: a ``_scalar``, and a ``ValueError`` unless it
+    is finite and >= 0, None included."""
+    value = _scalar(chi, "chi")
     if not (math.isfinite(value) and value >= 0):
         raise ValueError("chi must be finite and >= 0")
     return value
@@ -389,8 +388,9 @@ def survival_probability(chi, angular_frequency, t):
     ((chi^2 + cos(w t)) / (chi^2 + 1))^2 with chi the modulus of the block
     coupling ratio and w the block angular frequency. chi must be a scalar
     (an array or a list is a ``ValueError``), finite and >= 0, with a finite
-    square. ``t`` is a scalar or an array, and so is the result; the square
-    is x * x.
+    square; ``angular_frequency`` must be a scalar, finite and > 0, and
+    None is a ``ValueError`` for either. ``t`` is a scalar or an array, and
+    so is the result; the square is x * x.
 
     A scalar time (a Python or numpy number, or a 0-d array) runs on Python
     floats with ``math.cos`` and gives a Python float; an array is computed
@@ -402,7 +402,7 @@ def survival_probability(chi, angular_frequency, t):
     the propagators. An array is not checked, to keep its cost: a non-finite
     phase gives nan there, and the callers bound their grids.
     """
-    w = float(angular_frequency)
+    w = _scalar(angular_frequency, "angular_frequency")
     if not (math.isfinite(w) and w > 0):
         raise ValueError("angular_frequency must be finite and > 0")
     _, chi_sq = _scalar_chi(chi)

@@ -18,14 +18,13 @@ share no algebra with the closed forms.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import _finite_chi, _scalar_chi, survival_probability
+from .dynamics import _finite_chi, _scalar, _scalar_chi, survival_probability
 
 # The package API; the numeric twins stay out and are imported by name.
 __all__ = [
@@ -75,11 +74,18 @@ _MAX_SCAN_POINTS = 200_000_000
 _ARGMIN_POINTS = 1024
 _ARGMIN_ROUNDS = 3
 
-# Grid points per chunk of the full-grid twins, ``min_survival_grid`` and
-# the dense gqze scan: 64 KiB per float64 temporary, below glibc's default
-# 128 KiB mmap threshold, so the buffers are reused from the heap instead of
-# being mapped and page-faulted in on every call.
+# Grid points per chunk of the dense gqze scan: 64 KiB per float64
+# temporary, below glibc's default 128 KiB mmap threshold, so the buffers are
+# reused from the heap instead of being mapped and page-faulted in on every
+# chunk.
 _TWIN_CHUNK = 8192
+
+# Trapezoid panels of the quadrature twins, ``mean_survival_quadrature`` and
+# ``runner._oracle_level_means``; both read it at call time.
+_QUADRATURE_PANELS = 16
+
+# Evenly spaced times per period of ``min_survival_grid``.
+_MIN_GRID_SAMPLES = 100_000
 
 
 def angular_frequency(chi):
@@ -159,9 +165,9 @@ def mean_level_probabilities(chi):
 
 
 def _check_epsilon(epsilon) -> float:
-    """``epsilon`` as a float; ``ValueError`` unless it is finite and > 0,
-    None included."""
-    epsilon = math.nan if epsilon is None else float(epsilon)
+    """``epsilon`` as a float: a ``_scalar``, and a ``ValueError`` unless it
+    is finite and > 0, None included."""
+    epsilon = _scalar(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and > 0")
     return epsilon
@@ -180,8 +186,8 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     falls to or below the survival floor.
 
     Raises ``ValueError`` unless ``epsilon`` is finite and > 0, unless chi
-    is finite and >= 0 with a finite chi^2, and for an array chi: chi must be
-    a scalar.
+    is finite and >= 0 with a finite chi^2, and for an array or list chi or
+    epsilon: both must be scalars.
     """
     epsilon = _check_epsilon(epsilon)
     chi, chi_sq = _scalar_chi(chi)
@@ -549,8 +555,8 @@ def indicator_report(
     The hindering interval is found first: it checks chi and rejects one
     beyond its resolvable range before any other indicator forms chi^2. An
     array or list chi is a ``ValueError``, as in ``gqze_interval``: chi must
-    be a scalar. So is an ``epsilon`` that is not finite and > 0, None
-    included; the report stores it as a float.
+    be a scalar. So is an ``epsilon`` that is not a scalar, finite and > 0,
+    None included; the report stores it as a float.
     """
     gqze = gqze_interval(chi, order_threshold)
     epsilon = _check_epsilon(epsilon)
@@ -578,43 +584,23 @@ def indicator_report(
 # test suite compare the two routes; neither side may be dropped.
 
 
-def _twin_chunks(count: int):
-    """Yield the half-open index ranges [lo, hi) that cover 0, ..., count - 1
-    in order, _TWIN_CHUNK indices each (the last one shorter)."""
-    for lo in range(0, count, _TWIN_CHUNK):
-        yield lo, min(lo + _TWIN_CHUNK, count)
-
-
-def _check_resolution(name: str, value) -> int:
-    """``value`` as an int, or ``ValueError`` naming ``name`` unless it is an
-    integer >= 1."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def min_survival_grid(chi: float, samples: int = 100_000) -> float:
+def min_survival_grid(chi: float) -> float:
     """Grid minimum of the survival probability over one period, on
-    ``samples`` evenly spaced times from 0 (the period end excluded).
+    _MIN_GRID_SAMPLES evenly spaced times from 0 (the period end excluded),
+    read at call time.
 
     Each time i * (period / samples) is formed as ``np.linspace(0, period,
-    samples, endpoint=False)`` forms it; the grid is evaluated in chunks of
-    _TWIN_CHUNK points and the minimum kept across them.
+    samples, endpoint=False)`` forms it, and the whole grid is evaluated in
+    one pass.
 
     ``run_validate`` no longer calls it: it reads the floor at the
     bracketed argmin of ``time_of_min_grid``, which places the first
     minimum to about 1e-8 from 3,072 samples. It stays for the tests and
     for the benchmark's layer tracer, which looks up each twin by name.
     """
-    samples = _check_resolution("samples", samples)
-    period = poincare_time(chi)
-    w = angular_frequency(chi)
-    step = period / samples
-    lowest = math.inf
-    for lo, hi in _twin_chunks(samples):
-        probabilities = survival_probability(chi, w, _grid_times(lo, hi - 1, step))
-        lowest = min(lowest, float(probabilities.min()))
-    return lowest
+    samples = _MIN_GRID_SAMPLES
+    times = _grid_times(0, samples - 1, poincare_time(chi) / samples)
+    return float(survival_probability(chi, angular_frequency(chi), times).min())
 
 
 def time_of_min_grid(chi: float) -> float:
@@ -650,15 +636,16 @@ def time_of_min_grid(chi: float) -> float:
     return float(times[index])
 
 
-def mean_survival_quadrature(chi: float, panels: int = 16) -> float:
-    """Trapezoidal period average of the survival probability.
+def mean_survival_quadrature(chi: float) -> float:
+    """Trapezoidal period average of the survival probability, on
+    _QUADRATURE_PANELS panels read at call time.
 
     The survival is a trigonometric polynomial in wt with harmonics 0, 1
     and 2 only, and an N-panel trapezoid over one period integrates harmonic
-    k exactly unless N divides k. So the default 16 panels, like any
-    N >= 3, are exact up to rounding; N = 2 misses by 0.5 at chi = 0.
+    k exactly unless N divides k. So the 16 panels, like any N >= 3, are
+    exact up to rounding; N = 2 misses by 0.5 at chi = 0.
     """
-    panels = _check_resolution("panels", panels)
+    panels = _QUADRATURE_PANELS
     period = poincare_time(chi)
     w = angular_frequency(chi)
     times = np.linspace(0.0, period, panels + 1)
@@ -768,8 +755,8 @@ def _dense_scan(
             f"would visit more than 2e8 grid points"
         )
     left = 0.0
-    for lo, hi in _twin_chunks(last):
-        times = _grid_times(lo + 1, hi, step)
+    for lo in range(0, last, _TWIN_CHUNK):
+        times = _grid_times(lo + 1, min(lo + _TWIN_CHUNK, last), step)
         gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
         below = (gap < -_CROSSING_TOL).nonzero()[0]
         stop = int(below[0]) if below.size else gap.size
@@ -793,11 +780,12 @@ def _gqze_search(scan, chi, order_threshold) -> Optional[GqzeInterval]:
     2, at least 1. For chi up to about 1 that lies a few points at or before
     pi/2, where the lemma of ``gqze_interval`` leaves no gap clearly
     negative. The dense scan runs from index 1 to ``last``. None at chi = 0;
-    ``ValueError`` for an ``order_threshold`` outside (0, 1] (None
-    included), and for a chi that is not a scalar, not finite and >= 0
+    ``ValueError`` for an ``order_threshold`` that is not a scalar in (0, 1]
+    (None included), and for a chi that is not a scalar, not finite and >= 0
     (None included), or outside the resolvable range of ``gqze_interval``,
     raised before chi^2 is formed."""
-    if order_threshold is None or not 0.0 < order_threshold <= 1.0:
+    threshold = _scalar(order_threshold, "order_threshold")
+    if not 0.0 < threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     chi_value = _finite_chi(chi)
     # The upper range check runs before chi^2 is formed; every chi it lets
@@ -813,4 +801,4 @@ def _gqze_search(scan, chi, order_threshold) -> Optional[GqzeInterval]:
     first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
     end = scan(chi_value, w, step, first, last, half_angle)
     ratio = end / hindered_period
-    return GqzeInterval(end, ratio, ratio >= order_threshold)
+    return GqzeInterval(end, ratio, ratio >= threshold)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import indicators
 from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
     _NORM_TOL,
@@ -426,6 +427,9 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# The three-chain cases of random_cases, cycling over the patterns below.
+_THREE_CHAIN_CASES = 100
+
 _THREE_CHAIN_PATTERNS = (
     ((3, 1, 0), (1, 0, 0), (1, 1, 0)),
     ((2, 2, 2), (1, 1, 0), (0, 1, 1)),
@@ -467,11 +471,11 @@ def _random_case(rng: random.Random, block: BlockSystem):
     return block, VibronicState(amps), time
 
 
-def random_cases(rng: random.Random, count: int = 100) -> list:
+def random_cases(rng: random.Random) -> list:
     """Randomized (block, state, time) cases spanning chi in [0, 20], drawn
     from ``rng``, a ``random.Random``.
 
-    Returns a list: ``count`` three-chain blocks with chi swept uniformly
+    Returns a list: 100 three-chain blocks with chi swept uniformly
     over [0, 20] (random coupling phases and magnitudes), then a tail of
     two- and one-chain blocks so every dimension is exercised.
 
@@ -486,7 +490,7 @@ def random_cases(rng: random.Random, count: int = 100) -> list:
         ratio = factorial_ratio_root(mode, r) / factorial_ratio_root(mode.remove(r), l)
         chains.append((mode, SidebandPattern(r, l), ratio))
     cases = []
-    for index, target in enumerate(np.linspace(0.0, 20.0, count).tolist()):
+    for index, target in enumerate(np.linspace(0.0, 20.0, _THREE_CHAIN_CASES).tolist()):
         mode, pattern, ratio = chains[index % len(chains)]
         gamma1 = _random_gamma(rng)
         gamma2 = target * gamma1 * ratio * cmath.exp(1j * rng.uniform(0.0, math.tau))
@@ -505,18 +509,20 @@ _GROUND_MODE = ModeVector(0, 0, 0)
 _CARRIER = SidebandPattern((0, 0, 0), (0, 0, 0))
 
 
-def _oracle_level_means(chi: float, panels: int = 16) -> np.ndarray:
+def _oracle_level_means(chi: float) -> np.ndarray:
     """Trapezoidal period averages (P1, P2, P3) of the level populations,
     starting from level 1, of the block with c12 = 1 and c23 = chi,
-    propagated by eigendecomposition.
+    propagated by eigendecomposition, on ``indicators._QUADRATURE_PANELS``
+    panels read at call time.
 
     The states at all panel edges are column 0 of the stacked spectral
     propagators; each population is |z| * |z| with |z| = hypot(Re z, Im z),
     as ``level_probabilities`` forms it, and each state must have norm 1
     within ``_NORM_TOL``, as a ``VibronicState`` must. Like
-    ``mean_survival_quadrature``, exact up to rounding for any ``panels``
+    ``mean_survival_quadrature``, exact up to rounding for any panel count
     >= 3: each population has harmonics 0, 1 and 2 in wt only.
     """
+    panels = indicators._QUADRATURE_PANELS
     block = build_block(_GROUND_MODE, _CARRIER, CouplingConstants(1.0, chi))
     times = np.linspace(0.0, math.tau / block.angular_frequency, panels + 1)
     states = _spectral_propagator(block, times)[:, :, 0]
@@ -562,7 +568,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
     Each check is one row of a table: its name, its tolerance and its
     deviations over the cases, which ``_max_deviation`` reduces.
     """
-    cases = random_cases(random.Random(config.seed), count=100)
+    cases = random_cases(random.Random(config.seed))
     runs = [(case, propagate_analytic(*case)) for case in cases]
     chi_grid = np.logspace(-2, 2, 25)
     # The survival floor m is the survival at its first minimum t_m. So one

@@ -161,8 +161,9 @@ def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
 # --- whole-grid numeric twins ---------------------------------------------
 #
 # The full-grid twins in whole-grid form: each builds its whole grid as one
-# array. The package's twins evaluate the same grids in chunks and must
-# return the same floats bit for bit.
+# array. The package's twins must return the same floats bit for bit: the
+# dense gqze scan evaluates its grid in chunks, and ``min_survival_grid``
+# forms its grid from integer indices instead of ``np.linspace``.
 
 
 def min_survival_grid_reference(chi: float, samples: int = 100_000) -> float:

@@ -1,7 +1,8 @@
-"""``tools/cases.py``, the t_chi case-set printer: its output must be the
-same bytes on every run, and cover every case set it documents."""
+"""``tools/cases.py``, the t_chi and random-case printer: its output must be
+the same bytes on every run, and cover every case set it documents."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zenoion
-from zenoion.runner import _chi_grid
+from zenoion.runner import _chi_grid, random_cases
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "cases.py"
 
@@ -19,6 +20,7 @@ _SET_SIZES = {
     "sweep-grid": 441,
     "uniform": 1000,
     "touch": 995,
+    "random-cases": 21_000,
 }
 
 
@@ -42,8 +44,17 @@ def test_output_is_deterministic_and_covers_every_set():
     assert {name: names.count(name) for name in _SET_SIZES} == _SET_SIZES
     assert len(rows) == sum(_SET_SIZES.values())
     for name, chi, result in rows:
-        expected = "None" if float(chi) == 0.0 else "GqzeInterval("
-        assert result.startswith(expected)
+        if name != "random-cases":
+            expected = "None" if float(chi) == 0.0 else "GqzeInterval("
+            assert result.startswith(expected)
     # The sweep-grid set is the grid that ``sweep --chi-max 22`` lays out.
     grid = [float(chi) for name, chi, _ in rows if name == "sweep-grid"]
     assert grid == _chi_grid(22.0, 0.05).tolist()
+    # The random-cases set is every case of seeds 0..199, in order.
+    cases = [(key, result) for name, key, result in rows if name == "random-cases"]
+    assert [key for key, _ in cases] == [
+        f"{seed}:{index}" for seed in range(200) for index in range(105)
+    ]
+    for seed in (0, 199):
+        expected = [repr(case) for case in random_cases(random.Random(seed))]
+        assert [result for _, result in cases[105 * seed : 105 * (seed + 1)]] == expected

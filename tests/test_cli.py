@@ -687,6 +687,23 @@ class TestValidateHarness:
         assert main(["validate"]) == 2
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_two_panels_fail_exactly_the_period_average_rows(self, monkeypatch):
+        # One constant sets the panels of both quadrature twins. Two panels
+        # alias harmonic 2 onto the mean, so all three period-average rows
+        # fail and no other row moves; at the fixed 16 every row passes.
+        averages = [
+            "survival mean: closed vs quadrature",
+            "level-2 mean: closed vs oracle quadrature",
+            "level-3 mean: closed vs oracle quadrature",
+        ]
+        config = load_config(None, {"mode": "validate", "seed": 0})
+        with monkeypatch.context() as patch:
+            patch.setattr(zenoion.indicators, "_QUADRATURE_PANELS", 2)
+            report = run_validate(config)
+        assert [check.name for check in report.checks if not check.passed] == averages
+        assert zenoion.indicators._QUADRATURE_PANELS == 16
+        assert run_validate(config).ok
+
     def test_deviations_are_python_floats(self):
         report = run_validate(load_config(None, {"mode": "validate", "seed": 3}))
         assert [type(check.max_deviation) for check in report.checks] == [float] * 13
@@ -695,8 +712,8 @@ class TestValidateHarness:
         # A reordered draw, or another call of the random.Random API, moves
         # these numbers on every Python; the relative tolerance only forgives
         # a last-bit difference of libm's exp, log, cos and sin.
-        cases = random_cases(random.Random(0), 1)
-        assert len(cases) == 1 + 5  # one three-chain case, then the 2- and 1-chain tail
+        cases = random_cases(random.Random(0))
+        assert len(cases) == 100 + 5  # the three-chain cases, then the 2- and 1-chain tail
         block, state, time = cases[0]
         assert block.dimension == 3 and block.chi == 0
         assert time == pytest.approx(-3.023490576185037, rel=1e-13, abs=0.0)
@@ -731,7 +748,7 @@ class TestValidateHarness:
             )
             block = build_block(ModeVector.of(n), SidebandPattern(r, l), couplings)
             expected.append(zenoion.runner._random_case(rng, block))
-        cases = random_cases(random.Random(seed), 100)
+        cases = random_cases(random.Random(seed))
         assert [_case_bits(case) for case in cases] == [_case_bits(case) for case in expected]
 
     @pytest.mark.parametrize("index", range(3))

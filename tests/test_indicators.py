@@ -407,6 +407,13 @@ class TestMeanLevelProbabilities:
         assert averages == pytest.approx(expected, abs=1e-14)
 
 
+def _on_panels(panels):
+    """Both quadrature twins, ``mean_survival_quadrature`` and
+    ``_oracle_level_means``, on ``panels`` trapezoid panels instead of the
+    fixed 16, within the ``with`` block."""
+    return mock.patch.object(indicators, "_QUADRATURE_PANELS", panels)
+
+
 class TestPeriodAverageTrapezoidExactness:
     """Every level population holds harmonics 0, 1 and 2 of wt only, so an
     N-panel trapezoid over one period is exact for any N >= 3; the twins of
@@ -422,16 +429,18 @@ class TestPeriodAverageTrapezoidExactness:
     )
     def test_any_panel_count_from_three_is_exact(self, chi, panels):
         expected = mean_level_probabilities(chi)
-        assert abs(mean_survival_quadrature(chi, panels=panels) - expected[0]) <= 1e-14
-        _, level2, level3 = _oracle_level_means(chi, panels=panels)
+        with _on_panels(panels):
+            assert abs(mean_survival_quadrature(chi) - expected[0]) <= 1e-14
+            _, level2, level3 = _oracle_level_means(chi)
         assert abs(level2 - expected[1]) <= 1e-14
         assert abs(level3 - expected[2]) <= 1e-14
 
     def test_two_panels_miss(self):
         # Two panels alias harmonic 2 onto the mean, so the checks can fail.
         expected = mean_level_probabilities(0.7)
-        assert abs(mean_survival_quadrature(0.7, panels=2) - expected[0]) > 1e-2
-        _, level2, level3 = _oracle_level_means(0.7, panels=2)
+        with _on_panels(2):
+            assert abs(mean_survival_quadrature(0.7) - expected[0]) > 1e-2
+            _, level2, level3 = _oracle_level_means(0.7)
         assert abs(level2 - expected[1]) > 1e-2
         assert abs(level3 - expected[2]) > 1e-2
 
@@ -464,7 +473,9 @@ class TestOracleLevelMeans:
         panels=st.sampled_from([2, 3, 16, 33]),
     )
     def test_matches_one_time_at_a_time(self, chi, panels):
-        assert _oracle_level_means(chi, panels).tobytes() == self._per_time(chi, panels).tobytes()
+        with _on_panels(panels):
+            batched = _oracle_level_means(chi)
+        assert batched.tobytes() == self._per_time(chi, panels).tobytes()
 
     def test_unnormalised_state_is_rejected(self, monkeypatch):
         original = zenoion.runner._spectral_propagator
@@ -615,6 +626,54 @@ class TestGqzeInterval:
     def test_accepts_every_scalar_kind(self, chi):
         assert gqze_interval(chi) == gqze_interval(2.0)
         assert indicator_report(chi, 0.01) == indicator_report(2.0, 0.01)
+
+
+# Each scalar argument: a call that passes ``value`` in its place, and the
+# one-line message of its range check.
+_SCALAR_ARGUMENTS = {
+    "chi": (lambda value: sub_threshold_measure(value, 0.01), "chi must be finite and >= 0"),
+    "epsilon": (lambda value: sub_threshold_measure(2.0, value), "epsilon must be finite and > 0"),
+    "order_threshold": (
+        lambda value: gqze_interval(2.0, value), "order_threshold must lie in (0, 1]"
+    ),
+    "angular_frequency": (
+        lambda value: survival_probability(1.0, value, 0.3),
+        "angular_frequency must be finite and > 0",
+    ),
+}
+
+
+class TestScalarArguments:
+    """chi, epsilon, order_threshold and angular_frequency read a value the
+    same way: an array or a list is not a scalar, None fails the range check,
+    and anything else goes through ``float()``."""
+
+    @staticmethod
+    def _error(name, value):
+        call, _ = _SCALAR_ARGUMENTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(value)
+        return str(info.value)
+
+    @pytest.mark.parametrize("name", list(_SCALAR_ARGUMENTS))
+    def test_none_fails_the_range_check(self, name):
+        assert self._error(name, None) == _SCALAR_ARGUMENTS[name][1]
+
+    @pytest.mark.parametrize("value", [[0.5], np.array([0.5])], ids=["list", "array"])
+    @pytest.mark.parametrize("name", list(_SCALAR_ARGUMENTS))
+    def test_one_element_vector_is_not_a_scalar(self, name, value):
+        assert self._error(name, value) == f"{name} must be a scalar, got an array of shape (1,)"
+
+    @pytest.mark.parametrize("name", list(_SCALAR_ARGUMENTS))
+    def test_non_numeric_string_keeps_the_float_message(self, name):
+        assert self._error(name, "x") == "could not convert string to float: 'x'"
+
+    @pytest.mark.parametrize("name", list(_SCALAR_ARGUMENTS))
+    def test_numeric_string_reads_as_its_float(self, name):
+        call, _ = _SCALAR_ARGUMENTS[name]
+        assert call("0.5") == call(0.5)
 
 
 # Grids the windowed gqze search is pinned to the dense scan on: the 0.05
@@ -1458,7 +1517,8 @@ def _bits(value: float) -> int:
     return struct.unpack("<q", struct.pack("<d", value))[0]
 
 
-# Chunk edges fall at multiples of 8192 grid points.
+# Grid sizes of the whole-grid comparisons, around multiples of 8192 points
+# and at the fixed 100,000.
 _TWIN_SAMPLES = [1, 2, 3, 8191, 8192, 8193, 16385, 100_000]
 _twin_chis = st.one_of(
     st.sampled_from(
@@ -1470,9 +1530,9 @@ _twin_samples = st.one_of(st.sampled_from(_TWIN_SAMPLES), st.integers(1, 40_000)
 
 
 def _assert_extrema_match_whole_grid(chi, samples):
-    assert _bits(min_survival_grid(chi, samples)) == _bits(
-        oracles.min_survival_grid_reference(chi, samples)
-    )
+    with mock.patch.object(indicators, "_MIN_GRID_SAMPLES", samples):
+        grid_min = min_survival_grid(chi)
+    assert _bits(grid_min) == _bits(oracles.min_survival_grid_reference(chi, samples))
     # The survival is unimodal on the first half period, so the first argmin
     # of an evenly spaced grid there lies within one step of the minimum,
     # and the bracketed argmin within rounding (about 1e-8) of it.
@@ -1484,10 +1544,11 @@ def _assert_extrema_match_whole_grid(chi, samples):
 
 
 class TestChunkedTwins:
-    """The full-grid twins evaluate their grids in chunks of 8192 points and
-    return, bit for bit, what the whole-grid references in ``oracles``
-    return. The bracketed argmin and the bisected measure agree with whole
-    grids to within the grid's resolution."""
+    """The full-grid twins, ``min_survival_grid`` in one pass and the dense
+    gqze scan in chunks of 8192 points, return, bit for bit, what the
+    whole-grid references in ``oracles`` return. The bracketed argmin and
+    the bisected measure agree with whole grids to within the grid's
+    resolution."""
 
     @pytest.mark.parametrize("samples", _TWIN_SAMPLES)
     @pytest.mark.parametrize("chi", [0.0, 1e-300, 0.3, 1.0, math.sqrt(3.0), math.sqrt(8.0), 100.0])
@@ -1565,26 +1626,6 @@ class TestChunkedTwins:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    @pytest.mark.parametrize("samples", [-3, 0, 2.5, "10", None])
-    @pytest.mark.parametrize(
-        "twin",
-        [
-            lambda samples: min_survival_grid(1.0, samples),
-        ],
-        ids=["min_survival_grid"],
-    )
-    def test_rejects_bad_sample_count(self, twin, samples):
-        with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
-            twin(samples)
-
-    @pytest.mark.parametrize("panels", [-1, 0, 16.0])
-    def test_rejects_bad_panel_count(self, panels):
-        with pytest.raises(ValueError, match=r"^panels must be an integer >= 1, got "):
-            mean_survival_quadrature(1.0, panels=panels)
-
-    def test_accepts_numpy_sample_count(self):
-        assert min_survival_grid(2.0, np.int64(1000)) == min_survival_grid(2.0, 1000)
 
 
 _bracketed_chis = st.one_of(

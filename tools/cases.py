@@ -1,11 +1,12 @@
-"""Print t_chi over fixed case sets, one line per case, so that two trees
-can be compared with one ``cmp``.
+"""Print t_chi over fixed case sets, and the randomized cases of
+``validate`` for fixed seeds, one line per case, so that two trees can be
+compared with one ``cmp``.
 
-Each line is ``set <TAB> repr(chi) <TAB> result``, where the result is
-``repr(gqze_interval(chi))``, or the type and message of the ``ValueError``
-it raises. The chi values come from ``random.Random`` with fixed seeds and
-from fixed formulas, never from the package, so every tree is asked the
-same questions:
+Each line is ``set <TAB> key <TAB> result``. In the t_chi sets the key is
+``repr(chi)`` and the result is ``repr(gqze_interval(chi))``, or the type
+and message of the ``ValueError`` it raises. The chi values come from
+``random.Random`` with fixed seeds and from fixed formulas, never from the
+package, so every tree is asked the same questions:
 
 - ``log-uniform``: 3,000 chi drawn log-uniformly over the accepted range,
   (3.17e-7, 6.3e6);
@@ -14,6 +15,13 @@ same questions:
 - ``touch``: chi = sqrt(4 k^2 - 1) for k = 1, ..., 199, where w = 2k and
   the curves only touch at pi, with each chi's two float neighbours and
   relative offsets of 1e-9 either way: 995 chi.
+
+The last set, ``random-cases``, lists every (block, state, time) case that
+``random_cases`` draws from ``random.Random(seed)`` for seeds 0..199, 105 a
+seed and 21,000 in all. Its key is ``seed:index`` and its result the
+case's ``repr``, which writes every float in the shortest form that reads
+back to the same bits, so two trees print the same line only for the same
+case.
 
 Run it from the repository root against the package under test, for
 example::
@@ -31,6 +39,7 @@ import sys
 import numpy as np
 
 from zenoion.indicators import gqze_interval
+from zenoion.runner import random_cases
 
 
 def _log_uniform(count: int, seed: int) -> list[float]:
@@ -83,6 +92,9 @@ def main() -> None:
     for name, cases in case_sets().items():
         for chi in cases:
             out.write(f"{name}\t{chi!r}\t{_result(chi)}\n")
+    for seed in range(200):
+        for index, case in enumerate(random_cases(random.Random(seed))):
+            out.write(f"random-cases\t{seed}:{index}\t{case!r}\n")
 
 
 if __name__ == "__main__":
