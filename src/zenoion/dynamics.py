@@ -250,9 +250,12 @@ def _check_state(block: BlockSystem, state: VibronicState) -> None:
         )
 
 
-def _finite_phase(w: float, t: float) -> float:
-    """The phase w t, or ``ValueError`` naming the time when it is not
-    finite (past it every cos(wt) is nan)."""
+def _finite_phase(w: float, t) -> float:
+    """The phase w t, with ``t`` read as a ``_scalar`` (a Python float skips
+    the read), or ``ValueError`` naming the time when the phase is not
+    finite (past it every cos(wt) is nan), as for a None time."""
+    if type(t) is not float:
+        t = _scalar(t, "t")
     phase = w * t
     if not math.isfinite(phase):
         raise ValueError(f"time t = {t!r} gives the non-finite phase w t = {phase!r}")
@@ -273,14 +276,16 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
 
     Two-level blocks use the same U01 (plain Rabi oscillation); one-level
     blocks are stationary. Negative times are allowed (the evolution is a
-    unitary group); a time whose phase w t is not finite raises ValueError.
+    unitary group). ``t`` must be a scalar (an array or a list is a
+    ``ValueError``); a time whose phase w t is not finite, None included,
+    raises ValueError.
     """
     _check_state(block, initial)
     w = block.angular_frequency
     if block.dimension == 1 or w == 0.0:
         return initial
     norm, norm_sq, a_sq, b_sq, ia, ib, ab = block._closed_form
-    phase = _finite_phase(w, float(t))
+    phase = _finite_phase(w, t)
     c = math.cos(phase)
     s = math.sin(phase)
     u01 = ia * s / norm
@@ -341,10 +346,11 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
 
     Independent verification path for ``propagate_analytic``; the two must
     agree to 1e-10 per amplitude for any block and time, and both raise
-    ValueError for a time whose phase w t is not finite.
+    ValueError for a time that is not a scalar or whose phase w t is not
+    finite.
     """
     _check_state(block, initial)
-    return VibronicState(_spectral_propagator(block, float(t)) @ initial.amplitudes)
+    return VibronicState(_spectral_propagator(block, _scalar(t, "t")) @ initial.amplitudes)
 
 
 def _scalar(value, name: str) -> float:
@@ -399,15 +405,16 @@ def survival_probability(chi, angular_frequency, t):
     test suite checks that ``math.cos`` matches numpy's ``cos``).
 
     A scalar time whose phase w t is not finite raises ``ValueError``, as in
-    the propagators. An array is not checked, to keep its cost: a non-finite
-    phase gives nan there, and the callers bound their grids.
+    the propagators, and so does a None time. An array is not checked, to
+    keep its cost: a non-finite phase gives nan there, and the callers bound
+    their grids.
     """
     w = _scalar(angular_frequency, "angular_frequency")
     if not (math.isfinite(w) and w > 0):
         raise ValueError("angular_frequency must be finite and > 0")
     _, chi_sq = _scalar_chi(chi)
     if isinstance(t, (float, int)) or np.ndim(t) == 0:
-        phase = _finite_phase(w, float(t))
+        phase = _finite_phase(w, t)
         value = (chi_sq + math.cos(phase)) / (chi_sq + 1.0)
         return value * value
     times = np.asarray(t, dtype=float)

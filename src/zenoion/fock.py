@@ -133,19 +133,17 @@ class SidebandPattern:
 
 @dataclass(frozen=True)
 class LaserDrive:
-    """One laser beam: Rabi frequency, Lamb-Dicke parameter and phase."""
+    """One laser beam at the pi/2 beam phase: Rabi frequency and Lamb-Dicke
+    parameter."""
 
     rabi_frequency: float
     lamb_dicke: float
-    phase: float = math.pi / 2
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rabi_frequency):
             raise ValueError("rabi_frequency must be finite")
         if not (math.isfinite(self.lamb_dicke) and self.lamb_dicke >= 0):
             raise ValueError("lamb_dicke must be finite and >= 0")
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,16 @@ class CouplingConstants:
 
     @classmethod
     def from_drives(cls, drive_12: LaserDrive, drive_23: LaserDrive) -> "CouplingConstants":
-        """First-sideband couplings of the two beams, beam phases included."""
+        """First-sideband couplings of the two beams."""
         return cls(_beam_gamma(drive_12), _beam_gamma(drive_23))
 
 
 def _beam_gamma(drive: LaserDrive) -> complex:
-    # -i Omega eta exp(-eta^2/2) exp(-i phi); reduces to the real
-    # -Omega eta exp(-eta^2/2) at phi = pi/2.
+    # -i Omega eta exp(-eta^2/2) exp(-i phi) at the beam phase phi = pi/2,
+    # which reduces it to the real -Omega eta exp(-eta^2/2).
     eta = drive.lamb_dicke
     magnitude = drive.rabi_frequency * eta * math.exp(-0.5 * eta * eta)
-    return -1j * magnitude * cmath.exp(-1j * drive.phase)
+    return -1j * magnitude * cmath.exp(-1j * (math.pi / 2))
 
 
 def factorial_ratio_root(n: TripleLike, removed: TripleLike) -> float:

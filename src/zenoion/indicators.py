@@ -298,10 +298,8 @@ def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInte
     Chunks: the chunked search (``_chunked_search``), the search's one numpy
     path, runs forward in chunks of 1024, 2048 and 4096 grid points, which
     cover any window, and stops at the first chunk holding a clearly
-    negative gap; the points past that chunk are never computed. The
-    reference cos^2(t) is formed inline with one cosine and one product, bit
-    for bit ``survival_probability(0.0, 1.0, t)``; the hindered curve is
-    ``survival_probability``.
+    negative gap; the points past that chunk are never computed. It forms
+    the gap as the dense scan does, from two ``survival_probability`` calls.
 
     Bracket: the crossing is bracketed by the first clearly negative point
     and the last clearly positive grid point before it, refined by bisection
@@ -313,10 +311,11 @@ def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInte
     end. On the sweep grid of 0.05 steps to chi = 20 the left end is the
     point just before the crossing at every chi. The walk is longest where
     the gap stays within the tolerance far back from the crossing: at chi
-    below about 2e-6, where it reaches index 1, and at some chi above about
-    8e4. The longest walks found form about 3,600 gaps. The bisection stops
-    at its fixed point, where a halving no longer moves the bracket, and so
-    returns the same float as a fixed 80 halvings after about 40 of them.
+    below about 2e-6, where no gap before pi/2 clears the tolerance and it
+    reaches index 1, and at some chi above about 8e4. The longest walks
+    found form about 3,600 gaps: 3,563 at chi = 3.3e-7, where the left end
+    is 0, and 3,598 at chi = 5373932.526323148. The bisection stops at its
+    fixed point, where a halving no longer moves the bracket.
 
     Touch: if no point of the window is clearly negative, the gap never
     clearly changes sign before pi, where it is <= 0: the curves touch, or
@@ -326,10 +325,7 @@ def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInte
     clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
     that range the gap cannot be told from rounding at the 1e-13 tolerance
     and ``ValueError`` is raised; the upper bound is checked before chi^2 is
-    formed, so no overflow occurs for any finite chi. The walk back to the
-    bracket's left end may go over the grid before the window, as far as
-    index 1 at chi below about 2e-6, where no gap before pi/2 clears the
-    tolerance; there it forms about 3,600 gaps on Python floats.
+    formed, so no overflow occurs for any finite chi.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
@@ -379,9 +375,8 @@ def _bracket_left(chi_value: float, w: float, step: float, crossing: int) -> int
 
     It walks back from ``crossing`` - 1 to index 1 on Python floats, one gap
     at a time, with the arithmetic of ``_bisect_gap``, so no numpy call and
-    no CPU-specific kernel picks the left end. It forms up to about 3,600
-    gaps: 3,563 at chi = 3.3e-7, where the left end is 0, and 3,598 at
-    chi = 5373932.526323148 (the Bracket paragraph of ``gqze_interval``).
+    no CPU-specific kernel picks the left end; the Bracket paragraph of
+    ``gqze_interval`` bounds the walk.
     """
     chi_sq = chi_value * chi_value
     scale = chi_sq + 1.0
@@ -406,11 +401,15 @@ def _chunked_search(
     run forward in chunks of _FIRST_CHUNK points, each chunk twice as long as
     the one before, up to the chunk that holds the hit; no point past it is
     computed. A window of at most 7,168 points takes three chunks at most.
+    Each chunk's gap is that of ``_dense_scan``, hindered minus reference
+    ``survival_probability``.
     """
     size = _FIRST_CHUNK
     while start <= stop:
         high = min(stop, start + size - 1)
-        hits = (_gaps(chi_value, w, _grid_times(start, high, step)) < -_CROSSING_TOL).nonzero()[0]
+        times = _grid_times(start, high, step)
+        gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
+        hits = (gap < -_CROSSING_TOL).nonzero()[0]
         if hits.size:
             return start + int(hits[0])
         start, size = high + 1, 2 * size
@@ -469,30 +468,14 @@ def _check_chi_floor(chi: float) -> None:
         )
 
 
-def _gaps(chi_value: float, w: float, times: np.ndarray) -> np.ndarray:
-    """Hindered minus reference survival on an array of times, as the gqze
-    scan forms it.
-
-    The chi = 0 reference is bit for bit survival_probability(0.0, 1.0,
-    times): multiplying by 1.0, adding 0.0 and dividing by 1.0 are exact,
-    and an array square is x * x.
-    """
-    reference = np.cos(times)
-    reference *= reference
-    gap = survival_probability(chi_value, w, times)
-    gap -= reference
-    return gap
-
-
 def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
-    """Bisect the gap's sign change in [left, right]: at most 80 halvings,
-    keeping ``left`` where the gap is > 0 and ``right`` where it is not.
+    """Bisect the gap's sign change in [left, right], keeping ``left`` where
+    the gap is > 0 and ``right`` where it is not.
 
-    Fixed point: once ``mid`` equals the endpoint it would replace (the
-    bracket is down to adjacent floats, or halving rounds back onto it), the
-    assignment leaves the state unchanged, and so does every later
-    iteration. Stopping there returns the same ``0.5 * (left + right)`` as
-    all 80 halvings; it happens after about 40 of them.
+    Each halving either moves an end strictly inward, leaving fewer floats
+    in the bracket, or rounds onto the end it would replace. The loop stops
+    there, at the fixed point, so it always ends, as ``_threshold_crossing``
+    does: for the brackets of the gqze searches within 55 halvings.
 
     The gap is formed inline on Python floats, bit for bit
     ``survival_probability(chi, w, t) - survival_probability(0.0, 1.0, t)``:
@@ -503,7 +486,7 @@ def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
     chi_sq = chi * chi
     scale = chi_sq + 1.0
     cos = math.cos
-    for _ in range(80):
+    while True:
         mid = 0.5 * (left + right)
         hindered = (chi_sq + cos(w * mid)) / scale
         reference = cos(mid)

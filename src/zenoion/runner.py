@@ -541,18 +541,18 @@ def _oracle_level_means(chi: float) -> np.ndarray:
 
 def _max_deviation(deviations: Iterable[float]) -> float:
     """The largest of ``deviations`` as a Python float: 0.0 when there are
-    none, nan when any is nan, so a nan deviation fails its check."""
-    return float(np.max(np.fromiter(deviations, dtype=float), initial=0.0))
+    none, nan when any is nan, so a nan deviation fails its check. The
+    deviations are >= 0, so their sum is nan only then (no inf - inf can
+    arise), while ``max`` alone would drop a nan that follows a number."""
+    values = list(deviations)
+    return math.nan if math.isnan(sum(values)) else float(max(values, default=0.0))
 
 
 def _amplitude_gap(one: VibronicState, two: VibronicState) -> float:
     """The largest modulus of the amplitude differences, each formed on
-    Python complex numbers (libm ``hypot`` through ``abs``); nan when any
-    modulus is nan. The moduli are >= 0, so their sum is nan only then (no
-    inf - inf can arise), while ``max`` alone would drop a nan that follows
-    a number."""
-    gaps = [abs(a - b) for a, b in zip(one.values, two.values, strict=True)]
-    return math.nan if math.isnan(sum(gaps)) else max(gaps)
+    Python complex numbers (libm ``hypot`` through ``abs``), reduced by
+    ``_max_deviation``."""
+    return _max_deviation(abs(a - b) for a, b in zip(one.values, two.values, strict=True))
 
 
 def _top_survival(block: BlockSystem, time: float) -> float:

@@ -761,6 +761,14 @@ class TestValidateHarness:
         assert math.isnan(zenoion.runner._amplitude_gap(one, _unchecked_state(shifted)))
         assert math.isnan(zenoion.runner._amplitude_gap(_unchecked_state(shifted), one))
 
+    @pytest.mark.parametrize(
+        "deviations, expected",
+        [([], 0.0), ([0.0, np.float64(2.0), 1.0], 2.0), ([1.0, math.inf], math.inf)],
+    )
+    def test_max_deviation_is_a_python_float(self, deviations, expected):
+        value = zenoion.runner._max_deviation(iter(deviations))
+        assert type(value) is float and value == expected
+
     @pytest.mark.parametrize("index", [1, 2])
     def test_amplitude_row_catches_a_shift_in_a_later_component(self, monkeypatch, index):
         original = zenoion.runner.propagate_oracle

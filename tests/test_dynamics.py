@@ -493,6 +493,57 @@ class TestPropagation:
 
 
 
+def _propagator_time_readers():
+    """Each propagator on a two- and a three-level block (w > 2), as a
+    function of the time giving the evolved state's values."""
+    for propagate in (propagate_analytic, propagate_oracle):
+        for dimension in (2, 3):
+            block = block_of_dimension(dimension, 2.0 + 0.5j, 3.0)
+            state = VibronicState.basis_state(dimension, 0)
+            yield pytest.param(
+                lambda t, propagate=propagate, block=block, state=state:
+                    propagate(block, state, t).values,
+                id=f"{propagate.__name__}-{dimension}",
+            )
+
+
+_PROPAGATOR_TIME_READERS = list(_propagator_time_readers())
+# Every reader of a scalar time: the propagators and the scalar path of
+# ``survival_probability``.
+_TIME_READERS = _PROPAGATOR_TIME_READERS + [
+    pytest.param(lambda t: survival_probability(1.0, 2.0, t), id="survival_probability")
+]
+
+
+class TestScalarTime:
+    """The propagators and the scalar path of ``survival_probability`` read
+    the time as a ``dynamics._scalar``: an array time is a one-line
+    ``ValueError``, None fails the phase check, and any other scalar number
+    gives the bits of the same Python float."""
+
+    @pytest.mark.parametrize("t", [[0.5], np.array([0.5])])
+    @pytest.mark.parametrize("reader", _PROPAGATOR_TIME_READERS)
+    def test_propagators_reject_an_array_time(self, reader, t):
+        with pytest.raises(ValueError) as error:
+            reader(t)
+        assert str(error.value) == "t must be a scalar, got an array of shape (1,)"
+
+    @pytest.mark.parametrize("reader", _TIME_READERS)
+    def test_none_time_is_a_non_finite_phase(self, reader):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                reader(None)
+        assert str(error.value) == "time t = nan gives the non-finite phase w t = nan"
+
+    @pytest.mark.parametrize(
+        "t, value", [(3, 3.0), (-2, -2.0), (np.float64(0.7), 0.7), (np.array(0.7), 0.7)]
+    )
+    @pytest.mark.parametrize("reader", _TIME_READERS)
+    def test_scalar_numbers_keep_the_float_bits(self, reader, t, value):
+        assert repr(reader(t)) == repr(reader(value))
+
+
 class TestSpectralPropagatorOverTimes:
     """Given an array of times, the spectral propagator stacks the matrices
     it builds for each time alone, bit for bit."""

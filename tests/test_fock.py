@@ -273,16 +273,6 @@ class TestEffectiveGamma:
         assert couplings.gamma2 == pytest.approx(_reference_gamma(0.7, 0.05))
         assert abs(couplings.gamma1.imag) < 1e-15
 
-    def test_drive_phase_only_rotates_gamma(self):
-        reference = CouplingConstants.from_drives(
-            LaserDrive(1.0, 0.1), LaserDrive(1.0, 0.1)
-        )
-        rotated = CouplingConstants.from_drives(
-            LaserDrive(1.0, 0.1, phase=0.3), LaserDrive(1.0, 0.1, phase=1.1)
-        )
-        assert abs(rotated.gamma1) == pytest.approx(abs(reference.gamma1))
-        assert abs(rotated.gamma2) == pytest.approx(abs(reference.gamma2))
-
 
 class TestSidebandSeries:
     def test_leading_term_is_retained_coupling(self):

@@ -773,7 +773,7 @@ class TestGqzeCrossingRange:
         below_pi = math.floor(math.pi / step)
         times = indicators._grid_times(below_pi, below_pi + 1, step)
         assert times[0] <= math.pi < times[1]
-        before, after = indicators._gaps(chi, w, times)
+        before, after = survival_probability(chi, w, times) - survival_probability(0.0, 1.0, times)
         assert before > 1e-13 and after < -1e-13
         end = gqze_interval(chi).end
         assert end == 3.141573019001365
@@ -872,7 +872,9 @@ class TestGqzeChunkedScan:
         survival = indicators.survival_probability
 
         def record_survival(chi_value, w, times):
-            times_seen.append(np.array(times))
+            # Each chunk takes the hindered curve, then the chi = 0 reference.
+            if chi_value > 0.0:
+                times_seen.append(np.array(times))
             return survival(chi_value, w, times)
 
         with mock.patch.object(indicators, "survival_probability", record_survival):
@@ -947,7 +949,9 @@ class TestGqzeChunkedScan:
         bisect = indicators._bisect_gap
 
         def record_survival(chi_value, w, times):
-            times_seen.append(np.array(times))
+            # Each chunk takes the hindered curve, then the chi = 0 reference.
+            if chi_value > 0.0:
+                times_seen.append(np.array(times))
             return survival(chi_value, w, times)
 
         def record_bisect(*args):
@@ -1003,68 +1007,6 @@ def _walked_indices(chi, w, step, crossing):
     indices = [round(t / step) for t in arguments[1::2]]
     assert arguments[1::2] == [index * step for index in indices]
     return left, indices
-
-
-class TestGqzeBackwardSearch:
-    """The backward search for the bracket's left end is the walk of
-    ``_bracket_left`` on Python floats: the last grid index before the
-    crossing whose gap is clearly positive, or 0."""
-
-    def test_walk_stops_at_index_one(self):
-        # With no gap clearly positive the walk runs from the crossing down
-        # to index 1, one point at a time, and the left end is 0. At chi =
-        # 4e-7 the gap's first positive lobe peaks near 0.06 chi^2, below
-        # 1e-13, so no point before the crossing clears the tolerance.
-        chi = 4e-7
-        w = math.sqrt(1.0 + chi * chi)
-        step = _step(chi)
-        crossing = round(_dense_bracket(chi)[1] / step)
-        left, walked = _walked_indices(chi, w, step, crossing)
-        assert left == 0
-        assert walked == list(range(crossing - 1, 0, -1))
-
-    @settings(max_examples=100)
-    @given(case=_backward_starts())
-    def test_matches_brute_force_scan(self, case):
-        chi, points_per_period, start = case
-        w = math.sqrt(1.0 + chi * chi)
-        step = _step(chi, points_per_period)
-        times = np.arange(1, start + 1) * step
-        gap = survival_probability(chi, w, times) - np.cos(times) ** 2
-        positive = np.nonzero(gap > 1e-13)[0]
-        expected = int(positive[-1]) + 1 if positive.size else 0
-        assert indicators._bracket_left(chi, w, step, start + 1) == expected
-
-    def test_no_clearly_positive_point_gives_left_end_zero(self):
-        # At chi = 4e-7 no point before the crossing is clearly positive, so
-        # the bracket opens at 0, a few thousand points before the crossing.
-        # numpy only computes the chunks of the forward fallback, if it runs.
-        chi = 4e-7
-        seen, brackets = [], []
-        survival = indicators.survival_probability
-        bisect = indicators._bisect_gap
-
-        def record_survival(chi_value, w, times):
-            seen.append(np.array(times))
-            return survival(chi_value, w, times)
-
-        def record_bisect(*args):
-            brackets.append(args[2:])
-            return bisect(*args)
-
-        with mock.patch.object(indicators, "survival_probability", record_survival), \
-                mock.patch.object(indicators, "_bisect_gap", record_bisect):
-            windowed = gqze_interval(chi)
-        [(left, right)] = brackets
-        assert left == 0.0
-        assert windowed == gqze_interval_grid(chi)
-        step = _step(chi)
-        right_index = round(right / step)
-        w = math.sqrt(1.0 + chi * chi)
-        assert indicators._bracket_left(chi, w, step, right_index) == 0
-        assert 1000 < right_index < 10_000
-        for before, times in zip(seen, seen[1:]):
-            assert times[0] > before[-1]
 
 
 class TestBracketLeftWithoutNumpy:
@@ -1182,6 +1124,39 @@ class TestBracketLeft:
         assert left == brute_force == expected
         assert computed == []
         assert walked == list(range(crossing - 1, max(expected, 1) - 1, -1))
+
+    def test_no_clearly_positive_point_gives_left_end_zero(self):
+        # At chi = 4e-7 no point before the crossing is clearly positive, so
+        # the bracket opens at 0, a few thousand points before the crossing.
+        # numpy only computes the chunks of the forward fallback, if it runs.
+        chi = 4e-7
+        seen, brackets = [], []
+        survival = indicators.survival_probability
+        bisect = indicators._bisect_gap
+
+        def record_survival(chi_value, w, times):
+            # Each chunk takes the hindered curve, then the chi = 0 reference.
+            if chi_value > 0.0:
+                seen.append(np.array(times))
+            return survival(chi_value, w, times)
+
+        def record_bisect(*args):
+            brackets.append(args[2:])
+            return bisect(*args)
+
+        with mock.patch.object(indicators, "survival_probability", record_survival), \
+                mock.patch.object(indicators, "_bisect_gap", record_bisect):
+            windowed = gqze_interval(chi)
+        [(left, right)] = brackets
+        assert left == 0.0
+        assert windowed == gqze_interval_grid(chi)
+        step = _step(chi)
+        right_index = round(right / step)
+        w = math.sqrt(1.0 + chi * chi)
+        assert indicators._bracket_left(chi, w, step, right_index) == 0
+        assert 1000 < right_index < 10_000
+        for before, times in zip(seen, seen[1:]):
+            assert times[0] > before[-1]
 
     # At chi = 2e-6 the gap's first positive lobe clears 1e-13 only on a band
     # of grid points that ends about 110 points before pi/2 (index 2500),
@@ -1449,7 +1424,8 @@ class TestGqzeQuarterPeriodSkip:
         w = math.sqrt(1.0 + chi * chi)
         assert oracles.scalar_gap(chi * chi, w, t) >= -1e-13
         times = np.append(np.linspace(0.0, 0.5 * math.pi, 1001), t)
-        assert indicators._gaps(chi, w, times).min() >= -1e-13
+        gap = survival_probability(chi, w, times) - survival_probability(0.0, 1.0, times)
+        assert gap.min() >= -1e-13
 
     @pytest.mark.parametrize("chi", [2.0, 20.0, 1e3, 1e4])
     def test_points_before_quarter_period_are_one_short_seed(self, chi):
