@@ -82,16 +82,17 @@ class _ClosedFormConstants(NamedTuple):
 class BlockSystem:
     """One invariant block: basis chain, couplings and derived frequencies.
 
-    ``coupling_12`` and ``coupling_23`` are the tridiagonal matrix elements
-    (None when the corresponding transition leaves the block).
-    ``angular_frequency`` is the coupling norm sqrt(|c12|^2 + |c23|^2)
-    because hbar = 1.
+    ``coupling_12`` and ``coupling_23`` are the tridiagonal matrix elements,
+    0j when the corresponding transition leaves the block; ``dimension``
+    says which levels exist. ``angular_frequency`` is the coupling norm
+    sqrt(|c12|^2 + |c23|^2) because hbar = 1, so it is 0 on a one-level
+    block.
     """
 
     dimension: int
     basis_labels: tuple[BasisLabel, ...]
-    coupling_12: Optional[complex]
-    coupling_23: Optional[complex]
+    coupling_12: complex
+    coupling_23: complex
     angular_frequency: float
 
     @property
@@ -101,8 +102,6 @@ class BlockSystem:
         coupling vanishes."""
         if self.dimension == 1:
             return None
-        if self.dimension == 2:
-            return chi_ratio(self.coupling_12, 0.0)
         return chi_ratio(self.coupling_12, self.coupling_23)
 
     @property
@@ -125,7 +124,7 @@ class BlockSystem:
         """
         w = self.angular_frequency
         a = complex(self.coupling_12) / w
-        b = complex(self.coupling_23) / w if self.dimension == 3 else 0j
+        b = complex(self.coupling_23) / w
         a_sq = abs(a) ** 2
         b_sq = abs(b) ** 2
         norm_sq = a_sq + b_sq
@@ -139,28 +138,21 @@ def build_block(
 ) -> BlockSystem:
     """Assemble the invariant block for |n, 1> under the given drive.
 
-    A missing target state truncates the chain (it never raises); the
-    couplings of the surviving transitions scale with the square-rooted
-    falling-factorial factors of the occupations involved.
+    A missing target state truncates the chain (it never raises), and the
+    coupling of each transition that leaves it is 0j; the couplings of the
+    surviving transitions scale with the square-rooted falling-factorial
+    factors of the occupations involved.
     """
     chain = classify_block(n, pattern)
     dimension = len(chain)
-    alpha: Optional[complex] = None
-    beta: Optional[complex] = None
-    if dimension >= 2:
-        alpha = coupling_alpha(couplings.gamma1, n, pattern.r)
-    if dimension == 3:
-        beta = coupling_beta(couplings.gamma2, n, pattern.r, pattern.l)
-    norm = math.hypot(
-        abs(alpha) if alpha is not None else 0.0,
-        abs(beta) if beta is not None else 0.0,
-    )
+    alpha = coupling_alpha(couplings.gamma1, n, pattern.r) if dimension >= 2 else 0j
+    beta = coupling_beta(couplings.gamma2, chain[1][0], pattern.l) if dimension == 3 else 0j
     return BlockSystem(
         dimension=dimension,
         basis_labels=chain,
         coupling_12=alpha,
         coupling_23=beta,
-        angular_frequency=norm,  # hbar = 1
+        angular_frequency=math.hypot(abs(alpha), abs(beta)),  # hbar = 1
     )
 
 
@@ -274,18 +266,19 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
     follows exactly from the symmetry of exp(-i H t) for this H:
     U10 = -conj(U01), U21 = -conj(U12), U20 = conj(U02).
 
-    Two-level blocks use the same U01 (plain Rabi oscillation); one-level
-    blocks are stationary. Negative times are allowed (the evolution is a
-    unitary group). ``t`` must be a scalar (an array or a list is a
-    ``ValueError``); a time whose phase w t is not finite, None included,
-    raises ValueError.
+    Two-level blocks use the same U01 (plain Rabi oscillation); a block
+    with w = 0, every one-level block among them, is stationary. Negative
+    times are allowed (the evolution is a unitary group). ``t`` must be a
+    scalar (an array or a list is a ``ValueError``); a time whose phase
+    w t is not finite raises ValueError on every block, None included, and
+    so does an infinite time at w = 0, where w t = 0 * inf is nan.
     """
     _check_state(block, initial)
     w = block.angular_frequency
-    if block.dimension == 1 or w == 0.0:
+    phase = _finite_phase(w, t)
+    if w == 0.0:
         return initial
     norm, norm_sq, a_sq, b_sq, ia, ib, ab = block._closed_form
-    phase = _finite_phase(w, t)
     c = math.cos(phase)
     s = math.sin(phase)
     u01 = ia * s / norm
@@ -317,18 +310,16 @@ def _spectral_propagator(block: BlockSystem, t) -> np.ndarray:
     closed-form path.
 
     ``t`` is a float, or an array of times, for which the matrices are
-    stacked along its leading axes. A float time whose phase w t is not
-    finite raises ``ValueError``; an array is not checked, and such a time
-    gives a nan matrix.
+    stacked along its leading axes. No time is checked: one whose phase
+    w t is not finite gives a nan matrix, except at w = 0, where the
+    propagator is the identity.
     """
     dim = block.dimension
-    if dim == 1 or block.angular_frequency == 0.0:
-        return np.multiply.outer(np.ones(np.shape(t)), np.eye(dim, dtype=complex))
     w = block.angular_frequency
-    if np.ndim(t) == 0:
-        _finite_phase(w, t)
+    if w == 0.0:
+        return np.multiply.outer(np.ones(np.shape(t)), np.eye(dim, dtype=complex))
     a = complex(block.coupling_12)
-    b = complex(block.coupling_23) if dim == 3 else 0j
+    b = complex(block.coupling_23)
     root = math.sqrt(2.0) * w
     # The eigenvectors of 0, +w and -w as rows, cut to the block's levels.
     vectors = np.array([[b, 0.0, -a.conjugate()], [a, w, b.conjugate()], [a, -w, b.conjugate()]])
@@ -345,12 +336,14 @@ def propagate_oracle(block: BlockSystem, initial: VibronicState, t: float) -> Vi
     """Evolve a block state by explicit eigendecomposition.
 
     Independent verification path for ``propagate_analytic``; the two must
-    agree to 1e-10 per amplitude for any block and time, and both raise
-    ValueError for a time that is not a scalar or whose phase w t is not
-    finite.
+    agree to 1e-10 per amplitude for any block and time, and both read the
+    time by one rule: ValueError for a time that is not a scalar or whose
+    phase w t is not finite, on every block.
     """
     _check_state(block, initial)
-    return VibronicState(_spectral_propagator(block, _scalar(t, "t")) @ initial.amplitudes)
+    t = _scalar(t, "t")
+    _finite_phase(block.angular_frequency, t)
+    return VibronicState(_spectral_propagator(block, t) @ initial.amplitudes)
 
 
 def _scalar(value, name: str) -> float:

@@ -213,9 +213,10 @@ def coupling_alpha(gamma1: complex, n: TripleLike, r: TripleLike) -> complex:
     return complex(gamma1) * factorial_ratio_root(n, r)
 
 
-def coupling_beta(gamma2: complex, n: TripleLike, r: TripleLike, l: TripleLike) -> complex:
-    """Effective 2-3 block coupling: gamma2 * factorial_ratio_root(n - r, l)."""
-    return complex(gamma2) * factorial_ratio_root(ModeVector.of(n).remove(r), l)
+def coupling_beta(gamma2: complex, middle: TripleLike, l: TripleLike) -> complex:
+    """Effective 2-3 block coupling: gamma2 * factorial_ratio_root(middle, l),
+    with ``middle`` = n - r the level-2 occupation."""
+    return complex(gamma2) * factorial_ratio_root(middle, l)
 
 
 def chi_ratio(alpha: complex, beta: complex) -> complex:

@@ -407,23 +407,13 @@ def _chunked_search(
     size = _FIRST_CHUNK
     while start <= stop:
         high = min(stop, start + size - 1)
-        times = _grid_times(start, high, step)
+        times = np.arange(start, high + 1) * step
         gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
         hits = (gap < -_CROSSING_TOL).nonzero()[0]
         if hits.size:
             return start + int(hits[0])
         start, size = high + 1, 2 * size
     return None
-
-
-def _grid_times(first: int, last: int, step: float) -> np.ndarray:
-    """Times of the grid indices first, ..., last: each index times ``step``.
-
-    The indices are built as floats, which skips numpy's int64 -> float64
-    cast; every index is below 2^53, so it converts exactly and each time has
-    the bits of ``np.arange(first, last + 1) * step``.
-    """
-    return np.arange(float(first), last + 1.0) * step
 
 
 def _window_half_angle(chi: float) -> float:
@@ -582,7 +572,7 @@ def min_survival_grid(chi: float) -> float:
     for the benchmark's layer tracer, which looks up each twin by name.
     """
     samples = _MIN_GRID_SAMPLES
-    times = _grid_times(0, samples - 1, poincare_time(chi) / samples)
+    times = np.arange(samples) * (poincare_time(chi) / samples)
     return float(survival_probability(chi, angular_frequency(chi), times).min())
 
 
@@ -739,7 +729,7 @@ def _dense_scan(
         )
     left = 0.0
     for lo in range(0, last, _TWIN_CHUNK):
-        times = _grid_times(lo + 1, min(lo + _TWIN_CHUNK, last), step)
+        times = np.arange(lo + 1, min(lo + _TWIN_CHUNK, last) + 1) * step
         gap = survival_probability(chi_value, w, times) - survival_probability(0.0, 1.0, times)
         below = (gap < -_CROSSING_TOL).nonzero()[0]
         stop = int(below[0]) if below.size else gap.size

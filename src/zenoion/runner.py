@@ -207,7 +207,7 @@ def _resolve(config: RunConfig) -> ResolvedRun:
             "the configured 1-2 coupling vanishes; survival indicators are undefined"
         )
     a = abs(block.coupling_12)
-    b = abs(block.coupling_23) if block.dimension == 3 else 0.0
+    b = abs(block.coupling_23)
     for name, value in (("c12", a), ("c23", b)):
         if not math.isfinite(value):
             raise ConfigError(

@@ -548,7 +548,7 @@ class TestValidateHarness:
 
     def test_injected_sign_flip_is_caught(self, monkeypatch):
         def corrupted(block, state, t):
-            if block.coupling_12 is not None and block.coupling_12 != 0:
+            if block.coupling_12 != 0:
                 block = replace(block, coupling_12=-block.coupling_12)
             return propagate_analytic(block, state, t)
 
@@ -794,9 +794,7 @@ def _unchecked_state(values):
 
 
 def _bits(z):
-    """The exact bits of a float or complex as hex strings; None stays None."""
-    if z is None:
-        return None
+    """The exact bits of a float or complex as hex strings."""
     z = complex(z)
     return z.real.hex(), z.imag.hex()
 

@@ -98,6 +98,7 @@ class TestBuildBlock:
             CouplingConstants(1.0, 1.0),
         )
         assert block.dimension == 1
+        assert block.coupling_12 == block.coupling_23 == 0j
         assert block.angular_frequency == 0.0
         assert block.chi is None
         state = VibronicState.basis_state(1, 0)
@@ -111,7 +112,7 @@ class TestBuildBlock:
             CouplingConstants(2.0, 3.0),
         )
         assert block.dimension == 2
-        assert block.coupling_23 is None
+        assert block.coupling_23 == 0j
         assert block.chi == 0
 
     def test_coupling_norm_combines_both_couplings(self):
@@ -508,6 +509,16 @@ def _propagator_time_readers():
 
 
 _PROPAGATOR_TIME_READERS = list(_propagator_time_readers())
+
+
+def _stationary_blocks():
+    """Each propagator on a one-level block and on a three-level block with
+    zero couplings: both have w = 0."""
+    for propagate in (propagate_analytic, propagate_oracle):
+        for dimension, alpha, beta in ((1, 1.0, 1.0), (3, 0.0, 0.0)):
+            block = block_of_dimension(dimension, alpha, beta)
+            assert block.angular_frequency == 0.0
+            yield pytest.param(propagate, block, id=f"{propagate.__name__}-{dimension}")
 # Every reader of a scalar time: the propagators and the scalar path of
 # ``survival_probability``.
 _TIME_READERS = _PROPAGATOR_TIME_READERS + [
@@ -519,7 +530,8 @@ class TestScalarTime:
     """The propagators and the scalar path of ``survival_probability`` read
     the time as a ``dynamics._scalar``: an array time is a one-line
     ``ValueError``, None fails the phase check, and any other scalar number
-    gives the bits of the same Python float."""
+    gives the bits of the same Python float. The propagators read it so on
+    every block, w = 0 included."""
 
     @pytest.mark.parametrize("t", [[0.5], np.array([0.5])])
     @pytest.mark.parametrize("reader", _PROPAGATOR_TIME_READERS)
@@ -542,6 +554,31 @@ class TestScalarTime:
     @pytest.mark.parametrize("reader", _TIME_READERS)
     def test_scalar_numbers_keep_the_float_bits(self, reader, t, value):
         assert repr(reader(t)) == repr(reader(value))
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ([0.5], "t must be a scalar, got an array of shape (1,)"),
+            (None, "time t = nan gives the non-finite phase w t = nan"),
+            (math.inf, "time t = inf gives the non-finite phase w t = nan"),
+        ],
+        ids=["list", "None", "inf"],
+    )
+    @pytest.mark.parametrize("propagate, block", _stationary_blocks())
+    def test_stationary_block_reads_the_time(self, propagate, block, t, message):
+        # At w = 0 the time is read as on any other block: w t = 0 * inf is
+        # nan, a non-finite phase like any other.
+        state = VibronicState.basis_state(block.dimension, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as error:
+                propagate(block, state, t)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("propagate, block", _stationary_blocks())
+    def test_stationary_block_keeps_the_state(self, propagate, block):
+        state = VibronicState.basis_state(block.dimension, 0)
+        assert propagate(block, state, 5.0).values == state.values
 
 
 class TestSpectralPropagatorOverTimes:

@@ -183,23 +183,21 @@ class TestBlockCouplings:
         with pytest.raises(InvalidSubspaceError):
             coupling_alpha(1.0, ModeVector(1, 0, 0), (2, 0, 0))
 
+    # coupling_beta takes the level-2 occupation n - r: each middle below is
+    # that of the n and r = (1, 0, 0) the case was first written for.
     def test_beta_full_chain(self):
-        assert coupling_beta(1.0, ModeVector(2, 1, 0), (1, 0, 0), (1, 1, 0)) == pytest.approx(
-            1.0
-        )
+        assert coupling_beta(1.0, ModeVector(1, 1, 0), (1, 1, 0)) == pytest.approx(1.0)
 
     def test_beta_carrier_returns_gamma(self):
         gamma = 1.5j
-        assert coupling_beta(gamma, ModeVector(3, 1, 0), (1, 0, 0), (0, 0, 0)) == gamma
+        assert coupling_beta(gamma, ModeVector(2, 1, 0), (0, 0, 0)) == gamma
 
     def test_beta_two_quanta(self):
-        assert coupling_beta(1.0, ModeVector(3, 0, 0), (1, 0, 0), (2, 0, 0)) == pytest.approx(
-            math.sqrt(2)
-        )
+        assert coupling_beta(1.0, ModeVector(2, 0, 0), (2, 0, 0)) == pytest.approx(math.sqrt(2))
 
     def test_beta_missing_target_state(self):
         with pytest.raises(InvalidSubspaceError):
-            coupling_beta(1.0, ModeVector(1, 0, 0), (1, 0, 0), (1, 0, 0))
+            coupling_beta(1.0, ModeVector(0, 0, 0), (1, 0, 0))
 
     @given(gamma=finite_complex, scale=st.floats(0.1, 10.0))
     def test_alpha_homogeneous_in_gamma(self, gamma, scale):
@@ -210,9 +208,9 @@ class TestBlockCouplings:
 
     @given(gamma=finite_complex, scale=st.floats(0.1, 10.0))
     def test_beta_homogeneous_in_gamma(self, gamma, scale):
-        n, r, l = ModeVector(3, 1, 1), (1, 0, 0), (1, 1, 0)
-        assert coupling_beta(scale * gamma, n, r, l) == pytest.approx(
-            scale * coupling_beta(gamma, n, r, l)
+        middle, l = ModeVector(2, 1, 1), (1, 1, 0)
+        assert coupling_beta(scale * gamma, middle, l) == pytest.approx(
+            scale * coupling_beta(gamma, middle, l)
         )
 
 

@@ -771,7 +771,7 @@ class TestGqzeCrossingRange:
         w = math.sqrt(1.0 + chi * chi)
         step = 2.0 * math.pi / w / 10_000
         below_pi = math.floor(math.pi / step)
-        times = indicators._grid_times(below_pi, below_pi + 1, step)
+        times = np.arange(below_pi, below_pi + 2) * step
         assert times[0] <= math.pi < times[1]
         before, after = survival_probability(chi, w, times) - survival_probability(0.0, 1.0, times)
         assert before > 1e-13 and after < -1e-13
@@ -1468,24 +1468,6 @@ class TestGqzeQuarterPeriodSkip:
             gqze_interval_grid(chi)
         windowed, dense = brackets
         assert windowed == dense
-
-
-class TestFloatIndexGrids:
-    """The scans build their index grids as floats; every index is below
-    2^53, so each time keeps the bits of the integer grid times step."""
-
-    @settings(max_examples=300)
-    @given(
-        first=st.integers(min_value=0, max_value=200_000_000),
-        length=st.integers(min_value=1, max_value=4096),
-        step=st.floats(min_value=-12.0, max_value=3.0).map(lambda exponent: 10.0**exponent),
-    )
-    def test_index_grid_keeps_integer_grid_bits(self, first, length, step):
-        last = min(first + length - 1, 200_000_000)
-        old = np.arange(first, last + 1) * step
-        new = indicators._grid_times(first, last, step)
-        assert new.dtype == old.dtype and new.shape == old.shape
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def _bits(value: float) -> int:
