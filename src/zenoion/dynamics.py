@@ -176,7 +176,7 @@ class VibronicState:
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
-        _init_state(self, tuple(amps.tolist()))
+        _state(tuple(amps.tolist()), self)
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
@@ -212,25 +212,23 @@ class VibronicState:
 
 # The writer of the one slot, past the __setattr__ that refuses assignment.
 _set_values = VibronicState.values.__set__
+_new = object.__new__
 
 
-def _init_state(state: VibronicState, values: tuple[complex, ...]) -> None:
-    """Give a new state its ``values`` once their norm checks out."""
+def _state(values: tuple[complex, ...], state: Optional[VibronicState] = None) -> VibronicState:
+    """The state of a tuple of 1 to 3 Python complex numbers (``state``, or a
+    new one), after the one norm check every state gets: sqrt(sum |z| * |z|),
+    with |z| the Python ``abs``, is 1 within ``_NORM_TOL``."""
     norm_sq = 0.0
     for z in values:
-        norm_sq += z.real * z.real + z.imag * z.imag
+        size = abs(z)
+        norm_sq += size * size
     norm = math.sqrt(norm_sq)
     # Written as "not <=" so that a NaN norm fails too.
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"state must be normalized, got norm {norm!r}")
+    state = _new(VibronicState) if state is None else state
     _set_values(state, values)
-
-
-def _state(values: tuple[complex, ...]) -> VibronicState:
-    """State of a tuple of 1 to 3 Python complex numbers, checked for its
-    norm only."""
-    state = object.__new__(VibronicState)
-    _init_state(state, values)
     return state
 
 
@@ -272,20 +270,26 @@ def propagate_analytic(block: BlockSystem, initial: VibronicState, t: float) -> 
     scalar (an array or a list is a ``ValueError``); a time whose phase
     w t is not finite raises ValueError on every block, None included, and
     so does an infinite time at w = 0, where w t = 0 * inf is nan.
+    Per call: one dimension compare, one time read (``_finite_phase``,
+    which a Python float with a finite w t skips) and one norm check of the
+    output (``_state``).
     """
-    _check_state(block, initial)
+    values = initial.values
+    if len(values) != block.dimension:
+        _check_state(block, initial)
     w = block.angular_frequency
-    phase = _finite_phase(w, t)
+    if type(t) is not float or not math.isfinite(phase := w * t):
+        phase = _finite_phase(w, t)
     if w == 0.0:
         return initial
     norm, norm_sq, a_sq, b_sq, ia, ib, ab = block._closed_form
     c = math.cos(phase)
     s = math.sin(phase)
     u01 = ia * s / norm
-    if block.dimension == 2:
-        x0, x1 = initial.values
+    if len(values) == 2:
+        x0, x1 = values
         return _state((c * x0 + u01 * x1, -u01.conjugate() * x0 + c * x1))
-    x0, x1, x2 = initial.values
+    x0, x1, x2 = values
     u00 = (b_sq + a_sq * c) / norm_sq
     u02 = ab * (c - 1.0) / norm_sq
     u12 = ib * s / norm
@@ -427,7 +431,9 @@ def level_probabilities(state: VibronicState) -> tuple[float, float, float]:
     imaginary, as every amplitude ``evolve`` writes is. numpy's complex
     absolute value is rounded differently, so other amplitudes may differ
     from it by a few ulp.
+    Per call: one length compare, and no norm check (``_state`` made it).
     """
     values = state.values
-    a, b, c = map(abs, values + (0j,) * (3 - len(values)))
+    a, b, c = values if len(values) == 3 else values + (0j,) * (3 - len(values))
+    a, b, c = abs(a), abs(b), abs(c)
     return a * a, b * b, c * c

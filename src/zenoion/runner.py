@@ -69,6 +69,7 @@ __all__ = [
 _UNITS_COMMENT = "time columns in units of 1/omega(0), hbar = 1; probabilities dimensionless"
 
 _FIGURE_CHIS = (0.0, 1.0, 5.0, 10.0)
+_EVOLVE_BLOCK = 4096  # time samples evolve reads as Python floats at once
 
 
 def _cell_format(value) -> str:
@@ -107,7 +108,7 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
             if first is not None:
                 fmt = ",".join(map(_cell_format, first)) + "\n"
                 handle.write(fmt % tuple(first))
-                handle.writelines(fmt % tuple(row) for row in rows)
+                handle.writelines(map(fmt.__mod__, map(tuple, rows)))
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -233,17 +234,19 @@ def _resolve(config: RunConfig) -> ResolvedRun:
 def run_evolve(config: RunConfig) -> Path:
     """Evolve |n, 1> over the scaled time grid; emit level populations."""
     run = _resolve(config)
-    initial = VibronicState.basis_state(run.block.dimension, 0)
-    t_scaled = _time_grid(config, run.block.angular_frequency, run.coupling)
+    block, coupling = run.block, run.coupling
+    initial = VibronicState.basis_state(block.dimension, 0)
+    t_scaled = _time_grid(config, block.angular_frequency, coupling)
 
     def rows():
-        # One row at a time, so memory does not grow with the samples. p1 is
-        # formatted once, for both the p1 and the survival column.
-        for value in map(float, t_scaled):
-            state = propagate_analytic(run.block, initial, value / run.coupling)
-            p1, p2, p3 = level_probabilities(state)
-            p1 = "%.16e" % p1
-            yield value, p1, p2, p3, p1
+        # One row at a time, and the grid as floats one block at a time, so
+        # only the grid array grows with the samples. p1 is formatted once.
+        for start in range(0, len(t_scaled), _EVOLVE_BLOCK):
+            for value in t_scaled[start : start + _EVOLVE_BLOCK].tolist():
+                state = propagate_analytic(block, initial, value / coupling)
+                p1, p2, p3 = level_probabilities(state)
+                p1 = "%.16e" % p1
+                yield value, p1, p2, p3, p1
 
     path = _output_file(config, "evolve.csv")
     write_csv(path, _UNITS_COMMENT, ("t_scaled", "p1", "p2", "p3", "survival"), rows())

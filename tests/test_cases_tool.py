@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zenoion
+from zenoion.dynamics import level_probabilities, propagate_analytic
 from zenoion.runner import _chi_grid, random_cases
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "cases.py"
@@ -21,6 +22,7 @@ _SET_SIZES = {
     "uniform": 1000,
     "touch": 995,
     "random-cases": 21_000,
+    "propagated": 21_000,
 }
 
 
@@ -44,7 +46,7 @@ def test_output_is_deterministic_and_covers_every_set():
     assert {name: names.count(name) for name in _SET_SIZES} == _SET_SIZES
     assert len(rows) == sum(_SET_SIZES.values())
     for name, chi, result in rows:
-        if name != "random-cases":
+        if name not in ("random-cases", "propagated"):
             expected = "None" if float(chi) == 0.0 else "GqzeInterval("
             assert result.startswith(expected)
     # The sweep-grid set is the grid that ``sweep --chi-max 22`` lays out.
@@ -58,3 +60,12 @@ def test_output_is_deterministic_and_covers_every_set():
     for seed in (0, 199):
         expected = [repr(case) for case in random_cases(random.Random(seed))]
         assert [result for _, result in cases[105 * seed : 105 * (seed + 1)]] == expected
+    # The propagated set evolves those cases, under the same keys.
+    propagated = [(key, result) for name, key, result in rows if name == "propagated"]
+    assert [key for key, _ in propagated] == [key for key, _ in cases]
+    for seed in (0, 199):
+        expected = []
+        for case in random_cases(random.Random(seed)):
+            evolved = propagate_analytic(*case)
+            expected.append(repr((evolved.values, level_probabilities(evolved))))
+        assert [result for _, result in propagated[105 * seed : 105 * (seed + 1)]] == expected

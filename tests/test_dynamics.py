@@ -150,17 +150,32 @@ class TestVibronicState:
             [math.inf, 0.0, 0.0],
             [-math.inf, 1.0],
             [complex(math.inf, math.inf)],
+            [complex(math.nan, math.inf), 0.0],
+            [0.6, 0.8, complex(-math.inf, math.nan)],
             [1.0 + 2e-9, 0.0, 0.0],
             [1.0 - 2e-9],
             [0.6 * (1.0 + 2e-9), 0.8j * (1.0 + 2e-9)],
+            [1.0 + 1.5e-9],
+            [1.0 - 1.5e-9, 0.0],
+            [0.6 * (1.0 + 1.5e-9), 0.8j * (1.0 + 1.5e-9)],
+            [(0.36 + 0.48j) * (1.0 + 1.5e-9), 0.0, (-0.48 + 0.64j) * (1.0 + 1.5e-9)],
         ],
     )
     def test_rejects_non_finite_and_off_norm_amplitudes(self, amplitudes):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match=r"^state must be normalized, got norm "):
             VibronicState(np.array(amplitudes, dtype=complex))
 
-    def test_accepts_norm_within_tolerance(self):
-        state = VibronicState(np.array([0.6 * (1.0 + 5e-10), 0.8j * (1.0 + 5e-10)]))
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [1.0 + 5e-10],
+            [1.0 - 5e-10, 0.0],
+            [0.6 * (1.0 + 5e-10), 0.8j * (1.0 + 5e-10)],
+            [(0.36 + 0.48j) * (1.0 + 5e-10), 0.0, (-0.48 + 0.64j) * (1.0 + 5e-10)],
+        ],
+    )
+    def test_accepts_norm_within_tolerance(self, amplitudes):
+        state = VibronicState(np.array(amplitudes))
         assert abs(state.norm - 1.0) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -433,7 +448,12 @@ class TestPropagation:
             assert np.max(np.abs(evolved.amplitudes - reference.amplitudes)) <= 1e-10
             assert abs(evolved.norm - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "t",
+        # 9e307 is finite, and w t overflows only because w > 2.
+        [1e308, -1e308, 9e307, math.inf, -math.inf, math.nan, np.float64(math.inf),
+         np.array(-1e308)],
+    )
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("propagate", [propagate_analytic, propagate_oracle])
     def test_non_finite_phase_names_the_time(self, propagate, dimension, t):
@@ -443,8 +463,11 @@ class TestPropagation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as error:
                 propagate(block, state, t)
+        # The message names the time as the Python float it is read as.
+        value = float(t)
         assert str(error.value) == (
-            f"time t = {t!r} gives the non-finite phase w t = {block.angular_frequency * t!r}"
+            f"time t = {value!r} gives the non-finite phase w t = "
+            f"{block.angular_frequency * value!r}"
         )
 
     @pytest.mark.parametrize("propagate", [propagate_analytic, propagate_oracle])
@@ -549,7 +572,20 @@ class TestScalarTime:
         assert str(error.value) == "time t = nan gives the non-finite phase w t = nan"
 
     @pytest.mark.parametrize(
-        "t, value", [(3, 3.0), (-2, -2.0), (np.float64(0.7), 0.7), (np.array(0.7), 0.7)]
+        "t, value",
+        [
+            (3, 3.0),
+            (-2, -2.0),
+            (True, 1.0),
+            (np.float64(0.7), 0.7),
+            (np.array(0.7), 0.7),
+            # A Python float takes the propagators' fast path, the numpy
+            # scalar and the 0-d array the full read: the bits must agree.
+            (np.float64(-0.0), -0.0),
+            (np.array(-0.0), -0.0),
+            (np.float64(5e-324), 5e-324),
+            (np.array(-1e-310), -1e-310),
+        ],
     )
     @pytest.mark.parametrize("reader", _TIME_READERS)
     def test_scalar_numbers_keep_the_float_bits(self, reader, t, value):

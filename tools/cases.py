@@ -16,12 +16,18 @@ package, so every tree is asked the same questions:
   the curves only touch at pi, with each chi's two float neighbours and
   relative offsets of 1e-9 either way: 995 chi.
 
-The last set, ``random-cases``, lists every (block, state, time) case that
+The set ``random-cases`` lists every (block, state, time) case that
 ``random_cases`` draws from ``random.Random(seed)`` for seeds 0..199, 105 a
 seed and 21,000 in all. Its key is ``seed:index`` and its result the
 case's ``repr``, which writes every float in the shortest form that reads
 back to the same bits, so two trees print the same line only for the same
 case.
+
+The last set, ``propagated``, has the same 21,000 keys. Its result is the
+``repr`` of the pair (``propagate_analytic(*case).values``, the
+``level_probabilities`` of that state), signed zeros included, so the same
+output from two trees shows the closed-form propagator bit-identical on
+every case.
 
 Run it from the repository root against the package under test, for
 example::
@@ -38,6 +44,7 @@ import sys
 
 import numpy as np
 
+from zenoion.dynamics import level_probabilities, propagate_analytic
 from zenoion.indicators import gqze_interval
 from zenoion.runner import random_cases
 
@@ -87,14 +94,27 @@ def _result(chi: float) -> str:
         return f"ValueError: {error}"
 
 
+def _random_cases():
+    """Every (key, case) of ``random_cases`` for seeds 0..199, in order."""
+    for seed in range(200):
+        for index, case in enumerate(random_cases(random.Random(seed))):
+            yield f"{seed}:{index}", case
+
+
+def _propagated(case) -> str:
+    evolved = propagate_analytic(*case)
+    return repr((evolved.values, level_probabilities(evolved)))
+
+
 def main() -> None:
     out = sys.stdout
     for name, cases in case_sets().items():
         for chi in cases:
             out.write(f"{name}\t{chi!r}\t{_result(chi)}\n")
-    for seed in range(200):
-        for index, case in enumerate(random_cases(random.Random(seed))):
-            out.write(f"random-cases\t{seed}:{index}\t{case!r}\n")
+    for key, case in _random_cases():
+        out.write(f"random-cases\t{key}\t{case!r}\n")
+    for key, case in _random_cases():
+        out.write(f"propagated\t{key}\t{_propagated(case)}\n")
 
 
 if __name__ == "__main__":
