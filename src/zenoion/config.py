@@ -59,10 +59,7 @@ def _parse_triple(value, what: str) -> Triple:
         raise ConfigError(f"{what}: expected three components, got {len(parts)}")
     out = []
     for part in parts:
-        try:
-            number = int(part)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{what}: component {part!r} is not an integer") from None
+        number = _parse_int(part, f"{what}: component")
         if number < 0:
             raise ConfigError(f"{what}: component {number} is negative")
         out.append(number)

@@ -166,17 +166,18 @@ class VibronicState:
     access. States are immutable: assigning any attribute raises.
 
     The constructor takes anything ``np.array(..., dtype=complex)`` reads as
-    a 1-D vector of length 1..3 and raises ``ValueError`` unless its norm is
-    1 within 1e-9.
+    a 1-D vector of length 1..3 and returns the ``_state`` of its values, so
+    it raises ``ValueError`` unless their norm (``_norm``) is 1 within 1e-9.
+    ``norm`` is that same ``_norm``, the one the constructor checked.
     """
 
     __slots__ = ("values",)
 
-    def __init__(self, amplitudes) -> None:
+    def __new__(cls, amplitudes) -> "VibronicState":
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or not 1 <= amps.size <= 3:
             raise ValueError("amplitudes must be a 1-D vector of length 1..3")
-        _state(tuple(amps.tolist()), self)
+        return _state(tuple(amps.tolist()))
 
     @classmethod
     def basis_state(cls, dimension: int, index: int = 0) -> "VibronicState":
@@ -194,8 +195,7 @@ class VibronicState:
 
     @property
     def norm(self) -> float:
-        amps = self.amplitudes
-        return math.sqrt(np.vdot(amps, amps).real)
+        return _norm(self.values)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -215,19 +215,25 @@ _set_values = VibronicState.values.__set__
 _new = object.__new__
 
 
-def _state(values: tuple[complex, ...], state: Optional[VibronicState] = None) -> VibronicState:
-    """The state of a tuple of 1 to 3 Python complex numbers (``state``, or a
-    new one), after the one norm check every state gets: sqrt(sum |z| * |z|),
-    with |z| the Python ``abs``, is 1 within ``_NORM_TOL``."""
+def _norm(values: tuple[complex, ...]) -> float:
+    """The norm of a state's values: sqrt(sum |z| * |z|), with |z| the
+    Python ``abs`` (libm hypot), summed in order."""
     norm_sq = 0.0
     for z in values:
         size = abs(z)
         norm_sq += size * size
-    norm = math.sqrt(norm_sq)
+    return math.sqrt(norm_sq)
+
+
+def _state(values: tuple[complex, ...]) -> VibronicState:
+    """A new state holding ``values`` (1 to 3 Python complex numbers), after
+    the one check every state gets, the constructor's and both propagators'
+    included: its ``_norm`` is 1 within ``_NORM_TOL``."""
+    norm = _norm(values)
     # Written as "not <=" so that a NaN norm fails too.
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"state must be normalized, got norm {norm!r}")
-    state = _new(VibronicState) if state is None else state
+    state = _new(VibronicState)
     _set_values(state, values)
     return state
 

@@ -150,9 +150,9 @@ class LaserDrive:
 class CouplingConstants:
     """Effective transition couplings gamma1 (1-2) and gamma2 (2-3).
 
-    Both are real and negative under the pi/2 beam-phase convention, but the
-    fields stay complex-capable: the dynamics only ever consumes moduli and
-    relative phases.
+    ``from_drives`` gives both real (imaginary part 0.0) and <= 0, the pi/2
+    beam-phase convention, but the fields stay complex-capable: the
+    dynamics only ever consumes moduli and relative phases.
     """
 
     gamma1: complex
@@ -172,11 +172,11 @@ class CouplingConstants:
 
 
 def _beam_gamma(drive: LaserDrive) -> complex:
-    # -i Omega eta exp(-eta^2/2) exp(-i phi) at the beam phase phi = pi/2,
-    # which reduces it to the real -Omega eta exp(-eta^2/2).
+    """-i Omega eta exp(-eta^2/2) exp(-i phi) at the beam phase phi = pi/2:
+    the real -Omega eta exp(-eta^2/2), formed as such (imaginary part 0.0)."""
     eta = drive.lamb_dicke
     magnitude = drive.rabi_frequency * eta * math.exp(-0.5 * eta * eta)
-    return -1j * magnitude * cmath.exp(-1j * (math.pi / 2))
+    return complex(-magnitude)
 
 
 def factorial_ratio_root(n: TripleLike, removed: TripleLike) -> float:

@@ -22,10 +22,10 @@ import numpy as np
 from . import indicators
 from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
-    _NORM_TOL,
     BlockSystem,
     VibronicState,
     _spectral_propagator,
+    _state,
     build_block,
     level_probabilities,
     propagate_analytic,
@@ -185,16 +185,10 @@ def _output_file(config: RunConfig, default_name: str) -> Path:
     return target / default_name
 
 
-@dataclass(frozen=True)
-class ResolvedRun:
-    """Block, coupling ratio and time scale implied by one configuration."""
-
-    block: BlockSystem
-    chi: float
-    coupling: float  # |1-2 coupling|; equals omega(0) with hbar = 1
-
-
-def _resolve(config: RunConfig) -> ResolvedRun:
+def _resolve(config: RunConfig) -> BlockSystem:
+    """The block of one configuration, checked: two or three levels, finite
+    nonzero |c12| (omega(0), as hbar = 1), finite |c23|, chi^2 and frequency.
+    Runs read chi as ``abs(block.chi)`` and omega(0) as ``abs(block.coupling_12)``."""
     block = build_block(
         config.mode_vector(), config.sideband_pattern(), config.coupling_constants()
     )
@@ -228,13 +222,13 @@ def _resolve(config: RunConfig) -> ResolvedRun:
             f"|c12| = {a:g}, |c23| = {b:g} are too large: the block frequency "
             "hypot(|c12|, |c23|) overflows float64"
         )
-    return ResolvedRun(block=block, chi=chi, coupling=a)
+    return block
 
 
 def run_evolve(config: RunConfig) -> Path:
     """Evolve |n, 1> over the scaled time grid; emit level populations."""
-    run = _resolve(config)
-    block, coupling = run.block, run.coupling
+    block = _resolve(config)
+    coupling = abs(block.coupling_12)
     initial = VibronicState.basis_state(block.dimension, 0)
     t_scaled = _time_grid(config, block.angular_frequency, coupling)
 
@@ -265,7 +259,7 @@ def _survival_rows(config: RunConfig, chis: Sequence[float]):
 
 def run_survival(config: RunConfig) -> Path:
     """Survival probability of |n, 1> over the scaled time grid."""
-    rows = _survival_rows(config, [_resolve(config).chi])
+    rows = _survival_rows(config, [abs(_resolve(config).chi)])
     path = _output_file(config, "survival.csv")
     write_csv(path, _UNITS_COMMENT, ("t_scaled", "survival"), rows)
     return path
@@ -336,13 +330,14 @@ def format_report(report: IndicatorReport, coupling: float) -> str:
 
 def run_indicators(config: RunConfig) -> tuple[str, Path]:
     """Indicator report for one configuration: text plus a one-row CSV."""
-    run = _resolve(config)
+    block = _resolve(config)
+    coupling = abs(block.coupling_12)
     # Every internal time printed is at most the reference period.
-    _internal_time(math.tau, "the period 2 pi", run.coupling)
-    report = indicator_report(run.chi, config.epsilon, config.order_threshold)
+    _internal_time(math.tau, "the period 2 pi", coupling)
+    report = indicator_report(abs(block.chi), config.epsilon, config.order_threshold)
     path = _output_file(config, "indicators.csv")
     _write_reports(path, [report])
-    return format_report(report, run.coupling), path
+    return format_report(report, coupling), path
 
 
 def run_sweep(config: RunConfig) -> Path:
@@ -519,24 +514,16 @@ def _oracle_level_means(chi: float) -> np.ndarray:
     panels read at call time.
 
     The states at all panel edges are column 0 of the stacked spectral
-    propagators; each population is |z| * |z| with |z| = hypot(Re z, Im z),
-    as ``level_probabilities`` forms it, and each state must have norm 1
-    within ``_NORM_TOL``, as a ``VibronicState`` must. Like
+    propagators, computed in one call; ``_state`` checks each one and
+    ``level_probabilities`` reads it, as for every state. Like
     ``mean_survival_quadrature``, exact up to rounding for any panel count
     >= 3: each population has harmonics 0, 1 and 2 in wt only.
     """
     panels = indicators._QUADRATURE_PANELS
     block = build_block(_GROUND_MODE, _CARRIER, CouplingConstants(1.0, chi))
     times = np.linspace(0.0, math.tau / block.angular_frequency, panels + 1)
-    states = _spectral_propagator(block, times)[:, :, 0]
-    magnitudes = np.hypot(states.real, states.imag)
-    populations = magnitudes * magnitudes
-    norms = np.sqrt(populations.sum(axis=1))
-    deviations = np.abs(norms - 1.0)
-    # Written as "not <=" so that a nan norm fails too; argmax finds it first.
-    if not np.all(deviations <= _NORM_TOL):
-        worst = float(norms[np.argmax(deviations)])
-        raise ValueError(f"oracle state must be normalized, got norm {worst!r}")
+    states = _spectral_propagator(block, times)[:, :, 0].tolist()
+    populations = np.array([level_probabilities(_state(tuple(state))) for state in states])
     weights = np.full(panels + 1, 1.0)
     weights[0] = weights[-1] = 0.5
     return weights @ populations / panels

@@ -1087,7 +1087,7 @@ class TestCliEntry:
         assert coupled.read_bytes() == unit.read_bytes()
 
         config = load_config(None, {"mode": "indicators", **flags})
-        c12 = zenoion.runner._resolve(config).coupling
+        c12 = abs(zenoion.runner._resolve(config).coupling_12)
         _, data = read_columns(unit)
         internal = {
             "T_p (internal units)": data["T_p_scaled"][0] / c12,
@@ -1114,7 +1114,7 @@ class TestCliEntry:
         # frequency as sqrt(1 + chi^2).
         coupled, unit = tmp_path / "coupled.csv", tmp_path / "unit.csv"
         config = load_config(None, {"mode": "survival", **flags})
-        chi = repr(zenoion.runner._resolve(config).chi)
+        chi = repr(abs(zenoion.runner._resolve(config).chi))
         argv = ["survival", *(f"--{key}={value}" for key, value in flags.items())]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -133,9 +133,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="chi"):
             load_config(None, {"mode": "survival", "chi": -1.0})
 
-    def test_bad_triple(self):
+    # A component is read by the rule of every integer field, int(str(v)),
+    # so a float or a bool component is refused as "1,2.5,0" is, not
+    # truncated.
+    @pytest.mark.parametrize("value", ["1,0", (1, 2.5, 0), (True, 0, 0), [1.9, 0, 0]])
+    def test_bad_triple(self, value):
         with pytest.raises(ConfigError, match="n"):
-            load_config(None, {"mode": "figures", "n": "1,0"})
+            load_config(None, {"mode": "figures", "n": value})
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import warnings
@@ -252,10 +253,12 @@ class TestVibronicState:
         assert state.amplitudes[0] == 0.6
 
     def test_pickle_round_trip(self):
+        # Pickling and both copies rebuild the state through __new__.
         state = VibronicState([0.6, -0.0, 0.8j])
-        copied = pickle.loads(pickle.dumps(state))
-        assert copied.values == state.values
-        assert copied.amplitudes.tobytes() == state.amplitudes.tobytes()
+        for copied in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+            assert type(copied) is VibronicState
+            assert copied.values == state.values
+            assert copied.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_repr_shows_the_values(self):
         assert repr(VibronicState([0.6, 0.8j])) == "VibronicState(((0.6+0j), 0.8j))"
@@ -270,15 +273,19 @@ class TestVibronicState:
         beta=coupling_values,
         t=times,
     )
-    def test_norm_is_the_vdot_norm_bit_for_bit(self, vector, alpha, beta, t):
+    def test_norm_is_the_checked_norm_bit_for_bit(self, vector, alpha, beta, t):
+        # The norm the constructor checks: sqrt of the in-order sum of
+        # abs(z) * abs(z), with abs the Python one.
         amplitudes = np.array(vector)
         length = np.linalg.norm(amplitudes)
         assume(length > 0.1)
         state = VibronicState(amplitudes / length)
         block = block_of_dimension(len(vector), alpha, beta)
         for each in (state, propagate_analytic(block, state, t)):
-            a = each.amplitudes
-            assert each.norm == math.sqrt(np.vdot(a, a).real)
+            norm_sq = 0.0
+            for z in each.values:
+                norm_sq += abs(z) * abs(z)
+            assert each.norm == math.sqrt(norm_sq)
 
 
 def block_of_dimension(dimension: int, alpha: complex, beta: complex) -> BlockSystem:

@@ -482,7 +482,7 @@ class TestOracleLevelMeans:
         monkeypatch.setattr(
             zenoion.runner, "_spectral_propagator", lambda block, t: 1.01 * original(block, t)
         )
-        with pytest.raises(ValueError, match="^oracle state must be normalized, got norm 1.01"):
+        with pytest.raises(ValueError, match="^state must be normalized, got norm 1.01"):
             _oracle_level_means(0.7)
 
 
