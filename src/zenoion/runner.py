@@ -10,12 +10,16 @@ significant digits so the files round-trip 64-bit values exactly.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import os
+import pickle
 import random
+import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -69,13 +73,89 @@ __all__ = [
 _UNITS_COMMENT = "time columns in units of 1/omega(0), hbar = 1; probabilities dimensionless"
 
 _FIGURE_CHIS = (0.0, 1.0, 5.0, 10.0)
-_EVOLVE_BLOCK = 4096  # time samples evolve reads as Python floats at once
+# Rows a CSV formats and pickles as one block, and time samples read as
+# Python floats at once.
+_BLOCK = 4096
+
+# The CSV helper's source, run by ``python -I -S`` (so without numpy): it
+# writes each row of each pickled block on stdin as argv[1] % row to fd 1.
+# The closed pipe ends it, so it ignores the SIGINT that a Ctrl-C sends the
+# whole process group. A truncated last pickle means the CLI process
+# stopped mid-block, and is raising.
+_HELPER = """\
+import pickle, signal, sys
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+fmt = sys.argv[1]
+with open(1, "w", encoding="utf-8", newline="", closefd=False) as out:
+    while True:
+        try:
+            block = pickle.load(sys.stdin.buffer)
+        except (EOFError, pickle.UnpicklingError):
+            break
+        out.writelines(map(fmt.__mod__, block))
+"""
 
 
 def _cell_format(value) -> str:
     if isinstance(value, (bool, int, np.bool_, np.integer)):
         return "%d"
     return "%s" if isinstance(value, str) else "%.16e"
+
+
+class _RowPickler(pickle.Pickler):
+    """Pickles a block of rows for the helper, which has no numpy: a numpy
+    scalar goes as the Python value ``.item()`` gives (``float`` for a
+    long double, which '%' reads as a float), which every cell format turns
+    into the same bytes. Builtin cells never reach the hook. Cells are
+    scalars, never shared or cyclic, so no memo is kept (fast mode): it
+    would cost more memory than the block itself."""
+
+    def __init__(self, file):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.fast = True
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, np.generic):
+            return NotImplemented
+        value = obj.item()
+        if isinstance(value, np.generic):
+            value = float(value)
+        return type(value), (value,)
+
+
+def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> None:
+    """Write the rest of ``rows``, each as ``fmt % row``, to ``handle``
+    through the helper. It starts once a row is left, so it starts up while
+    the first block is computed. Where no interpreter can be started
+    (``sys.executable`` empty) the rows are formatted here. The helper is
+    waited for however this returns; a nonzero exit of it raises
+    ``OSError``."""
+    following = next(rows, None)
+    if following is None:
+        return
+    rows = chain([following], rows)
+    if not sys.executable:
+        handle.writelines(map(fmt.__mod__, rows))
+        return
+    import subprocess  # only a CSV past its first block pays for the import
+
+    handle.flush()
+    helper = subprocess.Popen(
+        [sys.executable, "-I", "-S", "-c", _HELPER, fmt], stdin=subprocess.PIPE, stdout=handle
+    )
+    try:
+        while block := list(islice(rows, _BLOCK)):
+            try:
+                _RowPickler(helper.stdin).dump(block)
+            except BrokenPipeError:
+                break  # the helper stopped early; its exit status says why
+            del block  # so only the block being built is held
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            helper.stdin.close()
+        status = helper.wait()
+    if status:
+        raise OSError(f"the CSV formatting helper exited with status {status}")
 
 
 def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -88,11 +168,22 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
     the cell types of the first.
 
     ``rows`` may be a generator that computes each row as it is written.
+    The first ``_BLOCK`` (4,096) rows are formatted and written here, one
+    at a time. Any rows after them are read ``_BLOCK`` at a time and
+    pickled, numpy scalars as the Python values ``.item()`` gives, to one
+    helper interpreter. It formats them by the same format string and
+    writes them to the same file, while ``rows`` computes the next block.
+    So memory stays flat in both processes: each holds about one block.
+    Where no interpreter can be started (``sys.executable`` is empty)
+    every row is formatted here.
+
     The rows go to a hidden file beside ``path`` (beside the file a symlink
     there points to), which ``os.replace`` then moves into place, so the CSV
-    appears only once complete. On any exception, raised by ``rows`` or by
-    the write, the hidden file is removed and a file already at ``path``
-    keeps its bytes.
+    appears only once complete. On any exception, raised by ``rows``, by
+    the write or by the helper (which exits nonzero, an ``OSError`` here,
+    when it cannot format a row or write), the helper is waited for first.
+    Then the hidden file is removed, and a file already at ``path`` keeps
+    its bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     target = Path(os.path.realpath(path))
@@ -103,12 +194,13 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
         with handle:
             handle.write(f"# {comment}\n")
             handle.write(",".join(header) + "\n")
-            rows = iter(rows)
+            rows = map(tuple, rows)
             first = next(rows, None)
             if first is not None:
                 fmt = ",".join(map(_cell_format, first)) + "\n"
-                handle.write(fmt % tuple(first))
-                handle.writelines(map(fmt.__mod__, map(tuple, rows)))
+                handle.write(fmt % first)
+                handle.writelines(map(fmt.__mod__, islice(rows, _BLOCK - 1)))
+                _write_rest(handle, fmt, rows)
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -172,6 +264,13 @@ def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np
     return np.linspace(0.0, config.t_max, config.samples)
 
 
+def _floats(values: np.ndarray):
+    """The elements of the 1-d array ``values`` as Python floats, converted
+    ``_BLOCK`` at a time, so no list as long as the array is built."""
+    for start in range(0, len(values), _BLOCK):
+        yield from values[start : start + _BLOCK].tolist()
+
+
 def _names_csv_file(out: str) -> bool:
     """Whether ``out`` names a CSV file, not a directory: its suffix is .csv
     in any case (x.csv, x.CSV)."""
@@ -233,14 +332,14 @@ def run_evolve(config: RunConfig) -> Path:
     t_scaled = _time_grid(config, block.angular_frequency, coupling)
 
     def rows():
-        # One row at a time, and the grid as floats one block at a time, so
-        # only the grid array grows with the samples. p1 is formatted once.
-        for start in range(0, len(t_scaled), _EVOLVE_BLOCK):
-            for value in t_scaled[start : start + _EVOLVE_BLOCK].tolist():
-                state = propagate_analytic(block, initial, value / coupling)
-                p1, p2, p3 = level_probabilities(state)
-                p1 = "%.16e" % p1
-                yield value, p1, p2, p3, p1
+        # One row at a time, so only the grid array grows with the samples.
+        # p1 is formatted once, here, not twice (p1 and survival) by the
+        # CSV helper: less work in all, which counts when one core is busy.
+        for value in _floats(t_scaled):
+            state = propagate_analytic(block, initial, value / coupling)
+            p1, p2, p3 = level_probabilities(state)
+            p1 = "%.16e" % p1
+            yield value, p1, p2, p3, p1
 
     path = _output_file(config, "evolve.csv")
     write_csv(path, _UNITS_COMMENT, ("t_scaled", "p1", "p2", "p3", "survival"), rows())
@@ -254,7 +353,7 @@ def _survival_rows(config: RunConfig, chis: Sequence[float]):
     a ``ConfigError`` comes before any file is written."""
     t_scaled = _time_grid(config, angular_frequency(max(chis)))
     columns = [survival_probability(chi, angular_frequency(chi), t_scaled) for chi in chis]
-    return zip(t_scaled, *columns)
+    return zip(*map(_floats, (t_scaled, *columns)))
 
 
 def run_survival(config: RunConfig) -> Path:

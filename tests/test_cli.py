@@ -237,11 +237,27 @@ class TestEvolveLoop:
 
 
 def _reference_cell(value) -> str:
-    """CSV cell spec: integers and booleans as integers, everything else
-    as f"{float(value):.16e}"."""
+    """CSV cell spec: integers and booleans as integers, str as it is,
+    everything else as f"{float(value):.16e}"."""
     if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
+    if isinstance(value, str):
+        return value
     return f"{float(value):.16e}"
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The CSV helper processes ``write_csv`` starts, recorded as they start."""
+    started = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    return started
 
 
 class TestWriteCsv:
@@ -249,6 +265,7 @@ class TestWriteCsv:
         True,
         np.bool_(False),
         np.int64(-7),
+        np.uint64(2**64 - 1),
         3,
         math.nan,
         math.inf,
@@ -257,9 +274,13 @@ class TestWriteCsv:
         1e-300,
         5e-324,
         np.float64(0.1),
+        np.float32(0.1),
+        np.longdouble(1) / 3,
         -1.0 / 3.0,
         1e300,
         0,
+        "as is",
+        np.str_(""),
     )
 
     def test_cells_match_the_reference_spec_byte_for_byte(self, tmp_path):
@@ -293,9 +314,25 @@ class TestWriteCsv:
         write_csv(empty, "e", ("t",), iter(()))
         assert empty.read_text(encoding="utf-8") == "# e\nt\n"
 
+    @pytest.mark.parametrize("count", [4096, 4097, 4098, 3 * 4096 + 1])
+    def test_rows_past_the_first_block_keep_their_bytes(self, tmp_path, helpers, count):
+        # The first 4,096 rows are formatted in this process, the rest by
+        # the helper, from pickled cells: numpy scalars arrive as the
+        # Python values .item() gives.
+        path = tmp_path / "cells.csv"
+        header = [f"c{i}" for i in range(len(self.ROW))]
+        write_csv(path, "cells", header, (self.ROW for _ in range(count)))
+        expected = ",".join(_reference_cell(value) for value in self.ROW) + "\n"
+        text = path.read_bytes().decode("utf-8")
+        assert text == "# cells\n" + ",".join(header) + "\n" + expected * count
+        assert len(helpers) == (count > 4096)
+        assert [helper.returncode for helper in helpers] == [0] * len(helpers)
+
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    @pytest.mark.parametrize("rows_before", [0, 3])
-    def test_failing_rows_leave_no_file(self, tmp_path, error, rows_before):
+    @pytest.mark.parametrize("rows_before", [0, 3, 5000])
+    def test_failing_rows_leave_no_file(self, tmp_path, helpers, error, rows_before):
+        # At 5,000 rows the helper is formatting when the rows fail; it is
+        # waited for before the error leaves write_csv.
         def rows():
             for index in range(rows_before):
                 yield (float(index),)
@@ -304,6 +341,32 @@ class TestWriteCsv:
         with pytest.raises(error):
             write_csv(tmp_path / "x.csv", "x", ("t",), rows())
         assert list(tmp_path.iterdir()) == []
+        assert len(helpers) == (rows_before > 4096)
+        assert all(helper.returncode is not None for helper in helpers)
+
+    @pytest.mark.parametrize(
+        "source, bad_row, status, message",
+        [
+            # A row the helper cannot format: a str in a float column.
+            (None, 5000, 1, "TypeError"),
+            # A helper that exits before it reads a block.
+            ("raise SystemExit(7)", None, 7, ""),
+        ],
+    )
+    def test_failing_helper_is_an_os_error(
+        self, tmp_path, monkeypatch, capfd, helpers, source, bad_row, status, message
+    ):
+        if source is not None:
+            monkeypatch.setattr(zenoion.runner, "_HELPER", source)
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"# an earlier run\n")
+        rows = (("x",) if index == bad_row else (float(index),) for index in range(9000))
+        with pytest.raises(OSError, match=f"helper exited with status {status}$"):
+            write_csv(target, "x", ("t",), rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert target.read_bytes() == b"# an earlier run\n"
+        assert [helper.returncode for helper in helpers] == [status]
+        assert message in capfd.readouterr().err
 
     def test_symlink_is_written_through(self, tmp_path):
         (tmp_path / "data").mkdir()
@@ -323,6 +386,50 @@ class TestWriteCsv:
         finally:
             os.umask(old)
         assert (tmp_path / "m.csv").stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+class TestCsvHelper:
+    """Rows past a CSV's first 4,096 are formatted in a helper interpreter;
+    every mode writes the same bytes with it as without it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--gamma1", "1", "--gamma2", "3", "--samples", "9000"],
+            ["survival", "--chi", "2", "--samples", "9000"],
+            # fig1 has 9,000 rows; fig2-fig4 fewer than 4,097.
+            ["figures", "--samples", "9000"],
+            # 5,001 chi points.
+            ["sweep", "--chi-max", "5", "--chi-step", "0.001"],
+        ],
+    )
+    def test_same_bytes_without_the_helper(self, tmp_path, monkeypatch, capsys, helpers, argv):
+        outputs = []
+        for executable in (sys.executable, ""):
+            # An empty sys.executable means no interpreter to start: every
+            # row is then formatted in this process.
+            monkeypatch.setattr(sys, "executable", executable)
+            out = tmp_path / ("with" if executable else "without")
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        with_helper, without_helper = outputs
+        assert with_helper == without_helper
+        assert [helper.returncode for helper in helpers] == [0]
+        capsys.readouterr()
+
+    def test_importing_the_cli_does_not_import_subprocess(self):
+        # Only a CSV longer than one block starts the helper, so only such a
+        # run pays for importing subprocess.
+        script = "import sys, zenoion.cli; sys.exit(3 if 'subprocess' in sys.modules else 0)"
+        src = str(Path(zenoion.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestFailedRunsLeaveNoCsv:
