@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
+from types import GeneratorType
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -126,23 +127,28 @@ class _RowPickler(pickle.Pickler):
 def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> None:
     """Write the rest of ``rows``, each as ``fmt % row``, to ``handle``
     through the helper. It starts once a row is left, so it starts up while
-    the first block is computed. Where no interpreter can be started
-    (``sys.executable`` empty) the rows are formatted here. The helper is
-    waited for however this returns; a nonzero exit of it raises
-    ``OSError``."""
+    the first block is computed. Where it cannot start (``sys.executable``
+    empty or None, or ``Popen`` raising ``OSError``: the interpreter moved,
+    no process to spare) the rows are formatted here. The helper is waited
+    for however this returns; a nonzero exit of it raises ``OSError``."""
     following = next(rows, None)
     if following is None:
         return
     rows = chain([following], rows)
-    if not sys.executable:
-        handle.writelines(map(fmt.__mod__, rows))
-        return
     import subprocess  # only a CSV past its first block pays for the import
 
     handle.flush()
-    helper = subprocess.Popen(
-        [sys.executable, "-I", "-S", "-c", _HELPER, fmt], stdin=subprocess.PIPE, stdout=handle
-    )
+    helper = None
+    if sys.executable:
+        with contextlib.suppress(OSError):
+            helper = subprocess.Popen(
+                [sys.executable, "-I", "-S", "-c", _HELPER, fmt],
+                stdin=subprocess.PIPE,
+                stdout=handle,
+            )
+    if helper is None:
+        handle.writelines(map(fmt.__mod__, rows))
+        return
     try:
         while block := list(islice(rows, _BLOCK)):
             try:
@@ -167,15 +173,18 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
     nan, inf and -0.0 included), formats every row, so all rows must hold
     the cell types of the first.
 
-    ``rows`` may be a generator that computes each row as it is written.
-    The first ``_BLOCK`` (4,096) rows are formatted and written here, one
-    at a time. Any rows after them are read ``_BLOCK`` at a time and
-    pickled, numpy scalars as the Python values ``.item()`` gives, to one
-    helper interpreter. It formats them by the same format string and
-    writes them to the same file, while ``rows`` computes the next block.
-    So memory stays flat in both processes: each holds about one block.
-    Where no interpreter can be started (``sys.executable`` is empty)
-    every row is formatted here.
+    ``rows`` may be a generator, taken to compute each row as it is read
+    (as ``evolve``'s does). Of a generator only the first ``_BLOCK``
+    (4,096) rows are formatted and written here. Any rows after them are
+    read ``_BLOCK`` at a time and pickled, numpy scalars as the Python
+    values ``.item()`` gives, to one helper interpreter. It formats them by
+    the same format string and writes them to the same file, while
+    ``rows`` computes the next block. So memory stays flat in both
+    processes: each holds about one block. Where the helper cannot be
+    started, these rows too are formatted here. Any other iterable (a list,
+    or a ``zip`` or ``map`` over computed arrays) is formatted here in
+    full: its rows would leave a helper nothing to overlap, so its start
+    and the pickling would only add time.
 
     The rows go to a hidden file beside ``path`` (beside the file a symlink
     there points to), which ``os.replace`` then moves into place, so the CSV
@@ -194,13 +203,17 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
         with handle:
             handle.write(f"# {comment}\n")
             handle.write(",".join(header) + "\n")
+            computed = isinstance(rows, GeneratorType)
             rows = map(tuple, rows)
             first = next(rows, None)
             if first is not None:
                 fmt = ",".join(map(_cell_format, first)) + "\n"
                 handle.write(fmt % first)
-                handle.writelines(map(fmt.__mod__, islice(rows, _BLOCK - 1)))
-                _write_rest(handle, fmt, rows)
+                if computed:
+                    handle.writelines(map(fmt.__mod__, islice(rows, _BLOCK - 1)))
+                    _write_rest(handle, fmt, rows)
+                else:
+                    handle.writelines(map(fmt.__mod__, rows))
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -264,13 +277,6 @@ def _time_grid(config: RunConfig, frequency: float, coupling: float = 1.0) -> np
     return np.linspace(0.0, config.t_max, config.samples)
 
 
-def _floats(values: np.ndarray):
-    """The elements of the 1-d array ``values`` as Python floats, converted
-    ``_BLOCK`` at a time, so no list as long as the array is built."""
-    for start in range(0, len(values), _BLOCK):
-        yield from values[start : start + _BLOCK].tolist()
-
-
 def _names_csv_file(out: str) -> bool:
     """Whether ``out`` names a CSV file, not a directory: its suffix is .csv
     in any case (x.csv, x.CSV)."""
@@ -332,14 +338,16 @@ def run_evolve(config: RunConfig) -> Path:
     t_scaled = _time_grid(config, block.angular_frequency, coupling)
 
     def rows():
-        # One row at a time, so only the grid array grows with the samples.
-        # p1 is formatted once, here, not twice (p1 and survival) by the
-        # CSV helper: less work in all, which counts when one core is busy.
-        for value in _floats(t_scaled):
-            state = propagate_analytic(block, initial, value / coupling)
-            p1, p2, p3 = level_probabilities(state)
-            p1 = "%.16e" % p1
-            yield value, p1, p2, p3, p1
+        # One row at a time, and the grid as floats one block at a time, so
+        # only the grid array grows with the samples. p1 is formatted once,
+        # here, not twice (p1 and survival) by the CSV helper: less work in
+        # all, which counts when one core is busy.
+        for start in range(0, len(t_scaled), _BLOCK):
+            for value in t_scaled[start : start + _BLOCK].tolist():
+                state = propagate_analytic(block, initial, value / coupling)
+                p1, p2, p3 = level_probabilities(state)
+                p1 = "%.16e" % p1
+                yield value, p1, p2, p3, p1
 
     path = _output_file(config, "evolve.csv")
     write_csv(path, _UNITS_COMMENT, ("t_scaled", "p1", "p2", "p3", "survival"), rows())
@@ -353,7 +361,7 @@ def _survival_rows(config: RunConfig, chis: Sequence[float]):
     a ``ConfigError`` comes before any file is written."""
     t_scaled = _time_grid(config, angular_frequency(max(chis)))
     columns = [survival_probability(chi, angular_frequency(chi), t_scaled) for chi in chis]
-    return zip(*map(_floats, (t_scaled, *columns)))
+    return zip(t_scaled, *columns)
 
 
 def run_survival(config: RunConfig) -> Path:
@@ -477,11 +485,11 @@ def run_figures(config: RunConfig) -> list[Path]:
         ("fig1.csv", _UNITS_COMMENT, ("t_scaled", *(f"P_chi{chi:g}" for chi in _FIGURE_CHIS)),
          _survival_rows(config, _FIGURE_CHIS)),
         ("fig2.csv", "chi dimensionless; m = survival-probability minimum over one period",
-         ("chi", "m"), ((chi, min_survival(chi)) for chi in chi_short)),
+         ("chi", "m"), zip(chi_short, map(min_survival, chi_short))),
         ("fig3.csv", _UNITS_COMMENT, ("chi", "t_m_scaled"),
-         ((chi, time_of_min(chi)) for chi in chi_short)),
+         zip(chi_short, map(time_of_min, chi_short))),
         ("fig4.csv", "chi dimensionless; P_mean = period-averaged survival probability",
-         ("chi", "P_mean"), ((chi, mean_survival(chi)) for chi in chi_long)),
+         ("chi", "P_mean"), zip(chi_long, map(mean_survival, chi_long))),
     )
     paths = [Path(config.out) / name for name, *_ in table]
     for path, (_, comment, header, rows) in zip(paths, table):

@@ -314,19 +314,41 @@ class TestWriteCsv:
         write_csv(empty, "e", ("t",), iter(()))
         assert empty.read_text(encoding="utf-8") == "# e\nt\n"
 
+    @pytest.mark.parametrize("generator", [False, True])
     @pytest.mark.parametrize("count", [4096, 4097, 4098, 3 * 4096 + 1])
-    def test_rows_past_the_first_block_keep_their_bytes(self, tmp_path, helpers, count):
-        # The first 4,096 rows are formatted in this process, the rest by
-        # the helper, from pickled cells: numpy scalars arrive as the
-        # Python values .item() gives.
+    def test_rows_past_the_first_block_keep_their_bytes(self, tmp_path, helpers, count, generator):
+        # Of a generator the first 4,096 rows are formatted in this process,
+        # the rest by the helper, from pickled cells: numpy scalars arrive
+        # as the Python values .item() gives. A list starts no helper.
         path = tmp_path / "cells.csv"
         header = [f"c{i}" for i in range(len(self.ROW))]
-        write_csv(path, "cells", header, (self.ROW for _ in range(count)))
+        rows = (self.ROW for _ in range(count)) if generator else [self.ROW] * count
+        write_csv(path, "cells", header, rows)
         expected = ",".join(_reference_cell(value) for value in self.ROW) + "\n"
         text = path.read_bytes().decode("utf-8")
         assert text == "# cells\n" + ",".join(header) + "\n" + expected * count
-        assert len(helpers) == (count > 4096)
+        assert len(helpers) == (generator and count > 4096)
         assert [helper.returncode for helper in helpers] == [0] * len(helpers)
+
+    @pytest.mark.parametrize(
+        "error", [FileNotFoundError, PermissionError, BlockingIOError(11, "EAGAIN")]
+    )
+    def test_helper_that_cannot_start_leaves_the_rows_here(
+        self, tmp_path, monkeypatch, error
+    ):
+        # An interpreter that moved, or no process to spare: Popen raises
+        # OSError, and the rows past the first block are formatted here.
+        def failing_popen(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(subprocess, "Popen", failing_popen)
+        path = tmp_path / "cells.csv"
+        header = [f"c{i}" for i in range(len(self.ROW))]
+        write_csv(path, "cells", header, (self.ROW for _ in range(9000)))
+        expected = ",".join(_reference_cell(value) for value in self.ROW) + "\n"
+        text = path.read_bytes().decode("utf-8")
+        assert text == "# cells\n" + ",".join(header) + "\n" + expected * 9000
+        assert [p.name for p in tmp_path.iterdir()] == ["cells.csv"]
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     @pytest.mark.parametrize("rows_before", [0, 3, 5000])
@@ -389,32 +411,37 @@ class TestWriteCsv:
 
 
 class TestCsvHelper:
-    """Rows past a CSV's first 4,096 are formatted in a helper interpreter;
-    every mode writes the same bytes with it as without it."""
+    """evolve formats the rows past its CSV's first 4,096 in a helper
+    interpreter, and writes the same bytes with it as without it. Modes whose
+    rows are computed before they are written start no helper."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, started",
         [
-            ["evolve", "--gamma1", "1", "--gamma2", "3", "--samples", "9000"],
-            ["survival", "--chi", "2", "--samples", "9000"],
-            # fig1 has 9,000 rows; fig2-fig4 fewer than 4,097.
-            ["figures", "--samples", "9000"],
+            (["evolve", "--gamma1", "1", "--gamma2", "3", "--samples", "9000"], 1),
+            (["survival", "--chi", "2", "--samples", "9000"], 0),
+            # fig1 has 9,000 rows, fig2-fig3 6,001 and fig4 10,001.
+            (["figures", "--samples", "9000", "--chi-step", "0.0005"], 0),
             # 5,001 chi points.
-            ["sweep", "--chi-max", "5", "--chi-step", "0.001"],
+            (["sweep", "--chi-max", "5", "--chi-step", "0.001"], 0),
         ],
     )
-    def test_same_bytes_without_the_helper(self, tmp_path, monkeypatch, capsys, helpers, argv):
+    @pytest.mark.parametrize("executable", ["", None])
+    def test_same_bytes_without_the_helper(
+        self, tmp_path, monkeypatch, capsys, helpers, argv, started, executable
+    ):
         outputs = []
-        for executable in (sys.executable, ""):
-            # An empty sys.executable means no interpreter to start: every
-            # row is then formatted in this process.
-            monkeypatch.setattr(sys, "executable", executable)
-            out = tmp_path / ("with" if executable else "without")
+        for name in ("with", "without"):
+            if name == "without":
+                # No interpreter to start: every row is then formatted in
+                # this process.
+                monkeypatch.setattr(sys, "executable", executable)
+            out = tmp_path / name
             assert main([*argv, "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         with_helper, without_helper = outputs
         assert with_helper == without_helper
-        assert [helper.returncode for helper in helpers] == [0]
+        assert [helper.returncode for helper in helpers] == [0] * started
         capsys.readouterr()
 
     def test_importing_the_cli_does_not_import_subprocess(self):
@@ -502,6 +529,39 @@ class TestStreamingMemory:
              "out": str(tmp_path)},
         )
         assert _traced_peak(run_evolve, config) < 2 * 2**20
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_evolve_helper_peak_does_not_grow_with_the_samples(
+        self, tmp_path, monkeypatch, helpers
+    ):
+        # The CSV helper's own high-water mark (VmHWM, which exec resets),
+        # read while it runs, as the last sample is propagated: by then it
+        # has formatted all but the last block or two. Holding the rows of
+        # 2e5 samples would cost about 35 MiB.
+        peaks = {}
+        for samples in (20_000, 200_000):
+            calls = [0]
+
+            def propagate(*args, samples=samples):
+                calls[0] += 1
+                if calls[0] == samples:
+                    with open(f"/proc/{helpers[-1].pid}/status", encoding="ascii") as status:
+                        line = next(line for line in status if line.startswith("VmHWM:"))
+                    peaks[samples] = int(line.split()[1])  # kB
+                return propagate_analytic(*args)
+
+            monkeypatch.setattr(zenoion.runner, "propagate_analytic", propagate)
+            config = load_config(
+                None,
+                {"mode": "evolve", "gamma1": 1.0, "gamma2": 3.0, "samples": samples,
+                 "out": str(tmp_path)},
+            )
+            run_evolve(config)
+        assert len(helpers) == 2
+        assert peaks[200_000] - peaks[20_000] < 4 * 2**10
+        assert peaks[200_000] < 32 * 2**10
 
     def test_sweep_peak_does_not_grow_with_the_chi_count(self, tmp_path):
         # The same chi range at 101 and at 4001 points. Holding 4001 reports
