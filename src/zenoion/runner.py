@@ -124,31 +124,31 @@ class _RowPickler(pickle.Pickler):
         return type(value), (value,)
 
 
-def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> None:
-    """Write the rest of ``rows``, each as ``fmt % row``, to ``handle``
-    through the helper. It starts once a row is left, so it starts up while
-    the first block is computed. Where it cannot start (``sys.executable``
-    empty or None, or ``Popen`` raising ``OSError``: the interpreter moved,
-    no process to spare) the rows are formatted here. The helper is waited
-    for however this returns; a nonzero exit of it raises ``OSError``."""
+def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tuple]:
+    """Hand the rest of ``rows`` to the helper, which writes each as ``fmt %
+    row`` to ``handle``. Returns the rows left for this process: all of them
+    where the helper cannot start (``sys.executable`` empty or None, or
+    ``Popen`` raising ``OSError``: the interpreter moved, no process to
+    spare), none once it has run. It starts once a row is left, so it starts
+    up while its first block is computed. It is waited for however this
+    returns; a nonzero exit of it raises ``OSError``."""
     following = next(rows, None)
     if following is None:
-        return
+        return rows
     rows = chain([following], rows)
+    if not sys.executable:
+        return rows
     import subprocess  # only a CSV past its first block pays for the import
 
     handle.flush()
-    helper = None
-    if sys.executable:
-        with contextlib.suppress(OSError):
-            helper = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _HELPER, fmt],
-                stdin=subprocess.PIPE,
-                stdout=handle,
-            )
-    if helper is None:
-        handle.writelines(map(fmt.__mod__, rows))
-        return
+    try:
+        helper = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _HELPER, fmt],
+            stdin=subprocess.PIPE,
+            stdout=handle,
+        )
+    except OSError:
+        return rows
     try:
         while block := list(islice(rows, _BLOCK)):
             try:
@@ -162,6 +162,7 @@ def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> None:
         status = helper.wait()
     if status:
         raise OSError(f"the CSV formatting helper exited with status {status}")
+    return iter(())
 
 
 def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -169,22 +170,23 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
 
     Bool and integer cells are written as integers, ``str`` cells as they
     are, all others as f"{float(v):.16e}". One '%' format string, built from
-    the first row ('%d', '%s' or '%.16e' per cell, which give those bytes,
-    nan, inf and -0.0 included), formats every row, so all rows must hold
-    the cell types of the first.
+    the first row by ``_cell_format`` (one conversion per cell, which gives
+    those bytes, nan, inf and -0.0 included), formats every row, so all rows
+    must hold the cell types of the first.
 
     ``rows`` may be a generator, taken to compute each row as it is read
-    (as ``evolve``'s does). Of a generator only the first ``_BLOCK``
-    (4,096) rows are formatted and written here. Any rows after them are
-    read ``_BLOCK`` at a time and pickled, numpy scalars as the Python
-    values ``.item()`` gives, to one helper interpreter. It formats them by
-    the same format string and writes them to the same file, while
+    (as ``evolve``'s does). Of a generator the first ``_BLOCK`` (4,096)
+    rows are formatted and written here, and ``_write_rest`` hands the rest
+    to one helper interpreter: read ``_BLOCK`` at a time and pickled, numpy
+    scalars as the Python values ``.item()`` gives. The helper formats them
+    by the same format string and writes them to the same file, while
     ``rows`` computes the next block. So memory stays flat in both
-    processes: each holds about one block. Where the helper cannot be
-    started, these rows too are formatted here. Any other iterable (a list,
-    or a ``zip`` or ``map`` over computed arrays) is formatted here in
-    full: its rows would leave a helper nothing to overlap, so its start
-    and the pickling would only add time.
+    processes: each holds about one block. The rows ``_write_rest`` leaves
+    (all of them where the helper cannot be started) and the rows of any
+    other iterable (a list, or a ``zip`` or ``map`` over computed arrays)
+    are formatted here, by one final ``writelines``: such rows would leave
+    a helper nothing to overlap, so its start and the pickling would only
+    add time.
 
     The rows go to a hidden file beside ``path`` (beside the file a symlink
     there points to), which ``os.replace`` then moves into place, so the CSV
@@ -208,12 +210,11 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
             first = next(rows, None)
             if first is not None:
                 fmt = ",".join(map(_cell_format, first)) + "\n"
-                handle.write(fmt % first)
+                rows = chain([first], rows)
                 if computed:
-                    handle.writelines(map(fmt.__mod__, islice(rows, _BLOCK - 1)))
-                    _write_rest(handle, fmt, rows)
-                else:
-                    handle.writelines(map(fmt.__mod__, rows))
+                    handle.writelines(map(fmt.__mod__, islice(rows, _BLOCK)))
+                    rows = _write_rest(handle, fmt, rows)
+                handle.writelines(map(fmt.__mod__, rows))
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -338,15 +339,13 @@ def run_evolve(config: RunConfig) -> Path:
     t_scaled = _time_grid(config, block.angular_frequency, coupling)
 
     def rows():
-        # One row at a time, and the grid as floats one block at a time, so
-        # only the grid array grows with the samples. p1 is formatted once,
-        # here, not twice (p1 and survival) by the CSV helper: less work in
-        # all, which counts when one core is busy.
+        # One row of five Python floats at a time (p1 twice: it is the
+        # survival), and the grid as floats one block at a time, so only the
+        # grid array grows with the samples.
         for start in range(0, len(t_scaled), _BLOCK):
             for value in t_scaled[start : start + _BLOCK].tolist():
                 state = propagate_analytic(block, initial, value / coupling)
                 p1, p2, p3 = level_probabilities(state)
-                p1 = "%.16e" % p1
                 yield value, p1, p2, p3, p1
 
     path = _output_file(config, "evolve.csv")

@@ -205,6 +205,28 @@ class TestEvolveLoop:
         run_evolve(config)
         assert calls == {"propagate_analytic": 257, "level_probabilities": 257}
 
+    def test_rows_are_python_floats_with_p1_as_the_survival(self, tmp_path, monkeypatch):
+        # Every cell reaches write_csv as a Python float, formatted by its
+        # one float rule; the survival column is the p1 object itself.
+        handed = []
+        original = zenoion.runner.write_csv
+
+        def spy(path, comment, header, rows):
+            handed.extend(rows)
+            return original(path, comment, header, handed)
+
+        monkeypatch.setattr(zenoion.runner, "write_csv", spy)
+        config = load_config(
+            None,
+            {"mode": "evolve", "gamma1": 1.0, "gamma2": 3.0, "samples": 300,
+             "out": str(tmp_path)},
+        )
+        run_evolve(config)
+        assert len(handed) == 300
+        for row in handed:
+            assert [type(cell) for cell in row] == [float] * 5
+            assert row[4] is row[1]
+
     @pytest.mark.parametrize(
         "block_flags",
         [
