@@ -109,11 +109,18 @@ def min_survival(chi):
     Zero while chi <= 1 (the survival still touches zero); for chi > 1 the
     floor rises as ((chi^2 - 1) / (chi^2 + 1))^2 and tends to 1, which is
     the sharpest signature of the hindered evolution.
+
+    Next to chi = 1, where chi^2 - 1 < 2^-7, chi^2 - 1 is formed as
+    (chi - 1) (chi + 1): chi^2 has lost the low bits that the difference
+    would keep, and chi - 1 is exact there.
     """
-    _, chi_sq = _scalar_chi(chi)
+    chi, chi_sq = _scalar_chi(chi)
     if chi_sq <= 1.0:
         return 0.0
-    root = (chi_sq - 1.0) / (chi_sq + 1.0)
+    gap = chi_sq - 1.0
+    if gap < 2.0**-7:
+        gap = (chi - 1.0) * (chi + 1.0)
+    root = gap / (chi_sq + 1.0)
     return root * root
 
 
@@ -566,10 +573,8 @@ def min_survival_grid(chi: float) -> float:
     samples, endpoint=False)`` forms it, and the whole grid is evaluated in
     one pass.
 
-    ``run_validate`` no longer calls it: it reads the floor at the
-    bracketed argmin of ``time_of_min_grid``, which places the first
-    minimum to about 1e-8 from 3,072 samples. It stays for the tests and
-    for the benchmark's layer tracer, which looks up each twin by name.
+    The tests check ``min_survival`` against it, and the benchmark's layer
+    tracer looks it up by name among its ``TWINS``; those two keep it.
     """
     samples = _MIN_GRID_SAMPLES
     times = np.arange(samples) * (poincare_time(chi) / samples)

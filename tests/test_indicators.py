@@ -289,6 +289,34 @@ class TestMinSurvival:
     def test_floor_approaches_one(self, chi):
         assert min_survival(chi) >= 1 - 4 / chi**2
 
+    # ((chi^2 - 1) / (chi^2 + 1))^2 of each float chi, evaluated with 60
+    # significant digits and rounded to the nearest float.
+    @pytest.mark.parametrize(
+        "chi, exact",
+        [
+            (1.0 + 2.0**-40, 8.271806125522754e-25),
+            (1.0 + 1e-9, 1.0000001644807486e-18),
+            (1.001, 9.990002504990305e-07),
+            (1.0038, 1.4385180522323549e-05),
+        ],
+    )
+    def test_near_unit_ratio_without_cancellation(self, chi, exact):
+        # Where chi^2 - 1 < 2^-7 the rounded chi^2 would leave only the
+        # leading bits of the difference (8,192 ulp off at 1 + 2^-40).
+        assert abs(min_survival(chi) - exact) <= 4 * math.ulp(exact)
+
+    def test_nondecreasing_across_the_cancellation_window_edge(self):
+        # The float neighbours of sqrt(1 + 2^-7), where the two forms of
+        # chi^2 - 1 meet.
+        chi = math.sqrt(1.0 + 2.0**-7)
+        for _ in range(50):
+            chi = math.nextafter(chi, 0.0)
+        values = []
+        for _ in range(100):
+            values.append(min_survival(chi))
+            chi = math.nextafter(chi, math.inf)
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
 
 class TestTimeOfMin:
     def test_two_level_quarter_period(self):
