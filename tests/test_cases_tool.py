@@ -11,6 +11,12 @@ import pytest
 
 import zenoion
 from zenoion.dynamics import level_probabilities, propagate_analytic
+from zenoion.indicators import (
+    mean_level_probabilities,
+    min_survival,
+    sub_threshold_measure,
+    time_of_min,
+)
 from zenoion.runner import _chi_grid, random_cases
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "cases.py"
@@ -23,6 +29,7 @@ _SET_SIZES = {
     "touch": 995,
     "random-cases": 21_000,
     "propagated": 21_000,
+    "closed-forms": 4441,
 }
 
 
@@ -46,7 +53,7 @@ def test_output_is_deterministic_and_covers_every_set():
     assert {name: names.count(name) for name in _SET_SIZES} == _SET_SIZES
     assert len(rows) == sum(_SET_SIZES.values())
     for name, chi, result in rows:
-        if name not in ("random-cases", "propagated"):
+        if name not in ("random-cases", "propagated", "closed-forms"):
             expected = "None" if float(chi) == 0.0 else "GqzeInterval("
             assert result.startswith(expected)
     # The sweep-grid set is the grid that ``sweep --chi-max 22`` lays out.
@@ -69,3 +76,17 @@ def test_output_is_deterministic_and_covers_every_set():
             evolved = propagate_analytic(*case)
             expected.append(repr((evolved.values, level_probabilities(evolved))))
         assert [result for _, result in propagated[105 * seed : 105 * (seed + 1)]] == expected
+    # The closed-forms set covers the log-uniform and sweep-grid chi, then
+    # 1,000 chi within 1e-2 of 1.
+    closed = [(float(chi), result) for name, chi, result in rows if name == "closed-forms"]
+    chis = [chi for chi, _ in closed]
+    assert chis[:3441] == [
+        float(chi) for name, chi, _ in rows if name in ("log-uniform", "sweep-grid")
+    ]
+    assert all(0.0 < abs(chi - 1.0) <= 1e-2 for chi in chis[3441:])
+    for chi, result in closed[::400]:
+        expected = (
+            min_survival(chi), time_of_min(chi), mean_level_probabilities(chi),
+            sub_threshold_measure(chi, 0.01),
+        )
+        assert result == repr(expected)

@@ -1,6 +1,6 @@
-"""Print t_chi over fixed case sets, and the randomized cases of
-``validate`` for fixed seeds, one line per case, so that two trees can be
-compared with one ``cmp``.
+"""Print t_chi over fixed case sets, the randomized cases of ``validate``
+for fixed seeds and the other closed forms over fixed chi, one line per
+case, so that two trees can be compared with one ``cmp``.
 
 Each line is ``set <TAB> key <TAB> result``. In the t_chi sets the key is
 ``repr(chi)`` and the result is ``repr(gqze_interval(chi))``, or the type
@@ -23,11 +23,18 @@ case's ``repr``, which writes every float in the shortest form that reads
 back to the same bits, so two trees print the same line only for the same
 case.
 
-The last set, ``propagated``, has the same 21,000 keys. Its result is the
+The set ``propagated`` has the same 21,000 keys. Its result is the
 ``repr`` of the pair (``propagate_analytic(*case).values``, the
 ``level_probabilities`` of that state), signed zeros included, so the same
 output from two trees shows the closed-form propagator bit-identical on
 every case.
+
+The last set, ``closed-forms``, is keyed by ``repr(chi)`` over every chi of
+``log-uniform`` and ``sweep-grid``, then 1,000 chi at 1 +- 10^U(-15, -2)
+(drawn with a fixed seed, where chi^2 - 1 cancels): 4,441 chi. Its result
+is the ``repr`` of (``min_survival``, ``time_of_min``,
+``mean_level_probabilities``, ``sub_threshold_measure(chi, 0.01)``), or the
+``ValueError``, so one diff shows every closed-form value a change moves.
 
 Run it from the repository root against the package under test, for
 example::
@@ -45,7 +52,13 @@ import sys
 import numpy as np
 
 from zenoion.dynamics import level_probabilities, propagate_analytic
-from zenoion.indicators import gqze_interval
+from zenoion.indicators import (
+    gqze_interval,
+    mean_level_probabilities,
+    min_survival,
+    sub_threshold_measure,
+    time_of_min,
+)
 from zenoion.runner import random_cases
 
 
@@ -64,6 +77,13 @@ def _sweep_grid() -> list[float]:
     # The points of ``sweep --chi-max 22 --chi-step 0.05``, formed as the
     # sweep forms them.
     return np.round(np.arange(441) * 0.05, 12).tolist()
+
+
+def _near_one(count: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [
+        1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -2.0) for _ in range(count)
+    ]
 
 
 def _touch(ks) -> list[float]:
@@ -87,9 +107,20 @@ def case_sets() -> dict[str, list[float]]:
     }
 
 
-def _result(chi: float) -> str:
+def _closed_form_chis(sets: dict[str, list[float]]) -> list[float]:
+    return sets["log-uniform"] + sets["sweep-grid"] + _near_one(1000, seed=2027)
+
+
+def _closed_forms(chi: float) -> tuple:
+    return (
+        min_survival(chi), time_of_min(chi), mean_level_probabilities(chi),
+        sub_threshold_measure(chi, 0.01),
+    )
+
+
+def _result(function, chi: float) -> str:
     try:
-        return repr(gqze_interval(chi))
+        return repr(function(chi))
     except ValueError as error:
         return f"ValueError: {error}"
 
@@ -108,13 +139,16 @@ def _propagated(case) -> str:
 
 def main() -> None:
     out = sys.stdout
-    for name, cases in case_sets().items():
+    sets = case_sets()
+    for name, cases in sets.items():
         for chi in cases:
-            out.write(f"{name}\t{chi!r}\t{_result(chi)}\n")
+            out.write(f"{name}\t{chi!r}\t{_result(gqze_interval, chi)}\n")
     for key, case in _random_cases():
         out.write(f"random-cases\t{key}\t{case!r}\n")
     for key, case in _random_cases():
         out.write(f"propagated\t{key}\t{_propagated(case)}\n")
+    for chi in _closed_form_chis(sets):
+        out.write(f"closed-forms\t{chi!r}\t{_result(_closed_forms, chi)}\n")
 
 
 if __name__ == "__main__":
