@@ -107,10 +107,6 @@ def case_sets() -> dict[str, list[float]]:
     }
 
 
-def _closed_form_chis(sets: dict[str, list[float]]) -> list[float]:
-    return sets["log-uniform"] + sets["sweep-grid"] + _near_one(1000, seed=2027)
-
-
 def _closed_forms(chi: float) -> tuple:
     return (
         min_survival(chi), time_of_min(chi), mean_level_probabilities(chi),
@@ -147,7 +143,7 @@ def main() -> None:
         out.write(f"random-cases\t{key}\t{case!r}\n")
     for key, case in _random_cases():
         out.write(f"propagated\t{key}\t{_propagated(case)}\n")
-    for chi in _closed_form_chis(sets):
+    for chi in sets["log-uniform"] + sets["sweep-grid"] + _near_one(1000, seed=2027):
         out.write(f"closed-forms\t{chi!r}\t{_result(_closed_forms, chi)}\n")
 
 
