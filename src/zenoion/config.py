@@ -68,12 +68,9 @@ def _parse_triple(value, what: str) -> Triple:
 
 def _parse_float(value, what: str) -> float:
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what}: {value!r} is not a number") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{what}: must be finite")
-    return number
 
 
 def _parse_int(value, what: str) -> int:
@@ -145,6 +142,11 @@ class RunConfig:
     seed: int = _field("validate", _INT, "random seed (validate only)", 0)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["parse"] is _parse_float and value is not None:
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name}: must be finite")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.samples < 2:

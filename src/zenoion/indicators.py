@@ -133,10 +133,18 @@ def time_of_min(chi):
 
     The arccos is libm's ``math.acos``: numpy picks its ``arccos`` kernel by
     CPU, and with AVX-512 it differs from libm in the last bit on some
-    inputs, so t_m would depend on the host.
+    inputs, so t_m would depend on the host. Next to chi = 1, where
+    1 - chi^2 < 2^-7, arccos(-chi^2) is ill-conditioned and the rounded
+    chi^2 has lost the bits of 1 - chi^2; the phase is formed there as
+    pi - 2 arcsin(sqrt((1 - chi) (1 + chi) / 2)), in which 1 - chi is exact.
     """
-    _, chi_sq = _scalar_chi(chi)
-    phase = math.acos(-chi_sq) if chi_sq <= 1.0 else math.pi
+    chi, chi_sq = _scalar_chi(chi)
+    if chi_sq > 1.0:
+        phase = math.pi
+    elif 1.0 - chi_sq < 2.0**-7:
+        phase = math.pi - 2.0 * math.asin(math.sqrt((1.0 - chi) * (1.0 + chi) / 2.0))
+    else:
+        phase = math.acos(-chi_sq)
     return phase / math.sqrt(1.0 + chi_sq)
 
 

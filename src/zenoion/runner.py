@@ -98,30 +98,7 @@ with open(1, "w", encoding="utf-8", newline="", closefd=False) as out:
 
 
 def _cell_format(value) -> str:
-    if isinstance(value, (bool, int, np.bool_, np.integer)):
-        return "%d"
-    return "%s" if isinstance(value, str) else "%.16e"
-
-
-class _RowPickler(pickle.Pickler):
-    """Pickles a block of rows for the helper, which has no numpy: a numpy
-    scalar goes as the Python value ``.item()`` gives (``float`` for a
-    long double, which '%' reads as a float), which every cell format turns
-    into the same bytes. Builtin cells never reach the hook. Cells are
-    scalars, never shared or cyclic, so no memo is kept (fast mode): it
-    would cost more memory than the block itself."""
-
-    def __init__(self, file):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.fast = True
-
-    def reducer_override(self, obj):
-        if not isinstance(obj, np.generic):
-            return NotImplemented
-        value = obj.item()
-        if isinstance(value, np.generic):
-            value = float(value)
-        return type(value), (value,)
+    return "%d" if isinstance(value, (bool, int, np.bool_, np.integer)) else "%.16e"
 
 
 def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tuple]:
@@ -131,7 +108,9 @@ def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tup
     ``Popen`` raising ``OSError``: the interpreter moved, no process to
     spare), none once it has run. It starts once a row is left, so it starts
     up while its first block is computed. It is waited for however this
-    returns; a nonzero exit of it raises ``OSError``."""
+    returns; a nonzero exit of it raises ``OSError``. Blocks go as stdlib
+    pickles to a helper run ``-I -S``, without numpy, so their cells must be
+    Python numbers: a numpy scalar makes it exit 1 as it unpickles one."""
     following = next(rows, None)
     if following is None:
         return rows
@@ -152,7 +131,7 @@ def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tup
     try:
         while block := list(islice(rows, _BLOCK)):
             try:
-                _RowPickler(helper.stdin).dump(block)
+                pickle.dump(block, helper.stdin, pickle.HIGHEST_PROTOCOL)
             except BrokenPipeError:
                 break  # the helper stopped early; its exit status says why
             del block  # so only the block being built is held
@@ -165,28 +144,28 @@ def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tup
     return iter(())
 
 
-def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
     """Write one CSV: a '#' unit comment, a header row, then data rows.
 
-    Bool and integer cells are written as integers, ``str`` cells as they
-    are, all others as f"{float(v):.16e}". One '%' format string, built from
-    the first row by ``_cell_format`` (one conversion per cell, which gives
-    those bytes, nan, inf and -0.0 included), formats every row, so all rows
-    must hold the cell types of the first.
+    Rows are tuples of numbers. Bool and integer cells, builtin or numpy,
+    are written by '%d', all others by '%.16e' (which formats float(v),
+    nan, inf and -0.0 included): ``_cell_format`` picks the rule of each
+    cell of the first row, and the one '%' format string they make formats
+    every row, so all rows must hold the cell types of the first.
 
     ``rows`` may be a generator, taken to compute each row as it is read
     (as ``evolve``'s does). Of a generator the first ``_BLOCK`` (4,096)
-    rows are formatted and written here, and ``_write_rest`` hands the rest
-    to one helper interpreter: read ``_BLOCK`` at a time and pickled, numpy
-    scalars as the Python values ``.item()`` gives. The helper formats them
-    by the same format string and writes them to the same file, while
-    ``rows`` computes the next block. So memory stays flat in both
-    processes: each holds about one block. The rows ``_write_rest`` leaves
-    (all of them where the helper cannot be started) and the rows of any
-    other iterable (a list, or a ``zip`` or ``map`` over computed arrays)
-    are formatted here, by one final ``writelines``: such rows would leave
-    a helper nothing to overlap, so its start and the pickling would only
-    add time.
+    rows are formatted and written here, and ``_write_rest`` hands the rest,
+    which must hold Python numbers only, to one helper interpreter: read
+    ``_BLOCK`` at a time and pickled. The helper formats them by the same
+    format string and writes them to the same file, while ``rows``
+    computes the next block. So memory stays flat in both processes: each
+    holds about one block. The rows ``_write_rest`` leaves (all of them
+    where the helper cannot be started) and the rows of any other iterable
+    (a list, or a ``zip`` or ``map`` over computed arrays, numpy cells
+    included) are formatted here, by one final ``writelines``: such rows
+    would leave a helper nothing to overlap, so its start and the pickling
+    would only add time.
 
     The rows go to a hidden file beside ``path`` (beside the file a symlink
     there points to), which ``os.replace`` then moves into place, so the CSV
@@ -206,7 +185,7 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[Se
             handle.write(f"# {comment}\n")
             handle.write(",".join(header) + "\n")
             computed = isinstance(rows, GeneratorType)
-            rows = map(tuple, rows)
+            rows = iter(rows)
             first = next(rows, None)
             if first is not None:
                 fmt = ",".join(map(_cell_format, first)) + "\n"

@@ -254,3 +254,20 @@ class TestRunConfigDirect:
         assert config.mode_vector() == ModeVector(1, 0, 0)
         assert config.sideband_pattern().r == (1, 0, 0)
         assert config.sideband_pattern().l == (0, 0, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["chi", "gamma1", "gamma2", "omega_a", "eta_a", "omega_b", "eta_b",
+         "t_max", "epsilon", "order_threshold", "chi_max", "chi_step"],
+    )
+    def test_non_finite_float_is_rejected_first(self, name, value):
+        # Built directly or through load_config, a non-finite float field is
+        # named before any other check runs (the mode, a lone gamma, the
+        # grid size) could report it as something else.
+        message = rf"^{name}: must be finite$"
+        for mode in ("survival", "sweep"):
+            with pytest.raises(ConfigError, match=message):
+                RunConfig(mode=mode, **{name: value})
+            with pytest.raises(ConfigError, match=message):
+                load_config(None, {"mode": mode, name: repr(value)})

@@ -341,6 +341,33 @@ class TestTimeOfMin:
         grid = np.round(np.arange(301) * 0.01, 12).tolist()
         assert max(grid, key=time_of_min) == pytest.approx(1.0, abs=0.01)
 
+    # arccos(-chi^2) / sqrt(1 + chi^2) of each float chi, evaluated with 60
+    # significant digits and rounded to the nearest float.
+    @pytest.mark.parametrize(
+        "chi, exact",
+        [
+            (0.9999999925246849, 2.221319204611766),
+            (1.0 - 1e-9, 2.2213967488309674),
+            (0.999, 2.1778124738187934),
+        ],
+    )
+    def test_near_unit_ratio_without_cancellation(self, chi, exact):
+        # Where 1 - chi^2 < 2^-7 arccos(-chi^2) of the rounded chi^2 is off
+        # by up to about 500 ulp (507 at the first chi).
+        assert abs(time_of_min(chi) - exact) <= 2 * math.ulp(exact)
+
+    def test_nondecreasing_across_the_cancellation_window_edge(self):
+        # The float neighbours of sqrt(1 - 2^-7), where the two forms of the
+        # phase meet; t_m rises up to chi = 1.
+        chi = math.sqrt(1.0 - 2.0**-7)
+        for _ in range(50):
+            chi = math.nextafter(chi, 0.0)
+        values = []
+        for _ in range(100):
+            values.append(time_of_min(chi))
+            chi = math.nextafter(chi, math.inf)
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize(
         "chi", [0.0, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0, 10.0]
     )
@@ -350,10 +377,17 @@ class TestTimeOfMin:
     def test_arccos_is_libm_for_scalars_and_arrays(self):
         # numpy's arccos kernel depends on the CPU; libm's does not. 0.70,
         # 0.75 and 0.85 are sweep grid points where an AVX-512 kernel
-        # differs from libm in the last bit.
+        # differs from libm in the last bit. Where 1 - chi^2 < 2^-7 (chi = 1
+        # and six of the draws) the phase comes from libm's asin instead.
         rng = np.random.default_rng(13)
         chis = np.concatenate([[0.0, 0.64, 0.7, 0.74, 0.75, 0.85, 1.0], rng.uniform(0, 1, 1993)])
-        expected = [math.acos(-c * c) / math.sqrt(1.0 + c * c) for c in chis.tolist()]
+        expected = [
+            (math.acos(-c * c) if 1.0 - c * c >= 2.0**-7
+             else math.pi - 2.0 * math.asin(math.sqrt((1.0 - c) * (1.0 + c) / 2.0)))
+            / math.sqrt(1.0 + c * c)
+            for c in chis.tolist()
+        ]
+        assert sum(1.0 - c * c < 2.0**-7 for c in chis.tolist()) == 7
         assert [time_of_min(c) for c in chis.tolist()] == expected
         # The numpy floats that ``figures`` takes from its grid array.
         assert [time_of_min(c) for c in chis] == expected
