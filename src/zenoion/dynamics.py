@@ -376,6 +376,15 @@ def _finite_chi(chi) -> float:
     return value
 
 
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` as a float: a ``_scalar``, and a ``ValueError`` unless it
+    is finite and > 0, None included."""
+    epsilon = _scalar(epsilon, "epsilon")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and > 0")
+    return epsilon
+
+
 def _scalar_chi(chi) -> tuple[float, float]:
     """chi and chi^2 as Python floats: ``_finite_chi``'s checks, and a
     ``ValueError`` when the square overflows.

@@ -5,6 +5,7 @@ All emitted time columns are omega(0)-scaled (units of 1/omega(0), where
 omega(0) is the 1-2 coupling magnitude over hbar); each CSV starts with a
 comment line restating that convention. Floats are written with 17
 significant digits so the files round-trip 64-bit values exactly.
+``run_validate`` imports the numeric twins from ``twins``, by public name.
 """
 
 from __future__ import annotations
@@ -24,40 +25,25 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import indicators
 from .config import MAX_GRID_POINTS, ConfigError, RunConfig
 from .dynamics import (
     BlockSystem,
     VibronicState,
-    _spectral_propagator,
-    _state,
     build_block,
     level_probabilities,
     propagate_analytic,
     propagate_oracle,
     survival_probability,
 )
-from .fock import (
-    CouplingConstants,
-    ModeVector,
-    SidebandPattern,
-    factorial_ratio_root,
-)
+from .fock import CouplingConstants, ModeVector, SidebandPattern, factorial_ratio_root
 from .indicators import (
-    IndicatorReport,
-    angular_frequency,
-    gqze_interval,
-    gqze_interval_grid,
-    indicator_report,
-    mean_level_probabilities,
-    mean_survival,
-    mean_survival_quadrature,
-    min_survival,
-    poincare_time,
-    sub_threshold_measure,
-    sub_threshold_measure_grid,
-    time_of_min,
-    time_of_min_grid,
+    IndicatorReport, angular_frequency, gqze_interval, indicator_report,
+    mean_level_probabilities, mean_survival, min_survival, poincare_time,
+    sub_threshold_measure, time_of_min,
+)
+from .twins import (
+    gqze_interval_grid, mean_survival_quadrature, oracle_level_means,
+    sub_threshold_measure_grid, time_of_min_grid,
 )
 
 __all__ = [
@@ -103,19 +89,20 @@ def _cell_format(value) -> str:
 
 def _write_rest(handle: TextIO, fmt: str, rows: Iterator[tuple]) -> Iterator[tuple]:
     """Hand the rest of ``rows`` to the helper, which writes each as ``fmt %
-    row`` to ``handle``. Returns the rows left for this process: all of them
-    where the helper cannot start (``sys.executable`` empty or None, or
-    ``Popen`` raising ``OSError``: the interpreter moved, no process to
-    spare), none once it has run. It starts once a row is left, so it starts
-    up while its first block is computed. It is waited for however this
-    returns; a nonzero exit of it raises ``OSError``. Blocks go as stdlib
-    pickles to a helper run ``-I -S``, without numpy, so their cells must be
-    Python numbers: a numpy scalar makes it exit 1 as it unpickles one."""
+    row`` to ``handle``. Returns the rows left for this process: none once
+    the helper has run, all of them where it does not start. It starts only
+    where the first row left holds builtin float, int and bool cells alone
+    (numpy's float64 subclasses float, and is not one) and ``Popen`` can run
+    ``sys.executable``; it starts while its first block is computed. It is
+    waited for however this returns; a nonzero exit of it raises
+    ``OSError``. Blocks go as stdlib pickles to a helper run ``-I -S``,
+    without numpy, so a later numpy cell makes it exit 1 as it unpickles
+    one."""
     following = next(rows, None)
     if following is None:
         return rows
     rows = chain([following], rows)
-    if not sys.executable:
+    if not sys.executable or not all(type(cell) in (float, int, bool) for cell in following):
         return rows
     import subprocess  # only a CSV past its first block pays for the import
 
@@ -155,17 +142,18 @@ def write_csv(path: Path, comment: str, header: Sequence[str], rows: Iterable[tu
 
     ``rows`` may be a generator, taken to compute each row as it is read
     (as ``evolve``'s does). Of a generator the first ``_BLOCK`` (4,096)
-    rows are formatted and written here, and ``_write_rest`` hands the rest,
-    which must hold Python numbers only, to one helper interpreter: read
-    ``_BLOCK`` at a time and pickled. The helper formats them by the same
-    format string and writes them to the same file, while ``rows``
-    computes the next block. So memory stays flat in both processes: each
-    holds about one block. The rows ``_write_rest`` leaves (all of them
-    where the helper cannot be started) and the rows of any other iterable
-    (a list, or a ``zip`` or ``map`` over computed arrays, numpy cells
-    included) are formatted here, by one final ``writelines``: such rows
-    would leave a helper nothing to overlap, so its start and the pickling
-    would only add time.
+    rows are formatted and written here. If row 4,097 holds builtin float,
+    int and bool cells only, ``_write_rest`` hands it and the rest, which
+    must too, to one helper interpreter: read ``_BLOCK`` at a time and
+    pickled. The helper formats them by the same format string and writes
+    them to the same file, while ``rows`` computes the next block. So
+    memory stays flat in both processes: each holds about one block. The
+    rows ``_write_rest`` leaves (all of them where row 4,097 holds a numpy
+    cell or the helper cannot be started) and the rows of any other
+    iterable (a list, or a ``zip`` or ``map`` over computed arrays, numpy
+    cells included) are formatted here, by one final ``writelines``: such
+    rows would leave a helper nothing to overlap, so its start and the
+    pickling would only add time.
 
     The rows go to a hidden file beside ``path`` (beside the file a symlink
     there points to), which ``os.replace`` then moves into place, so the CSV
@@ -586,34 +574,6 @@ def random_cases(rng: random.Random) -> list:
     return cases
 
 
-# The block of _oracle_level_means: all three levels of the ground mode
-# vector, carrier-driven.
-_GROUND_MODE = ModeVector(0, 0, 0)
-_CARRIER = SidebandPattern((0, 0, 0), (0, 0, 0))
-
-
-def _oracle_level_means(chi: float) -> np.ndarray:
-    """Trapezoidal period averages (P1, P2, P3) of the level populations,
-    starting from level 1, of the block with c12 = 1 and c23 = chi,
-    propagated by eigendecomposition, on ``indicators._QUADRATURE_PANELS``
-    panels read at call time.
-
-    The states at all panel edges are column 0 of the stacked spectral
-    propagators, computed in one call; ``_state`` checks each one and
-    ``level_probabilities`` reads it, as for every state. Like
-    ``mean_survival_quadrature``, exact up to rounding for any panel count
-    >= 3: each population has harmonics 0, 1 and 2 in wt only.
-    """
-    panels = indicators._QUADRATURE_PANELS
-    block = build_block(_GROUND_MODE, _CARRIER, CouplingConstants(1.0, chi))
-    times = np.linspace(0.0, math.tau / block.angular_frequency, panels + 1)
-    states = _spectral_propagator(block, times)[:, :, 0].tolist()
-    populations = np.array([level_probabilities(_state(tuple(state))) for state in states])
-    weights = np.full(panels + 1, 1.0)
-    weights[0] = weights[-1] = 0.5
-    return weights @ populations / panels
-
-
 def _max_deviation(deviations: Iterable[float]) -> float:
     """The largest of ``deviations`` as a Python float: 0.0 when there are
     none, nan when any is nan, so a nan deviation fails its check. The
@@ -650,7 +610,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
     # bracketed argmin per chi checks both: t_m against the argmin, m against
     # the survival there.
     argmins = [(chi, time_of_min_grid(chi)) for chi in chi_grid]
-    level_means = [(mean_level_probabilities(chi), _oracle_level_means(chi)) for chi in chi_grid]
+    level_means = [(mean_level_probabilities(chi), oracle_level_means(chi)) for chi in chi_grid]
     # The windowed search samples a subset of the dense grid and must agree
     # with it bit for bit; sqrt(3) is commensurate (w = 2), where the curves
     # touch at t = pi.

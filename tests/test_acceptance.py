@@ -23,16 +23,18 @@ from zenoion.indicators import (
     gqze_interval,
     mean_level_probabilities,
     mean_survival,
-    mean_survival_quadrature,
     min_survival,
-    min_survival_grid,
     poincare_time,
     sub_threshold_measure,
-    sub_threshold_measure_grid,
     time_of_min,
-    time_of_min_grid,
 )
 from zenoion.runner import random_cases, run_figures
+from zenoion.twins import (
+    mean_survival_quadrature,
+    min_survival_grid,
+    sub_threshold_measure_grid,
+    time_of_min_grid,
+)
 
 from .oracles import series_term_oracle, sideband_series_term
 

@@ -15,6 +15,7 @@ import pytest
 
 import zenoion
 import zenoion.runner
+import zenoion.twins
 from zenoion.cli import build_parser, main
 from zenoion.config import MODES, ConfigError, RunConfig, load_config
 from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
@@ -421,6 +422,24 @@ class TestWriteCsv:
         assert target.read_bytes() == b"# an earlier run\n"
         assert [helper.returncode for helper in helpers] == [1]
         assert "numpy" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("count", [4097, 9000])
+    @pytest.mark.parametrize("cells", ["float64", "mixed"])
+    def test_numpy_cells_past_the_first_block_stay_here(self, tmp_path, helpers, count, cells):
+        # A generator whose row 4,097 holds a numpy cell, float64 included
+        # (it subclasses float), starts no helper and writes a list's bytes:
+        # as survival's zip does, wrapped in a generator by the benchmark's
+        # layer tracer.
+        if cells == "float64":
+            header = ("t", "p")
+            rows = [(np.float64(index) / 7, np.float64(-index)) for index in range(count)]
+        else:
+            header = [f"c{i}" for i in range(len(self.ROW))]
+            rows = [self.ROW] * count
+        write_csv(tmp_path / "list.csv", "cells", header, rows)
+        write_csv(tmp_path / "generator.csv", "cells", header, (row for row in rows))
+        assert (tmp_path / "generator.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert helpers == []
 
     def test_symlink_is_written_through(self, tmp_path):
         (tmp_path / "data").mkdir()
@@ -842,7 +861,7 @@ class TestValidateHarness:
         def unused(*args, **kwargs):
             raise AssertionError("run_validate must not run the full-period minimum grid")
 
-        monkeypatch.setattr("zenoion.indicators.min_survival_grid", unused)
+        monkeypatch.setattr("zenoion.twins.min_survival_grid", unused)
         monkeypatch.setattr("zenoion.runner.min_survival_grid", unused, raising=False)
         config = load_config(None, {"mode": "validate", "seed": 3})
         assert run_validate(config).ok
@@ -864,7 +883,7 @@ class TestValidateHarness:
         [
             ("mean_survival_quadrature", ["survival mean: closed vs quadrature"]),
             (
-                "_oracle_level_means",
+                "oracle_level_means",
                 [
                     "level-2 mean: closed vs oracle quadrature",
                     "level-3 mean: closed vs oracle quadrature",
@@ -897,10 +916,10 @@ class TestValidateHarness:
         ]
         config = load_config(None, {"mode": "validate", "seed": 0})
         with monkeypatch.context() as patch:
-            patch.setattr(zenoion.indicators, "_QUADRATURE_PANELS", 2)
+            patch.setattr(zenoion.twins, "_QUADRATURE_PANELS", 2)
             report = run_validate(config)
         assert [check.name for check in report.checks if not check.passed] == averages
-        assert zenoion.indicators._QUADRATURE_PANELS == 16
+        assert zenoion.twins._QUADRATURE_PANELS == 16
         assert run_validate(config).ok
 
     def test_deviations_are_python_floats(self):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import zenoion.runner
-from zenoion import dynamics, indicators
+from zenoion import dynamics, indicators, twins
 from zenoion.dynamics import (
     VibronicState,
     build_block,
@@ -24,20 +23,22 @@ from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern
 from zenoion.indicators import (
     angular_frequency,
     gqze_interval,
-    gqze_interval_grid,
     indicator_report,
     mean_level_probabilities,
     mean_survival,
-    mean_survival_quadrature,
     min_survival,
-    min_survival_grid,
     poincare_time,
     sub_threshold_measure,
-    sub_threshold_measure_grid,
     time_of_min,
+)
+from zenoion.twins import (
+    gqze_interval_grid,
+    mean_survival_quadrature,
+    min_survival_grid,
+    oracle_level_means,
+    sub_threshold_measure_grid,
     time_of_min_grid,
 )
-from zenoion.runner import _oracle_level_means
 
 from . import oracles
 from .oracles import bisect_gap_oracle
@@ -471,9 +472,9 @@ class TestMeanLevelProbabilities:
 
 def _on_panels(panels):
     """Both quadrature twins, ``mean_survival_quadrature`` and
-    ``_oracle_level_means``, on ``panels`` trapezoid panels instead of the
+    ``oracle_level_means``, on ``panels`` trapezoid panels instead of the
     fixed 16, within the ``with`` block."""
-    return mock.patch.object(indicators, "_QUADRATURE_PANELS", panels)
+    return mock.patch.object(twins, "_QUADRATURE_PANELS", panels)
 
 
 class TestPeriodAverageTrapezoidExactness:
@@ -493,7 +494,7 @@ class TestPeriodAverageTrapezoidExactness:
         expected = mean_level_probabilities(chi)
         with _on_panels(panels):
             assert abs(mean_survival_quadrature(chi) - expected[0]) <= 1e-14
-            _, level2, level3 = _oracle_level_means(chi)
+            _, level2, level3 = oracle_level_means(chi)
         assert abs(level2 - expected[1]) <= 1e-14
         assert abs(level3 - expected[2]) <= 1e-14
 
@@ -502,13 +503,13 @@ class TestPeriodAverageTrapezoidExactness:
         expected = mean_level_probabilities(0.7)
         with _on_panels(2):
             assert abs(mean_survival_quadrature(0.7) - expected[0]) > 1e-2
-            _, level2, level3 = _oracle_level_means(0.7)
+            _, level2, level3 = oracle_level_means(0.7)
         assert abs(level2 - expected[1]) > 1e-2
         assert abs(level3 - expected[2]) > 1e-2
 
 
 class TestOracleLevelMeans:
-    """``_oracle_level_means`` propagates all panel edges at once; it must
+    """``oracle_level_means`` propagates all panel edges at once; it must
     give the bits of propagating one time after another."""
 
     @staticmethod
@@ -536,16 +537,16 @@ class TestOracleLevelMeans:
     )
     def test_matches_one_time_at_a_time(self, chi, panels):
         with _on_panels(panels):
-            batched = _oracle_level_means(chi)
+            batched = oracle_level_means(chi)
         assert batched.tobytes() == self._per_time(chi, panels).tobytes()
 
     def test_unnormalised_state_is_rejected(self, monkeypatch):
-        original = zenoion.runner._spectral_propagator
+        original = twins._spectral_propagator
         monkeypatch.setattr(
-            zenoion.runner, "_spectral_propagator", lambda block, t: 1.01 * original(block, t)
+            twins, "_spectral_propagator", lambda block, t: 1.01 * original(block, t)
         )
         with pytest.raises(ValueError, match="^state must be normalized, got norm 1.01"):
-            _oracle_level_means(0.7)
+            oracle_level_means(0.7)
 
 
 class TestAveragesPastChiFourthOverflow:
@@ -960,7 +961,8 @@ class TestGqzeChunkedScan:
             brackets.append(args)
             return bisect(*args)
 
-        with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record):
+        with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record), \
+                mock.patch.object(twins, "_bisect_gap", record):
             gqze_interval(chi)
             gqze_interval_grid(chi)
         windowed, dense = brackets
@@ -1252,7 +1254,7 @@ def _dense_bracket(chi, points_per_period=10_000):
         brackets.append(args[2:])
         return bisect(*args)
 
-    with _on_grid(points_per_period), mock.patch.object(indicators, "_bisect_gap", record):
+    with _on_grid(points_per_period), mock.patch.object(twins, "_bisect_gap", record):
         gqze_interval_grid(chi)
     [bracket] = brackets
     return bracket
@@ -1525,7 +1527,8 @@ class TestGqzeQuarterPeriodSkip:
             brackets.append(args)
             return bisect(*args)
 
-        with mock.patch.object(indicators, "_bisect_gap", record):
+        with mock.patch.object(indicators, "_bisect_gap", record), \
+                mock.patch.object(twins, "_bisect_gap", record):
             gqze_interval(chi)
             gqze_interval_grid(chi)
         windowed, dense = brackets
@@ -1550,7 +1553,7 @@ _twin_samples = st.one_of(st.sampled_from(_TWIN_SAMPLES), st.integers(1, 40_000)
 
 
 def _assert_extrema_match_whole_grid(chi, samples):
-    with mock.patch.object(indicators, "_MIN_GRID_SAMPLES", samples):
+    with mock.patch.object(twins, "_MIN_GRID_SAMPLES", samples):
         grid_min = min_survival_grid(chi)
     assert _bits(grid_min) == _bits(oracles.min_survival_grid_reference(chi, samples))
     # The survival is unimodal on the first half period, so the first argmin
@@ -1611,7 +1614,7 @@ class TestChunkedTwins:
             brackets.append(args)
             return bisect(*args)
 
-        with mock.patch.object(indicators, "_bisect_gap", record):
+        with mock.patch.object(twins, "_bisect_gap", record):
             chunked = gqze_interval_grid(chi)
         assert not brackets
         assert chunked.end == math.pi
@@ -1711,7 +1714,7 @@ class TestBracketedTwins:
         threshold = mean_survival(chi) - epsilon
         first = time_of_min_grid(chi)
         assert survival_probability(chi, w, first) < threshold <= survival_probability(chi, w, 0.0)
-        root = indicators._threshold_crossing(chi, w, threshold, first, 0.0)
+        root = twins._threshold_crossing(chi, w, threshold, first, 0.0)
         if survival_probability(chi, w, root) < threshold:
             assert survival_probability(chi, w, math.nextafter(root, 0.0)) >= threshold
         else:
@@ -1725,17 +1728,18 @@ class TestBracketedTwins:
 
         for name in ("time_of_min", "min_survival", "sub_threshold_measure"):
             monkeypatch.setattr(indicators, name, closed_form)
+            monkeypatch.setattr(twins, name, closed_form, raising=False)
         assert (time_of_min_grid(0.7), sub_threshold_measure_grid(0.7, 0.01)) == expected
 
     def test_sample_counts(self, monkeypatch):
         sizes = []
-        survival = indicators.survival_probability
+        survival = twins.survival_probability
 
         def record(chi, w, t):
             sizes.append(np.size(t))
             return survival(chi, w, t)
 
-        monkeypatch.setattr(indicators, "survival_probability", record)
+        monkeypatch.setattr(twins, "survival_probability", record)
         time_of_min_grid(0.3)
         assert sizes == [1024] * 3
         sizes.clear()
