@@ -319,15 +319,16 @@ def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInte
     clearly changes sign before pi, where it is <= 0: the curves touch, or
     cross within the tolerance, and the crossing is reported at pi exactly.
 
-    Range: chi = 0, or chi^2 > 1e-13 (chi above about 3.2e-7) with a floor
-    clear of 1, i.e. 1 - m(chi) > 1e-13 (chi below about 6.3e6). Outside
-    that range the gap cannot be told from rounding at the 1e-13 tolerance
-    and ``ValueError`` is raised; the upper bound is checked before chi^2 is
-    formed, so no overflow occurs for any finite chi.
+    Ends: where the gap cannot be told from rounding at the 1e-13 tolerance,
+    t_chi comes from its asymptotic law, exact to rounding there, and no grid
+    is laid out. At chi^2 <= 1e-13 (chi below about 3.2e-7), t_chi = pi/2 +
+    (1/2 - pi/8) chi^2, and the next term, (pi/8 - 3/8) chi^4, is below
+    2e-28. At chi > 1 with 1 - m(chi) = (2 / (chi + 1/chi))^2 <= 1e-13 (chi
+    above about 6.3e6), t_chi = pi - X / chi of ``_large_chi_end``, with a
+    neglected term of about 0.6 / chi^3. So every finite chi has a t_chi.
 
     chi must be a scalar: an array or a list, even of one element, is a
-    ``ValueError`` ("chi must be a scalar, got an array of shape (2,)"),
-    raised before the range checks.
+    ``ValueError`` ("chi must be a scalar, got an array of shape (2,)").
     """
     return _gqze_search(_window_scan, chi, order_threshold)
 
@@ -416,44 +417,33 @@ def _chunked_search(
 
 def _window_half_angle(chi: float) -> float:
     """arccos(sqrt(m(chi))), the reference phase half-width of the windows
-    where a crossing can occur; raises ``ValueError`` once 1 - m(chi) is
-    within _CROSSING_TOL of 0.
+    where a crossing can occur. For chi > 1, sqrt(m) = (chi^2 - 1) / (chi^2
+    + 1) is the cosine of 2 atan(1 / chi), a form that loses no precision."""
+    return 0.5 * math.pi if chi <= 1.0 else 2.0 * math.atan(1.0 / chi)
 
-    For chi > 1, sqrt(m) = (chi^2 - 1) / (chi^2 + 1) is the cosine of
-    2 atan(1 / chi), whose sine gives 1 - m = (2 / (chi + 1/chi))^2; both
-    forms avoid chi^2, so they neither lose precision nor overflow.
+
+def _large_chi_end(chi: float, w: float) -> float:
+    """The large-chi law t_chi = pi - X / chi of ``gqze_interval``, with w =
+    hypot(1, chi).
+
+    With x = chi (pi - t) and phi = (pi/2)(w mod 2), the gap near pi is
+    (x^2 - 4 sin^2(phi - x/2)) / chi^2 to leading order, so it first turns
+    negative at the root X in [0, 2] of x = 2 |sin(phi - x/2)|. x - 2
+    |sin(phi - x/2)| never falls, so X is bisected to its fixed point; X =
+    0, a touch at pi, where w is even. w mod 2 is formed as fmod(chi, 2) + 1
+    / (chi + w), as chi^2 may overflow; the sum may reach 2, which |sin|
+    does not see.
     """
-    if chi <= 1.0:
-        return 0.5 * math.pi
-    if (2.0 / (chi + 1.0 / chi)) ** 2 <= _CROSSING_TOL:
-        raise ValueError(
-            f"chi = {chi:g} is too large: the survival floor lies within "
-            f"{_CROSSING_TOL:g} of 1, so the hindering-interval crossing cannot "
-            f"be resolved in float64 (chi must stay below about "
-            f"{2.0 / math.sqrt(_CROSSING_TOL):.2g})"
-        )
-    return 2.0 * math.atan(1.0 / chi)
-
-
-def _check_chi_floor(chi: float) -> None:
-    """Raise ``ValueError`` for a chi > 0 too small for the crossing to be
-    resolved.
-
-    To first order in chi^2 the gap is 2 chi^2 cos(t)(1 - cos(t) -
-    (t/2) sin(t)) in reference phase t, so it scales as chi^2: its first
-    positive lobe peaks near 0.06 chi^2 and its first negative lobe near
-    -4 chi^2. Once chi^2 <= _CROSSING_TOL the first crossing is no longer
-    clearly signed, and later lobes, which grow with t, would report a
-    crossing far beyond it. The counterpart of the 1 - m(chi) bound in
-    ``_window_half_angle``.
-    """
-    if chi * chi <= _CROSSING_TOL:
-        raise ValueError(
-            f"chi = {chi:g} is too small: chi^2 <= {_CROSSING_TOL:g}, so the "
-            f"hindered and reference survival curves stay within rounding of "
-            f"each other and the hindering-interval crossing cannot be resolved "
-            f"in float64 (chi must be 0 or above about {math.sqrt(_CROSSING_TOL):.2g})"
-        )
+    phi = 0.5 * math.pi * (math.fmod(chi, 2.0) + 1.0 / (chi + w))
+    low, high = 0.0, 2.0
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return math.pi - mid / chi
+        if mid < 2.0 * abs(math.sin(phi - 0.5 * mid)):
+            low = mid
+        else:
+            high = mid
 
 
 def _bisect_gap(chi: float, w: float, left: float, right: float) -> float:
@@ -523,11 +513,10 @@ def indicator_report(
 ) -> IndicatorReport:
     """Assemble the full indicator set for one coupling ratio.
 
-    The hindering interval is found first: it checks chi and rejects one
-    beyond its resolvable range before any other indicator forms chi^2. An
-    array or list chi is a ``ValueError``, as in ``gqze_interval``: chi must
-    be a scalar. So is an ``epsilon`` that is not a scalar, finite and > 0,
-    None included; the report stores it as a float.
+    A chi whose square overflows is a ``ValueError``, and so is an array or
+    list chi, as in ``gqze_interval``: chi must be a scalar. So is an
+    ``epsilon`` that is not a scalar, finite and > 0, None included; the
+    report stores it as a float.
     """
     gqze = gqze_interval(chi, order_threshold)
     epsilon = _check_epsilon(epsilon)
@@ -549,9 +538,9 @@ def indicator_report(
 
 
 def _gqze_search(scan, chi, order_threshold) -> Optional[GqzeInterval]:
-    """Check the arguments of a gqze search, lay out the grid both scans
-    sample, and report the crossing time that ``scan(chi, w, step, first,
-    last, h)`` finds.
+    """Check the arguments of a gqze search and report the crossing time:
+    from the end laws of ``gqze_interval`` outside the grid search's range,
+    and otherwise as ``scan(chi, w, step, first, last, h)`` finds it.
 
     The grid is step, 2 step, ..., with _POINTS_PER_PERIOD points per
     hindered period, read at call time. The window scan runs over the grid
@@ -562,23 +551,27 @@ def _gqze_search(scan, chi, order_threshold) -> Optional[GqzeInterval]:
     negative. The dense scan runs from index 1 to ``last``. None at chi = 0;
     ``ValueError`` for an ``order_threshold`` that is not a scalar in (0, 1]
     (None included), and for a chi that is not a scalar, not finite and >= 0
-    (None included), or outside the resolvable range of ``gqze_interval``,
-    raised before chi^2 is formed."""
+    (None included)."""
     threshold = _scalar(order_threshold, "order_threshold")
     if not 0.0 < threshold <= 1.0:
         raise ValueError("order_threshold must lie in (0, 1]")
     chi_value = _finite_chi(chi)
-    # The upper range check runs before chi^2 is formed; every chi it lets
-    # pass lies below about 6.3e6, whose square cannot overflow.
-    half_angle = _window_half_angle(chi_value)
     if chi_value == 0.0:
         return None
-    _check_chi_floor(chi_value)
-    w = math.sqrt(1.0 + chi_value * chi_value)
+    chi_sq = chi_value * chi_value  # inf past about 1.3e154, and then unused
+    if chi_sq <= _CROSSING_TOL:
+        w = math.sqrt(1.0 + chi_sq)
+        end = 0.5 * math.pi + (0.5 - 0.125 * math.pi) * chi_sq
+    elif chi_value > 1.0 and (2.0 / (chi_value + 1.0 / chi_value)) ** 2 <= _CROSSING_TOL:
+        w = math.hypot(1.0, chi_value)
+        end = _large_chi_end(chi_value, w)
+    else:
+        half_angle = _window_half_angle(chi_value)
+        w = math.sqrt(1.0 + chi_sq)
+        step = math.tau / w / _POINTS_PER_PERIOD
+        spacing, reach = math.pi / step, half_angle / step
+        first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
+        end = scan(chi_value, w, step, first, last, half_angle)
     hindered_period = math.tau / w  # never longer than the reference period 2 pi
-    step = hindered_period / _POINTS_PER_PERIOD
-    spacing, reach = math.pi / step, half_angle / step
-    first, last = max(math.floor(spacing - reach) - 2, 1), math.ceil(spacing + reach) + 2
-    end = scan(chi_value, w, step, first, last, half_angle)
     ratio = end / hindered_period
     return GqzeInterval(end, ratio, ratio >= threshold)

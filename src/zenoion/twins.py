@@ -200,7 +200,8 @@ def gqze_interval_grid(chi: float, order_threshold: float = 0.5) -> Optional[Gqz
     the same grid from index 1 to the end of the window (pi + h, padded by two
     points), brackets the first clearly negative point and bisects, or
     reports pi when no point is clearly negative. It does not rely on the
-    lemma of ``gqze_interval``, and accepts the same chi range.
+    lemma of ``gqze_interval``, and shares its end laws past the grid
+    search's range.
 
     The grid is evaluated in chunks of _TWIN_CHUNK points and the scan stops
     at the chunk holding the crossing, so its memory does not grow with chi.

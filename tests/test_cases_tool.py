@@ -30,6 +30,7 @@ _SET_SIZES = {
     "random-cases": 21_000,
     "propagated": 21_000,
     "closed-forms": 4441,
+    "ends": 1000,
 }
 
 

@@ -20,7 +20,9 @@ from zenoion.cli import build_parser, main
 from zenoion.config import MODES, ConfigError, RunConfig, load_config
 from zenoion.dynamics import VibronicState, build_block, propagate_analytic, survival_probability
 from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern, factorial_ratio_root
-from zenoion.indicators import angular_frequency, mean_survival, min_survival, poincare_time
+from zenoion.indicators import (
+    angular_frequency, indicator_report, mean_survival, min_survival, poincare_time,
+)
 from zenoion.runner import (
     _chi_grid,
     random_cases,
@@ -542,12 +544,22 @@ class TestFailedRunsLeaveNoCsv:
         else:
             assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_failing_midway(self, tmp_path, capsys):
-        # chi = 0 is reported before chi = 1e-8 fails as too small.
+    def test_sweep_failing_midway(self, tmp_path, monkeypatch, capsys):
+        # The first two chi are reported before the third one fails.
         (tmp_path / "sweep.csv").write_bytes(self.OLD)
-        code = main(["sweep", "--chi-step", "1e-8", "--chi-max", "1e-7", "--out", str(tmp_path)])
+        calls = [0]
+
+        def failing_on_third_chi(*args):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise ValueError("indicator_report failed on the third chi")
+            return indicator_report(*args)
+
+        monkeypatch.setattr(zenoion.runner, "indicator_report", failing_on_third_chi)
+        code = main(["sweep", "--chi-max", "1", "--out", str(tmp_path)])
         assert code == 1
-        assert "is too small" in capsys.readouterr().err
+        assert "indicator_report failed on the third chi" in capsys.readouterr().err
+        assert calls[0] == 3
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
         assert (tmp_path / "sweep.csv").read_bytes() == self.OLD
 
@@ -1142,24 +1154,51 @@ class TestCliEntry:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["indicators", "--chi", "1e7"],
             ["indicators", "--chi", "1e200"],
             ["sweep", "--chi", "1e160"],
             ["evolve", "--chi", "1e200"],
             ["survival", "--chi", "1e160"],
             ["evolve", "--gamma1", "1", "--gamma2", "1e155"],
-            ["indicators", "--chi", "1e-7"],
-            ["sweep", "--chi", "1e-9"],
         ],
     )
-    def test_chi_beyond_resolvable_range_exits_cleanly(self, argv, tmp_path, capsys):
+    def test_chi_whose_square_overflows_exits_cleanly(self, argv, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv + ["--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: chi = ")
+        assert "chi^2 overflows float64" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["indicators", "--chi", "1e7"],
+            ["indicators", "--chi", "1e100"],
+            ["indicators", "--chi", "1e-7"],
+            ["sweep", "--chi", "1e-9"],
+        ],
+    )
+    def test_chi_past_the_grid_search_range_runs(self, argv, tmp_path, capsys):
+        # t_chi comes from an end law of gqze_interval there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, data = read_columns(tmp_path / f"{argv[0]}.csv")
+        assert 0.5 * math.pi <= data["t_chi_scaled"][0] <= math.pi
+
+    def test_sweep_below_the_grid_search_range_writes_every_row(self, tmp_path):
+        code = main(
+            ["sweep", "--chi-step", "1e-8", "--chi-max", "1e-6", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        _, data = read_columns(tmp_path / "sweep.csv")
+        assert data["chi"].size == 101
+        t_chi = data["t_chi_scaled"][1:]
+        assert np.all((0.5 * math.pi <= t_chi) & (t_chi < 0.5 * math.pi + 1e-12))
 
     @pytest.mark.parametrize(
         "argv, message",

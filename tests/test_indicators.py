@@ -1,9 +1,11 @@
+import decimal
 import math
 import struct
 import sys
 import tracemalloc
 import types
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from zenoion.dynamics import (
 )
 from zenoion.fock import CouplingConstants, ModeVector, SidebandPattern
 from zenoion.indicators import (
+    GqzeInterval,
     angular_frequency,
     gqze_interval,
     indicator_report,
@@ -57,8 +60,8 @@ class TestPoincareTime:
         "function, args",
         [
             (indicator_report, (1e200, 0.01)),
-            (gqze_interval, (1e200,)),
-            (gqze_interval_grid, (1e200,)),
+            (indicator_report, (np.float64(1e200), 0.01)),
+            (indicator_report, (np.array(1e200), 0.01)),
             (poincare_time, (1e200,)),
             (poincare_time, (np.float64(1e200),)),
             (time_of_min, (1e200,)),
@@ -68,23 +71,24 @@ class TestPoincareTime:
         ],
     )
     def test_frequency_that_overflows(self, function, args):
-        # sqrt(1 + chi^2) cannot be formed once chi^2 overflows; the searches
-        # reject such a chi by their range check first. A numpy float and a
-        # 0-d array are scalar chi, rejected alike.
+        # sqrt(1 + chi^2) cannot be formed once chi^2 overflows. A numpy
+        # float and a 0-d array are scalar chi, rejected alike.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: ") as info:
                 function(*args)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize(
-        "function, args",
-        [(indicator_report, (1e200, 0.01)), (gqze_interval, (1e200,)),
-         (gqze_interval_grid, (1e200,))],
-    )
-    def test_searches_reject_a_finite_chi_by_their_range_check(self, function, args):
-        with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: the survival floor"):
-            function(*args)
+    def test_searches_take_the_large_chi_law_where_chi_squared_overflows(self):
+        # The searches form no chi^2 on the way to the law, which gives pi at
+        # this even chi; the report's closed forms stop at chi^2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = gqze_interval(1e200)
+            assert gqze_interval_grid(1e200) == found
+        assert found == GqzeInterval(math.pi, math.pi / (math.tau / 1e200), True)
+        with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: chi\^2 overflows"):
+            indicator_report(1e200, 0.01)
 
     def test_largest_finite_frequency_keeps_its_bits(self):
         chi = math.sqrt(sys.float_info.max)
@@ -768,46 +772,154 @@ class TestGqzeWindowedSearch:
         assert gqze_interval(chi).end == math.pi
 
     @pytest.mark.parametrize("chi", [6.4e6, 1e7, 1e160, 1e200, 1e300])
-    def test_rejects_chi_beyond_resolvable_range(self, chi):
+    def test_large_chi_law_past_the_grid_search_range(self, chi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="too large"):
-                gqze_interval(chi)
-            with pytest.raises(ValueError, match="too large"):
-                indicator_report(chi, 0.01)
-            # The twin shares the search's range check; past chi ~ 1e154 it
-            # used to divide by a zero step.
-            with pytest.raises(ValueError, match="is too large: the survival floor"):
-                gqze_interval_grid(chi)
-
+            found = gqze_interval(chi)
+            # The twin shares the search's dispatch; past chi ~ 1e154 its grid
+            # step would be zero.
+            assert gqze_interval_grid(chi) == found
+            assert found.end == indicators._large_chi_end(chi, math.hypot(1.0, chi))
+            assert 0.5 * math.pi < found.end <= math.pi
+            if math.isfinite(chi * chi):
+                assert indicator_report(chi, 0.01).gqze == found
+            else:
+                with pytest.raises(ValueError, match=r"chi\^2 overflows float64"):
+                    indicator_report(chi, 0.01)
 
     @pytest.mark.parametrize("chi", [1e-9, 1e-7, 3e-7])
-    def test_rejects_chi_below_resolvable_range(self, chi):
+    def test_small_chi_law_below_the_grid_search_range(self, chi):
+        law = 0.5 * math.pi + (0.5 - math.pi / 8.0) * chi * chi
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for search in (gqze_interval, gqze_interval_grid):
-                with pytest.raises(ValueError, match="too small"):
-                    search(chi)
-            with pytest.raises(ValueError, match="too small"):
-                indicator_report(chi, 0.01)
+                found = search(chi)
+                assert found.end == law
+                assert not found.present
+            assert indicator_report(chi, 0.01).gqze == gqze_interval(chi)
 
     def test_smallest_accepted_chi_crosses_at_quarter_period(self):
+        # The floor has no jump: the grid search at the smallest chi it
+        # takes and the small-chi law at the float below give the same float.
         chi = math.sqrt(1e-13)
         while chi * chi <= 1e-13:
             chi = math.nextafter(chi, math.inf)
-        with pytest.raises(ValueError, match="too small"):
-            gqze_interval(math.nextafter(chi, 0.0))
         windowed = gqze_interval(chi)
         assert windowed == gqze_interval_grid(chi)
+        assert gqze_interval(math.nextafter(chi, 0.0)) == windowed
         assert windowed.end == pytest.approx(math.pi / 2, abs=1e-12)
         assert not windowed.present
 
 
-# The accepted chi range of the gqze search, (3.2e-7, 6.3e6), drawn
-# log-uniformly so every decade is exercised.
-_accepted_chis = st.floats(min_value=math.log10(3.17e-7), max_value=math.log10(6.3e6)).map(
+# The grid search's range of chi, (3.2e-7, 6.3e6), drawn log-uniformly so
+# every decade is exercised.
+_grid_range_chis = st.floats(min_value=math.log10(3.17e-7), max_value=math.log10(6.3e6)).map(
     lambda exponent: 10.0**exponent
 )
+
+
+def _near_touch(k):
+    """chi = sqrt(4 k^2 - 1), whose w = sqrt(1 + chi^2) would be the even 2k
+    if chi were exact; the float chi puts w just off 2k."""
+    return math.sqrt(4.0 * k * k - 1.0)
+
+
+# t_chi past each end of the grid search's range, as the exact first
+# crossing of the survival curves at the float chi, to 90 digits. Each root
+# was found with mpmath at 120 working digits (two more per decade below
+# chi = 1), with w = sqrt(1 + chi^2) and the gap ((chi^2 + cos(w t)) /
+# (chi^2 + 1))^2 - cos^2(t) in that precision. Below the range the gap
+# changes sign once on [pi/2, pi/2 + 3 (1/2 - pi/8) chi^2], and the root
+# was bisected there. Above it the crossing lies within 3 / chi of pi: x =
+# chi (pi - t) was stepped from 3 down to 0 in 20,000 steps to the first
+# point where the gap is <= 0, and the root bisected between that point and
+# the one before.
+_END_ROOTS = {
+    1e-300: (
+        "1.5707963267948966192313216916397514420985846"
+        "9968755291048747229615390820314310449931401741"
+    ),
+    1e-9: (
+        "1.5707963267948966193386226099410273006741972"
+        "7184569150942736285514351638725632381132483631"
+    ),
+    1e-7: (
+        "1.5707963267948976922405047043998761605811090"
+        "3821993471301537140559970233496648757073895243"
+    ),
+    3e-7: (
+        "1.5707963267949062763139688066083072966721203"
+        "2441119386778712417517066992326599218307819742"
+    ),
+    6.4e6: (
+        "3.1415926535897740637027948131212477565903984"
+        "1708300573722728314711987074332408601315464997"
+    ),
+    1e7: (
+        "3.1415926535897853844810094088563209087458728"
+        "2033817890603860342015922794969813983814294126"
+    ),
+    2.5e7: (
+        "3.1415926535897919818255819473637413021774394"
+        "360761973948752895080836621256802125882854162"
+    ),
+    1e9: (
+        "3.1415926535897932376772452198820545751806503"
+        "6512685142933749684503476707103356769853204428"
+    ),
+    _near_touch(3_162_278): (
+        "3.1415926532741801698844108965076827360283441"
+        "5557053293991688844127154130817506137820556866"
+    ),
+    _near_touch(10_000_000): (
+        "3.1415926533732724409615216742177927893340457"
+        "7378243964162680212481080061045032156822970609"
+    ),
+}
+
+
+class TestGqzeEndLaws:
+    """The two end laws of ``gqze_interval`` (its Ends paragraph) against
+    the exact crossing, and the search at every finite chi."""
+
+    @pytest.mark.parametrize("chi, root", list(_END_ROOTS.items()))
+    def test_within_one_ulp_of_the_exact_root(self, chi, root):
+        end = gqze_interval(chi).end
+        with decimal.localcontext() as context:
+            context.prec = 100
+            assert abs(Decimal(end) - Decimal(root)) <= Decimal(math.ulp(end))
+
+    def test_near_touch_chi_sit_below_pi(self):
+        # w lies just below 2k, and the dip before pi reaches past the
+        # tolerance: the law gives pi - 3.2e-10, not the touch at pi.
+        chi = _near_touch(3_162_278)
+        assert chi == 6324555.999999921
+        assert math.pi - gqze_interval(chi).end == pytest.approx(3.16e-10, rel=1e-2)
+
+    @pytest.mark.parametrize("chi", [2e12, 2.0**60, 1e154, 1e300])
+    def test_even_integer_chi_report_pi(self, chi):
+        assert gqze_interval(chi).end == math.pi
+
+    @pytest.mark.parametrize("chi", [5e-324, 1e154, 1.7976931348623157e308])
+    def test_extreme_chi_give_finite_values(self, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = gqze_interval(chi)
+        assert 0.5 * math.pi <= found.end <= math.pi
+        assert math.isfinite(found.period_ratio)
+
+    @pytest.mark.parametrize(
+        "chi", [5e-324, 1e-300, 1e-9, 3e-7, 6.4e6, _near_touch(10_000_000), 1e154, 1e308]
+    )
+    def test_twin_equals_the_search_at_both_ends(self, chi):
+        assert gqze_interval_grid(chi) == gqze_interval(chi)
+
+    @settings(max_examples=200)
+    @given(chi=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_every_finite_chi_has_an_end_in_the_half_period(self, chi):
+        found = gqze_interval(chi)
+        assert isinstance(found, GqzeInterval)
+        assert 0.5 * math.pi <= found.end <= math.pi
 
 
 class TestGqzeCrossingRange:
@@ -816,7 +928,7 @@ class TestGqzeCrossingRange:
     reported at pi."""
 
     @settings(max_examples=300)
-    @given(chi=_accepted_chis)
+    @given(chi=_grid_range_chis)
     def test_crossing_lies_past_quarter_period_and_by_pi(self, chi):
         end = gqze_interval(chi).end
         assert 0.5 * math.pi < end <= math.pi
@@ -852,7 +964,7 @@ class TestGqzeCrossingRange:
         assert interval.present
 
     @settings(max_examples=300)
-    @given(chi=_accepted_chis.filter(lambda chi: chi > math.sqrt(3.0)))
+    @given(chi=_grid_range_chis.filter(lambda chi: chi > math.sqrt(3.0)))
     def test_present_above_root_three(self, chi):
         # t_chi / T_p lies in (w / 4, w / 2], above 1/2 once w > 2.
         assert gqze_interval(chi, order_threshold=0.5).present
@@ -1075,7 +1187,7 @@ def _walked_indices(chi, w, step, crossing):
 
 class TestBracketLeftWithoutNumpy:
     """``_bracket_left`` makes no numpy call, however far back the left end
-    lies: here about 3,600 points at either end of the accepted chi range."""
+    lies: here about 3,600 points at either end of the grid search's range."""
 
     # The crossing index of the search and the left end: at chi = 3.3e-7 it
     # is 0, and at chi = 5373932.526323148 the gap stays within the
@@ -1301,7 +1413,7 @@ def _touch_family(ks):
 @st.composite
 def _dense_feasible_grids(draw):
     """Points per period in [300, 20000] and a log-uniform chi from the
-    bottom of the accepted range up to where the dense twin's grid holds
+    bottom of the grid search's range up to where the dense twin's grid holds
     about 2e6 points."""
     points_per_period = draw(st.integers(min_value=300, max_value=20_000))
     top = math.log10(4e6 / points_per_period)
@@ -1386,7 +1498,7 @@ class TestGqzeSkipScan:
     # The rounding bound of the skip scan (the Rounding paragraph of
     # ``gqze_interval``) needs more than 64 window points and a step below
     # pi/58. The windows are longest for chi up to 1 and near sqrt(3), and
-    # the grid is finest at the top of the accepted range.
+    # the grid is finest at the top of the grid search's range.
     @pytest.mark.parametrize("chi", [3.2e-7, 1.0, math.sqrt(3.0), 6.2e6])
     def test_window_meets_the_rounding_premise(self, chi):
         windows = []
@@ -1404,8 +1516,8 @@ class TestGqzeSkipScan:
         assert 5000 < last - first + 1 < 7100
 
 
-# The gqze search accepts chi in (3.2e-7, 6.3e6); draw it log-uniformly so
-# every decade is exercised, not only the top of the range.
+# The grid search's range of chi is (3.2e-7, 6.3e6); draw it log-uniformly
+# so every decade is exercised, not only the top of the range.
 _searchable_chis = st.floats(min_value=math.log10(3.2e-7), max_value=math.log10(6e6)).map(
     lambda exponent: 10.0**exponent
 )

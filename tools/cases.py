@@ -8,8 +8,8 @@ and message of the ``ValueError`` it raises. The chi values come from
 ``random.Random`` with fixed seeds and from fixed formulas, never from the
 package, so every tree is asked the same questions:
 
-- ``log-uniform``: 3,000 chi drawn log-uniformly over the accepted range,
-  (3.17e-7, 6.3e6);
+- ``log-uniform``: 3,000 chi drawn log-uniformly over the grid search's
+  range, (3.17e-7, 6.3e6);
 - ``sweep-grid``: the ``sweep`` grid to 22 in steps of 0.05, 441 chi from 0;
 - ``uniform``: 1,000 chi drawn uniformly from [0, 25];
 - ``touch``: chi = sqrt(4 k^2 - 1) for k = 1, ..., 199, where w = 2k and
@@ -29,12 +29,17 @@ The set ``propagated`` has the same 21,000 keys. Its result is the
 output from two trees shows the closed-form propagator bit-identical on
 every case.
 
-The last set, ``closed-forms``, is keyed by ``repr(chi)`` over every chi of
+The set ``closed-forms`` is keyed by ``repr(chi)`` over every chi of
 ``log-uniform`` and ``sweep-grid``, then 1,000 chi at 1 +- 10^U(-15, -2)
 (drawn with a fixed seed, where chi^2 - 1 cancels): 4,441 chi. Its result
 is the ``repr`` of (``min_survival``, ``time_of_min``,
 ``mean_level_probabilities``, ``sub_threshold_measure(chi, 0.01)``), or the
 ``ValueError``, so one diff shows every closed-form value a change moves.
+
+The last set, ``ends``, prints t_chi as the first four sets do, for 500 chi
+drawn log-uniformly from [1e-300, 3.16e-7] and 500 from [6.33e6, 1e154],
+past each end of the grid search's range, so that a change to either end
+law of ``gqze_interval`` shows in the same diff.
 
 Run it from the repository root against the package under test, for
 example::
@@ -66,6 +71,15 @@ def _log_uniform(count: int, seed: int) -> list[float]:
     rng = random.Random(seed)
     low, high = math.log10(3.17e-7), math.log10(6.3e6)
     return [10.0 ** rng.uniform(low, high) for _ in range(count)]
+
+
+def _ends(count: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [
+        10.0 ** rng.uniform(low, high)
+        for low, high in ((-300.0, math.log10(3.16e-7)), (math.log10(6.33e6), 154.0))
+        for _ in range(count)
+    ]
 
 
 def _uniform(count: int, seed: int) -> list[float]:
@@ -145,6 +159,8 @@ def main() -> None:
         out.write(f"propagated\t{key}\t{_propagated(case)}\n")
     for chi in sets["log-uniform"] + sets["sweep-grid"] + _near_one(1000, seed=2027):
         out.write(f"closed-forms\t{chi!r}\t{_result(_closed_forms, chi)}\n")
+    for chi in _ends(500, seed=2028):
+        out.write(f"ends\t{chi!r}\t{_result(gqze_interval, chi)}\n")
 
 
 if __name__ == "__main__":
