@@ -6,9 +6,9 @@ where omega(0), the magnitude of the 1-2 block coupling (hbar = 1), is the
 angular frequency of the chi = 0 reference two-level problem.
 
 Every closed form takes one scalar chi, runs as Python float arithmetic and
-returns Python floats; an array or a list chi is a ``ValueError``. A grid
-of chi takes one call per point, so ``sweep`` rows and the figure columns
-come from the same code.
+returns Python floats; an array or a list chi is a ``ValueError``. Public
+entry points check each input once; private forms take checked floats. One
+call per chi makes ``sweep`` rows and the figure columns from the same code.
 
 Each closed form has a numeric twin for cross-checking in ``twins``, not
 imported at load; the dense gqze twin shares three private names of this
@@ -106,7 +106,10 @@ def min_survival(chi):
     (chi - 1) (chi + 1): chi^2 has lost the low bits that the difference
     would keep, and chi - 1 is exact there.
     """
-    chi, chi_sq = _scalar_chi(chi)
+    return _min_survival(*_scalar_chi(chi))
+
+
+def _min_survival(chi: float, chi_sq: float) -> float:
     if chi_sq <= 1.0:
         return 0.0
     gap = chi_sq - 1.0
@@ -130,7 +133,10 @@ def time_of_min(chi):
     chi^2 has lost the bits of 1 - chi^2; the phase is formed there as
     pi - 2 arcsin(sqrt((1 - chi) (1 + chi) / 2)), in which 1 - chi is exact.
     """
-    chi, chi_sq = _scalar_chi(chi)
+    return _time_of_min(*_scalar_chi(chi))
+
+
+def _time_of_min(chi: float, chi_sq: float) -> float:
     if chi_sq > 1.0:
         phase = math.pi
     elif 1.0 - chi_sq < 2.0**-7:
@@ -159,7 +165,10 @@ def mean_level_probabilities(chi):
     period-averaging the squared evolution amplitudes; the test suite pins
     them against direct quadrature.
     """
-    _, chi_sq = _scalar_chi(chi)
+    return _level_means(_scalar_chi(chi)[1])
+
+
+def _level_means(chi_sq: float) -> tuple[float, float, float]:
     scale = 1.0 + chi_sq
     middle = 0.5 / scale
     if chi_sq <= _LARGEST_SQUARABLE:
@@ -188,8 +197,8 @@ def sub_threshold_measure(chi: float, epsilon: float) -> float:
     epsilon: both must be scalars.
     """
     epsilon = _check_epsilon(epsilon)
-    chi, chi_sq = _scalar_chi(chi)
-    return _measure_below(chi_sq, mean_survival(chi) - epsilon)
+    _, chi_sq = _scalar_chi(chi)
+    return _measure_below(chi_sq, _level_means(chi_sq)[0] - epsilon)
 
 
 def _measure_below(chi_sq: float, threshold: float) -> float:
@@ -321,11 +330,11 @@ def gqze_interval(chi: float, order_threshold: float = 0.5) -> Optional[GqzeInte
 
     Ends: where the gap cannot be told from rounding at the 1e-13 tolerance,
     t_chi comes from its asymptotic law, exact to rounding there, and no grid
-    is laid out. At chi^2 <= 1e-13 (chi below about 3.2e-7), t_chi = pi/2 +
-    (1/2 - pi/8) chi^2, and the next term, (pi/8 - 3/8) chi^4, is below
-    2e-28. At chi > 1 with 1 - m(chi) = (2 / (chi + 1/chi))^2 <= 1e-13 (chi
-    above about 6.3e6), t_chi = pi - X / chi of ``_large_chi_end``, with a
-    neglected term of about 0.6 / chi^3. So every finite chi has a t_chi.
+    is laid out, so every finite chi has a t_chi. At chi^2 <= 1e-13 (chi
+    below 3.2e-7), t_chi = pi/2 + (1/2 - pi/8) chi^2, with a next term (pi/8
+    - 3/8) chi^4 below 2e-28. At chi > 1 with 1 - m = (2 / (chi + 1/chi))^2
+    <= 1e-13 (chi above 6.3e6), t_chi = pi - X / chi of ``_large_chi_end``
+    to about 0.6 / chi^3, with X bisected only until t_chi stops moving.
 
     chi must be a scalar: an array or a list, even of one element, is a
     ``ValueError`` ("chi must be a scalar, got an array of shape (2,)").
@@ -424,19 +433,21 @@ def _window_half_angle(chi: float) -> float:
 
 def _large_chi_end(chi: float, w: float) -> float:
     """The large-chi law t_chi = pi - X / chi of ``gqze_interval``, with w =
-    hypot(1, chi).
-
-    With x = chi (pi - t) and phi = (pi/2)(w mod 2), the gap near pi is
-    (x^2 - 4 sin^2(phi - x/2)) / chi^2 to leading order, so it first turns
-    negative at the root X in [0, 2] of x = 2 |sin(phi - x/2)|. x - 2
-    |sin(phi - x/2)| never falls, so X is bisected to its fixed point; X =
-    0, a touch at pi, where w is even. w mod 2 is formed as fmod(chi, 2) + 1
-    / (chi + w), as chi^2 may overflow; the sum may reach 2, which |sin|
-    does not see.
+    hypot(1, chi). With x = chi (pi - t) and phi = (pi/2)(w mod 2), the gap
+    near pi is (x^2 - 4 sin^2(phi - x/2)) / chi^2 to leading order, so it
+    first turns negative at the root X in [0, 2] of x = 2 |sin(phi - x/2)|:
+    X = 0, a touch at pi, where w is even. x - 2 |sin(phi - x/2)| never
+    falls, so X is bisected until pi - x / chi, which never rises with x, is
+    the same at both ends: the value at X's fixed point, which every bracket
+    holds. w mod 2 is fmod(chi, 2) + 1 / (chi + w), as chi^2 may overflow;
+    the sum may reach 2, which |sin| does not see.
     """
     phi = 0.5 * math.pi * (math.fmod(chi, 2.0) + 1.0 / (chi + w))
     low, high = 0.0, 2.0
     while True:
+        end = math.pi - low / chi
+        if end == math.pi - high / chi:
+            return end
         mid = 0.5 * (low + high)
         if mid in (low, high):
             return math.pi - mid / chi
@@ -513,26 +524,27 @@ def indicator_report(
 ) -> IndicatorReport:
     """Assemble the full indicator set for one coupling ratio.
 
-    A chi whose square overflows is a ``ValueError``, and so is an array or
-    list chi, as in ``gqze_interval``: chi must be a scalar. So is an
+    chi is checked first, once: one whose square overflows is a ``ValueError``
+    before any search runs, and so is an array or list chi. So is an
     ``epsilon`` that is not a scalar, finite and > 0, None included; the
     report stores it as a float.
     """
-    gqze = gqze_interval(chi, order_threshold)
+    chi_value, chi_sq = _scalar_chi(chi)
+    gqze = gqze_interval(chi_value, order_threshold)
     epsilon = _check_epsilon(epsilon)
-    chi_value = float(chi)
-    mean, level2, level3 = mean_level_probabilities(chi_value)
+    w = math.sqrt(1.0 + chi_sq)
+    mean, level2, level3 = _level_means(chi_sq)
     return IndicatorReport(
         chi=chi_value,
-        angular_frequency=angular_frequency(chi_value),
-        poincare_period=poincare_time(chi_value),
-        survival_min=min_survival(chi_value),
-        time_of_min=time_of_min(chi_value),
+        angular_frequency=w,
+        poincare_period=math.tau / w,
+        survival_min=_min_survival(chi_value, chi_sq),
+        time_of_min=_time_of_min(chi_value, chi_sq),
         survival_mean=mean,
         level2_mean=level2,
         level3_mean=level3,
         epsilon=epsilon,
-        sub_threshold_time=_measure_below(chi_value * chi_value, mean - epsilon),
+        sub_threshold_time=_measure_below(chi_sq, mean - epsilon),
         gqze=gqze,
     )
 

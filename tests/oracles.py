@@ -3,9 +3,9 @@
 States are sparse kets: dicts mapping occupation tuples to complex
 amplitudes. Operators act by literal ladder rules, one quantum at a time,
 so these share no code (and no algebra shortcuts) with the package. The
-exceptions are ``scalar_gap``, ``array_gap``, ``bisect_gap_oracle`` and the
-whole-grid twins, reference routes through the package's own
-``survival_probability`` or bisection arithmetic, and
+exceptions are ``scalar_gap``, ``array_gap``, ``bisect_gap_oracle``,
+``large_chi_end_oracle`` and the whole-grid twins, reference routes through
+the package's own ``survival_probability`` or bisection arithmetic, and
 ``int_triple_reference`` at the end, the full check of occupation triples.
 ``sideband_series_term`` is the closed form of one Lamb-Dicke series term;
 only the tests use it, checked against the ladder route of
@@ -156,6 +156,23 @@ def bisect_gap_oracle(chi: float, w: float, left: float, right: float) -> float:
         else:
             right = mid
     return 0.5 * (left + right)
+
+
+def large_chi_end_oracle(chi: float, w: float) -> float:
+    """The large-chi law of ``gqze_interval`` in its first form: X bisected
+    in [0, 2] down to its own float grid, where a halving no longer moves
+    the bracket. The package's early-stopping bisection must return the same
+    float bit for bit."""
+    phi = 0.5 * math.pi * (math.fmod(chi, 2.0) + 1.0 / (chi + w))
+    low, high = 0.0, 2.0
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return math.pi - mid / chi
+        if mid < 2.0 * abs(math.sin(phi - 0.5 * mid)):
+            low = mid
+        else:
+            high = mid
 
 
 # --- whole-grid numeric twins ---------------------------------------------

@@ -1,6 +1,8 @@
 """``tools/cases.py``, the t_chi and random-case printer: its output must be
-the same bytes on every run, and cover every case set it documents."""
+the same bytes on every run, raise no RuntimeWarning, and cover every case
+set it documents."""
 
+import math
 import os
 import random
 import subprocess
@@ -40,7 +42,8 @@ def _run_tool(hash_seed):
     package_root = str(Path(zenoion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(_TOOL)], env=env, capture_output=True, check=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(_TOOL)],
+        env=env, capture_output=True, check=True,
     ).stdout
 
 
@@ -91,3 +94,25 @@ def test_output_is_deterministic_and_covers_every_set():
             sub_threshold_measure(chi, 0.01),
         )
         assert result == repr(expected)
+    # The ends set lies where the end laws' terms survive rounding: nearly
+    # every t_chi differs from pi/2 and pi.
+    ends = [(float(chi), result) for name, chi, result in rows if name == "ends"]
+    moved = [
+        result for _, result in ends
+        if not result.startswith(("GqzeInterval(end=1.5707963267948966,",
+                                  "GqzeInterval(end=3.141592653589793,"))
+    ]
+    assert len(moved) >= 900
+    assert all(3.2e-8 <= chi <= 3.16e-7 for chi, _ in ends[:500])
+    assert all(6.33e6 <= chi <= 1e12 for chi, _ in ends[500:900])
+    # Its last 100 chi are 20 touch chi sqrt(4 k^2 - 1) past 6.33e6, each with
+    # its two float neighbours and relative offsets of 1e-12 either way.
+    touch = [chi for chi, _ in ends[900:]]
+    for group in range(0, 100, 5):
+        chi = touch[group]
+        k = round(math.hypot(1.0, chi) / 2.0)
+        assert chi == math.sqrt(4.0 * k * k - 1.0) > 6.33e6
+        assert touch[group + 1 : group + 5] == [
+            math.nextafter(chi, 0.0), math.nextafter(chi, math.inf),
+            chi * (1.0 + 1e-12), chi * (1.0 - 1e-12),
+        ]

@@ -914,6 +914,39 @@ class TestGqzeEndLaws:
     def test_twin_equals_the_search_at_both_ends(self, chi):
         assert gqze_interval_grid(chi) == gqze_interval(chi)
 
+    # The law's first form bisected X down to its own float grid; stopping
+    # once pi - X / chi is the same at both bracket ends gives its bits.
+    @settings(max_examples=500)
+    @given(chi=st.floats(min_value=0.0, max_value=308.0).map(lambda exponent: 10.0**exponent))
+    def test_law_stops_at_its_first_form_value(self, chi):
+        w = math.hypot(1.0, chi)
+        assert indicators._large_chi_end(chi, w) == oracles.large_chi_end_oracle(chi, w)
+
+    def test_law_keeps_its_first_form_value_at_touches_and_pinned_chi(self):
+        chis = [chi for chi in _END_ROOTS if chi > 1.0]
+        chis += [2e12, 2.0**60, 1e154, 1e300, sys.float_info.max]
+        for k in range(1, 2000):
+            chi = _near_touch(k)
+            chis += [chi, math.nextafter(chi, 0.0), math.nextafter(chi, math.inf)]
+        for chi in chis:
+            w = math.hypot(1.0, chi)
+            assert indicators._large_chi_end(chi, w) == oracles.large_chi_end_oracle(chi, w), chi
+
+    @pytest.mark.parametrize("chi", [1e4, 1e7, 1e100, 1e300, 2.0**60])
+    def test_law_stops_within_seventy_halvings(self, chi):
+        # Halving X down to its own float grid takes 386 sines at 1e100
+        # and over 1,000 at 1e300; t_chi settles long before.
+        calls = []
+        sin = math.sin
+
+        def record(x):
+            calls.append(x)
+            return sin(x)
+
+        with mock.patch.object(math, "sin", record):
+            indicators._large_chi_end(chi, math.hypot(1.0, chi))
+        assert len(calls) <= 70
+
     @settings(max_examples=200)
     @given(chi=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     def test_every_finite_chi_has_an_end_in_the_half_period(self, chi):
@@ -1908,17 +1941,56 @@ class TestReportsAndSweep:
     @pytest.mark.parametrize("chi", [0.3, 2.0, 7.3])
     def test_report_forms_the_level_means_once(self, chi):
         calls = []
-        levels = indicators.mean_level_probabilities
+        levels = indicators._level_means
 
-        def record(chi_value):
-            calls.append(chi_value)
-            return levels(chi_value)
+        def record(chi_sq):
+            calls.append(chi_sq)
+            return levels(chi_sq)
 
-        with mock.patch.object(indicators, "mean_level_probabilities", record):
+        with mock.patch.object(indicators, "_level_means", record):
             report = indicator_report(chi, 0.01)
-        assert calls == [chi]
+        assert calls == [chi * chi]
         assert report.sub_threshold_time == sub_threshold_measure(chi, 0.01)
         assert report.survival_mean == mean_survival(chi)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.3, 1.0, 2.0, 7.3, 1e-9, 1e7, np.float64(2.5)])
+    def test_report_checks_chi_once_and_searches_once(self, chi):
+        checks, searches = [], []
+        check, search = indicators._scalar_chi, indicators.gqze_interval
+
+        def record_check(value):
+            checks.append(value)
+            return check(value)
+
+        def record_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        with mock.patch.object(indicators, "_scalar_chi", record_check), \
+                mock.patch.object(indicators, "gqze_interval", record_search):
+            indicator_report(chi, 0.01)
+            assert checks == [chi]
+            assert searches == [(float(chi), 0.5)]
+            sub_threshold_measure(chi, 0.01)
+            assert checks == [chi, chi]
+
+    @pytest.mark.parametrize("chi", [1e200, np.float64(1e200), np.array(1e200)])
+    def test_overflowing_chi_is_rejected_before_any_search(self, chi):
+        # The search would take the large-chi law at this chi; the report's
+        # chi^2 check comes first.
+        with mock.patch.object(indicators, "gqze_interval", wraps=gqze_interval) as search, \
+                mock.patch.object(
+                    indicators, "_large_chi_end", wraps=indicators._large_chi_end
+                ) as law:
+            with pytest.raises(ValueError, match=r"^chi = 1e\+200 is too large: chi\^2 overflows"):
+                indicator_report(chi, 0.01)
+        search.assert_not_called()
+        law.assert_not_called()
+
+    @pytest.mark.parametrize("chi", [1e200, -1.0, math.nan, None, [1.0, 2.0]])
+    def test_report_names_a_bad_chi_before_its_other_arguments(self, chi):
+        with pytest.raises(ValueError, match=r"^chi"):
+            indicator_report(chi, -1.0, order_threshold=2.0)
 
     def test_single_point_sweep(self):
         report = indicator_report(0.0, 0.01)

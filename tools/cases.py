@@ -36,10 +36,17 @@ is the ``repr`` of (``min_survival``, ``time_of_min``,
 ``mean_level_probabilities``, ``sub_threshold_measure(chi, 0.01)``), or the
 ``ValueError``, so one diff shows every closed-form value a change moves.
 
-The last set, ``ends``, prints t_chi as the first four sets do, for 500 chi
-drawn log-uniformly from [1e-300, 3.16e-7] and 500 from [6.33e6, 1e154],
-past each end of the grid search's range, so that a change to either end
-law of ``gqze_interval`` shows in the same diff.
+The last set, ``ends``, prints t_chi as the first four sets do, for 1,000
+chi past each end of the grid search's range, where ``gqze_interval``
+takes its end laws: 500 drawn log-uniformly from [3.2e-8, 3.16e-7], where
+the small-chi law's (1/2 - pi/8) chi^2 survives rounding next to pi/2; 400
+from [6.33e6, 1e12], where X / chi of the large-chi law survives it next to
+pi; and 20 touch chi sqrt(4 k^2 - 1) past 6.33e6 with their two float
+neighbours and relative offsets of 1e-12 either way. Nearly every line then
+prints a t_chi other than exactly pi/2 or pi, so a change to either law
+shows in the same diff. (An earlier form of this set drew from [1e-300,
+3.16e-7] and [6.33e6, 1e154], where most t_chi round to pi/2 or pi; its
+output differs from this one's on purpose.)
 
 Run it from the repository root against the package under test, for
 example::
@@ -73,13 +80,13 @@ def _log_uniform(count: int, seed: int) -> list[float]:
     return [10.0 ** rng.uniform(low, high) for _ in range(count)]
 
 
-def _ends(count: int, seed: int) -> list[float]:
+def _ends(seed: int) -> list[float]:
     rng = random.Random(seed)
-    return [
-        10.0 ** rng.uniform(low, high)
-        for low, high in ((-300.0, math.log10(3.16e-7)), (math.log10(6.33e6), 154.0))
-        for _ in range(count)
-    ]
+    small = [10.0 ** rng.uniform(math.log10(3.2e-8), math.log10(3.16e-7)) for _ in range(500)]
+    large = [10.0 ** rng.uniform(math.log10(6.33e6), 12.0) for _ in range(400)]
+    # k from 3,165,000 puts sqrt(4 k^2 - 1) past 6.33e6.
+    ks = [round(10.0 ** rng.uniform(math.log10(3.165e6), math.log10(5e11))) for _ in range(20)]
+    return small + large + _touch(ks, offset=1e-12)
 
 
 def _uniform(count: int, seed: int) -> list[float]:
@@ -100,13 +107,13 @@ def _near_one(count: int, seed: int) -> list[float]:
     ]
 
 
-def _touch(ks) -> list[float]:
+def _touch(ks, offset: float = 1e-9) -> list[float]:
     chis = []
     for k in ks:
         chi = math.sqrt(4.0 * k * k - 1.0)
         chis += [
             chi, math.nextafter(chi, 0.0), math.nextafter(chi, math.inf),
-            chi * (1.0 + 1e-9), chi * (1.0 - 1e-9),
+            chi * (1.0 + offset), chi * (1.0 - offset),
         ]
     return chis
 
@@ -159,7 +166,7 @@ def main() -> None:
         out.write(f"propagated\t{key}\t{_propagated(case)}\n")
     for chi in sets["log-uniform"] + sets["sweep-grid"] + _near_one(1000, seed=2027):
         out.write(f"closed-forms\t{chi!r}\t{_result(_closed_forms, chi)}\n")
-    for chi in _ends(500, seed=2028):
+    for chi in _ends(seed=2028):
         out.write(f"ends\t{chi!r}\t{_result(gqze_interval, chi)}\n")
 
 
